@@ -1,11 +1,11 @@
 """Command-line front end: evolve trajectories, tabulate monodromy angles,
 search for periodic families, emit meshes and verify them.
 
-Configuration comes from flags or a JSON file (flags win); every JSON
-output embeds the resolved configuration and the library version.  Exit
-codes: 0 success, 2 invalid input, 3 numerical failure.  Long scans report
-progress on stderr only.  The SLEVOLVE_OUTDIR environment variable prefixes
-relative output paths.
+Configuration comes from flags, a JSON file and the defaults, in that
+order of precedence; every JSON output embeds the resolved configuration
+and the library version.  Exit codes: 0 success, 2 invalid input, 3
+numerical failure.  Long scans report progress on stderr only.  The
+SLEVOLVE_OUTDIR environment variable prefixes relative output paths.
 """
 
 import argparse
@@ -50,17 +50,18 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _merge_config(ns: argparse.Namespace) -> dict:
-    """Apply the JSON config file under the flags, then freeze the result."""
-    if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            file_cfg = json.load(fh)
-        for key, val in file_cfg.items():
-            if getattr(ns, key, None) is None:
-                setattr(ns, key, val)
-    cfg = {k: v for k, v in vars(ns).items()
-           if k not in ("func", "config") and v is not None}
-    return cfg
+def _load_config(path: str) -> dict:
+    """A JSON config file's values, less the keys that dispatch the command."""
+    with open(path) as fh:
+        file_cfg = json.load(fh)
+    return {k: v for k, v in file_cfg.items()
+            if k not in ("func", "config", "command")}
+
+
+def _resolved_config(ns: argparse.Namespace) -> dict:
+    """The parsed options that were set, less the dispatch keys."""
+    return {k: v for k, v in vars(ns).items()
+            if k not in ("func", "config") and v is not None}
 
 
 def _alphas_for(ns) -> tuple:
@@ -76,7 +77,7 @@ def _alphas_for(ns) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_evolve(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     if ns.data:
         with open(ns.data) as fh:
             data = evodata.evolution_data_from_dict(json.load(fh))
@@ -111,7 +112,7 @@ def cmd_evolve(ns) -> int:
 
 
 def cmd_betas(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
     result = centred.betas(params, tol=ns.quad_tol)
@@ -125,7 +126,7 @@ def cmd_betas(ns) -> int:
 
 
 def cmd_limits(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns)
     lim = centred.beta_limits(alphas, ns.a)
     payload = {
@@ -142,7 +143,7 @@ def cmd_limits(ns) -> int:
 
 
 def cmd_search(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns)
     _progress(f"searching alphas={alphas} with b_max={ns.bmax}")
     sols = centred.periodic_search(alphas, ns.a, ns.bmax, tol=ns.tol,
@@ -191,7 +192,7 @@ def _write_scan_csv(ns, alphas, cfg) -> None:
 
 
 def cmd_mesh(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     nt, nq = (int(x) for x in ns.resolution.split("x"))
     if ns.kind == "centred":
         alphas = _alphas_for(ns)
@@ -220,7 +221,7 @@ def cmd_mesh(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     mesh = meshverify.import_json(_outpath(ns.mesh))
     meshverify.rebuild_family(mesh)
     report = meshverify.mesh_residual_report(mesh)
@@ -237,7 +238,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_crosssection(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns)
     section = threefold.cross_section(alphas)
     s = np.linspace(0.0, section.period, ns.n)
@@ -261,7 +262,7 @@ def cmd_crosssection(ns) -> int:
 
 
 def cmd_affine(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns) if (ns.alphas or ns.family) else None
     if alphas is None:
         raise ValidationError("--alphas required")
@@ -301,7 +302,7 @@ def cmd_affine(ns) -> int:
 
 
 def cmd_report(ns) -> int:
-    cfg = _merge_config(ns)
+    cfg = _resolved_config(ns)
     alphas = _alphas_for(ns)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
     case = centred.classify_case(params)
@@ -337,7 +338,9 @@ def cmd_report(ns) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
+    """The slevolve parser; ``defaults`` (a config file's values) replace
+    every subcommand's defaults, so explicit flags still override them."""
     p = argparse.ArgumentParser(
         prog="slevolve",
         description="construct, search and verify evolved-quadric "
@@ -451,13 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_report)
 
+    for sp in sub.choices.values():
+        sp.set_defaults(**(defaults or {}))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
+        if ns.config:
+            ns = build_parser(_load_config(ns.config)).parse_args(argv)
         return ns.func(ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 from .evodata import EvolutionData
-from .multilinear import complex_to_real, eval_omega, k_subsets
+from .multilinear import complex_to_real, k_subsets
 
 BLOWUP_GUARD = 1e8
 
@@ -72,33 +72,57 @@ class EvolMap:
                              + np.linalg.norm(self.t0) ** 2))
 
 
-def _active_subsets(data: EvolutionData):
-    """(m-1)-subsets of coordinates carrying any nonzero chi coefficient,
-    with the corresponding rows of the chi coefficient matrices."""
+def _check_dims(phi: EvolMap, data: EvolutionData) -> None:
+    if phi.n != data.n or phi.m != data.m:
+        raise ValidationError("map/evolution-data dimension mismatch")
+
+
+def _rhs_plan(data: EvolutionData):
+    """Gather plan for the cofactors of the (m-1)-subsets of coordinates
+    carrying any nonzero chi coefficient, with the corresponding rows of the
+    chi coefficient matrices.
+
+    For m >= 3 the gather indices, shape (S, m, m-1, m-1), pick from the
+    flattened linear part every minor "subset s, row j removed"; for m = 2
+    they are the subset columns, shape (S,).
+    """
     cache = getattr(data, "_evolver_cache", None)
     if cache is not None:
         return cache
-    subs = k_subsets(data.n, data.m - 1)
+    n, m = data.n, data.m
+    subs = k_subsets(n, m - 1)
     lin = data.chi_matrix()
     const = data.chi_const.coeffs
     active = [i for i in range(len(subs))
               if np.any(lin[i] != 0.0) or const[i] != 0.0]
-    cache = ([subs[i] for i in active], lin[active], const[active])
+    cols = np.array([subs[i] for i in active], dtype=np.intp).reshape(
+        len(active), m - 1)
+    if m == 2:
+        gather = cols[:, 0]
+    else:
+        keep = np.array([[r for r in range(m) if r != j] for j in range(m)])
+        gather = keep[None, :, :, None] * n + cols[:, None, None, :]
+    cache = (gather, lin[active], const[active])
     data._evolver_cache = cache
     return cache
 
 
-def _cofactor_vector(U: np.ndarray) -> np.ndarray:
-    """c_j = (-1)^j det(U with row j removed) for a complex m x (m-1) U,
-    so that det[v | U] = sum_j v_j c_j."""
-    m = U.shape[0]
+def _rhs_arrays(A: np.ndarray, plan) -> tuple:
+    """Right-hand side (dA, dt0) for the linear part A of a map.
+
+    Column s of C holds the cofactors c_j = (-1)^j det(U_s with row j
+    removed) of U_s = A[:, subset s], so that det[v | U_s] = sum_j v_j c_j;
+    all minors go through one stacked determinant.
+    """
+    gather, lin_rows, const_rows = plan
+    m = A.shape[0]
     if m == 2:
-        return np.array([U[1, 0], -U[0, 0]])
-    out = np.empty(m, dtype=complex)
-    rows = np.arange(m)
-    for j in range(m):
-        out[j] = ((-1.0) ** j) * np.linalg.det(U[rows != j])
-    return out
+        C = np.stack([A[1, gather], -A[0, gather]])
+    else:
+        C = (np.linalg.det(A.take(gather)) * (-1.0) ** np.arange(m)).T
+    dA = 0.5 * np.conj(C) @ lin_rows
+    dt0 = 0.5 * np.conj(C) @ const_rows
+    return dA, dt0
 
 
 def rhs_general(phi: EvolMap, data: EvolutionData) -> EvolMap:
@@ -106,15 +130,8 @@ def rhs_general(phi: EvolMap, data: EvolutionData) -> EvolMap:
 
     Returns (dA, dt0); dt0 is zero for linear data (no constant chi term).
     """
-    if phi.n != data.n or phi.m != data.m:
-        raise ValidationError("map/evolution-data dimension mismatch")
-    subs, lin_rows, const_rows = _active_subsets(data)
-    m = data.m
-    C = np.zeros((m, len(subs)), dtype=complex)
-    for idx, I in enumerate(subs):
-        C[:, idx] = _cofactor_vector(phi.A[:, list(I)])
-    dA = 0.5 * np.conj(C) @ lin_rows
-    dt0 = 0.5 * np.conj(C) @ const_rows
+    _check_dims(phi, data)
+    dA, dt0 = _rhs_arrays(phi.A, _rhs_plan(data))
     return EvolMap(phi.n, phi.m, dA, dt0)
 
 
@@ -134,29 +151,40 @@ class CPDiagnostics:
                 and self.min_singular_ratio >= sv_ratio_tol)
 
 
+def _tangent_bases(data: EvolutionData, pts: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at the sample points, shape (N, m-1, n)."""
+    return np.array([data.tangent_basis(p) for p in pts]).reshape(
+        len(pts), data.m - 1, data.n)
+
+
+def _membership_arrays(A: np.ndarray, bases: np.ndarray) -> CPDiagnostics:
+    """Admissibility diagnostics of the linear part A on stacked tangent
+    bases (N, m-1, n).
+
+    Row i of Z[p] is the i-th basis vector pushed into C^m; omega of two
+    pushed vectors is Im(conj(z_i) . z_j), normalized by their lengths, and
+    injectivity comes from the singular values of the real (2m, m-1) frames.
+    """
+    Z = bases @ A.T
+    norms = np.linalg.norm(Z, axis=-1)
+    iu, ju = np.triu_indices(Z.shape[1], 1)
+    omega = np.imag(np.conj(Z) @ Z.transpose(0, 2, 1))[:, iu, ju]
+    denom = np.maximum(norms[:, iu] * norms[:, ju], 1e-300)
+    svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
+                          compute_uv=False)
+    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    return CPDiagnostics(float(np.max(np.abs(omega) / denom, initial=0.0)),
+                         float(np.min(svals[:, -1], initial=np.inf)),
+                         float(np.min(ratios, initial=np.inf)),
+                         len(bases))
+
+
 def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
                   seed: int = 0) -> CPDiagnostics:
     """Evaluate the two admissibility conditions on sampled points of P."""
-    if phi.n != data.n or phi.m != data.m:
-        raise ValidationError("map/evolution-data dimension mismatch")
-    pts = data.sample(n_samples, seed)
-    worst_omega = 0.0
-    min_sv = np.inf
-    min_ratio = np.inf
-    for p in pts:
-        basis = data.tangent_basis(p)
-        pushed = np.array([phi.push_real(tau) for tau in basis])
-        norms = np.linalg.norm(pushed, axis=1)
-        for i in range(len(pushed)):
-            for j in range(i + 1, len(pushed)):
-                denom = max(norms[i] * norms[j], 1e-300)
-                worst_omega = max(worst_omega, abs(
-                    eval_omega(pushed[i], pushed[j], data.m)) / denom)
-        svals = np.linalg.svd(pushed.T, compute_uv=False)
-        min_sv = min(min_sv, float(svals[-1]))
-        min_ratio = min(min_ratio, float(svals[-1] / max(svals[0], 1e-300)))
-    return CPDiagnostics(float(worst_omega), float(min_sv), float(min_ratio),
-                         len(pts))
+    _check_dims(phi, data)
+    bases = _tangent_bases(data, data.sample(n_samples, seed))
+    return _membership_arrays(phi.A, bases)
 
 
 @dataclass
@@ -180,8 +208,8 @@ class Trajectory:
         return self.maps[-1]
 
 
-def _pack(phi: EvolMap) -> np.ndarray:
-    z = np.concatenate([phi.A.ravel(), phi.t0])
+def _pack(A: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    z = np.concatenate([A.ravel(), t0])
     return np.concatenate([z.real, z.imag])
 
 
@@ -201,25 +229,39 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     of it); the finer rtol/atol pair can be given instead.  Stops cleanly
     at the blow-up guard (escaping families leave every bounded set in
     finite time); the guard crossing is localized by the solver's root
-    finder.  Membership of the admissible set is checked at the checkpoint
-    times and deviations beyond 10x the initial residual plus 1e-8 are
+    finder.  The guard bounds |A|^(m-2) (|A| for m = 2), A the linear
+    part: (dA, dt0) depend on A alone and are homogeneous of degree m-1 in
+    it, so that power is the inverse time scale, and its crossing lies
+    about 1/guard before the blow-up time for every m (|A| itself reaches
+    1e8 within double spacing of it once m >= 4).  The translation t0 is
+    left out: while A stays bounded it drifts at most linearly and never
+    escapes.  Membership of the admissible set is checked at the checkpoint
+    times, on one set of sample points and tangent frames drawn from
+    ``seed``, and deviations beyond 10x the initial residual plus 1e-8 are
     flagged.
     """
+    _check_dims(phi0, data)
     if tol is not None:
         rtol, atol = tol, tol * 1e-2
     n, m = phi0.n, phi0.m
+    plan = _rhs_plan(data)
+    half = m * n + m
+    power = max(m - 2, 1)
 
     def rhs(t, y):
-        return _pack(rhs_general(_unpack(y, n, m), data))
+        A = (y[:m * n] + 1j * y[half:half + m * n]).reshape(m, n)
+        return _pack(*_rhs_arrays(A, plan))
 
     def blow_up(t, y):
-        return np.linalg.norm(y) - guard
+        lin = np.concatenate([y[:m * n], y[half:half + m * n]])
+        return np.linalg.norm(lin) ** power - guard
 
     blow_up.terminal = True
     blow_up.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, t_end), _pack(phi0), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=blow_up)
+    sol = solve_ivp(rhs, (0.0, t_end), _pack(phi0.A, phi0.t0),
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                    events=blow_up)
     if sol.status < 0:
         raise NumericalError(f"integration failed: {sol.message}")
     escaped = sol.status == 1
@@ -228,9 +270,9 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     times = np.linspace(0.0, t_last, checkpoints)
     maps = [_unpack(sol.sol(t), n, m) for t in times]
 
-    residuals = np.array([
-        membership_cp(mp, data, n_samples=membership_samples, seed=seed)
-        .max_omega_residual for mp in maps])
+    bases = _tangent_bases(data, data.sample(membership_samples, seed))
+    residuals = np.array([_membership_arrays(mp.A, bases).max_omega_residual
+                          for mp in maps])
     tol_line = 10.0 * residuals[0] + 1e-8
     flagged = [int(i) for i in np.nonzero(residuals > tol_line)[0]]
     return Trajectory(times, maps, residuals, escaped, escape_time,

@@ -271,11 +271,6 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_J(v: np.ndarray) -> np.ndarray:
-    """Complex structure J (multiplication by i) in interleaved coordinates."""
-    return complex_to_real(1j * real_to_complex(v))
-
-
 def eval_omega(v1, v2, m: int) -> float:
     """Symplectic form omega = sum_j dx_j ^ dy_j evaluated on two vectors."""
     v1 = np.asarray(v1, dtype=float)

@@ -147,6 +147,18 @@ class TestConfigAndEnv:
         assert doc["config"]["A"] == 1.0  # flag wins
         assert doc["config"]["alphas"] == "1,2,2"
 
+    def test_config_file_beats_defaults(self, tmp_path):
+        # bmax has an argparse default (8); the file value must replace it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bmax": 3}))
+        out = tmp_path / "sols.json"
+        rc = run(["search", "--config", str(cfg), "--m", "3", "--a", "1",
+                  "--family", "sym", "--grid", "48", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["bmax"] == 3
+        assert all(s["denom"] <= 3 for s in doc["solutions"])
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))
         rc = run(["limits", "--m", "3", "--a", "1", "--alphas", "1,2,2",

@@ -6,10 +6,30 @@ import pytest
 from scipy.linalg import expm
 
 from slevolve import ValidationError, centred
-from slevolve.affine import rhs_affine
-from slevolve.evodata import curve_data, example_paraboloid, example_quadric
+from slevolve.affine import AffineParams, affine_initial, rhs_affine
+from slevolve.evodata import (QuadricSpec, curve_data, example_paraboloid,
+                              example_quadric, extend_product, quadric_data)
 from slevolve.evolver import (EvolMap, integrate, membership_cp, rhs_general,
                               trajectory_to_csv)
+from slevolve.multilinear import complex_to_real, eval_omega, k_subsets
+
+
+def random_map(rng, m, n):
+    A = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    t0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return EvolMap(n, m, A, t0)
+
+
+def rhs_by_determinants(phi, data):
+    """The right-hand side from its definition: over every (m-1)-subset I,
+    the cofactor c_j of U = A[:, I] is det[e_j | U], so that
+    det[v | U] = sum_j v_j c_j; chi's coefficient rows weight the subsets."""
+    m = data.m
+    eye = np.eye(m)
+    C = np.array([[np.linalg.det(np.column_stack([eye[j], phi.A[:, list(I)]]))
+                   for I in k_subsets(data.n, m - 1)] for j in range(m)])
+    return (0.5 * np.conj(C) @ data.chi_matrix(),
+            0.5 * np.conj(C) @ data.chi_const.coeffs)
 
 
 class TestSpecialization:
@@ -71,6 +91,38 @@ class TestSpecialization:
         data = example_quadric(3, 1, 1.0)
         with pytest.raises(ValidationError):
             rhs_general(EvolMap.diagonal(np.ones(4)), data)
+        with pytest.raises(ValidationError):
+            integrate(EvolMap.diagonal(np.ones(4)), data, 1.0)
+
+
+class TestCofactorIdentity:
+    @staticmethod
+    def check(data, rng):
+        for _ in range(5):
+            phi = random_map(rng, data.m, data.n)
+            der = rhs_general(phi, data)
+            dA, dt0 = rhs_by_determinants(phi, data)
+            scale = 1.0 + np.abs(dA).max()
+            assert np.abs(der.A - dA).max() <= 1e-13 * scale
+            assert np.abs(der.t0 - dt0).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_general_quadric(self, m):
+        # a non-diagonal affine quadric: every subset and the constant
+        # term of chi are active
+        rng = np.random.default_rng(60 + m)
+        S = rng.normal(size=(m, m))
+        self.check(quadric_data(QuadricSpec(m, S + S.T, rng.normal(size=m)),
+                                1.0), rng)
+
+    @pytest.mark.parametrize("data", [
+        extend_product(example_quadric(2, 1, 1.0), 1),
+        extend_product(example_paraboloid(3, 1), 2),
+        curve_data(np.array([[0.3, 1.0], [-2.0, 0.1]]), np.array([0.5, -1.0]),
+                   2),
+    ], ids=["product-linear", "product-affine", "curve-m2"])
+    def test_constructed_data(self, data):
+        self.check(data, np.random.default_rng(61))
 
 
 class TestMembership:
@@ -98,7 +150,73 @@ class TestMembership:
         assert not diag.passes()
 
 
+    @pytest.mark.parametrize("m,a", [(2, 1), (3, 1), (4, 2), (5, 5)])
+    def test_matches_pairwise_omega(self, m, a):
+        # a random complex map is not Lagrangian: residuals are O(1)
+        data = example_quadric(m, a, 1.0)
+        phi = random_map(np.random.default_rng(62), m, m)
+        worst, min_sv, min_ratio = 0.0, np.inf, np.inf
+        for p in data.sample(30, 4):
+            pushed = np.array([complex_to_real(phi.A @ tau)
+                               for tau in data.tangent_basis(p)])
+            norms = np.linalg.norm(pushed, axis=1)
+            for i in range(m - 1):
+                for j in range(i + 1, m - 1):
+                    worst = max(worst, abs(eval_omega(pushed[i], pushed[j], m))
+                                / (norms[i] * norms[j]))
+            svals = np.linalg.svd(pushed.T, compute_uv=False)
+            min_sv = min(min_sv, svals[-1])
+            min_ratio = min(min_ratio, svals[-1] / svals[0])
+        diag = membership_cp(phi, data, n_samples=30, seed=4)
+        assert diag.samples == 30
+        assert abs(diag.max_omega_residual - worst) <= 1e-15
+        if m > 2:
+            assert worst > 1e-3
+        assert diag.min_singular_value == pytest.approx(min_sv, rel=1e-13)
+        assert diag.min_singular_ratio == pytest.approx(min_ratio, rel=1e-13)
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_blow_up_time_of_equal_diagonal(self, m):
+        # equal real entries stay equal, w' = c w^(m-1) with w(0) = 1, so
+        # w^-(m-2) = 1 - (m-2) c t blows up at T = 1 / ((m-2) c)
+        data = example_quadric(m, m, 1.0)
+        c = centred.rhs_w(np.ones(m), m)[0].real
+        T = 1.0 / ((m - 2) * c)
+        traj = integrate(EvolMap.diagonal(np.ones(m)), data, 50.0,
+                         checkpoints=5, membership_samples=8)
+        assert traj.escaped
+        assert abs(traj.escape_time - T) <= 1e-6 * T
+
+    @pytest.mark.parametrize("m,a", [(6, 3), (7, 4)])
+    def test_translating_family_does_not_escape(self, m, a):
+        # a case-d start on the paraboloid: w stays bounded while beta
+        # drifts linearly past 100, so the guard on A must never fire
+        params = AffineParams(m, a, (1.0,) * (m - 1), 0.5)
+        w0, beta0 = affine_initial(params)
+        A = np.zeros((m, m), complex)
+        A[:m - 1, :m - 1] = np.diag(w0)
+        A[m - 1, m - 1] = 1.0
+        t0 = np.zeros(m, complex)
+        t0[m - 1] = beta0
+        traj = integrate(EvolMap(m, m, A, t0), example_paraboloid(m, a),
+                         250.0, checkpoints=3, membership_samples=4)
+        assert not traj.escaped
+        assert traj.times[-1] == 250.0
+        assert abs(traj.final().t0[m - 1]) > 100.0
+        assert np.abs(traj.final().A).max() <= 10.0
+
+    def test_checkpoint_residuals_match_membership(self):
+        data = example_quadric(3, 1, 1.0)
+        phi0 = random_map(np.random.default_rng(63), 3, 3)
+        traj = integrate(phi0, data, 0.2, checkpoints=5,
+                         membership_samples=12, seed=7)
+        assert np.max(traj.omega_residuals) > 1e-3
+        for k, mp in enumerate(traj.maps):
+            diag = membership_cp(mp, data, 12, 7)
+            assert traj.omega_residuals[k] == diag.max_omega_residual
+
     def test_ellipsoid_escapes(self):
         data = example_quadric(3, 3, 1.0)
         phi0 = EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
