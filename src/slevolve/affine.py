@@ -87,15 +87,13 @@ class AffineState:
 
 def rhs_affine(state, a: int):
     """(dw, dbeta): the centred right-hand side over the m-1 letters and
-    dbeta/dt = conj(prod w_j)."""
+    dbeta/dt = conj(prod w_j); w may be a stack (..., m-1)."""
     if isinstance(state, AffineState):
         w = state.array
     else:
         w, _ = state
         w = np.asarray(w, dtype=complex)
-    dw = centred.rhs_w(w, a)
-    dbeta = np.conj(np.prod(w))
-    return dw, complex(dbeta)
+    return centred.rhs_w(w, a), np.conj(np.prod(w, axis=-1))
 
 
 def beta_closed(u: float, u0: float, t: float, A: float,

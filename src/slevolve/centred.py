@@ -21,6 +21,7 @@ Angle bookkeeping uses the continuous lift of arg w_j; near A = 0 some w_j
 pass through zero and the lift jumps, so work in w coordinates there.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -233,26 +234,42 @@ class PeriodicSolution:
 # right-hand sides and integration
 # ---------------------------------------------------------------------------
 
+def _cmul(a, b):
+    """a * b for complex arrays in real arithmetic: rounds like a product of
+    complex scalars, where numpy's vector loop may fuse multiply-adds."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _leave_one_out(w: np.ndarray) -> np.ndarray:
-    """prod_{k != j} w_k without division (stable when some |w_j| is tiny)."""
-    m = w.size
-    pre = np.empty(m + 1, dtype=complex)
-    suf = np.empty(m + 1, dtype=complex)
-    pre[0] = 1.0
-    suf[m] = 1.0
+    """prod_{k != j} w_k over the last axis without division (stable when
+    some |w_j| is tiny).
+
+    The running products round like complex scalar products, so a stack of
+    rows gives each row's result bit for bit; a single row runs on Python
+    complex numbers, which cost far less than numpy scalars.
+    """
+    cols = w.T
+    if cols.ndim == 1:
+        cols, mul, one = cols.tolist(), operator.mul, 1 + 0j
+    else:
+        mul, one = _cmul, np.ones(cols.shape[1:], dtype=complex)
+    m = len(cols)
+    pre, suf = [one], [one]     # prod_{k<j} w_k; prod_{k>=m-j} w_k
     for j in range(m):
-        pre[j + 1] = pre[j] * w[j]
-    for j in range(m - 1, -1, -1):
-        suf[j] = w[j] * suf[j + 1]
-    return pre[:m] * suf[1:]
+        pre.append(mul(pre[j], cols[j]))
+        suf.append(mul(cols[m - 1 - j], suf[j]))
+    return (np.asarray(pre[:m]) * np.asarray(suf[m - 1::-1])).T
 
 
 def rhs_w(w, a: int) -> np.ndarray:
-    """dw_j/dt = +-conj(prod_{k != j} w_k), + for j <= a."""
+    """dw_j/dt = +-conj(prod_{k != j} w_k), + for j <= a; w is (..., m)."""
     if isinstance(w, WVector):
         w = w.array
     w = np.asarray(w, dtype=complex)
-    signs = np.ones(w.size)
+    signs = np.ones(w.shape[-1])
     signs[a:] = -1.0
     return signs * np.conj(_leave_one_out(w))
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -172,14 +171,9 @@ def cmd_search(ns) -> int:
 def _write_scan_csv(ns, alphas, cfg) -> None:
     params0 = centred.CentredParams(ns.m, ns.a, alphas, 0.5, c=ns.c)
     A_grid = np.linspace(0.02, 0.98, ns.grid) * params0.A_max
-
-    def one(A):
-        res = centred.betas(centred.CentredParams(ns.m, ns.a, alphas,
-                                                  float(A), c=ns.c))
-        return res
-
-    with ThreadPoolExecutor(max_workers=max(1, ns.jobs)) as ex:
-        rows = list(ex.map(one, A_grid))
+    rows = [centred.betas(centred.CentredParams(ns.m, ns.a, alphas, float(A),
+                                                c=ns.c))
+            for A in A_grid]
     cols = ([f"alpha{j + 1}" for j in range(ns.m)] + ["A"]
             + [f"beta{j + 1}" for j in range(ns.m)] + ["T", "quad_error"])
     lines = [",".join(cols)]
@@ -210,7 +204,7 @@ def cmd_mesh(ns) -> int:
     else:
         raise ValidationError(f"unknown mesh kind {ns.kind!r}")
     if ns.with_residuals:
-        mesh = meshverify.attach_residuals(mesh, jobs=max(1, ns.jobs))
+        mesh = meshverify.attach_residuals(mesh)
     projection = None
     if ns.projection:
         projection = ("pca" if ns.projection == "pca"
@@ -353,7 +347,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=m_default)
         sp.add_argument("--a", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
     sp = sub.add_parser("evolve", help="integrate a diagonal start under the "
                         "general engine on quadric data")

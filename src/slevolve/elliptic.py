@@ -40,7 +40,8 @@ def _check_modulus(k: float, allow_one: bool = True) -> float:
 
 def _agm_scales(k: float):
     """AGM sequence a_i, c_i for modulus k, descending until c_N ~ 0."""
-    a, b = 1.0, np.sqrt(max(0.0, 1.0 - k * k))
+    # k' as sqrt((1-k)(1+k)): 1 - k*k would cancel as k -> 1
+    a, b = 1.0, np.sqrt((1.0 - k) * (1.0 + k))
     a_list, c_list = [a], [k]
     for _ in range(_AGM_MAX_ITER):
         a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
@@ -62,20 +63,31 @@ def complete_K(k: float) -> float:
 
 
 def jacobi(t: float, k: float) -> JacobiTriple:
-    """Jacobi elliptic triple (sn, cn, dn)(t, k) for modulus k in [0, 1].
+    """Jacobi elliptic triple (sn, cn, dn)(t, k) for modulus k in [0, 1]:
+    the scalar case of ``jacobi_grid``."""
+    sn, cn, dn = jacobi_grid(float(t), k)
+    return JacobiTriple(float(sn), float(cn), float(dn), float(t), float(k))
 
-    Initial conditions sn(0)=0, cn(0)=dn(0)=1.  The backward amplitude
-    recurrence keeps the defining identities exact to rounding: cn and sn
-    are a cosine/sine pair of the recovered amplitude and dn is computed
-    from the second identity (dn >= k' > 0 for k < 1, so the square root
-    branch is safe).
+
+def jacobi_grid(t: np.ndarray, k: float) -> np.ndarray:
+    """(sn, cn, dn) over an array of arguments for modulus k in [0, 1];
+    returns shape t.shape + (3,).
+
+    Initial conditions sn(0)=0, cn(0)=dn(0)=1.  One AGM sequence serves
+    every argument.  The backward amplitude recurrence keeps the defining
+    identities exact to rounding: cn and sn are a cosine/sine pair of the
+    recovered amplitude and dn^2 is 1 - k^2 sn^2 where sn^2 < 1/2 and
+    k'^2 + k^2 cn^2 elsewhere, so neither form cancels and dn keeps its
+    relative accuracy where it is tiny (k -> 1, large t).
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     k = _check_modulus(k)
     if k == 0.0:
-        return JacobiTriple(np.sin(t), np.cos(t), 1.0, t, k)
+        return np.stack([np.sin(t), np.cos(t), np.ones_like(t)], axis=-1)
     if k == 1.0:
-        return JacobiTriple(np.tanh(t), 1.0 / np.cosh(t), 1.0 / np.cosh(t), t, k)
+        e = np.exp(-np.abs(t))
+        sech = 2.0 * e / (1.0 + e * e)
+        return np.stack([np.tanh(t), sech, sech], axis=-1)
 
     a_list, c_list = _agm_scales(k)
     # reduce modulo the real period 4K for large arguments
@@ -87,20 +99,10 @@ def jacobi(t: float, k: float) -> JacobiTriple:
     for i in range(n, 0, -1):
         phi = 0.5 * (phi + np.arcsin(np.clip(c_list[i] * np.sin(phi) / a_list[i],
                                              -1.0, 1.0)))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = np.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
-    return JacobiTriple(float(sn), float(cn), float(dn), t, k)
-
-
-def jacobi_grid(t: np.ndarray, k: float) -> np.ndarray:
-    """Vectorized (sn, cn, dn) over a grid of arguments; returns (len(t), 3)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + (3,))
-    for idx in np.ndindex(t.shape):
-        j = jacobi(float(t[idx]), k)
-        out[idx] = (j.sn, j.cn, j.dn)
-    return out
+    sn, cn = np.sin(phi), np.cos(phi)
+    dn = np.sqrt(np.where(sn ** 2 < 0.5, 1.0 - (k * sn) ** 2,
+                          (1.0 - k) * (1.0 + k) + (k * cn) ** 2))
+    return np.stack([sn, cn, dn], axis=-1)
 
 
 def jacobi_derivatives(triple: JacobiTriple) -> tuple:

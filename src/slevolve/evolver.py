@@ -63,10 +63,6 @@ class EvolMap:
     def __call__(self, x) -> np.ndarray:
         return self.A @ np.asarray(x, dtype=float) + self.t0
 
-    def push_real(self, v) -> np.ndarray:
-        """Push a real tangent vector to an interleaved vector of R^{2m}."""
-        return complex_to_real(self.A @ np.asarray(v, dtype=float))
-
     def norm(self) -> float:
         return float(np.sqrt(np.linalg.norm(self.A) ** 2
                              + np.linalg.norm(self.t0) ** 2))

@@ -2,12 +2,20 @@
 are special Lagrangian: the symplectic form and the imaginary part of the
 holomorphic volume form must both vanish on tangent frames.
 
-Verification prefers analytic tangent frames: the time direction is taken
-from the evolution right-hand side and the quadric directions from chart
-Jacobians, so residuals measure the construction itself rather than
-integration error.  Frames are normalized to unit vectors and the volume
-residual divided by the frame's Gram volume, making every report scale
-free.  Finite-difference tangents are available for convergence checks.
+Every family speaks one batched protocol: ``sample_params(n, seed)`` draws
+(N, k) parameter rows, ``points(P)`` maps them to (N, m) complex points and
+``frames(P)`` to (N, m, m) complex tangent frames, one tangent vector per
+row.  A swept family builds both from a time value t and a chart point
+x(q): the point is w(t) x(q), plus a translation beta(t) in the last
+coordinate for the paraboloid families; the t row of the frame comes from
+the evolution right-hand side and the other rows from the chart's analytic
+Jacobian, so residuals measure the construction itself rather than
+integration error.  A mesh is a family, a row chart, a parameter grid and
+faces, and its frames come from the same code with the mesh's chart in
+place of the family's.  Frames are normalized to unit vectors and the
+volume residual divided by the frame's Gram volume, making every report
+scale free.  Central differences of ``points`` (``tangents="fd"``) are the
+reference for convergence checks.
 """
 
 import json
@@ -27,39 +35,38 @@ NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
 
 
 # ---------------------------------------------------------------------------
-# charts on the quadric level sets
+# charts: points and analytic Jacobians for whole row arrays
 # ---------------------------------------------------------------------------
 
 def sphere_embed(phis: np.ndarray) -> tuple:
-    """Unit-sphere point and Jacobian for hyperspherical angles.
+    """Unit-sphere points (..., d+1) and Jacobians (..., d, d+1) for
+    hyperspherical angles (..., d).
 
     d angles parametrize S^d; interior sampling keeps sin(phi_j) away from
     zero so the Jacobian rows stay independent.
     """
     phis = np.asarray(phis, dtype=float)
-    d = phis.size
-    p = np.empty(d + 1)
-    sin_prod = 1.0
-    for i in range(d):
-        p[i] = np.cos(phis[i]) * sin_prod
-        sin_prod *= np.sin(phis[i])
-    p[d] = sin_prod
-    jac = np.zeros((d, d + 1))
-    for j in range(d):
-        for i in range(d + 1):
-            if i < j:
-                continue
-            if i == j:
-                pref = np.prod(np.sin(phis[:i]))
-                jac[j, i] = -np.sin(phis[i]) * pref
-            elif i < d:
-                jac[j, i] = p[i] * np.cos(phis[j]) / np.sin(phis[j])
-            else:
-                jac[j, i] = p[d] * np.cos(phis[j]) / np.sin(phis[j])
+    d = phis.shape[-1]
+    sin, cos = np.sin(phis), np.cos(phis)
+    pre = np.ones(phis.shape[:-1] + (d + 1,))   # prod_{j<i} sin(phi_j)
+    pre[..., 1:] = np.cumprod(sin, axis=-1)
+    p = pre.copy()
+    p[..., :d] *= cos
+    # d p_i / d phi_j: p_i cot(phi_j) for i > j, -sin(phi_i) pre_i for i = j
+    jac = np.triu(p[..., None, :] * (cos / sin)[..., :, None], k=1)
+    jac[..., np.arange(d), np.arange(d)] = -sin * pre[..., :d]
     return p, jac
 
 
-class QuadricChart:
+class _Chart:
+    """Chart protocol: ``point_and_jacobian(Q)`` maps coordinate rows
+    (..., k) to points (..., m) and Jacobians (..., m-1, m).  A parameter
+    row holds the time value in column ``t_col`` and Q in the others."""
+
+    t_col = 0
+
+
+class QuadricChart(_Chart):
     """Coordinates on {sum x_j^2 - sum y_j^2 = c} in R^a x R^{m-a}.
 
     Layout of the m-1 continuous coordinates (branch signs, where the
@@ -122,83 +129,213 @@ class QuadricChart:
             cols.append(rng.choice([-1.0, 1.0], size=(count, 1)))
         return np.column_stack(cols)
 
-    def _split(self, q):
-        q = np.asarray(q, dtype=float)
-        cont, branch = q[:self.n_cont], q[self.n_cont:]
-        return cont, branch
-
-    def point(self, q) -> np.ndarray:
-        x, _ = self.point_and_jacobian(q)
-        return x
-
     def point_and_jacobian(self, q) -> tuple:
-        """Quadric point and the (m-1) x m Jacobian of the chart."""
-        cont, branch = self._split(q)
+        """Quadric points (..., m) and chart Jacobians (..., m-1, m)."""
+        q = np.asarray(q, dtype=float)
+        cont, branch = q[..., :self.n_cont], q[..., self.n_cont:]
         m, a, c = self.m, self.a, self.c
         ay = m - a
-        x = np.empty(m)
-        jac = np.zeros((self.n_cont, m))
-        bi = 0
+        shape = q.shape[:-1]
+        x = np.empty(shape + (m,))
+        jac = np.zeros(shape + (self.n_cont, m))
+        signs = [branch[..., i:i + 1] for i in range(self.n_branch)]
 
-        def unit_block(d, sign_needed):
-            nonlocal bi
-            if d >= 1:
-                return None, None  # handled by caller with angles
-            sgn = branch[bi] if sign_needed else 1.0
-            bi += 1 if sign_needed else 0
-            return np.array([sgn]), np.zeros((0, 1))
+        def factor(angles):
+            """Sphere factor: S^d from d angles, S^0 from the next sign."""
+            if angles.shape[-1]:
+                return sphere_embed(angles)
+            return signs.pop(0), np.zeros(shape + (0, 1))
 
         if c > 0:
             na = a - 1
-            ang, ys = cont[:na], cont[na:]
-            if na > 0:
-                sig, dsig = sphere_embed(ang)
-            else:
-                sig, dsig = unit_block(0, True)
-            r = np.sqrt(c + ys @ ys)
-            x[:a] = r * sig
-            x[a:] = ys
-            # d/d(angle): r * dsig; d/d(y_k): (y_k / r) sig (+ e_k below)
-            jac[:na, :a] = r * dsig
-            for k in range(ay):
-                jac[na + k, :a] = (ys[k] / r) * sig
-                jac[na + k, a + k] = 1.0
+            sig, dsig = factor(cont[..., :na])
+            ys = cont[..., na:]
+            r = np.sqrt(c + np.sum(ys ** 2, axis=-1))[..., None]
+            x[..., :a] = r * sig
+            x[..., a:] = ys
+            # d/d(angle): r * dsig; d/d(y_k): (y_k / r) sig + e_{a+k}
+            jac[..., :na, :a] = r[..., None] * dsig
+            jac[..., na:, :a] = (ys / r)[..., :, None] * sig[..., None, :]
+            jac[..., na + np.arange(ay), a + np.arange(ay)] = 1.0
         elif c < 0:
-            xs, ang = cont[:a], cont[a:]
-            nb = ay - 1
-            if nb > 0:
-                tau, dtau = sphere_embed(ang)
-            else:
-                tau, dtau = unit_block(0, True)
-            r = np.sqrt(xs @ xs - c)
-            x[:a] = xs
-            x[a:] = r * tau
-            for k in range(a):
-                jac[k, k] = 1.0
-                jac[k, a:] = (xs[k] / r) * tau
-            jac[a:, a:] = r * dtau
+            xs = cont[..., :a]
+            tau, dtau = factor(cont[..., a:])
+            r = np.sqrt(np.sum(xs ** 2, axis=-1) - c)[..., None]
+            x[..., :a] = xs
+            x[..., a:] = r * tau
+            jac[..., np.arange(a), np.arange(a)] = 1.0
+            jac[..., :a, a:] = (xs / r)[..., :, None] * tau[..., None, :]
+            jac[..., a:, a:] = r[..., None] * dtau
         else:
-            rho = cont[0]
-            na, nb = a - 1, ay - 1
-            ang_x = cont[1:1 + na]
-            ang_y = cont[1 + na:]
-            if na > 0:
-                sig, dsig = sphere_embed(ang_x)
-            else:
-                sig, dsig = unit_block(0, True)
-            if nb > 0:
-                tau, dtau = sphere_embed(ang_y)
-            else:
-                tau, dtau = unit_block(0, True)
-            x[:a] = rho * sig
-            x[a:] = rho * tau
-            jac[0, :a] = sig
-            jac[0, a:] = tau
-            if na > 0:
-                jac[1:1 + na, :a] = rho * dsig
-            if nb > 0:
-                jac[1 + na:, a:] = rho * dtau
+            rho = cont[..., :1]
+            na = a - 1
+            sig, dsig = factor(cont[..., 1:1 + na])
+            tau, dtau = factor(cont[..., 1 + na:])
+            x[..., :a] = rho * sig
+            x[..., a:] = rho * tau
+            jac[..., 0, :a] = sig
+            jac[..., 0, a:] = tau
+            jac[..., 1:1 + na, :a] = rho[..., None] * dsig
+            jac[..., 1 + na:, a:] = rho[..., None] * dtau
         return x, jac
+
+
+def _profile_circle(m, a, c, n_sheets):
+    """Closed profiles on the quadric, one per sheet: (block, fixed, radii).
+
+    Sheet k is the circle of radius radii[k] in the first two coordinates
+    of ``block`` (the x block (0, a) or the y block (a, m)), every other
+    coordinate held at fixed[k].  An x-block circle needs
+    c + |y_fix|^2 > 0, a y-block circle |x_fix|^2 - c > 0; the feasible one
+    is chosen.  Signature (1, 1) falls back to the two open hyperbola
+    branches: block None, fixed the branch signs.  For the c = 0 cone the
+    sheet radii come in doubling pairs to support the ray-scaling checks.
+    """
+    if a >= 2 and c > 0:
+        block, fixed = (0, a), np.zeros((1 if m == a else n_sheets, m))
+        fixed[:, a:a + 1] = 0.7 * np.arange(len(fixed))[:, None]
+    elif m - a >= 2 and c != 0.0:
+        block, fixed = (a, m), np.zeros((n_sheets, m))
+        fixed[:, 0] = np.sqrt(max(c, 0.0)) + 0.8 + 0.6 * np.arange(n_sheets)
+    elif a >= 2 and c < 0:
+        block, fixed = (0, a), np.zeros((n_sheets, m))
+        fixed[:, a] = np.sqrt(-c) + 0.8 + 0.6 * np.arange(n_sheets)
+    elif c == 0.0 and max(a, m - a) >= 2:
+        # cone: radial doubling pairs 1, 2 along the rays
+        rho = np.array([1.0, 2.0])[:max(n_sheets, 1), None]
+        block, fixed = ((0, a) if a >= 2 else (a, m)), np.zeros((len(rho), m))
+        if a >= 2:
+            fixed[:, a:] = rho / np.sqrt(max(m - a, 1))
+        else:
+            fixed[:, :a] = rho
+    else:
+        return None, np.array([[1.0], [-1.0]]), None
+    if not len(fixed):
+        raise ValidationError("no admissible mesh sheet for these parameters")
+    if block[0] == 0:
+        rsq = c + np.sum(fixed[:, a:] ** 2, axis=1)
+    else:
+        rsq = np.sum(fixed[:, :a] ** 2, axis=1) - c
+    return block, fixed, np.sqrt(rsq)
+
+
+class ProfileChart(_Chart):
+    """Rows (q, sheet) on the closed profiles of ``_profile_circle``.
+
+    The first Jacobian row is the profile tangent.  The others complete it
+    to a basis of the quadric's tangent space: each coordinate outside the
+    circle's block moves with the radial compensation inside the block that
+    keeps the point on the level set, and the block's remaining
+    coordinates, zero on the circle, move freely.  On a hyperbola branch
+    the single row is the branch tangent.
+    """
+
+    def __init__(self, m: int, a: int, c: float, n_sheets: int = 2):
+        self.m, self.c = m, float(c)
+        self.block, self.fixed, self.radii = _profile_circle(m, a, self.c,
+                                                             n_sheets)
+        self.n_sheets = len(self.fixed)
+        self.wrap = self.block is not None
+
+    def point_and_jacobian(self, Q) -> tuple:
+        Q = np.asarray(Q, dtype=float)
+        q, sheet = Q[..., 0], Q[..., 1].astype(int)
+        m, c = self.m, self.c
+        jac = np.zeros(q.shape + (m - 1, m))
+        x = self.fixed[sheet]
+        if self.block is None:      # signature (1, 1): x = (+-sqrt(c+q^2), q)
+            sg = x[..., 0]
+            x = np.empty(q.shape + (2,))
+            root = np.sqrt(c + q ** 2) if c >= 0 else np.sqrt(q ** 2 - c)
+            lead, free = (0, 1) if c >= 0 else (1, 0)
+            x[..., lead], x[..., free] = sg * root, q
+            jac[..., 0, lead], jac[..., 0, free] = sg * q / root, 1.0
+            return x, jac
+        lo, hi = self.block
+        r = self.radii[sheet]
+        x[..., lo] = r * np.cos(q)
+        x[..., lo + 1] = r * np.sin(q)
+        jac[..., 0, lo] = -r * np.sin(q)
+        jac[..., 0, lo + 1] = r * np.cos(q)
+        other = np.r_[0:lo, hi:m]
+        xb = x[..., lo:hi]
+        rows = 1 + np.arange(other.size)
+        jac[..., rows, other] = 1.0
+        jac[..., rows, lo:hi] = ((x[..., other] / np.sum(xb ** 2, axis=-1,
+                                                         keepdims=True))
+                                 [..., :, None] * xb[..., None, :])
+        jac[..., 1 + other.size + np.arange(hi - lo - 2),
+            np.arange(lo + 2, hi)] = 1.0
+        return x, jac
+
+
+class ParaboloidChart(_Chart):
+    """The paraboloid x_m = -1/2 sum_i s_i x_i^2 with coordinates
+    (x_1, ..., x_{m-1}), sampled in [-radius, radius]."""
+
+    def __init__(self, signs, radius: float = 2.0):
+        self.signs = np.asarray(signs, dtype=float)
+        self.radius = radius
+
+    def sample_coords(self, count: int, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-self.radius, self.radius,
+                           size=(count, self.signs.size))
+
+    def point_and_jacobian(self, xs) -> tuple:
+        xs = np.asarray(xs, dtype=float)
+        k = self.signs.size
+        x = np.concatenate([xs, -0.5 * (xs ** 2 @ self.signs)[..., None]],
+                           axis=-1)
+        eye = np.broadcast_to(np.eye(k), xs.shape[:-1] + (k, k))
+        return x, np.concatenate([eye, (-self.signs * xs)[..., None]], axis=-1)
+
+
+class _AffineProfileChart(ParaboloidChart):
+    """Affine mesh rows (q, sheet): circles of the sheet radii in the first
+    two free coordinates, the others held at 0.3."""
+
+    def __init__(self, signs, radii):
+        super().__init__(signs)
+        self.radii = np.asarray(radii, dtype=float)
+
+    def point_and_jacobian(self, Q) -> tuple:
+        Q = np.asarray(Q, dtype=float)
+        q, r = Q[..., 0], self.radii[Q[..., 1].astype(int)]
+        xs = np.full(q.shape + (self.signs.size,), 0.3)
+        xs[..., 0] = r * np.cos(q)
+        xs[..., 1] = r * np.sin(q)
+        return super().point_and_jacobian(xs)
+
+
+class ConeChart(_Chart):
+    """The cone over the link circle: coordinates (s, r) -> r x(s)."""
+
+    def __init__(self, section: threefold.CrossSection, r_range=(0.5, 2.0)):
+        self.section = section
+        self.r_range = r_range
+
+    def sample_coords(self, count: int, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return np.column_stack([
+            rng.uniform(0.0, self.section.period, size=count),
+            rng.uniform(*self.r_range, size=count)])
+
+    def point_and_jacobian(self, Q) -> tuple:
+        Q = np.asarray(Q, dtype=float)
+        s, r = Q[..., 0], Q[..., 1:2]
+        x = self.section.x(s)
+        return r * x, np.stack([r * self.section.dx_ds(s), x], axis=-2)
+
+
+class _LinkRowChart(ConeChart):
+    """Link mesh rows (s, t, sheet): the unit cross-section, t in column 1."""
+
+    t_col = 1
+
+    def point_and_jacobian(self, Q) -> tuple:
+        s = np.asarray(Q, dtype=float)[..., 0]
+        return super().point_and_jacobian(np.stack([s, np.ones_like(s)], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,215 +359,172 @@ class CaseCWPath:
         return self.moduli * np.exp(1j * phase)
 
 
-class _FamilyBase:
-    """Common sampling plumbing: subclasses define n_continuous,
-    sample_params, point_param and frame_param (analytic)."""
+class _Family:
+    """The batched family protocol: ``sample_params(n, seed)`` gives (N, k)
+    parameter rows, ``points(P)`` (N, m) complex points and ``frames(P)``
+    (N, m, m) complex frames whose rows differentiate the points along the
+    first m columns (trailing columns carry discrete branch data)."""
 
-    def fd_frame(self, pv, probe: float = 1e-5) -> np.ndarray:
-        rows = []
-        pv = np.asarray(pv, dtype=float)
-        for i in range(self.n_continuous):
-            up, dn = pv.copy(), pv.copy()
-            up[i] += probe
-            dn[i] -= probe
-            rows.append((self.point_param(up) - self.point_param(dn))
-                        / (2 * probe))
-        return np.asarray(rows)
+    def fd_frames(self, P, probe: float = 1e-5) -> np.ndarray:
+        """Central differences of ``points``: the reference for ``frames``."""
+        P = np.asarray(P, dtype=float)
+        n, k = P.shape
+        steps = probe * np.eye(k)[:self.m]
+        up = self.points((P[:, None, :] + steps).reshape(-1, k))
+        dn = self.points((P[:, None, :] - steps).reshape(-1, k))
+        return (up - dn).reshape(n, self.m, self.m) / (2 * probe)
 
 
-class CentredFamily(_FamilyBase):
+class _SweptFamily(_Family):
+    """Points w(t) x(q) + beta(t) e_m of a time value t and a chart point.
+
+    Subclasses set m, t_span and chart.  ``_motion(t)`` gives (w, dw, beta,
+    dbeta); here the centred evolution along ``path``, while a translating
+    family's w covers the first m-1 coordinates and beta moves the last.
+    ``points`` and ``frames`` take a row chart in place of ``chart``: that
+    is how a mesh evaluates its parameter grid.
+    """
+
+    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(0.0, self.t_span, size=(count, 1))
+        return np.column_stack([ts, self.chart.sample_coords(count, seed + 1)])
+
+    def _motion(self, t) -> tuple:
+        w = self.path.w(t)
+        return w, centred.rhs_w(w, self.a), None, None
+
+    def _sweep(self, P, chart) -> tuple:
+        chart = self.chart if chart is None else chart
+        P = np.asarray(P, dtype=float)
+        x, jac = chart.point_and_jacobian(np.delete(P, chart.t_col, axis=1))
+        w, dw, beta, dbeta = self._motion(P[:, chart.t_col])
+        if beta is not None:    # the last coordinate is carried, not scaled
+            w = np.concatenate([w, np.ones((len(P), 1))], axis=1)
+            dw = np.concatenate([dw, np.zeros((len(P), 1))], axis=1)
+        return x, jac, w, dw, beta, dbeta
+
+    def points(self, P, chart=None) -> np.ndarray:
+        x, _, w, _, beta, _ = self._sweep(P, chart)
+        z = w * x
+        if beta is not None:
+            z[:, -1] += beta
+        return z
+
+    def frames(self, P, chart=None) -> np.ndarray:
+        x, jac, w, dw, beta, dbeta = self._sweep(P, chart)
+        F = np.concatenate([(dw * x)[:, None, :], jac * w[:, None, :]], axis=1)
+        if beta is not None:
+            F[:, 0, -1] += dbeta
+        return F
+
+
+class CentredFamily(_SweptFamily):
     """The centred-quadric submanifold as a map of (t, quadric chart).
 
-    Frames are analytic: the t row uses the evolution right-hand side at
-    w(t), the chart rows the chart Jacobian, so the special Lagrangian
-    residuals probe the construction pointwise.
+    The path is the case-c closed form, or the trajectory integrated from
+    w0 (default: the standard initial state) over t_span.
     """
 
     def __init__(self, params: centred.CentredParams, c: float = None,
-                 t_span: float = None, w_source=None, radius: float = 2.0):
+                 t_span: float = None, w0=None, radius: float = 2.0):
         self.params = params
         self.c = params.c if c is None else c
         self.m, self.a = params.m, params.a
         case = centred.classify_case(params)
-        if w_source is not None:
-            self.w_source = w_source
-        elif case == "c":
-            self.w_source = CaseCWPath(params)
-        else:
-            if t_span is None:
-                if case == "d":
-                    t_span = 2.0 * centred.betas(params).period_T
-                else:
-                    t_span = 2.0
-            self.w_source = centred.integrate_w(
-                centred.w_initial(params), params.a, float(t_span))
         if t_span is None:
             t_span = 2.0 * centred.betas(params).period_T if case == "d" else 2.0
         self.t_span = float(t_span)
+        if w0 is not None:
+            self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
+                                            self.t_span)
+        elif case == "c":
+            self.path = CaseCWPath(params)
+        else:
+            self.path = centred.integrate_w(centred.w_initial(params), self.a,
+                                            self.t_span)
         self.chart = QuadricChart(self.m, self.a, self.c, radius)
-        self.n_continuous = self.m
-
-    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.0, self.t_span, size=(count, 1))
-        qs = self.chart.sample_coords(count, seed + 1)
-        return np.column_stack([ts, qs])
-
-    def point_param(self, pv) -> np.ndarray:
-        w = self.w_source.w(float(pv[0]))
-        x = self.chart.point(pv[1:])
-        return w * x
-
-    def frame_param(self, pv) -> np.ndarray:
-        w = self.w_source.w(float(pv[0]))
-        dw = centred.rhs_w(w, self.a)
-        x, jac = self.chart.point_and_jacobian(pv[1:])
-        rows = np.empty((self.m, self.m), dtype=complex)
-        rows[0] = dw * x
-        rows[1:] = jac * w[None, :]
-        return rows
 
 
-class AffineFamily(_FamilyBase):
-    """The translated (paraboloid) submanifold as a map of (t, x_1..x_{m-1})."""
+class AffineFamily(_SweptFamily):
+    """The translated (paraboloid) submanifold as a map of (t, x_1..x_{m-1}),
+    swept by a prebuilt ``path`` or one integrated from (w0, beta0)."""
 
     def __init__(self, params: affine_mod.AffineParams, t_span: float = 4.0,
-                 radius: float = 2.0, w0=None, beta0=None):
+                 radius: float = 2.0, w0=None, beta0=None, path=None):
         self.params = params
         self.m, self.a = params.m, params.a
-        if w0 is None:
-            w0, beta0 = affine_mod.affine_initial(params)
-        elif beta0 is None:
-            beta0 = 0.0
-        self.path = affine_mod.integrate_affine(w0, beta0, params.a,
-                                                float(t_span))
-        self.t_span = min(float(t_span), self.path.t_span[1])
-        self.radius = radius
-        self.n_continuous = self.m
-
-    def _x_last(self, xs) -> float:
+        if path is None:
+            if w0 is None:
+                w0, beta0 = affine_mod.affine_initial(params)
+            elif beta0 is None:
+                beta0 = 0.0
+            path = affine_mod.integrate_affine(w0, beta0, params.a,
+                                               float(t_span))
+        self.path = path
+        self.t_span = min(float(t_span), path.t_span[1])
         signs = np.ones(self.m - 1)
         signs[self.a:] = -1.0
-        return -0.5 * float(signs @ (np.asarray(xs) ** 2))
+        self.chart = ParaboloidChart(signs, radius)
 
-    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.0, self.t_span, size=(count, 1))
-        xs = rng.uniform(-self.radius, self.radius, size=(count, self.m - 1))
-        return np.column_stack([ts, xs])
-
-    def point_param(self, pv) -> np.ndarray:
-        t, xs = float(pv[0]), np.asarray(pv[1:], dtype=float)
-        w = self.path.w(t)
-        out = np.empty(self.m, dtype=complex)
-        out[:-1] = w * xs
-        out[-1] = self._x_last(xs) + self.path.beta(t)
-        return out
-
-    def frame_param(self, pv) -> np.ndarray:
-        t, xs = float(pv[0]), np.asarray(pv[1:], dtype=float)
+    def _motion(self, t) -> tuple:
         w = self.path.w(t)
         dw, dbeta = affine_mod.rhs_affine((w, None), self.a)
-        signs = np.ones(self.m - 1)
-        signs[self.a:] = -1.0
-        rows = np.zeros((self.m, self.m), dtype=complex)
-        rows[0, :-1] = dw * xs
-        rows[0, -1] = dbeta
-        for i in range(self.m - 1):
-            rows[1 + i, i] = w[i]
-            rows[1 + i, -1] = -signs[i] * xs[i]
-        return rows
+        return w, dw, self.path.beta(t), dbeta
 
 
-class ConeOverLinkFamily(_FamilyBase):
-    """The three-dimensional cone r * Phi(s, t) over the link surface."""
+class ConeOverLinkFamily(_SweptFamily):
+    """The three-dimensional cone r * Phi(s, t) over the link surface as a
+    map of (t, s, r)."""
 
     def __init__(self, alphas, A: float, r_range=(0.5, 2.0), t_span=None):
         al = np.asarray(alphas, dtype=float)
         self.params = centred.CentredParams(3, 1, tuple(al), float(A), c=0.0)
-        self.section = threefold.cross_section(al)
         if t_span is None:
             t_span = centred.betas(self.params).period_T
         self.t_span = float(t_span)
         self.path = centred.integrate_w(centred.w_initial(self.params), 1,
                                         self.t_span)
-        self.r_range = r_range
-        self.m = 3
-        self.n_continuous = 3
-
-    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return np.column_stack([
-            rng.uniform(0.0, self.t_span, size=count),
-            rng.uniform(0.0, self.section.period, size=count),
-            rng.uniform(*self.r_range, size=count)])
-
-    def point_param(self, pv) -> np.ndarray:
-        t, s, r = map(float, pv)
-        return r * self.section.x(s) * self.path.w(t)
-
-    def frame_param(self, pv) -> np.ndarray:
-        t, s, r = map(float, pv)
-        w = self.path.w(t)
-        dw = threefold.rhs_w3(w)
-        x = self.section.x(s)
-        dx = self.section.dx_ds(s)
-        return np.asarray([x * w, r * dx * w, r * x * dw])
+        self.chart = ConeChart(threefold.cross_section(al), r_range)
+        self.m, self.a = 3, 1
 
 
-class Affine3ClosedFamily(_FamilyBase):
+class Affine3ClosedFamily(_SweptFamily):
     """The explicit m = 3 translated solutions as a map of (t, x_1, x_2)."""
 
     def __init__(self, form: threefold.Affine3ClosedForm, radius: float = 2.0,
                  t_span: float = 3.0):
         self.form = form
-        self.radius = radius
         self.t_span = t_span
         self.m = 3
-        self.n_continuous = 3
+        self.chart = ParaboloidChart(
+            (1.0, 1.0) if form.variant == "a2" else (1.0, -1.0), radius)
 
-    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return np.column_stack([
-            rng.uniform(0.0, self.t_span, size=count),
-            rng.uniform(-self.radius, self.radius, size=(count, 2))])
-
-    def point_param(self, pv) -> np.ndarray:
-        t, x1, x2 = map(float, pv)
-        return np.asarray(self.form.point(x1, x2, t), dtype=complex)
-
-    def frame_param(self, pv) -> np.ndarray:
-        t, x1, x2 = map(float, pv)
-        w = self.form.w(t)
-        dw = self.form.dw(t)
-        dbeta = self.form.dbeta(t)
-        sx1 = -x1
-        sx2 = -x2 if self.form.variant == "a2" else x2
-        return np.asarray([
-            [dw[0] * x1, dw[1] * x2, dbeta],
-            [w[0], 0.0, sx1],
-            [0.0, w[1], sx2]], dtype=complex)
+    def _motion(self, t) -> tuple:
+        f = self.form
+        return f.w(t), f.dw(t), f.beta(t), f.dbeta(t)
 
 
-class RotatedPlaneFamily(_FamilyBase):
+class RotatedPlaneFamily(_Family):
     """The plane diag(e^{i theta_1}, ..., e^{i theta_m}) R^m; special
-    Lagrangian exactly when the phases sum to a multiple of pi."""
+    Lagrangian exactly when the phases sum to a multiple of pi.  It has no
+    time value: its chart is the identity on R^m."""
 
     def __init__(self, thetas, radius: float = 2.0):
         self.thetas = np.asarray(thetas, dtype=float)
         self.m = self.thetas.size
         self.radius = radius
-        self.n_continuous = self.m
 
     def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.uniform(-self.radius, self.radius, size=(count, self.m))
 
-    def point_param(self, pv) -> np.ndarray:
-        return np.exp(1j * self.thetas) * np.asarray(pv, dtype=float)
+    def points(self, P) -> np.ndarray:
+        return np.exp(1j * self.thetas) * np.asarray(P, dtype=float)
 
-    def frame_param(self, pv) -> np.ndarray:
-        return np.diag(np.exp(1j * self.thetas))
+    def frames(self, P) -> np.ndarray:
+        return np.broadcast_to(np.diag(np.exp(1j * self.thetas)),
+                               (len(P), self.m, self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +558,35 @@ class SLReport:
         }
 
 
-def _frame_residuals(frame_c: np.ndarray) -> tuple:
-    """(omega residual, Im Omega residual, degenerate flag) of one complex
-    m x m frame (rows = tangent vectors in complex coordinates)."""
-    norms = np.linalg.norm(
-        np.concatenate([frame_c.real, frame_c.imag], axis=1), axis=1)
-    if np.any(norms < 1e-300):
-        return 0.0, 0.0, True
-    unit = frame_c / norms[:, None]
-    # real Gram matrix of unit vectors: Re <v_i, v_j>
-    gram = np.real(unit @ np.conj(unit.T))
-    det = np.linalg.det(gram)
-    if det < _DEGENERATE_GRAM:
-        return 0.0, 0.0, True
-    vol = np.sqrt(det)
-    # omega(v_i, v_j) = Im <v_i, v_j> in complex coordinates
-    omega_vals = np.imag(unit @ np.conj(unit.T))
-    omega_res = float(np.max(np.abs(omega_vals)))
-    Om = np.linalg.det(unit.T)
-    im_res = float(abs(np.imag(Om)) / vol)
-    return omega_res, im_res, False
+def _frame_residuals(F: np.ndarray) -> tuple:
+    """Per-row (omega residual, Im Omega residual) of complex frames
+    (N, m, m), rows = tangent vectors in complex coordinates.  Degenerate
+    rows (a vector of norm below 1e-300, or Gram volume squared below 1e-14)
+    read NaN."""
+    F = np.asarray(F, dtype=complex)
+    norms = np.linalg.norm(np.concatenate([F.real, F.imag], axis=-1), axis=-1)
+    short = np.any(norms < 1e-300, axis=-1)
+    unit = F / np.where(short[:, None], 1.0, norms)[..., None]
+    # <v_i, v_j>: real part the Gram matrix, imaginary part omega(v_i, v_j)
+    herm = unit @ np.conj(unit).swapaxes(-1, -2)
+    det = np.linalg.det(herm.real)
+    bad = short | ~(det >= _DEGENERATE_GRAM)
+    omega = np.max(np.abs(herm.imag), axis=(-2, -1))
+    vol = np.sqrt(np.where(bad, 1.0, det))
+    im = np.abs(np.linalg.det(unit.swapaxes(-1, -2)).imag) / vol
+    omega[bad] = np.nan
+    im[bad] = np.nan
+    return omega, im
+
+
+def _report(res_omega: np.ndarray, res_imomega: np.ndarray) -> SLReport:
+    ok = ~np.isnan(res_omega)
+    if not ok.any():
+        raise ValidationError("all sampled frames were degenerate")
+    om, im = res_omega[ok], res_imomega[ok]
+    return SLReport(float(om.max()), float(om.mean()), float(im.max()),
+                    float(im.mean()), NORMALIZATION_NOTE, int(ok.sum()),
+                    int(ok.size - ok.sum()))
 
 
 def sl_residuals(target, n_samples: int = 1000, seed: int = 0,
@@ -497,40 +600,26 @@ def sl_residuals(target, n_samples: int = 1000, seed: int = 0,
     """
     if isinstance(target, Mesh):
         return mesh_residual_report(target)
-    pvs = target.sample_params(n_samples, seed)
-    om, im = [], []
-    skipped = 0
-    for pv in pvs:
-        if tangents == "analytic":
-            frame = target.frame_param(pv)
-        elif tangents == "fd":
-            frame = target.fd_frame(pv, probe)
-        else:
-            raise ValidationError("tangents must be 'analytic' or 'fd'")
-        o, i, bad = _frame_residuals(np.asarray(frame, dtype=complex))
-        if bad:
-            skipped += 1
-            continue
-        om.append(o)
-        im.append(i)
-    if not om:
-        raise ValidationError("all sampled frames were degenerate")
-    return SLReport(float(np.max(om)), float(np.mean(om)),
-                    float(np.max(im)), float(np.mean(im)),
-                    NORMALIZATION_NOTE, len(om), skipped)
+    if tangents not in ("analytic", "fd"):
+        raise ValidationError("tangents must be 'analytic' or 'fd'")
+    P = target.sample_params(n_samples, seed)
+    F = target.frames(P) if tangents == "analytic" else target.fd_frames(
+        P, probe)
+    return _report(*_frame_residuals(F))
 
 
 # ---------------------------------------------------------------------------
 # meshes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Mesh:
     """Sampled vertices of a swept submanifold with quad faces for viewing.
 
     params holds the generating parameters per vertex (named by
-    param_names, sheet id last); the attached family, when present, lets
-    residuals be recomputed analytically at every vertex.
+    param_names, sheet id last).  When present, ``family`` (a swept family)
+    and ``chart`` (the row chart reading params; None for the family's own
+    rows) let residuals be recomputed analytically at every vertex.
     """
 
     m: int
@@ -542,6 +631,7 @@ class Mesh:
     res_imomega: np.ndarray = None
     recipe: dict = field(default_factory=dict)
     family: object = field(default=None, repr=False, compare=False)
+    chart: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
@@ -557,103 +647,24 @@ class Mesh:
         self.params = np.asarray(self.params, dtype=float)
 
 
-def _grid_faces(nt: int, nq: int, wrap_q: bool, offset: int) -> list:
-    faces = []
-    qmax = nq if wrap_q else nq - 1
-    for i in range(nt - 1):
-        for j in range(qmax):
-            j2 = (j + 1) % nq
-            faces.append([offset + i * nq + j, offset + (i + 1) * nq + j,
-                          offset + (i + 1) * nq + j2, offset + i * nq + j2])
-    return faces
+def _sheet_grid(outer, inner, n_sheets: int, wrap: bool) -> tuple:
+    """Parameter rows (outer, inner, sheet), inner fastest, and the quad
+    faces of every sheet (wrapping around in the inner direction)."""
+    no, ni = len(outer), len(inner)
+    S, O, I = np.meshgrid(np.arange(n_sheets, dtype=float), outer, inner,
+                          indexing="ij")
+    P = np.column_stack([O.ravel(), I.ravel(), S.ravel()])
+    i, j = np.meshgrid(np.arange(no - 1), np.arange(ni if wrap else ni - 1),
+                       indexing="ij")
+    j2 = (j + 1) % ni
+    quads = np.stack([i * ni + j, (i + 1) * ni + j, (i + 1) * ni + j2,
+                      i * ni + j2], axis=-1).reshape(-1, 4)
+    return P, np.concatenate([quads + k * no * ni for k in range(n_sheets)])
 
 
-def _profile_circle(m, a, c, radius, n_sheets):
-    """Closed profiles on the quadric: per sheet an (x of phi) function.
-
-    An x-block circle needs c + |y_fix|^2 > 0, a y-block circle needs
-    |x_fix|^2 - c > 0; the feasible one is chosen, falling back to open
-    hyperbola branches for signature (1, 1).  For the c = 0 cone the sheet
-    radii come in doubling pairs to support the ray-scaling checks.
-    """
-    sheets = []
-
-    def x_circle(yfix):
-        rsq = c + yfix @ yfix
-        if rsq <= 0:
-            return None
-        r = np.sqrt(rsq)
-
-        def prof(phi):
-            x = np.zeros(phi.shape + (m,))
-            x[..., 0] = r * np.cos(phi)
-            x[..., 1] = r * np.sin(phi)
-            x[..., a:] = yfix
-            return x
-        return prof, {"y_fixed": yfix.tolist()}, True
-
-    def y_circle(xfix):
-        rsq = xfix @ xfix - c
-        if rsq <= 0:
-            return None
-        r = np.sqrt(rsq)
-
-        def prof(phi):
-            x = np.zeros(phi.shape + (m,))
-            x[..., :a] = xfix
-            x[..., a] = r * np.cos(phi)
-            x[..., a + 1] = r * np.sin(phi)
-            return x
-        return prof, {"x_fixed": xfix.tolist()}, True
-
-    if a >= 2 and c > 0:
-        count = 1 if m == a else n_sheets
-        for k in range(count):
-            yfix = np.zeros(m - a)
-            if m > a:
-                yfix[0] = 0.7 * k
-            sheet = x_circle(yfix)
-            if sheet:
-                sheets.append(sheet)
-    elif m - a >= 2 and c != 0.0:
-        for k in range(n_sheets):
-            xfix = np.zeros(a)
-            xfix[0] = np.sqrt(max(c, 0.0)) + 0.8 + 0.6 * k
-            sheet = y_circle(xfix)
-            if sheet:
-                sheets.append(sheet)
-    elif a >= 2 and c < 0:
-        for k in range(n_sheets):
-            yfix = np.zeros(m - a)
-            yfix[0] = np.sqrt(-c) + 0.8 + 0.6 * k
-            sheet = x_circle(yfix)
-            if sheet:
-                sheets.append(sheet)
-    elif c == 0.0 and max(a, m - a) >= 2:
-        # cone: radial doubling pairs 1, 2 along the rays
-        for rho in (1.0, 2.0)[:max(n_sheets, 1)]:
-            if a >= 2:
-                yfix = np.full(m - a, rho / np.sqrt(max(m - a, 1)))
-                sheet = x_circle(yfix)
-            else:
-                xfix = np.full(a, rho)
-                sheet = y_circle(xfix)
-            if sheet:
-                sheets.append(sheet)
-    else:
-        # signature (1,1): open hyperbola branches over the profile parameter
-        for sgn in (1.0, -1.0):
-            def make(sg):
-                def prof(q):
-                    x = np.zeros(q.shape + (m,))
-                    x[..., 0] = sg * np.sqrt(c + q ** 2) if c >= 0 else q
-                    x[..., 1] = q if c >= 0 else sg * np.sqrt(q ** 2 - c)
-                    return x
-                return prof
-            sheets.append((make(sgn), {"branch": sgn}, False))
-    if not sheets:
-        raise ValidationError("no admissible mesh sheet for these parameters")
-    return sheets
+def _swept_mesh(family, chart, P, faces, names, recipe) -> Mesh:
+    return Mesh(family.m, complex_to_real(family.points(P, chart)), faces, P,
+                names, recipe=recipe, family=family, chart=chart)
 
 
 def mesh_centred(params: centred.CentredParams, c: float, t_span,
@@ -669,95 +680,21 @@ def mesh_centred(params: centred.CentredParams, c: float, t_span,
     if t0 != 0.0:
         raise ValidationError("t_span must start at 0")
     nt, nq = resolution
-    case = centred.classify_case(params)
-    if w0 is not None:
-        w_source = centred.integrate_w(np.asarray(w0, complex), params.a, t1)
-    elif case == "c":
-        w_source = CaseCWPath(params)
+    family = CentredFamily(params, c=c, t_span=t1, w0=w0, radius=radius)
+    chart = ProfileChart(params.m, params.a, c, n_sheets)
+    if chart.wrap:
+        qs = np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
     else:
-        w_source = centred.integrate_w(centred.w_initial(params), params.a, t1)
-    t_grid = np.linspace(t0, t1, nt)
-    W = w_source.w(t_grid)
-
-    sheets = _profile_circle(params.m, params.a, c, radius, n_sheets)
-    verts, prms, faces = [], [], []
-    offset = 0
-    for sheet_id, (prof, meta, wrap) in enumerate(sheets):
-        if wrap:
-            qs = np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
-        else:
-            qs = np.linspace(-radius, radius, nq)
-        X = prof(qs)  # (nq, m)
-        faces += _grid_faces(nt, nq, wrap, offset)
-        offset += nt * nq
-        for i in range(nt):
-            Z = W[i][None, :] * X
-            verts.append(complex_to_real(Z))
-            blk = np.column_stack([np.full(nq, t_grid[i]), qs,
-                                   np.full(nq, float(sheet_id))])
-            prms.append(blk)
-    start = np.asarray(w_source.w(0.0), complex)
-    mesh = Mesh(params.m, np.concatenate(verts), np.asarray(faces, int),
-                np.concatenate(prms), ("t", "q", "sheet"),
-                recipe={"kind": "centred", "m": params.m, "a": params.a,
-                        "alphas": list(params.alphas), "A": params.A,
-                        "c": c, "t_end": t1, "resolution": [nt, nq],
-                        "radius": radius, "n_sheets": len(sheets),
-                        "w0_re": start.real.tolist(),
-                        "w0_im": start.imag.tolist()})
-    mesh.family = CentredFamily(params, c=c, t_span=t1, w_source=w_source,
-                                radius=radius)
-    mesh._sheets = [meta for _, meta, _ in sheets]
-    mesh._frame_fn = _centred_mesh_frame(params, w_source, sheets)
-    return mesh
-
-
-def _centred_mesh_frame(params, w_source, sheets):
-    """Analytic frame at a mesh vertex parameter row (t, q, sheet).
-
-    The transverse quadric directions complete the (t, profile) pair to a
-    full frame: moving a fixed coordinate requires a radial compensation of
-    the circle so the point stays on the level set.
-    """
-    h = 1e-6
-
-    def frame(prow):
-        t, q, sheet = float(prow[0]), float(prow[1]), int(prow[2])
-        prof, meta, _ = sheets[sheet]
-        w = w_source.w(t)
-        dw = centred.rhs_w(w, params.a)
-        x = prof(np.asarray(q))
-        dx = (prof(np.asarray(q + h)) - prof(np.asarray(q - h))) / (2 * h)
-        rows = [dw * x, w * dx]
-        m, a = params.m, params.a
-        extra = []
-        if "y_fixed" in meta:      # circle in the x block, y coords fixed
-            xy = x[:a]
-            r2 = xy @ xy
-            for k in range(m - a):
-                ee = np.zeros(m)
-                ee[:a] = (x[a + k] / r2) * xy
-                ee[a + k] = 1.0
-                extra.append(w * ee)
-            for k in range(2, a):
-                ee = np.zeros(m)
-                ee[k] = 1.0  # x-sphere direction vanishing on the circle
-                extra.append(w * ee)
-        elif "x_fixed" in meta:    # circle in the y block, x coords fixed
-            yv = x[a:]
-            r2 = yv @ yv
-            for k in range(a):
-                ee = np.zeros(m)
-                ee[k] = 1.0
-                ee[a:] = (x[k] / r2) * yv
-                extra.append(w * ee)
-            for k in range(2, m - a):
-                ee = np.zeros(m)
-                ee[a + k] = 1.0
-                extra.append(w * ee)
-        return np.asarray(rows + extra, dtype=complex)
-
-    return frame
+        qs = np.linspace(-radius, radius, nq)
+    P, faces = _sheet_grid(np.linspace(t0, t1, nt), qs, chart.n_sheets,
+                           chart.wrap)
+    start = np.asarray(family.path.w(0.0), complex)
+    return _swept_mesh(family, chart, P, faces, ("t", "q", "sheet"), {
+        "kind": "centred", "m": params.m, "a": params.a,
+        "alphas": list(params.alphas), "A": params.A, "c": c, "t_end": t1,
+        "resolution": [nt, nq], "radius": radius,
+        "n_sheets": chart.n_sheets, "w0_re": start.real.tolist(),
+        "w0_im": start.imag.tolist()})
 
 
 def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
@@ -770,154 +707,55 @@ def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
     if t0 != 0.0:
         raise ValidationError("t_span must start at 0")
     nt, nq = resolution
-    if w0 is None:
-        w0, beta0 = affine_mod.affine_initial(params)
-    elif beta0 is None:
-        beta0 = 0.0
-    path = affine_mod.integrate_affine(w0, beta0, params.a, t1)
+    family = AffineFamily(params, t_span=t1, radius=radius, w0=w0, beta0=beta0)
+    path = family.path
     if path.escaped and path.t_span[1] < t1:
         t1 = path.t_span[1] * 0.98
-    t_grid = np.linspace(t0, t1, nt)
-    m, a = params.m, params.a
-    signs = np.ones(m - 1)
-    signs[a:] = -1.0
-
-    verts, prms, faces = [], [], []
-    count = 0
-    for sheet_id, r in enumerate(profile_radii):
-        qs = np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
-        X = np.zeros((nq, m - 1))
-        X[:, 0] = r * np.cos(qs)
-        X[:, min(1, m - 2)] = r * np.sin(qs) if m >= 3 else X[:, 0]
-        if m > 3:
-            X[:, 2:] = 0.3
-        xm = -0.5 * (X ** 2) @ signs
-        faces += _grid_faces(nt, nq, True, count)
-        for t in t_grid:
-            w = path.w(t)
-            b = path.beta(t)
-            Z = np.empty((nq, m), dtype=complex)
-            Z[:, :-1] = X * w[None, :]
-            Z[:, -1] = xm + b
-            verts.append(complex_to_real(Z))
-            prms.append(np.column_stack([np.full(nq, t), qs,
-                                         np.full(nq, float(sheet_id))]))
-            count += nq
+        family = AffineFamily(params, t_span=t1, radius=radius, path=path)
+    chart = _AffineProfileChart(family.chart.signs, profile_radii)
+    P, faces = _sheet_grid(np.linspace(t0, t1, nt),
+                           np.linspace(0.0, 2 * np.pi, nq, endpoint=False),
+                           len(profile_radii), True)
     start = np.asarray(path.w(0.0), complex)
     b_start = complex(path.beta(0.0))
-    mesh = Mesh(m, np.concatenate(verts), np.asarray(faces, int),
-                np.concatenate(prms), ("t", "q", "sheet"),
-                recipe={"kind": "affine", "m": m, "a": a,
-                        "alphas": list(params.alphas), "A": params.A,
-                        "t_end": t1, "profile_radii": list(profile_radii),
-                        "resolution": [nt, nq],
-                        "w0_re": start.real.tolist(),
-                        "w0_im": start.imag.tolist(),
-                        "beta0": [b_start.real, b_start.imag]})
-    fam = AffineFamily.__new__(AffineFamily)
-    fam.params = params
-    fam.m, fam.a = m, a
-    fam.path = path
-    fam.t_span = t1
-    fam.radius = radius
-    fam.n_continuous = m
-    mesh.family = fam
-
-    def frame_fn(prow):
-        t, q, sheet = float(prow[0]), float(prow[1]), int(prow[2])
-        r = profile_radii[sheet]
-        xs = np.full(m - 1, 0.3)
-        xs[0] = r * np.cos(q)
-        xs[min(1, m - 2)] = r * np.sin(q)
-        return fam.frame_param(np.concatenate([[t], xs]))
-
-    mesh._frame_fn = frame_fn
-    mesh._profile_radii = profile_radii
-    return mesh
+    return _swept_mesh(family, chart, P, faces, ("t", "q", "sheet"), {
+        "kind": "affine", "m": params.m, "a": params.a,
+        "alphas": list(params.alphas), "A": params.A, "t_end": t1,
+        "profile_radii": list(profile_radii), "resolution": [nt, nq],
+        "w0_re": start.real.tolist(), "w0_im": start.imag.tolist(),
+        "beta0": [b_start.real, b_start.imag]})
 
 
 def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:
-    """Mesh of the cone link (the unit-sphere cross-section surface)."""
+    """Mesh of the cone link (the unit-sphere cross-section surface) over
+    one cross-section period in s and, by default, one (u, theta) period
+    in t."""
     ns, nt = resolution
-    grid = threefold.conformal_map(alphas, A, ns=ns, nt=nt, t_grid=(
-        None if t_span is None else np.linspace(0.0, t_span, nt)))
-    ns_eff, nt_eff = grid.phi.shape[:2]
-    verts = complex_to_real(grid.phi.reshape(-1, 3))
-    faces = []
-    for i in range(ns_eff - 1):
-        for j in range(nt_eff - 1):
-            faces.append([i * nt_eff + j, (i + 1) * nt_eff + j,
-                          (i + 1) * nt_eff + j + 1, i * nt_eff + j + 1])
-    prms = np.column_stack([
-        np.repeat(grid.s_grid, nt_eff), np.tile(grid.t_grid, ns_eff),
-        np.zeros(ns_eff * nt_eff)])
-    mesh = Mesh(3, verts, np.asarray(faces, int), prms, ("s", "t", "sheet"),
-                recipe={"kind": "link", "alphas": list(alphas), "A": A})
-    fam = ConeOverLinkFamily(tuple(alphas), A,
-                             t_span=float(grid.t_grid[-1]) or None)
-    mesh.family = fam
+    family = ConeOverLinkFamily(tuple(alphas), A, t_span=t_span)
+    chart = _LinkRowChart(family.chart.section)
+    P, faces = _sheet_grid(np.linspace(0.0, chart.section.period, ns),
+                           np.linspace(0.0, family.t_span, nt), 1, False)
+    return _swept_mesh(family, chart, P, faces, ("s", "t", "sheet"),
+                       {"kind": "link", "alphas": list(alphas), "A": A})
 
-    def frame_fn(prow):
-        return fam.frame_param((float(prow[1]), float(prow[0]), 1.0))
 
-    mesh._frame_fn = frame_fn
-    return mesh
+def _mesh_frames(mesh: Mesh) -> np.ndarray:
+    if mesh.family is None:
+        raise ValidationError(
+            "mesh carries no parametrization; rebuild it from its recipe")
+    return mesh.family.frames(mesh.params, mesh.chart)
 
 
 def mesh_residual_report(mesh: Mesh) -> SLReport:
-    """Residual report for a mesh via its attached analytic frames."""
-    mesh2 = attach_residuals(mesh)
-    skipped = int(np.sum(~np.isfinite(mesh2.res_omega)))
-    return SLReport(float(np.nanmax(mesh2.res_omega)),
-                    float(np.nanmean(mesh2.res_omega)),
-                    float(np.nanmax(mesh2.res_imomega)),
-                    float(np.nanmean(mesh2.res_imomega)),
-                    NORMALIZATION_NOTE, len(mesh2.vertices) - skipped,
-                    skipped)
+    """Residual report for a mesh via its family's analytic frames."""
+    return _report(*_frame_residuals(_mesh_frames(mesh)))
 
 
-def attach_residuals(mesh: Mesh, jobs: int = 1) -> Mesh:
-    """Per-vertex residuals from the attached frame evaluator or family.
-
-    Evaluation parallelizes over vertex chunks when jobs > 1; assembly is
-    by vertex index, so the result is identical for any worker count.
-    """
-    frame_fn = getattr(mesh, "_frame_fn", None)
-    if frame_fn is None and mesh.family is not None:
-        fam = mesh.family
-
-        def frame_fn(prow):
-            return fam.frame_param(prow[:fam.n_continuous])
-
-    if frame_fn is None:
-        raise ValidationError(
-            "mesh carries no parametrization; rebuild it from its recipe")
-    n = len(mesh.vertices)
-    ro = np.empty(n)
-    ri = np.empty(n)
-
-    def run_chunk(idx):
-        out = []
-        for i in idx:
-            o, im, bad = _frame_residuals(frame_fn(mesh.params[i]))
-            out.append((np.nan, np.nan) if bad else (o, im))
-        return out
-
-    chunks = np.array_split(np.arange(n), max(1, jobs))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-    for idx, res in zip(chunks, results):
-        for i, (o, im) in zip(idx, res):
-            ro[i], ri[i] = o, im
-    out = replace(mesh, res_omega=ro, res_imomega=ri)
-    out.family = mesh.family
-    if hasattr(mesh, "_frame_fn"):
-        out._frame_fn = mesh._frame_fn
-    return out
+def attach_residuals(mesh: Mesh) -> Mesh:
+    """A copy of the mesh with per-vertex residuals (NaN where the frame is
+    degenerate) from its family's analytic frames."""
+    res_omega, res_imomega = _frame_residuals(_mesh_frames(mesh))
+    return replace(mesh, res_omega=res_omega, res_imomega=res_imomega)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,44 +872,44 @@ def import_json(path) -> Mesh:
     return mesh
 
 
+def _centred_from_recipe(r: dict) -> tuple:
+    params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
+                                   r["A"], c=r["c"])
+    w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
+          if "w0_re" in r else None)
+    return (CentredFamily(params, c=r["c"], t_span=r["t_end"], w0=w0,
+                          radius=r.get("radius", 2.0)),
+            ProfileChart(r["m"], r["a"], r["c"], r.get("n_sheets", 2)))
+
+
+def _affine_from_recipe(r: dict) -> tuple:
+    params = affine_mod.AffineParams(r["m"], r["a"], tuple(r["alphas"]),
+                                     r["A"])
+    w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
+          if "w0_re" in r else None)
+    beta0 = complex(*r["beta0"]) if "beta0" in r else None
+    # the sampling radius is not in the recipe: mesh_affine's default
+    family = AffineFamily(params, t_span=r["t_end"], radius=1.5, w0=w0,
+                          beta0=beta0)
+    return family, _AffineProfileChart(family.chart.signs, r["profile_radii"])
+
+
+def _link_from_recipe(r: dict) -> tuple:
+    family = ConeOverLinkFamily(tuple(r["alphas"]), r["A"])
+    return family, _LinkRowChart(family.chart.section)
+
+
+_REBUILDERS = {"centred": _centred_from_recipe,
+               "affine": _affine_from_recipe,
+               "link": _link_from_recipe}
+
+
 def rebuild_family(mesh: Mesh):
-    """Reconstruct the generating family of an imported mesh from its recipe
-    (including the stored initial state) so residuals can be verified
-    analytically at the stored vertex parameters."""
-    r = mesh.recipe
-    kind = r.get("kind")
-    if kind == "centred":
-        params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
-                                       r["A"], c=r["c"])
-        w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
-              if "w0_re" in r else None)
-        rebuilt = mesh_centred(params, r["c"], (0.0, r["t_end"]),
-                               resolution=(2, 4), w0=w0,
-                               radius=r.get("radius", 2.0),
-                               n_sheets=r.get("n_sheets", 2))
-        mesh.family = rebuilt.family
-        mesh._frame_fn = rebuilt._frame_fn
-        return mesh.family
-    if kind == "affine":
-        params = affine_mod.AffineParams(r["m"], r["a"], tuple(r["alphas"]),
-                                         r["A"])
-        w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
-              if "w0_re" in r else None)
-        beta0 = complex(*r["beta0"]) if "beta0" in r else None
-        rebuilt = mesh_affine(params, (0.0, r["t_end"]),
-                              resolution=(2, 4),
-                              profile_radii=tuple(r["profile_radii"]),
-                              w0=w0, beta0=beta0)
-        mesh.family = rebuilt.family
-        mesh._frame_fn = rebuilt._frame_fn
-        return mesh.family
-    if kind == "link":
-        mesh.family = ConeOverLinkFamily(tuple(r["alphas"]), r["A"])
-
-        def frame_fn(prow):
-            s, t = float(prow[0]), float(prow[1])
-            return mesh.family.frame_param((t, s, 1.0))
-
-        mesh._frame_fn = frame_fn
-        return mesh.family
-    raise ValidationError("mesh recipe does not name a rebuildable family")
+    """Reconstruct the generating family and row chart of an imported mesh
+    from its recipe (including the stored initial state) so residuals can
+    be verified analytically at the stored vertex parameters."""
+    build = _REBUILDERS.get(mesh.recipe.get("kind"))
+    if build is None:
+        raise ValidationError("mesh recipe does not name a rebuildable family")
+    mesh.family, mesh.chart = build(mesh.recipe)
+    return mesh.family

@@ -33,15 +33,6 @@ from .errors import ValidationError
 _NORM_TOL = 1e-9
 
 
-def rhs_w3(w) -> np.ndarray:
-    """(conj(w2 w3), -conj(w3 w1), -conj(w1 w2))."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (3,):
-        raise ValidationError("expected three complex values")
-    return np.array([np.conj(w[1] * w[2]), -np.conj(w[2] * w[0]),
-                     -np.conj(w[0] * w[1])])
-
-
 def _check_normalized3(alphas) -> np.ndarray:
     al = np.asarray(alphas, dtype=float)
     if al.shape != (3,):
@@ -209,7 +200,7 @@ def conformal_map(alphas, A: float, w_path=None, s_grid=None, t_grid=None,
 
     X = section.x(s_grid)          # (ns, 3)
     dX = section.dx_ds(s_grid)     # (ns, 3)
-    dW = np.array([rhs_w3(w) for w in W])   # (nt, 3)
+    dW = centred.rhs_w(W, 1)       # (nt, 3)
 
     phi = X[:, None, :] * W[None, :, :]
     dphi_ds = dX[:, None, :] * W[None, :, :]

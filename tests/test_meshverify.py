@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from slevolve import ValidationError, affine, centred, meshverify, threefold
+from slevolve.multilinear import (Frame, complex_to_real, eval_omega,
+                                  eval_omega_complex, gram_volume)
 from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
                                  CentredFamily, ConeOverLinkFamily, Mesh,
                                  QuadricChart, RotatedPlaneFamily, export,
@@ -51,6 +53,44 @@ class TestChart:
                 assert np.allclose(fd, jac[j], atol=1e-8)
 
 
+def reference_residuals(frame):
+    """One frame's residuals from the scalar multilinear forms: the largest
+    |omega| over pairs of unit vectors and |Im Omega| per Gram volume; NaN
+    for a degenerate frame."""
+    m = len(frame)
+    V = complex_to_real(frame)
+    norms = np.linalg.norm(V, axis=1)
+    if np.any(norms < 1e-300):
+        return np.nan, np.nan
+    U = V / norms[:, None]
+    vol = gram_volume(U)
+    if vol ** 2 < 1e-14:
+        return np.nan, np.nan
+    omega = max(abs(eval_omega(u, v, m)) for u in U for v in U)
+    return omega, abs(eval_omega_complex(Frame(m, U)).imag) / vol
+
+
+class TestFrameKernel:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_matches_scalar_references(self, m):
+        rng = np.random.default_rng(80 + m)
+        F = rng.normal(size=(300, m, m)) + 1j * rng.normal(size=(300, m, m))
+        F[0, 1] = 0.0                          # a vanishing vector
+        F[1, 1] = 3.0 * F[1, 0]                # parallel vectors
+        F[2, 1] = F[2, 0] + 1e-9 * F[2, 1]     # Gram volume ~1e-9
+        F[3] *= 1e-100                         # tiny but regular
+        # special Lagrangian: a rotated real plane, phases summing to pi
+        thetas = rng.uniform(0.0, 1.0, size=m)
+        thetas[-1] = np.pi - thetas[:-1].sum()
+        F[4:100] = rng.normal(size=(96, m, m)) * np.exp(1j * thetas)
+        got = np.column_stack(meshverify._frame_residuals(F))
+        want = np.array([reference_residuals(f) for f in F])
+        assert np.isnan(got[:3]).all()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-14
+        assert got[4:100].max() <= 1e-13
+
+
 class TestResiduals:
     def test_sl_plane(self):
         rep = sl_residuals(RotatedPlaneFamily(np.zeros(4)), 300, 1)
@@ -85,13 +125,12 @@ class TestResiduals:
         assert rep.max_residual() <= 1e-6
         # per-sample residuals are invariant under scaling the ray coordinate
         pvs = fam.sample_params(50, 7)
-        for pv in pvs:
-            f1 = meshverify._frame_residuals(fam.frame_param(pv))
-            pv2 = pv.copy()
-            pv2[2] *= 2.0
-            f2 = meshverify._frame_residuals(fam.frame_param(pv2))
-            assert abs(f1[0] - f2[0]) <= 1e-10
-            assert abs(f1[1] - f2[1]) <= 1e-10
+        f1 = meshverify._frame_residuals(fam.frames(pvs))
+        pvs2 = pvs.copy()
+        pvs2[:, 2] *= 2.0
+        f2 = meshverify._frame_residuals(fam.frames(pvs2))
+        assert np.abs(f1[0] - f2[0]).max() <= 1e-10
+        assert np.abs(f1[1] - f2[1]).max() <= 1e-10
 
     def test_closed_affine_forms(self):
         for variant in ("a1", "a2"):
@@ -136,13 +175,13 @@ class TestResiduals:
 
     def test_degenerate_frames_skipped(self):
         class Degenerate:
-            n_continuous = 2
+            m = 2
 
             def sample_params(self, count, seed):
                 return np.zeros((count, 2))
 
-            def frame_param(self, pv):
-                return np.zeros((2, 2), complex)
+            def frames(self, P):
+                return np.zeros((len(P), 2, 2), complex)
 
         with pytest.raises(ValidationError):
             sl_residuals(Degenerate(), 10, 0)
@@ -184,19 +223,48 @@ class TestMeshCentred:
         assert rep.skipped == 0
 
     @pytest.mark.parametrize("m,a,c", [(3, 2, 1.0), (4, 2, -1.0), (2, 1, 1.0),
-                                       (3, 3, 1.0)])
+                                       (3, 3, 1.0), (3, 1, 0.0)])
     def test_other_signatures(self, m, a, c):
+        # analytic profile tangents: rounding level, not a difference step
         if a == m:
             params = centred.CentredParams(m, a, (1.0,) * m, 0.2, c=c)
             span = 0.4
-        elif c > 0 or c < 0:
+        else:
             alphas, _ = centred.normalize_lambda([1.0 + 0.1 * j
                                                   for j in range(m)], a)
             params = centred.CentredParams(m, a, alphas, 0.3, c=c)
             span = 1.0
         mesh = mesh_centred(params, c, (0.0, span), resolution=(5, 9))
         rep = mesh_residual_report(mesh)
-        assert rep.max_residual() <= 1e-6
+        assert rep.max_residual() <= 1e-14
+        assert rep.skipped == 0
+
+    @pytest.mark.parametrize("m,a,c", [(3, 1, 1.0), (3, 2, 1.0), (4, 2, -1.0),
+                                       (2, 1, 1.0), (2, 1, -1.0), (3, 3, 1.0),
+                                       (4, 2, 0.0)])
+    def test_mesh_frames_differentiate_points(self, m, a, c):
+        # rows 0 and 1 of a mesh frame are d/dt and d/dq of its vertices
+        if a == m:
+            params = centred.CentredParams(m, a, (1.0,) * m, 0.2, c=c)
+        else:
+            alphas, _ = centred.normalize_lambda([1.0 + 0.1 * j
+                                                  for j in range(m)], a)
+            params = centred.CentredParams(m, a, alphas, 0.3, c=c)
+        mesh = mesh_centred(params, c, (0.0, 0.5), resolution=(4, 7))
+        F = mesh.family.frames(mesh.params, mesh.chart)
+        h = 1e-6
+        for col in (0, 1):
+            up, dn = mesh.params.copy(), mesh.params.copy()
+            up[:, col] += h
+            dn[:, col] -= h
+            fd = (mesh.family.points(up, mesh.chart)
+                  - mesh.family.points(dn, mesh.chart)) / (2 * h)
+            assert np.abs(fd - F[:, col]).max() <= 1e-8
+
+    def test_undeclared_attribute_rejected(self):
+        mesh = mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(3, 6))
+        with pytest.raises(AttributeError):
+            mesh.frame_fn = None
 
 
 class TestMeshAffine:

@@ -6,7 +6,7 @@ import pytest
 
 from slevolve import ValidationError, centred, elliptic
 from slevolve.threefold import (Affine3ClosedForm, affine3_closed,
-                                conformal_map, cross_section, rhs_w3)
+                                conformal_map, cross_section)
 
 SYM = (2 / 3, 4 / 3, 4 / 3)
 ASYM = (1.2, 2.0, 3.0)       # 1/1.2 = 1/2 + 1/3
@@ -14,14 +14,26 @@ SWAPPED = (1.2, 3.0, 2.0)
 
 
 class TestRhsW3:
+    """The m = 3 system (conj(w2 w3), -conj(w3 w1), -conj(w1 w2)) is the
+    centred right-hand side with a = 1, batched over rows."""
+
     def test_unit_start(self):
-        assert np.allclose(rhs_w3(np.ones(3, complex)), [1.0, -1.0, -1.0])
+        assert np.array_equal(centred.rhs_w(np.ones(3, complex), 1),
+                              [1.0, -1.0, -1.0])
 
     def test_matches_general_reduction(self):
         rng = np.random.default_rng(61)
-        for _ in range(25):
-            w = rng.normal(size=3) + 1j * rng.normal(size=3)
-            assert np.allclose(rhs_w3(w), centred.rhs_w(w, 1), atol=0)
+        W = rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
+        W[3, 1] = 0.0
+        batched = centred.rhs_w(W, 1)
+        for w, row in zip(W, batched):
+            assert row.tobytes() == centred.rhs_w(w, 1).tobytes()
+            assert np.allclose(row, [np.conj(w[1] * w[2]),
+                                     -np.conj(w[2] * w[0]),
+                                     -np.conj(w[0] * w[1])], rtol=1e-15,
+                               atol=0)
+        stacked = centred.rhs_w(W.reshape(5, 5, 3), 1)
+        assert stacked.tobytes() == batched.tobytes()
 
     def test_long_time_existence(self):
         params = centred.CentredParams(3, 1, SYM, 0.4, c=0.0)
