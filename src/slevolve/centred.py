@@ -23,7 +23,7 @@ pass through zero and the lift jumps, so work in w coordinates there.
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 import numpy as np
@@ -97,10 +97,7 @@ class CentredParams:
 
     def Q_coefficients(self) -> np.ndarray:
         """Monomial coefficients of Q(u), highest power first."""
-        al = self.alpha_array
-        roots = np.concatenate([-al[:self.a], al[self.a:]])
-        lead = (-1.0) ** (self.m - self.a)
-        return lead * np.poly(roots)
+        return _q_coefficients(self.alphas, self.a).copy()
 
     def u_interval(self) -> tuple:
         """Open interval confining u for a < m with A > 0."""
@@ -124,6 +121,13 @@ class CentredParams:
         if not (0.0 < self.A < self.A_max):
             raise ValidationError(
                 f"case (d) requires 0 < A < {self.A_max:.6g}, got A={self.A}")
+
+
+@lru_cache(maxsize=256)
+def _q_coefficients(alphas: tuple, a: int) -> np.ndarray:
+    al = np.asarray(alphas)
+    roots = np.concatenate([-al[:a], al[a:]])
+    return (-1.0) ** (al.size - a) * np.poly(roots)
 
 
 @dataclass(frozen=True)
@@ -298,17 +302,38 @@ class WSolutionPath:
         return np.unwrap(np.angle(W), axis=0)
 
 
+def _rhs_packed(signs: tuple, t, y) -> np.ndarray:
+    """``rhs_w`` on the packed real vector (Re w, Im w) of ``solve_ivp``.
+
+    The running products of ``_leave_one_out`` on Python complex numbers,
+    with the conjugate and the signs (one +-1.0 per letter) applied to the
+    real parts directly: a row this short costs far less this way than in
+    numpy calls, and the ODE solvers call it once per stage.
+    """
+    m = len(signs)
+    vals = y.tolist()
+    w = list(map(complex, vals[:m], vals[m:]))
+    pre = [1 + 0j]                  # prod_{k<j} w_k
+    for z in w[:-1]:
+        pre.append(pre[-1] * z)
+    out = [0.0] * (2 * m)
+    suf = 1 + 0j                    # prod_{k>j} w_k
+    for j in range(m - 1, -1, -1):
+        p = pre[j] * suf
+        out[j], out[m + j] = signs[j] * p.real, -signs[j] * p.imag
+        suf = w[j] * suf
+    return np.array(out)
+
+
+def _w_signs(a: int, m: int) -> tuple:
+    return (1.0,) * a + (-1.0,) * (m - a)
+
+
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
                 atol: float = 1e-13, events=None) -> WSolutionPath:
     """Integrate the w system from t=0 to t_end with dense output."""
     w0 = np.asarray(w0, dtype=complex)
-    m = w0.size
-
-    def rhs(t, y):
-        w = y[:m] + 1j * y[m:]
-        dw = rhs_w(w, a)
-        return np.concatenate([dw.real, dw.imag])
-
+    rhs = partial(_rhs_packed, _w_signs(a, w0.size))
     y0 = np.concatenate([w0.real, w0.imag])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
                     atol=atol, dense_output=True, events=events)
@@ -413,20 +438,75 @@ def w_initial(params: CentredParams, u0: float = 0.0) -> np.ndarray:
 # turning points and singular quadrature
 # ---------------------------------------------------------------------------
 
-def turning_points(params: CentredParams, xtol: float = 1e-13) -> tuple:
-    """The two roots gamma < 0 < delta of Q(u) = A^2 bracketing zero."""
-    params.require_case_d()
+_PANEL_BUDGET = 200_000     # panels per row of one adaptive_gauss call
+_CALL_NODES = 8192          # nodes per integrand call, bounding its memory
+
+
+def _level_root(al, signs, log_level, end, far, d):
+    """Rows u with Q(u) = exp(log_level), Q(u) = prod_j (al_j + signs_j u),
+    at distance d from ``end`` towards ``far``; d is the start.
+
+    ``end`` is a zero of Q, and g = log Q - log_level rises from -inf there
+    to g >= 0 at ``far``.  Newton runs on s = log d: near a k-fold zero g is
+    k s plus a smooth term, so the step is nearly exact however close the
+    root sits to ``end`` (small A), and converges quadratically elsewhere.
+    A bracket that shrinks with every evaluation, bisected geometrically,
+    catches any step that leaves it.  A row stops, and is left untouched,
+    once g is within its rounding noise or the step no longer moves u.
+    Every operation is elementwise or a reduction along one row, so a row's
+    root does not depend on the other rows.
+    """
+    eps = np.finfo(float).eps
+    noise = eps * (2 * al.size + 3 * np.abs(log_level))
+    direction = np.sign(far - end)
+    d_below, d_above = np.zeros_like(d), np.abs(far - end)
+    done = np.zeros(d.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            u = end + direction * d
+            fac = al + signs * u[:, None]
+            g = np.log(fac.prod(axis=1)) - log_level
+            dg_ds = d * direction * (signs / fac).sum(axis=1)
+            newton = d * np.exp(-g / dg_ds)
+            below = g < 0
+            d_below = np.where(below, d, d_below)
+            d_above = np.where(below, d_above, d)
+            stop = ((np.abs(g) <= noise)
+                    | (np.abs(newton - d) <= 4 * eps * np.abs(u)))
+            inside = (newton > d_below) & (newton < d_above)
+            bisect = np.where(d_below > 0, np.sqrt(d_below * d_above),
+                              0.5 * d_above)
+            step = np.where(inside | stop, newton, bisect)
+            d = np.where(done, d, step)
+            done |= stop
+            if done.all():
+                return end + direction * d
+    raise NumericalError("turning point iteration did not converge")
+
+
+def turning_points(params: CentredParams, A=None) -> tuple:
+    """The two roots gamma < 0 < delta of Q(u) = A^2 bracketing zero,
+    solved to rounding level.
+
+    With a 1-D array ``A`` of values in (0, A_max) for the alphas of
+    ``params`` (checked by the caller), returns an array of each.
+    """
+    if A is None:
+        params.require_case_d()
+        gamma, delta = turning_points(params, np.array([params.A]))
+        return float(gamma[0]), float(delta[0])
     lo, hi = params.u_interval()
-    A2 = params.A ** 2
-
-    def f(u):
-        return params.Q(u) - A2
-
-    if f(0.0) <= 0:
-        raise ValidationError("A is not below the maximum of Q on the interval")
-    gamma = brentq(f, lo, 0.0, xtol=xtol, rtol=8.9e-16)
-    delta = brentq(f, 0.0, hi, xtol=xtol, rtol=8.9e-16)
-    return float(gamma), float(delta)
+    al = params.alpha_array
+    n = A.size
+    log_level = np.tile(2.0 * np.log(A), 2)
+    end = np.repeat([lo, hi], n)
+    # start from the quadratic model log Q(u) ~ log Q(0) - u^2 sum 1/alpha^2
+    # / 2 (Q is largest at u = 0 in the normalized gauge), kept inside
+    reach = np.sqrt(2.0 * np.maximum(np.log(np.prod(al)) - log_level, 0.0)
+                    / np.sum(al ** -2.0))
+    d = np.abs(end) - np.where(reach < np.abs(end), reach, 0.5 * np.abs(end))
+    roots = _level_root(al, params.signs, log_level, end, np.zeros(2 * n), d)
+    return roots[:n], roots[n:]
 
 
 @lru_cache(maxsize=None)
@@ -435,63 +515,152 @@ def _gl_rule(npts: int) -> tuple:
     return x, w
 
 
-def adaptive_gauss(f, a: float, b: float, tol: float = 1e-12,
-                   max_depth: int = 52) -> tuple:
-    """Adaptive Gauss-Legendre quadrature with node doubling.
+def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
+                   describe=None) -> tuple:
+    """Row-batched, vector-valued adaptive Gauss-Legendre quadrature.
 
-    Each panel is estimated with 16- and 32-point rules; panels whose
-    disagreement exceeds their share of the tolerance are bisected.
-    Returns (value, error_estimate); raises NumericalError only if the
-    accumulated estimate is grossly over budget.
+    Row r integrates over [a_r, b_r].  ``f`` takes nodes x of shape (N, n),
+    row r's nodes in row r, and returns its K integrands there, shape
+    (N, K, n).  Each panel is estimated with 16- and 32-point rules on one
+    set of nodes; it is accepted when every integrand's disagreement is
+    within its width share of ``tol`` or at its rounding floor (or at
+    ``max_depth``), and bisected otherwise.  One call of ``f`` takes up to
+    ``_CALL_NODES`` nodes: as many pending panels per row as fit.  Rows
+    that are done still receive nodes (of a panel already accepted) but
+    contribute nothing.  Every accept decision depends on its panel alone
+    and accepted panels are summed per row in order of position, so a
+    row's result does not depend on the other rows.
+
+    Returns (values, errors), each (N, K).  Raises NumericalError when a row
+    exceeds ``_PANEL_BUDGET`` panels or its error estimate is grossly over
+    budget; ``describe(r)`` names row r in the message.
     """
     x16, w16 = _gl_rule(16)
     x32, w32 = _gl_rule(32)
-    total_width = b - a
-    if total_width == 0:
-        return 0.0, 0.0
+    nodes, weights = np.concatenate([x16, x32]), np.concatenate([w16, w32])
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n_rows = a.size
+    describe = describe or (lambda r: f"quadrature row {r}")
+    total = b - a
+    # a panel's share of tol per unit of its half width
+    share = (2.0 * tol / np.where(total == 0, 1.0, total))[:, None]
+    per_row = max(1, min(64, _CALL_NODES // (nodes.size * n_rows)))
+    floor = 64.0 * np.finfo(float).eps
 
-    eps = np.finfo(float).eps
-    value = 0.0
-    err = 0.0
-    stack = [(a, b, 0)]
-    panels = 0
-    while stack:
-        panels += 1
-        if panels > 200_000:
-            raise NumericalError("quadrature panel budget exhausted")
-        lo, hi, depth = stack.pop()
+    rows = np.arange(n_rows)[:, None]
+    cap = max_depth + 2
+    stack = np.zeros((n_rows, cap, 3))        # pending (lo, hi, depth)
+    stack[:, 0, 0], stack[:, 0, 1] = a, b
+    sp = np.ones(n_rows, dtype=np.intp)
+    panels = np.zeros(n_rows, dtype=np.intp)
+    records = []
+    while True:
+        k = np.minimum(sp, per_row)
+        width = int(k.max())
+        if width == 0:
+            break
+        panels += k
+        if panels.max() > _PANEL_BUDGET:
+            raise NumericalError(
+                f"{describe(int(np.argmax(panels)))}: quadrature panel "
+                f"budget of {_PANEL_BUDGET} panels exhausted")
+        slot = np.arange(width)
+        live = slot < k[:, None]                              # (N, L)
+        ent = stack[rows, np.maximum(sp[:, None] - 1 - slot, 0)]
+        lo, hi = ent[..., 0], ent[..., 1]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        i16 = half * np.dot(w16, f(mid + half * x16))
-        i32 = half * np.dot(w32, f(mid + half * x32))
-        panel_err = abs(i32 - i16)
-        budget = tol * (hi - lo) / total_width
+        vals = f((mid[..., None] + half[..., None] * nodes).reshape(n_rows, -1))
+        sums = np.add.reduceat(
+            vals.reshape(n_rows, vals.shape[1], width, nodes.size) * weights,
+            (0, x16.size), axis=-1)
+        sums *= half[:, None, :, None]
+        i32 = sums[..., 1]                                    # (N, K, L)
+        err = np.abs(i32 - sums[..., 0])
         # a panel already converged to rounding level cannot improve by
         # splitting, however small its width share of the budget is
-        floor = 64.0 * eps * abs(i32)
-        if panel_err <= max(budget, floor) or depth >= max_depth:
-            value += i32
-            err += panel_err
-        else:
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    if err > 1e6 * tol + 1e-6:
+        ok = ((err <= np.maximum((half * share)[:, None],
+                                 floor * np.abs(i32))).all(axis=1)
+              | (ent[..., 2] >= max_depth))
+        r, s = np.nonzero(live & ok)
+        records.append((r, lo[r, s], i32[r, :, s], err[r, :, s]))
+        # children of the split panels go on top of what is left
+        sp -= k
+        split = live & ~ok
+        r, s = np.nonzero(split)
+        if r.size:
+            pos = sp[r] + 2 * (split.cumsum(axis=1)[r, s] - 1)
+            sp += 2 * split.sum(axis=1)
+            if sp.max() > cap:
+                grow = max(int(sp.max()), 2 * cap) - cap
+                stack = np.pad(stack, ((0, 0), (0, grow), (0, 0)))
+                cap += grow
+            kids = ent[r, s][:, None].repeat(2, axis=1)       # (P, 2, 3)
+            kids[:, 0, 1] = kids[:, 1, 0] = mid[r, s]
+            kids[..., 2] += 1
+            stack[r[:, None], pos[:, None] + (0, 1)] = kids
+
+    row, left, val, err = (np.concatenate(z) for z in zip(*records))
+    order = np.lexsort((left, row))
+    starts = np.searchsorted(row[order], np.arange(n_rows))
+    value = np.add.reduceat(val[order].T, starts, axis=1).T
+    error = np.add.reduceat(err[order].T, starts, axis=1).T
+    bad = ~np.isfinite(value) | (error > 1e6 * tol + 1e-6)
+    if bad.any():
+        r = int(np.nonzero(bad.any(axis=1))[0][0])
         raise NumericalError(
-            f"quadrature did not converge: error estimate {err:.3e}")
-    return float(value), float(err)
+            f"{describe(r)}: quadrature did not converge: error estimate "
+            f"{np.max(error[r]):.3e}")
+    return value, error
 
 
-def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
-    """Divide a monomial polynomial (highest first) by (u - root)."""
-    out = np.empty(coeffs.size - 1)
-    acc = coeffs[0]
-    for i in range(coeffs.size - 1):
-        out[i] = acc
-        acc = coeffs[i + 1] + root * acc
+def _synthetic_division(coeffs: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Divide row polynomials (N, d+1), highest power first, by (u - root)."""
+    out = np.empty((coeffs.shape[0], coeffs.shape[1] - 1))
+    acc = coeffs[:, 0]
+    for i in range(out.shape[1]):
+        out[:, i] = acc
+        acc = coeffs[:, i + 1] + root * acc
     return out
 
 
+class _Deflated:
+    """Rows of the factor left of Q - A^2 once its turning points are
+    divided out: lead * prod_i (base_i + s) at an offset s >= 0 from the
+    turning point gamma, with base_i = gamma - r_i over the remaining roots
+    r_i (one batched companion-matrix ``eigvals``).  The factor is positive
+    on the arc, so its square root is evaluated from moduli in real
+    arithmetic."""
+
+    def __init__(self, lead: np.ndarray, w: np.ndarray, gamma: np.ndarray):
+        k = w.shape[1] - 1
+        if k:
+            comp = np.zeros((w.shape[0], k, k))
+            comp[:, 0, :] = -w[:, 1:] / w[:, :1]
+            comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+            self.base = gamma[:, None] - np.linalg.eigvals(comp)
+        else:
+            self.base = np.zeros((w.shape[0], 0), dtype=complex)
+        self.lead = lead
+        self.abs_lead = np.abs(lead)[:, None]
+        self.re = self.base.real[..., None]
+        self.im2 = (self.base.imag ** 2)[..., None]
+
+    def positive_at(self, s: np.ndarray) -> np.ndarray:
+        """Whether each row's factor is positive at its offset s (N,)."""
+        return np.real(self.lead * np.prod(self.base + s[:, None], axis=1)) > 0
+
+    def sqrt(self, s: np.ndarray) -> np.ndarray:
+        """sqrt of the factor at offsets s (N, n): computed once per node."""
+        if not self.base.shape[1]:
+            return np.broadcast_to(np.sqrt(self.abs_lead), s.shape)
+        mod2 = ((self.re + s[:, None]) ** 2 + self.im2).prod(axis=1)
+        return np.sqrt(self.abs_lead * np.sqrt(mod2))
+
+
 class _ArcGeometry:
-    """Cancellation-free evaluators on the arc u = gamma + (delta-gamma) sin^2 psi.
+    """Cancellation-free integrands on the arcs u = gamma + (delta-gamma)
+    sin^2 psi, one row per A value of one alpha tuple.
 
     Q(u) - A^2 = (u - gamma)(delta - u) R(u) with R > 0 on [gamma, delta];
     R is kept in root-product form and every denominator alpha_j +- u as an
@@ -500,77 +669,92 @@ class _ArcGeometry:
     1e-7 of a root of Q.
     """
 
-    def __init__(self, params: CentredParams, gamma: float, delta: float):
+    def __init__(self, params: CentredParams, A: np.ndarray):
+        self.m, self.a = params.m, params.a
+        gamma, delta = turning_points(params, A)
         self.gamma, self.delta = gamma, delta
         self.width = delta - gamma
-        coeffs = params.Q_coefficients().copy()
-        coeffs[-1] -= params.A ** 2
-        w1 = _synthetic_division(coeffs, gamma)
-        w2 = _synthetic_division(w1, delta)
-        # R = -(leading coeff) * prod (u - r_i) over the remaining roots
-        self.lead = -w2[0]
-        self.root_base = (gamma - np.roots(w2)) if w2.size > 1 else np.array([])
+        coeffs = np.tile(params.Q_coefficients(), (A.size, 1))
+        coeffs[:, -1] -= A ** 2
+        w2 = _synthetic_division(_synthetic_division(coeffs, gamma), delta)
+        self.R = _Deflated(-w2[:, 0], w2, gamma)
         al = params.alpha_array
-        a = params.a
-        self.off_gamma = al[:a] + gamma   # alpha_j + u, j <= a
-        self.off_delta = al[a:] - delta   # alpha_j - u, j > a
-        if self.R_psi(np.array([np.pi / 4]))[0] <= 0:
-            raise NumericalError("deflated quadrature factor is not positive")
+        self.off_gamma = al[:self.a] + gamma[:, None]   # alpha_j + u, j <= a
+        self.off_delta = al[self.a:] - delta[:, None]   # alpha_j - u, j > a
+        bad = ~self.R.positive_at(0.5 * self.width)
+        if bad.any():
+            raise NumericalError(
+                "deflated quadrature factor is not positive at "
+                f"A={A[np.argmax(bad)]:.17g}")
 
-    def R_psi(self, psi) -> np.ndarray:
-        s2 = self.width * np.sin(psi) ** 2
-        if self.root_base.size == 0:
-            return np.full(np.shape(s2), float(np.real(self.lead)))
-        vals = self.lead * np.prod(self.root_base[:, None] + s2[None, :], axis=0)
-        return np.real(vals)
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """1/((alpha_j +- u) sqrt R) for every letter j, then 1/sqrt R, at
+        nodes psi (N, n); shape (N, m+1, n)."""
+        width = self.width[:, None]
+        s2 = width * np.sin(psi) ** 2
+        c2 = width * np.cos(psi) ** 2
+        g = 1.0 / self.R.sqrt(s2)
+        out = np.empty((psi.shape[0], self.m + 1, psi.shape[1]))
+        np.divide(g[:, None], self.off_gamma[..., None] + s2[:, None],
+                  out=out[:, :self.a])
+        np.divide(g[:, None], self.off_delta[..., None] + c2[:, None],
+                  out=out[:, self.a:self.m])
+        out[:, self.m] = g
+        return out
 
-    def denom_psi(self, j: int, a: int, psi) -> np.ndarray:
-        """alpha_j + u for j <= a, alpha_j - u for j > a, as nonnegative sums."""
-        if j < a:
-            return self.off_gamma[j] + self.width * np.sin(psi) ** 2
-        return self.off_delta[j - a] + self.width * np.cos(psi) ** 2
-
-    def psi_of_u(self, u: float) -> float:
+    def psi_of_u(self, u: float) -> np.ndarray:
         frac = (u - self.gamma) / self.width
-        if frac < -1e-12 or frac > 1.0 + 1e-12:
+        if np.any((frac < -1e-12) | (frac > 1.0 + 1e-12)):
             raise ValidationError("u outside the turning interval")
-        return float(np.arcsin(np.sqrt(min(max(frac, 0.0), 1.0))))
+        return np.arcsin(np.sqrt(np.clip(frac, 0.0, 1.0)))
 
 
-def betas(params: CentredParams, tol: float = 3e-12) -> BetaResult:
-    """Monodromy angles beta_j and the period T by singular quadrature.
+def _angle_errors(A, errs, m):
+    """A * sum_j err_j over the angle columns plus the period's error, one
+    column at a time (so each row sums alike in any batch)."""
+    total = errs[:, 0]
+    for j in range(1, m):
+        total = total + errs[:, j]
+    return A * total + errs[:, m]
+
+
+def betas_grid(params: CentredParams, A, tol: float = 3e-12) -> list:
+    """Monodromy angles beta_j and period T at every A of a 1-D array, for
+    the alphas, a and c of ``params``, by one batched singular quadrature.
 
     The substitution u = gamma + (delta - gamma) sin^2(psi) removes both
     inverse-square-root endpoint singularities, leaving the analytic
-    integrand 2 / ((alpha_j +- u) sqrt(R)) on [0, pi/2].
+    integrands 2 / ((alpha_j +- u) sqrt(R)) and 2 / sqrt(R) on [0, pi/2],
+    which share their nodes.  Each row equals ``betas`` at its A bit for
+    bit.
     """
     params.require_case_d()
-    gamma, delta = turning_points(params)
-    arc = _ArcGeometry(params, gamma, delta)
-    A = params.A
+    A = np.atleast_1d(np.asarray(A, dtype=float))
+    m, a, A_max = params.m, params.a, params.A_max
+    if A.ndim != 1 or not np.all((A > 0) & (A < A_max)):
+        raise ValidationError(f"case (d) requires 0 < A < {A_max:.6g} "
+                              "for every A")
+    arc = _ArcGeometry(params, A)
+    # the arc covers [gamma, delta] once, which is half a period in u but
+    # integrates dv / sqrt(Q - A^2) = the full period T.  Integrating half
+    # the integrands to tol/2 and doubling is exact in binary.
+    vals, errs = adaptive_gauss(
+        arc, np.zeros(A.size), np.full(A.size, np.pi / 2), tol=0.5 * tol,
+        describe=lambda r: (f"betas quadrature (m={m}, a={a}, "
+                            f"A/A_max={A[r] / A_max:.6g})"))
+    vals, errs = 2.0 * vals, 2.0 * errs
+    beta_vals = -params.signs * A[:, None] * vals[:, :m]
+    err = _angle_errors(A, errs, m)
+    return [BetaResult(tuple(float(x) for x in beta_vals[r]),
+                       float(vals[r, m]), float(arc.gamma[r]),
+                       float(arc.delta[r]), float(err[r]))
+            for r in range(A.size)]
 
-    beta_vals = np.empty(params.m)
-    err_total = 0.0
-    for j in range(params.m):
-        sign = 1.0 if j < params.a else -1.0
 
-        def integrand(psi):
-            return 2.0 / (arc.denom_psi(j, params.a, psi)
-                          * np.sqrt(arc.R_psi(psi)))
-
-        val, err = adaptive_gauss(integrand, 0.0, np.pi / 2, tol=tol)
-        beta_vals[j] = -sign * A * val
-        err_total += A * err
-
-    def t_integrand(psi):
-        return 2.0 / np.sqrt(arc.R_psi(psi))
-
-    # the substitution covers [gamma, delta] once, which is half a period in
-    # u but integrates dv / sqrt(Q - A^2) = the full period T
-    T_val, errT = adaptive_gauss(t_integrand, 0.0, np.pi / 2, tol=tol)
-    err_total += errT
-    return BetaResult(tuple(float(b) for b in beta_vals), float(T_val),
-                      gamma, delta, float(err_total))
+def betas(params: CentredParams, tol: float = 3e-12) -> BetaResult:
+    """Monodromy angles beta_j and the period T by singular quadrature: the
+    one-row case of ``betas_grid``."""
+    return betas_grid(params, params.A, tol=tol)[0]
 
 
 @dataclass(frozen=True)
@@ -582,41 +766,30 @@ class QuadratureArc:
     error: float
 
 
+def _arc_increments(params: CentredParams, integrands, x0, x1, tol: float,
+                    where: str) -> QuadratureArc:
+    """dtheta_j = -sign_j A int 1/((alpha_j +- u) sqrt(...)) and dt from the
+    m+1 integrands of one row between x0 and x1; ``where`` names the stage
+    and parameters in errors."""
+    m, A = params.m, params.A
+    vals, errs = adaptive_gauss(integrands, x0, x1, tol=tol,
+                                describe=lambda r: where)
+    dthetas = -params.signs * A * vals[0, :m]
+    return QuadratureArc(tuple(float(x) for x in dthetas), float(vals[0, m]),
+                         float(_angle_errors(A, errs, m)[0]))
+
+
 def quadrature_solution(params: CentredParams, u0: float, u: float,
                         tol: float = 1e-12) -> QuadratureArc:
     """Angle and time increments between u0 and u on the branch where
     theta stays in (-pi/2, pi/2) (u strictly increasing in t)."""
     params.require_case_d()
-    gamma, delta = turning_points(params)
-    arc = _ArcGeometry(params, gamma, delta)
-    psi0 = arc.psi_of_u(u0)
-    psi1 = arc.psi_of_u(u)
-    A = params.A
+    arc = _ArcGeometry(params, np.array([params.A]))
+    return _arc_increments(
+        params, arc, arc.psi_of_u(u0), arc.psi_of_u(u), tol,
+        f"quadrature_solution (m={params.m}, a={params.a}, "
+        f"A/A_max={params.A / params.A_max:.6g})")
 
-    dthetas = np.empty(params.m)
-    err_total = 0.0
-    for j in range(params.m):
-        sign = 1.0 if j < params.a else -1.0
-
-        def integrand(psi):
-            return 1.0 / (arc.denom_psi(j, params.a, psi)
-                          * np.sqrt(arc.R_psi(psi)))
-
-        val, err = adaptive_gauss(integrand, psi0, psi1, tol=tol)
-        dthetas[j] = -sign * A * val
-        err_total += A * err
-
-    def t_integrand(psi):
-        return 1.0 / np.sqrt(arc.R_psi(psi))
-
-    dt, errT = adaptive_gauss(t_integrand, psi0, psi1, tol=tol)
-    return QuadratureArc(tuple(float(x) for x in dthetas), float(dt),
-                         float(err_total + errT))
-
-
-# ---------------------------------------------------------------------------
-# limits of the monodromy angles
-# ---------------------------------------------------------------------------
 
 def quadrature_case_b(params: CentredParams, u0: float, u: float,
                       tol: float = 1e-12) -> QuadratureArc:
@@ -633,48 +806,37 @@ def quadrature_case_b(params: CentredParams, u0: float, u: float,
     al = params.alpha_array
     A2 = params.A ** 2
     lo = -float(np.min(al))
-
-    def f(v):
-        return params.Q(v) - A2
-
     hi = lo + 1.0
-    while f(hi) < 0:
+    while params.Q(hi) < A2:
         hi = lo + 2 * (hi - lo)
-    gamma = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    if u0 < gamma - 1e-12 or u < gamma - 1e-12:
+    gamma = _level_root(al, params.signs, np.array([2.0 * np.log(params.A)]),
+                        np.array([lo]), np.array([hi]),
+                        np.array([0.5 * (hi - lo)]))
+    if u0 < gamma[0] - 1e-12 or u < gamma[0] - 1e-12:
         raise ValidationError("u outside the admissible half line")
 
-    coeffs = params.Q_coefficients().copy()
-    coeffs[-1] -= A2
+    coeffs = params.Q_coefficients()[None].copy()
+    coeffs[:, -1] -= A2
     w1 = _synthetic_division(coeffs, gamma)
-    lead = w1[0]
-    root_base = (gamma - np.roots(w1)) if w1.size > 1 else np.array([])
-    off = al + gamma
+    W = _Deflated(w1[:, 0], w1, gamma)
+    off = (al + gamma[0])[None, :, None]
 
-    def W_of_q(q):
+    def integrands(q):
         q2 = q ** 2
-        if root_base.size == 0:
-            return np.full(np.shape(q2), float(np.real(lead)))
-        return np.real(lead * np.prod(root_base[:, None] + q2[None, :],
-                                      axis=0))
+        g = 1.0 / W.sqrt(q2)
+        return np.concatenate([g[:, None] / (off + q2[:, None]), g[:, None]],
+                              axis=1)
 
-    q0 = float(np.sqrt(max(u0 - gamma, 0.0)))
-    q1 = float(np.sqrt(max(u - gamma, 0.0)))
-    dthetas = np.empty(params.m)
-    err_total = 0.0
-    for j in range(params.m):
-        def integrand(q):
-            return 1.0 / ((off[j] + q ** 2) * np.sqrt(W_of_q(q)))
+    q0 = np.sqrt(max(u0 - gamma[0], 0.0))
+    q1 = np.sqrt(max(u - gamma[0], 0.0))
+    return _arc_increments(
+        params, integrands, q0, q1, tol,
+        f"quadrature_case_b (m={params.m}, a={params.a}, A={params.A:.6g})")
 
-        val, err = adaptive_gauss(integrand, q0, q1, tol=tol)
-        dthetas[j] = -params.A * val
-        err_total += params.A * err
 
-    dt, errT = adaptive_gauss(lambda q: 1.0 / np.sqrt(W_of_q(q)), q0, q1,
-                              tol=tol)
-    return QuadratureArc(tuple(float(x) for x in dthetas), float(dt),
-                         float(err_total + errT))
-
+# ---------------------------------------------------------------------------
+# limits of the monodromy angles
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BetaLimits:
@@ -782,11 +944,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
     params.require_case_d()
     w0 = w_initial(params)
     m = params.m
-
-    def rhs(t, y):
-        w = y[:m] + 1j * y[m:]
-        dw = rhs_w(w, params.a)
-        return np.concatenate([dw.real, dw.imag])
+    rhs = partial(_rhs_packed, _w_signs(params.a, m))
 
     def du_event(t, y):
         w = y[:m] + 1j * y[m:]
@@ -889,12 +1047,20 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     probe.require_case_d()
     A_max = probe.A_max
 
-    def beta_at(A):
-        p = CentredParams(m, a, tuple(al), A, c=c)
-        return np.asarray(betas(p, tol=quad_tol).betas)
-
+    # one batched quadrature over the grid.  Its rows equal the scalar
+    # betas bit for bit, so they also serve brentq, which starts from grid
+    # endpoints, and every value brentq computed serves the final check.
     A_grid = np.linspace(A_fractions[0] * A_max, A_fractions[1] * A_max, n_grid)
-    beta_grid = np.array([beta_at(A) for A in A_grid])
+    beta_grid = np.array([r.betas for r in betas_grid(probe, A_grid,
+                                                      tol=quad_tol)])
+    known = dict(zip(A_grid.tolist(), beta_grid))
+
+    def beta_at(A):
+        A = float(A)
+        if A not in known:
+            p = CentredParams(m, a, tuple(al), A, c=c)
+            known[A] = np.asarray(betas(p, tol=quad_tol).betas)
+        return known[A]
 
     found = {}
 

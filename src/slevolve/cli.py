@@ -63,9 +63,11 @@ def _resolved_config(ns: argparse.Namespace) -> dict:
             if k not in ("func", "config") and v is not None}
 
 
-def _alphas_for(ns) -> tuple:
+def _alphas_for(ns, letters: int) -> tuple:
+    """The alphas of --alphas, or of --family sym over ``letters`` letters
+    (m for the centred families, m-1 for the affine one)."""
     if getattr(ns, "family", None) == "sym":
-        return centred.symmetric_alphas(ns.m, ns.a)
+        return centred.symmetric_alphas(letters, ns.a)
     if ns.alphas is None:
         raise ValidationError("--alphas is required (or --family sym)")
     return _parse_floats(ns.alphas)
@@ -112,7 +114,7 @@ def cmd_evolve(ns) -> int:
 
 def cmd_betas(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns)
+    alphas = _alphas_for(ns, ns.m)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
     result = centred.betas(params, tol=ns.quad_tol)
     payload = result.to_dict()
@@ -126,7 +128,7 @@ def cmd_betas(ns) -> int:
 
 def cmd_limits(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns)
+    alphas = _alphas_for(ns, ns.m)
     lim = centred.beta_limits(alphas, ns.a)
     payload = {
         "k": lim.k, "l": lim.l,
@@ -143,7 +145,7 @@ def cmd_limits(ns) -> int:
 
 def cmd_search(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns)
+    alphas = _alphas_for(ns, ns.m)
     _progress(f"searching alphas={alphas} with b_max={ns.bmax}")
     sols = centred.periodic_search(alphas, ns.a, ns.bmax, tol=ns.tol,
                                    n_grid=ns.grid, c=ns.c)
@@ -169,11 +171,9 @@ def cmd_search(ns) -> int:
 
 
 def _write_scan_csv(ns, alphas, cfg) -> None:
-    params0 = centred.CentredParams(ns.m, ns.a, alphas, 0.5, c=ns.c)
-    A_grid = np.linspace(0.02, 0.98, ns.grid) * params0.A_max
-    rows = [centred.betas(centred.CentredParams(ns.m, ns.a, alphas, float(A),
-                                                c=ns.c))
-            for A in A_grid]
+    A_grid = np.linspace(0.02, 0.98, ns.grid) * float(np.sqrt(np.prod(alphas)))
+    rows = centred.betas_grid(
+        centred.CentredParams(ns.m, ns.a, alphas, A_grid[0], c=ns.c), A_grid)
     cols = ([f"alpha{j + 1}" for j in range(ns.m)] + ["A"]
             + [f"beta{j + 1}" for j in range(ns.m)] + ["T", "quad_error"])
     lines = [",".join(cols)]
@@ -189,17 +189,17 @@ def cmd_mesh(ns) -> int:
     cfg = _resolved_config(ns)
     nt, nq = (int(x) for x in ns.resolution.split("x"))
     if ns.kind == "centred":
-        alphas = _alphas_for(ns)
+        alphas = _alphas_for(ns, ns.m)
         params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
         mesh = meshverify.mesh_centred(params, ns.c, (0.0, ns.t_end),
                                        resolution=(nt, nq))
     elif ns.kind == "affine":
-        alphas = _alphas_for(ns)
+        alphas = _alphas_for(ns, ns.m - 1)
         params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
         mesh = meshverify.mesh_affine(params, (0.0, ns.t_end),
                                       resolution=(nt, nq))
     elif ns.kind == "link":
-        alphas = _alphas_for(ns)
+        alphas = _alphas_for(ns, ns.m)
         mesh = meshverify.mesh_link(alphas, ns.A, resolution=(nt, nq))
     else:
         raise ValidationError(f"unknown mesh kind {ns.kind!r}")
@@ -221,9 +221,15 @@ def cmd_verify(ns) -> int:
     report = meshverify.mesh_residual_report(mesh)
     payload = report.to_dict()
     print(f"max residual {report.max_residual():.3e} over "
-          f"{report.sample_count} samples ({report.skipped} skipped)")
+          f"{report.sample_count} samples ({report.skipped} skipped); "
+          f"vertices off the family by {report.max_vertex_offset:.3e}")
     if ns.out:
         _write_json(ns.out, payload, cfg)
+    if report.max_vertex_offset > meshverify.VERTEX_TOL:
+        print(f"FAIL: stored vertices are off the rebuilt family by "
+              f"{report.max_vertex_offset:.3e} (relative; bound "
+              f"{meshverify.VERTEX_TOL:.0e})", file=sys.stderr)
+        return 3
     if ns.threshold is not None and report.max_residual() > ns.threshold:
         print(f"FAIL: residual exceeds threshold {ns.threshold:.3e}",
               file=sys.stderr)
@@ -233,7 +239,7 @@ def cmd_verify(ns) -> int:
 
 def cmd_crosssection(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns)
+    alphas = _alphas_for(ns, ns.m)
     section = threefold.cross_section(alphas)
     s = np.linspace(0.0, section.period, ns.n)
     X = section.x(s)
@@ -257,7 +263,7 @@ def cmd_crosssection(ns) -> int:
 
 def cmd_affine(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns) if (ns.alphas or ns.family) else None
+    alphas = _alphas_for(ns, ns.m - 1) if (ns.alphas or ns.family) else None
     if alphas is None:
         raise ValidationError("--alphas required")
     params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
@@ -297,7 +303,7 @@ def cmd_affine(ns) -> int:
 
 def cmd_report(ns) -> int:
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns)
+    alphas = _alphas_for(ns, ns.m)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
     case = centred.classify_case(params)
     payload = {"case": case, "A_max": params.A_max,
@@ -466,6 +472,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .errors import ValidationError
 from .multilinear import complex_to_real
 
 _DEGENERATE_GRAM = 1e-14
+VERTEX_TOL = 1e-12      # relative vertex offset a verified mesh may carry
 NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
                       "|Im Omega| per unit Gram volume, orientation chosen "
                       "to make Re Omega nonnegative")
@@ -542,6 +543,7 @@ class SLReport:
     normalization: str
     sample_count: int
     skipped: int = 0
+    max_vertex_offset: float = None     # meshes only; see mesh_residual_report
 
     def max_residual(self) -> float:
         return max(self.max_omega_residual, self.max_imOmega_residual)
@@ -555,7 +557,8 @@ class SLReport:
             "normalization": self.normalization,
             "sample_count": self.sample_count,
             "skipped": self.skipped,
-        }
+        } | ({} if self.max_vertex_offset is None
+             else {"max_vertex_offset": self.max_vertex_offset})
 
 
 def _frame_residuals(F: np.ndarray) -> tuple:
@@ -747,8 +750,14 @@ def _mesh_frames(mesh: Mesh) -> np.ndarray:
 
 
 def mesh_residual_report(mesh: Mesh) -> SLReport:
-    """Residual report for a mesh via its family's analytic frames."""
-    return _report(*_frame_residuals(_mesh_frames(mesh)))
+    """Residual report for a mesh via its family's analytic frames, with
+    the largest offset of a stored vertex coordinate from the family's
+    point at its parameters, relative to max(1, largest |coordinate|)."""
+    report = _report(*_frame_residuals(_mesh_frames(mesh)))
+    rebuilt = complex_to_real(mesh.family.points(mesh.params, mesh.chart))
+    scale = max(1.0, float(np.max(np.abs(mesh.vertices), initial=0.0)))
+    offset = float(np.max(np.abs(rebuilt - mesh.vertices), initial=0.0))
+    return replace(report, max_vertex_offset=offset / scale)
 
 
 def attach_residuals(mesh: Mesh) -> Mesh:
@@ -861,8 +870,12 @@ def import_json(path) -> Mesh:
     """Read a mesh written by export(..., 'json')."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != "slmesh-1":
+    if not isinstance(doc, dict) or doc.get("schema") != "slmesh-1":
         raise ValidationError("not an slmesh-1 document")
+    missing = [k for k in ("m", "vertices", "faces", "params", "param_names")
+               if k not in doc]
+    if missing:
+        raise ValidationError(f"slmesh-1 document lacks {', '.join(missing)}")
     mesh = Mesh(int(doc["m"]), np.asarray(doc["vertices"], float),
                 np.asarray(doc["faces"], int), np.asarray(doc["params"], float),
                 tuple(doc["param_names"]), recipe=doc.get("recipe", {}))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_case_d
-from slevolve import ValidationError, centred
+from slevolve import NumericalError, ValidationError, centred
 from slevolve.centred import (CentredParams, PeriodicSolution,
                               ReducedState, WVector, beta_limits, betas,
                               betas_ode, classify_case, classify_topology,
@@ -31,6 +31,45 @@ class TestRhsW:
     def test_zero_w_rejected(self):
         with pytest.raises(ValidationError):
             WVector((1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_packed_rhs_matches_rhs_w(self, m):
+        rng = np.random.default_rng(m)
+        for a in range(1, m + 1):
+            signs = centred._w_signs(a, m)
+            for _ in range(50):
+                y = rng.normal(size=2 * m) * rng.uniform(0.1, 3.0)
+                want = rhs_w(y[:m] + 1j * y[m:], a)
+                got = centred._rhs_packed(signs, 0.0, y)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[:m] - want.real)) <= 1e-15 * scale
+                assert np.max(np.abs(got[m:] - want.imag)) <= 1e-15 * scale
+
+    def test_packed_rhs_keeps_verify_defects(self):
+        # verify_periodic integrated on the rhs_w closure it used before
+        from scipy.integrate import solve_ivp
+        sol = next(s for s in periodic_search(symmetric_alphas(3, 1), 1, 8)
+                   if s.int_angles == (-8, 4, 4))
+        params, b = sol.params, sol.denom
+        T = betas(params).period_T
+        w0 = w_initial(params)
+
+        def closure(t, y):
+            dw = rhs_w(y[:3] + 1j * y[3:], params.a)
+            return np.concatenate([dw.real, dw.imag])
+
+        ref = solve_ivp(closure, (0.0, b * T + T),
+                        np.concatenate([w0.real, w0.imag]), method="DOP853",
+                        rtol=1e-11, atol=1e-13, dense_output=True)
+        t_grid = np.linspace(0.0, T, 257)
+        signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
+
+        def defect(w):
+            return np.max(np.abs(w(t_grid + b * T) - signs * w(t_grid)))
+
+        want = defect(lambda t: (ref.sol(t)[:3] + 1j * ref.sol(t)[3:]).T)
+        got = verify_periodic(sol)["max_defect"]
+        assert abs(got - want) <= 1e-12
 
 
 class TestNormalizeLambda:
@@ -428,3 +467,148 @@ class TestParamsValidation:
             state, A = reduce_state(w0, params)
             assert A == pytest.approx(params.A, rel=1e-12)
             assert state.u == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBatchedQuadrature:
+    """One row-batched, vector-valued quadrature serves betas (the one-row
+    case of betas_grid), quadrature_solution and quadrature_case_b."""
+
+    @pytest.mark.parametrize("m,a,seed", [(3, 1, None), (6, 2, None),
+                                          (5, 2, 7), (4, 3, 8)])
+    def test_grid_rows_equal_scalar_calls_bitwise(self, m, a, seed):
+        # periodic_search brackets on the grid and brentq re-evaluates the
+        # grid endpoints one at a time: any difference could flip a sign
+        if seed is None:
+            al = symmetric_alphas(m, a)
+        else:
+            rng = np.random.default_rng(seed)
+            al = normalize_lambda(rng.uniform(0.5, 3.0, size=m), a)[0]
+        params = CentredParams(m, a, al, 0.5 * float(np.sqrt(np.prod(al))),
+                               c=0.0)
+        A_grid = np.linspace(0.02, 0.98, 96) * params.A_max
+        rows = centred.betas_grid(params, A_grid)
+        for A, row in zip(A_grid, rows):
+            one = betas(CentredParams(m, a, al, float(A), c=0.0))
+            assert row == one
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_betas_match_ode(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(2):
+            params = random_case_d(rng, m)
+            q = betas(params)
+            o = betas_ode(params)
+            assert np.max(np.abs(np.subtract(q.betas, o.betas))) <= 1e-8
+            assert q.period_T == pytest.approx(o.period_T, abs=1e-8)
+
+    def test_turning_points_as_accurate_as_brentq(self):
+        # brentq(xtol=1e-13, rtol=8.9e-16) on Q - A^2 was the previous
+        # solver; compare both with 40-digit roots of the same polynomial
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.optimize import brentq
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            m = int(rng.integers(2, 8))
+            params = random_case_d(rng, m, A_frac=10 ** rng.uniform(-3, -0.01))
+            al, a, A = params.alphas, params.a, params.A
+            lo, hi = params.u_interval()
+
+            def F(u):
+                out = mpmath.mpf(1)
+                for j, x in enumerate(al):
+                    out *= mpmath.mpf(x) + (u if j < a else -u)
+                return out - mpmath.mpf(A) ** 2
+
+            def f(u):
+                return params.Q(u) - A ** 2
+
+            got = turning_points(params)
+            old = (brentq(f, lo, 0.0, xtol=1e-13, rtol=8.9e-16),
+                   brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
+            for x, x_old in zip(got, old):
+                exact = mpmath.findroot(F, mpmath.mpf(x_old))
+                bound = max(1e-13 + 8.9e-16 * abs(x_old),
+                            2 * float(abs(exact - x_old)))
+                assert float(abs(exact - x)) <= bound
+
+    def test_quadrature_solution_matches_quad(self):
+        from scipy.integrate import quad
+        rng = np.random.default_rng(38)
+        for m in (3, 5):
+            params = random_case_d(rng, m)
+            g, d = turning_points(params)
+            u0, u1 = g + 0.2 * (d - g), g + 0.7 * (d - g)
+            arc = quadrature_solution(params, u0, u1)
+
+            def Q_minus(u):
+                return params.Q(u) - params.A ** 2
+
+            # dtheta_j = -s_j A int du / (2 (alpha_j +- u) sqrt(Q - A^2))
+            for j, (al, s) in enumerate(zip(params.alphas, params.signs)):
+                want, _ = quad(lambda u: 1.0 / (2 * (al + s * u)
+                                                * np.sqrt(Q_minus(u))),
+                               u0, u1, epsabs=1e-14, epsrel=1e-13)
+                assert arc.dthetas[j] == pytest.approx(-s * params.A * want,
+                                                       abs=1e-11)
+            want_t, _ = quad(lambda u: 0.5 / np.sqrt(Q_minus(u)), u0, u1,
+                             epsabs=1e-14, epsrel=1e-13)
+            assert arc.dt == pytest.approx(want_t, abs=1e-11)
+
+    def test_case_b_matches_quad(self):
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+        params = CentredParams(3, 3, (1.0, 1.5, 2.0), 0.8, c=1.0)
+
+        def Q_minus(u):
+            return params.Q(u) - params.A ** 2
+
+        gamma = brentq(Q_minus, -1.0, 10.0, xtol=1e-15)
+        u0, u1 = gamma + 0.1, gamma + 1.5
+        arc = centred.quadrature_case_b(params, u0, u1)
+        for j, al in enumerate(params.alphas):
+            want, _ = quad(lambda u: 1.0 / (2 * (al + u) * np.sqrt(Q_minus(u))),
+                           u0, u1, epsabs=1e-14, epsrel=1e-13)
+            assert arc.dthetas[j] == pytest.approx(-params.A * want, abs=1e-11)
+        want_t, _ = quad(lambda u: 0.5 / np.sqrt(Q_minus(u)), u0, u1,
+                         epsabs=1e-14, epsrel=1e-13)
+        assert arc.dt == pytest.approx(want_t, abs=1e-11)
+
+    def test_budget_error_names_stage_and_parameters(self, monkeypatch):
+        monkeypatch.setattr(centred, "_PANEL_BUDGET", 2)
+        al = symmetric_alphas(3, 1)
+        A_max = float(np.sqrt(np.prod(al)))
+        with pytest.raises(NumericalError) as exc:
+            betas(CentredParams(3, 1, al, 0.25 * A_max, c=0.0))
+        msg = str(exc.value)
+        for part in ("betas quadrature", "m=3", "a=1", "A/A_max=0.25",
+                     "budget of 2 panels"):
+            assert part in msg
+        monkeypatch.setattr(centred, "_PANEL_BUDGET", 0)
+        with pytest.raises(NumericalError, match="quadrature_solution"):
+            quadrature_solution(CentredParams(3, 1, al, 0.25 * A_max, c=0.0),
+                                -0.1, 0.2)
+
+    def test_one_quadrature_routine(self, monkeypatch):
+        # every caller sends its m+1 integrands through one adaptive_gauss
+        # call: K = m+1 values per node, one call per quadrature
+        seen = []
+        real = centred.adaptive_gauss
+
+        def spy(f, a, b, **kw):
+            def g(x):
+                vals = f(x)
+                seen.append(vals.shape[:2])
+                return vals
+            seen.append("call")
+            return real(g, a, b, **kw)
+
+        monkeypatch.setattr(centred, "adaptive_gauss", spy)
+        params = CentredParams(4, 2, symmetric_alphas(4, 2), 0.5, c=1.0)
+        betas(params)
+        quadrature_solution(params, -0.1, 0.2)
+        centred.quadrature_case_b(CentredParams(3, 3, (1.0, 1.5, 2.0), 0.8),
+                                  0.0, 0.5)
+        assert seen.count("call") == 3
+        shapes = {s for s in seen if s != "call"}
+        assert shapes == {(1, 5), (1, 4)}

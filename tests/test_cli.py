@@ -98,6 +98,38 @@ class TestMeshAndVerify:
         rc = run(["verify", "--mesh", str(mesh), "--threshold", "1e-30"])
         assert rc == 3
 
+    def test_shifted_vertices_fail_verify(self, tmp_path):
+        mesh = tmp_path / "centred.json"
+        rc = run(["mesh", "--kind", "centred", "--m", "3", "--a", "1",
+                  "--alphas", "1,2,2", "--A", "1.0", "--c", "1.0",
+                  "--resolution", "33x64", "--out", str(mesh)])
+        assert rc == 0
+        rc = run(["verify", "--mesh", str(mesh), "--threshold", "1e-12",
+                  "--out", str(tmp_path / "rep.json")])
+        assert rc == 0
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["max_vertex_offset"] <= 1e-12
+        doc = json.loads(mesh.read_text())
+        for v in doc["vertices"]:
+            v[0] += 5.0
+        mesh.write_text(json.dumps(doc))
+        rc = run(["verify", "--mesh", str(mesh), "--threshold", "1e-12",
+                  "--out", str(tmp_path / "rep.json")])
+        assert rc == 3
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["max_vertex_offset"] > 0.1
+
+    def test_missing_or_malformed_file_is_exit_two(self, tmp_path, capsys):
+        paths = [tmp_path / "missing.json"]
+        for i, text in enumerate(("{not json", "[1, 2]",
+                                  '{"schema": "slmesh-1", "m": 3}')):
+            paths.append(tmp_path / f"bad{i}.json")
+            paths[-1].write_text(text)
+        for path in paths:
+            assert run(["verify", "--mesh", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
     def test_centred_mesh_formats(self, tmp_path):
         for fmt in ("json", "csv", "obj", "ply"):
             out = tmp_path / f"m.{fmt}"
@@ -195,6 +227,20 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["case"] == "b"
         assert doc["beta_closed_form_defect"] <= 1e-7
+
+    def test_affine_symmetric_family(self, tmp_path):
+        # the affine family has m-1 letters, so --family sym means
+        # symmetric_alphas(m-1, a) on both affine paths
+        rc = run(["mesh", "--kind", "affine", "--family", "sym", "--m", "4",
+                  "--a", "2", "--A", "0.5", "--resolution", "8x8",
+                  "--format", "json", "--out", str(tmp_path / "m.json")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["recipe"]["alphas"] == [1.0, 1.0, 0.5]
+        rc = run(["affine", "--family", "sym", "--m", "4", "--a", "2",
+                  "--A", "0.5", "--summary", str(tmp_path / "a.json")])
+        assert rc == 0
+        assert json.loads((tmp_path / "a.json").read_text())["case"] == "d"
 
     def test_report(self, tmp_path):
         rc = run(["report", "--m", "3", "--a", "1", "--family", "sym",
