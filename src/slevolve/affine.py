@@ -18,10 +18,9 @@ never closes up.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import centred
-from .errors import NumericalError, ValidationError
+from . import centred, ode
+from .errors import ValidationError
 
 _CASE_TOL = 1e-10
 
@@ -137,17 +136,10 @@ class AffinePath:
         self.escape_time = escape_time
 
     def w(self, t):
-        t = np.asarray(t, dtype=float)
-        y = self._sol(t)
-        half = y.shape[0] // 2
-        z = y[:half] + 1j * y[half:]
-        return np.moveaxis(z[:-1], 0, -1)
+        return self._sol(t)[..., :-1]
 
     def beta(self, t):
-        t = np.asarray(t, dtype=float)
-        y = self._sol(t)
-        half = y.shape[0] // 2
-        return y[half - 1] + 1j * y[-1]
+        return self._sol(t)[..., -1]
 
 
 def integrate_affine(w0, beta0: complex, a: int, t_end: float,
@@ -168,18 +160,13 @@ def integrate_affine(w0, beta0: complex, a: int, t_end: float,
     def blow_up(t, y):
         return float(np.linalg.norm(y) - guard)
 
-    blow_up.terminal = True
-    blow_up.direction = 1.0
-
     z0 = np.concatenate([w0, [complex(beta0)]])
-    y0 = np.concatenate([z0.real, z0.imag])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True, events=blow_up)
-    if sol.status < 0:
-        raise NumericalError(f"affine integration failed: {sol.message}")
+    sol = ode.solve(rhs, z0, t_end, rtol, atol, stage="integrate_affine",
+                    params={"m": k + 1, "a": a},
+                    events=[ode.Event(blow_up, direction=1.0, terminal=True)])
     escaped = sol.status == 1
     esc_t = float(sol.t_events[0][0]) if escaped else None
-    return AffinePath(a, sol.sol, (0.0, sol.t[-1]), escaped, esc_t)
+    return AffinePath(a, sol, (0.0, sol.t[-1]), escaped, esc_t)
 
 
 def affine_initial(params: AffineParams, u0: float = 0.0,

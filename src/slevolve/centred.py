@@ -27,9 +27,8 @@ from functools import lru_cache, partial
 from math import gcd
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from . import ode
 from .errors import NumericalError, ValidationError
 
 _CASE_TOL = 1e-10
@@ -290,11 +289,7 @@ class WSolutionPath:
 
     def w(self, t):
         """w values at scalar or array t; shape (..., m) complex."""
-        t = np.asarray(t, dtype=float)
-        y = self._sol(t)
-        half = y.shape[0] // 2
-        vals = y[:half] + 1j * y[half:]
-        return np.moveaxis(vals, 0, -1)
+        return self._sol(t)
 
     def angles(self, t_grid) -> np.ndarray:
         """Continuously lifted arg w_j over an (ordered, dense) t grid."""
@@ -303,7 +298,7 @@ class WSolutionPath:
 
 
 def _rhs_packed(signs: tuple, t, y) -> np.ndarray:
-    """``rhs_w`` on the packed real vector (Re w, Im w) of ``solve_ivp``.
+    """``rhs_w`` on the packed real vector (Re w, Im w) of ``ode.solve``.
 
     The running products of ``_leave_one_out`` on Python complex numbers,
     with the conjugate and the signs (one +-1.0 per letter) applied to the
@@ -330,16 +325,13 @@ def _w_signs(a: int, m: int) -> tuple:
 
 
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
-                atol: float = 1e-13, events=None) -> WSolutionPath:
+                atol: float = 1e-13) -> WSolutionPath:
     """Integrate the w system from t=0 to t_end with dense output."""
     w0 = np.asarray(w0, dtype=complex)
-    rhs = partial(_rhs_packed, _w_signs(a, w0.size))
-    y0 = np.concatenate([w0.real, w0.imag])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True, events=events)
-    if not sol.success and sol.status != 1:
-        raise NumericalError(f"w integration failed: {sol.message}")
-    return WSolutionPath(a, sol.sol, (0.0, sol.t[-1]))
+    sol = ode.solve(partial(_rhs_packed, _w_signs(a, w0.size)), w0, t_end,
+                    rtol, atol, stage="integrate_w",
+                    params={"m": w0.size, "a": a})
+    return WSolutionPath(a, sol, (0.0, sol.t[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +363,7 @@ def normalize_lambda(w0_sq, a: int) -> tuple:
         eps *= 0.5
         if eps < 1e-300:
             raise NumericalError("normalization bracketing failed")
+    from scipy.optimize import brentq
     lam = brentq(f, lo + eps, hi - eps, xtol=1e-15 * max(1.0, span), rtol=8.9e-16)
     # two Newton steps to push the residual to rounding level
     for _ in range(2):
@@ -950,16 +943,14 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
         w = y[:m] + 1j * y[m:]
         return float(np.real(np.prod(w)))
 
-    du_event.direction = 1.0
-    y0 = np.concatenate([w0.real, w0.imag])
-
     # T grows like log(1/A) near the endpoints, so retry with longer horizons
     t_guess = _period_scale(params)
     times = np.array([])
     sol = None
     for horizon in (8 * t_guess, 64 * t_guess, 512 * t_guess):
-        sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=True, events=du_event)
+        sol = ode.solve(rhs, w0, horizon, rtol, atol, stage="betas_ode",
+                        params={"m": m, "a": params.a, "A": params.A},
+                        events=[ode.Event(du_event, direction=1.0)])
         times = sol.t_events[0]
         if times.size >= 3:
             break
@@ -968,7 +959,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
 
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
-    path = WSolutionPath(params.a, sol.sol, (0.0, sol.t[-1]))
+    path = WSolutionPath(params.a, sol, (0.0, sol.t[-1]))
     th = path.angles(np.linspace(t1, t2, n_lift))
     beta_vals = th[-1] - th[0]
     u_min = _u_of_w(path.w(t1), params)
@@ -1041,6 +1032,7 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
                                        n_grid=n_grid, A_fractions=A_fractions,
                                        c=c, quad_tol=quad_tol))
         return out
+    from scipy.optimize import brentq
     al = np.asarray(alphas, dtype=float)
     m = al.size
     probe = CentredParams(m, a, tuple(al), 0.5 * float(np.sqrt(np.prod(al))), c=c)
@@ -1112,16 +1104,20 @@ def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
     """Re-verify a periodic solution against the w ODE.
 
     Integrates over b*T plus one extra period and checks the sign relation
-    w_j(t + b T) = (-1)^{a_j} w_j(t) on a grid of t in [0, T].
+    w_j(t + b T) = (-1)^{a_j} w_j(t) on a grid of t in [0, T].  Only the
+    two check windows are asked of the solver, so steps between them build
+    no interpolant; the values equal the dense output's bit for bit.
     """
     params = sol.params
     quad = betas(params)
     T, b = quad.period_T, sol.denom
     w0 = w_initial(params)
-    path = integrate_w(w0, params.a, b * T + T, rtol=rtol, atol=atol)
     t_grid = np.linspace(0.0, T, n_check)
-    w_base = path.w(t_grid)
-    w_shift = path.w(t_grid + b * T)
+    run = ode.solve(partial(_rhs_packed, _w_signs(params.a, params.m)), w0,
+                    b * T + T, rtol, atol, stage="verify_periodic",
+                    params={"m": params.m, "a": params.a, "A": params.A},
+                    t_eval=np.concatenate([t_grid, t_grid + b * T]))
+    w_base, w_shift = run.z_eval[:n_check], run.z_eval[n_check:]
     signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
     err = float(np.max(np.abs(w_shift - signs * w_base)))
     return {"max_defect": err, "period_T": T, "denom": b,

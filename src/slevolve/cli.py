@@ -15,10 +15,11 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from . import affine as affine_mod
-from . import centred, evodata, evolver, meshverify, threefold
+from . import __version__, centred
 from .errors import NumericalError, ValidationError
+
+# Each command imports the modules only it needs inside its function, so
+# that a cheap command loads (and compiles) no more than it runs.
 
 
 def _outpath(path: str) -> str:
@@ -78,6 +79,7 @@ def _alphas_for(ns, letters: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_evolve(ns) -> int:
+    from . import evodata, evolver
     cfg = _resolved_config(ns)
     if ns.data:
         with open(ns.data) as fh:
@@ -186,6 +188,8 @@ def _write_scan_csv(ns, alphas, cfg) -> None:
 
 
 def cmd_mesh(ns) -> int:
+    from . import affine as affine_mod
+    from . import meshverify
     cfg = _resolved_config(ns)
     nt, nq = (int(x) for x in ns.resolution.split("x"))
     if ns.kind == "centred":
@@ -215,6 +219,7 @@ def cmd_mesh(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from . import meshverify
     cfg = _resolved_config(ns)
     mesh = meshverify.import_json(_outpath(ns.mesh))
     meshverify.rebuild_family(mesh)
@@ -238,6 +243,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_crosssection(ns) -> int:
+    from . import threefold
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     section = threefold.cross_section(alphas)
@@ -262,6 +268,7 @@ def cmd_crosssection(ns) -> int:
 
 
 def cmd_affine(ns) -> int:
+    from . import affine as affine_mod
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m - 1) if (ns.alphas or ns.family) else None
     if alphas is None:

@@ -16,7 +16,6 @@ closes under commutators onto span(Im L) and acts locally transitively on P.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .errors import ConstructionError, ValidationError
 from .multilinear import Multivector, k_subsets
@@ -107,6 +106,7 @@ class EvolutionData:
 
     def tangent_basis(self, p) -> np.ndarray:
         """Orthonormal basis of T_p P as rows, from the normal covectors."""
+        from scipy.linalg import null_space
         N = np.atleast_2d(self.normals(p))
         basis = null_space(N)
         if basis.shape[1] != self.m - 1:
@@ -321,6 +321,7 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
     t_max = min(3.0, 4.0 / radius)
 
     def sampler(count, seed=0):
+        from scipy.linalg import expm
         rng = np.random.default_rng(seed + 104729)
         ts = rng.uniform(-t_max, t_max, size=count)
         pts = np.empty((count, m))
@@ -467,6 +468,7 @@ def lie_derivative_residual(data: EvolutionData, vfield: np.ndarray,
     Lambda^{m-1}(e^{-sV}) chi(e^{sV} x); the derivative at s=0 is estimated
     by central differences and normalized by |chi(x)|.
     """
+    from scipy.linalg import expm
     V = np.asarray(vfield, dtype=float)
     rng = np.random.default_rng(seed)
     n = data.n

@@ -18,9 +18,9 @@ derivative.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import NumericalError, ValidationError
+from . import ode
+from .errors import ValidationError
 from .evodata import EvolutionData
 from .multilinear import complex_to_real, k_subsets
 
@@ -209,12 +209,6 @@ def _pack(A: np.ndarray, t0: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
-def _unpack(y: np.ndarray, n: int, m: int) -> EvolMap:
-    half = y.size // 2
-    z = y[:half] + 1j * y[half:]
-    return EvolMap(n, m, z[:m * n].reshape(m, n), z[m * n:])
-
-
 def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
               tol: float = None, rtol: float = 1e-10, atol: float = 1e-12,
               checkpoints: int = 33, membership_samples: int = 40,
@@ -252,19 +246,16 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
         lin = np.concatenate([y[:m * n], y[half:half + m * n]])
         return np.linalg.norm(lin) ** power - guard
 
-    blow_up.terminal = True
-    blow_up.direction = 1.0
-
-    sol = solve_ivp(rhs, (0.0, t_end), _pack(phi0.A, phi0.t0),
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-                    events=blow_up)
-    if sol.status < 0:
-        raise NumericalError(f"integration failed: {sol.message}")
+    sol = ode.solve(rhs, np.concatenate([phi0.A.ravel(), phi0.t0]), t_end,
+                    rtol, atol, stage="evolver.integrate",
+                    params={"m": m, "n": n, "data": data.label},
+                    events=[ode.Event(blow_up, direction=1.0, terminal=True)])
     escaped = sol.status == 1
     escape_time = float(sol.t_events[0][0]) if escaped else None
     t_last = sol.t[-1]
     times = np.linspace(0.0, t_last, checkpoints)
-    maps = [_unpack(sol.sol(t), n, m) for t in times]
+    maps = [EvolMap(n, m, z[:m * n].reshape(m, n), z[m * n:])
+            for z in sol(times)]
 
     bases = _tangent_bases(data, data.sample(membership_samples, seed))
     residuals = np.array([_membership_arrays(mp.A, bases).max_omega_residual

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from slevolve import ValidationError, centred
+from slevolve import NumericalError, ValidationError, centred
 from slevolve.affine import AffineParams, affine_initial, rhs_affine
 from slevolve.evodata import (QuadricSpec, curve_data, example_paraboloid,
                               example_quadric, extend_product, quadric_data)
@@ -216,6 +216,19 @@ class TestIntegrate:
         for k, mp in enumerate(traj.maps):
             diag = membership_cp(mp, data, 12, 7)
             assert traj.omega_residuals[k] == diag.max_omega_residual
+
+    def test_failure_names_stage_and_budget(self):
+        # with no guard the ellipsoid's blow-up at t = 1 drives the step
+        # below the spacing of doubles; the error says where and why
+        data = example_quadric(3, 3, 1.0)
+        phi0 = EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
+        with pytest.raises(NumericalError) as exc:
+            integrate(phi0, data, 2.0, guard=np.inf)
+        msg = str(exc.value)
+        for part in ("evolver.integrate", "m=3", "n=3", "reached t = 1.0",
+                     "of t_end = 2.0", "last step size", "rtol = 1e-10",
+                     "atol = 1e-12"):
+            assert part in msg, (part, msg)
 
     def test_ellipsoid_escapes(self):
         data = example_quadric(3, 3, 1.0)
