@@ -25,11 +25,13 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ode
 from .errors import NumericalError, ValidationError
+from .roots import brent
 
 _CASE_TOL = 1e-10
 
@@ -363,8 +365,10 @@ def normalize_lambda(w0_sq, a: int) -> tuple:
         eps *= 0.5
         if eps < 1e-300:
             raise NumericalError("normalization bracketing failed")
-    from scipy.optimize import brentq
-    lam = brentq(f, lo + eps, hi - eps, xtol=1e-15 * max(1.0, span), rtol=8.9e-16)
+    lam = float(brent(lambda x, rows: np.array([f(v) for v in x.tolist()]),
+                      lo + eps, hi - eps, xtol=1e-15 * max(1.0, span),
+                      rtol=8.9e-16, stage="normalize_lambda",
+                      params={"m": m, "a": a})[0])
     # two Newton steps to push the residual to rounding level
     for _ in range(2):
         fp = np.sum(1.0 / (s[:a] - lam) ** 2) + np.sum(1.0 / (s[a:] + lam) ** 2)
@@ -508,21 +512,34 @@ def _gl_rule(npts: int) -> tuple:
     return x, w
 
 
+class Nodes(NamedTuple):
+    """The nodes of one integrand call: line i of ``x`` (L, n) holds nodes
+    of quadrature row ``rows[i]``."""
+
+    x: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """The number of nodes."""
+        return self.x.size
+
+
 def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
                    describe=None) -> tuple:
     """Row-batched, vector-valued adaptive Gauss-Legendre quadrature.
 
-    Row r integrates over [a_r, b_r].  ``f`` takes nodes x of shape (N, n),
-    row r's nodes in row r, and returns its K integrands there, shape
-    (N, K, n).  Each panel is estimated with 16- and 32-point rules on one
-    set of nodes; it is accepted when every integrand's disagreement is
-    within its width share of ``tol`` or at its rounding floor (or at
-    ``max_depth``), and bisected otherwise.  One call of ``f`` takes up to
-    ``_CALL_NODES`` nodes: as many pending panels per row as fit.  Rows
-    that are done still receive nodes (of a panel already accepted) but
-    contribute nothing.  Every accept decision depends on its panel alone
-    and accepted panels are summed per row in order of position, so a
-    row's result does not depend on the other rows.
+    Row r integrates over [a_r, b_r].  ``f`` takes the ``Nodes`` of one
+    call, x of shape (L, n) for the rows ``rows`` that still have panels
+    pending, and returns their K integrands there, shape (L, K, n).  Each
+    panel is estimated with 16- and 32-point rules on one set of nodes; it
+    is accepted when every integrand's disagreement is within its width
+    share of ``tol`` or at its rounding floor (or at ``max_depth``), and
+    bisected otherwise.  One call of ``f`` takes up to ``_CALL_NODES``
+    nodes, shared among the pending rows: the fewer rows are left, the more
+    panels each takes.  Every accept decision depends on its panel alone
+    and accepted panels are summed per row in order of position, so a row's
+    result does not depend on the other rows.
 
     Returns (values, errors), each (N, K).  Raises NumericalError when a row
     exceeds ``_PANEL_BUDGET`` panels or its error estimate is grossly over
@@ -538,10 +555,9 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
     total = b - a
     # a panel's share of tol per unit of its half width
     share = (2.0 * tol / np.where(total == 0, 1.0, total))[:, None]
-    per_row = max(1, min(64, _CALL_NODES // (nodes.size * n_rows)))
+    call_panels = max(1, _CALL_NODES // nodes.size)
     floor = 64.0 * np.finfo(float).eps
 
-    rows = np.arange(n_rows)[:, None]
     cap = max_depth + 2
     stack = np.zeros((n_rows, cap, 3))        # pending (lo, hi, depth)
     stack[:, 0, 0], stack[:, 0, 1] = a, b
@@ -549,47 +565,50 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
     panels = np.zeros(n_rows, dtype=np.intp)
     records = []
     while True:
-        k = np.minimum(sp, per_row)
-        width = int(k.max())
-        if width == 0:
+        rows = np.nonzero(sp)[0]
+        if not rows.size:
             break
-        panels += k
+        k = np.minimum(sp[rows], max(1, call_panels // rows.size))
+        width = int(k.max())
+        panels[rows] += k
         if panels.max() > _PANEL_BUDGET:
             raise NumericalError(
                 f"{describe(int(np.argmax(panels)))}: quadrature panel "
                 f"budget of {_PANEL_BUDGET} panels exhausted")
         slot = np.arange(width)
-        live = slot < k[:, None]                              # (N, L)
-        ent = stack[rows, np.maximum(sp[:, None] - 1 - slot, 0)]
+        live = slot < k[:, None]                              # (L, W)
+        ent = stack[rows[:, None], np.maximum(sp[rows, None] - 1 - slot, 0)]
         lo, hi = ent[..., 0], ent[..., 1]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = f((mid[..., None] + half[..., None] * nodes).reshape(n_rows, -1))
+        vals = f(Nodes((mid[..., None] + half[..., None] * nodes)
+                       .reshape(rows.size, -1), rows))
         sums = np.add.reduceat(
-            vals.reshape(n_rows, vals.shape[1], width, nodes.size) * weights,
-            (0, x16.size), axis=-1)
+            vals.reshape(rows.size, vals.shape[1], width, nodes.size)
+            * weights, (0, x16.size), axis=-1)
         sums *= half[:, None, :, None]
-        i32 = sums[..., 1]                                    # (N, K, L)
+        i32 = sums[..., 1]                                    # (L, K, W)
         err = np.abs(i32 - sums[..., 0])
         # a panel already converged to rounding level cannot improve by
         # splitting, however small its width share of the budget is
-        ok = ((err <= np.maximum((half * share)[:, None],
+        ok = ((err <= np.maximum((half * share[rows])[:, None],
                                  floor * np.abs(i32))).all(axis=1)
               | (ent[..., 2] >= max_depth))
-        r, s = np.nonzero(live & ok)
-        records.append((r, lo[r, s], i32[r, :, s], err[r, :, s]))
+        i, s = np.nonzero(live & ok)
+        records.append((rows[i], lo[i, s], i32[i, :, s], err[i, :, s]))
         # children of the split panels go on top of what is left
-        sp -= k
+        sp[rows] -= k
         split = live & ~ok
-        r, s = np.nonzero(split)
-        if r.size:
-            pos = sp[r] + 2 * (split.cumsum(axis=1)[r, s] - 1)
-            sp += 2 * split.sum(axis=1)
+        i, s = np.nonzero(split)
+        if i.size:
+            r = rows[i]
+            pos = sp[r] + 2 * (split.cumsum(axis=1)[i, s] - 1)
+            sp[rows] += 2 * split.sum(axis=1)
             if sp.max() > cap:
                 grow = max(int(sp.max()), 2 * cap) - cap
                 stack = np.pad(stack, ((0, 0), (0, grow), (0, 0)))
                 cap += grow
-            kids = ent[r, s][:, None].repeat(2, axis=1)       # (P, 2, 3)
-            kids[:, 0, 1] = kids[:, 1, 0] = mid[r, s]
+            kids = ent[i, s][:, None].repeat(2, axis=1)       # (P, 2, 3)
+            kids[:, 0, 1] = kids[:, 1, 0] = mid[i, s]
             kids[..., 2] += 1
             stack[r[:, None], pos[:, None] + (0, 1)] = kids
 
@@ -643,12 +662,13 @@ class _Deflated:
         """Whether each row's factor is positive at its offset s (N,)."""
         return np.real(self.lead * np.prod(self.base + s[:, None], axis=1)) > 0
 
-    def sqrt(self, s: np.ndarray) -> np.ndarray:
-        """sqrt of the factor at offsets s (N, n): computed once per node."""
+    def sqrt(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """sqrt of the factor of row rows[i] at offsets s[i] (L, n):
+        computed once per node."""
         if not self.base.shape[1]:
-            return np.broadcast_to(np.sqrt(self.abs_lead), s.shape)
-        mod2 = ((self.re + s[:, None]) ** 2 + self.im2).prod(axis=1)
-        return np.sqrt(self.abs_lead * np.sqrt(mod2))
+            return np.broadcast_to(np.sqrt(self.abs_lead[rows]), s.shape)
+        mod2 = ((self.re[rows] + s[:, None]) ** 2 + self.im2[rows]).prod(axis=1)
+        return np.sqrt(self.abs_lead[rows] * np.sqrt(mod2))
 
 
 class _ArcGeometry:
@@ -680,17 +700,18 @@ class _ArcGeometry:
                 "deflated quadrature factor is not positive at "
                 f"A={A[np.argmax(bad)]:.17g}")
 
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
+    def __call__(self, nodes: Nodes) -> np.ndarray:
         """1/((alpha_j +- u) sqrt R) for every letter j, then 1/sqrt R, at
-        nodes psi (N, n); shape (N, m+1, n)."""
-        width = self.width[:, None]
+        nodes psi (L, n) of the rows ``rows``; shape (L, m+1, n)."""
+        psi, rows = nodes
+        width = self.width[rows, None]
         s2 = width * np.sin(psi) ** 2
         c2 = width * np.cos(psi) ** 2
-        g = 1.0 / self.R.sqrt(s2)
+        g = 1.0 / self.R.sqrt(s2, rows)
         out = np.empty((psi.shape[0], self.m + 1, psi.shape[1]))
-        np.divide(g[:, None], self.off_gamma[..., None] + s2[:, None],
+        np.divide(g[:, None], self.off_gamma[rows, :, None] + s2[:, None],
                   out=out[:, :self.a])
-        np.divide(g[:, None], self.off_delta[..., None] + c2[:, None],
+        np.divide(g[:, None], self.off_delta[rows, :, None] + c2[:, None],
                   out=out[:, self.a:self.m])
         out[:, self.m] = g
         return out
@@ -814,9 +835,10 @@ def quadrature_case_b(params: CentredParams, u0: float, u: float,
     W = _Deflated(w1[:, 0], w1, gamma)
     off = (al + gamma[0])[None, :, None]
 
-    def integrands(q):
+    def integrands(nodes):
+        q, rows = nodes
         q2 = q ** 2
-        g = 1.0 / W.sqrt(q2)
+        g = 1.0 / W.sqrt(q2, rows)
         return np.concatenate([g[:, None] / (off + q2[:, None]), g[:, None]],
                               axis=1)
 
@@ -990,18 +1012,38 @@ def symmetric_alphas(m: int, a: int) -> tuple:
     return tuple([1.0] * a + [y] * (m - a))
 
 
-def _rational_candidate(beta_vals: np.ndarray, b_max: int):
-    """Best (a_vec, b, residual) with all beta_j ~ pi a_j / b, b <= b_max."""
-    best = None
-    r = np.asarray(beta_vals) / np.pi
-    for b in range(1, b_max + 1):
-        a_vec = np.round(b * r).astype(int)
-        if a_vec.sum() != 0:
-            continue
-        residual = float(np.max(np.abs(beta_vals - np.pi * a_vec / b)))
-        if best is None or residual < best[2]:
-            best = (tuple(int(x) for x in a_vec), b, residual)
-    return best
+def _rational_candidates(beta: np.ndarray, b_max: int) -> tuple:
+    """Per row of beta (P, m), the best (a_vec, b, residual) with every
+    beta_j ~ pi a_j / b, b <= b_max and sum a_j = 0: arrays (P, m), (P,)
+    and (P,).  Among equal residuals the smallest b wins; a row with no
+    such b has residual inf."""
+    b = np.arange(1, b_max + 1)[:, None, None]
+    a_vec = np.round(b * (beta / np.pi)).astype(int)            # (B, P, m)
+    residual = np.max(np.abs(beta - np.pi * a_vec / b), axis=2)
+    residual[a_vec.sum(axis=2) != 0] = np.inf
+    best = np.argmin(residual, axis=0)
+    cols = np.arange(beta.shape[0])
+    return a_vec[best, cols], best + 1, residual[best, cols]
+
+
+def _crossings(beta1: np.ndarray, b_max: int) -> tuple:
+    """Brackets of the integer crossings of b * beta_1 / pi on a grid:
+    arrays of the grid interval i and the target pi n / b, ordered by b,
+    then i, then n, for every b <= b_max and integer n with beta_1 - pi n/b
+    of strictly opposite signs at grid points i and i + 1."""
+    b = np.arange(1, b_max + 1)[:, None]
+    r0 = b * beta1 / np.pi
+    lo_n = np.ceil(np.minimum(r0[:, :-1], r0[:, 1:])).astype(int)
+    hi_n = np.floor(np.maximum(r0[:, :-1], r0[:, 1:])).astype(int)
+    count = np.maximum(hi_n - lo_n + 1, 0).ravel()
+    cell = np.repeat(np.arange(count.size), count)        # (b, i) per target
+    first = np.cumsum(count) - count                      # of each cell
+    n = lo_n.ravel()[cell] + np.arange(cell.size) - first[cell]
+    b_idx, i = np.divmod(cell, beta1.size - 1)
+    target = np.pi * n / (b_idx + 1)
+    g_lo, g_hi = beta1[i] - target, beta1[i + 1] - target
+    keep = (g_lo != 0.0) & (g_hi != 0.0) & ~(g_lo * g_hi > 0)
+    return i[keep], target[keep]
 
 
 def _reduce_hcf(a_vec: tuple, b: int) -> tuple:
@@ -1032,70 +1074,52 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
                                        n_grid=n_grid, A_fractions=A_fractions,
                                        c=c, quad_tol=quad_tol))
         return out
-    from scipy.optimize import brentq
     al = np.asarray(alphas, dtype=float)
     m = al.size
     probe = CentredParams(m, a, tuple(al), 0.5 * float(np.sqrt(np.prod(al))), c=c)
     probe.require_case_d()
     A_max = probe.A_max
-
-    # one batched quadrature over the grid.  Its rows equal the scalar
-    # betas bit for bit, so they also serve brentq, which starts from grid
-    # endpoints, and every value brentq computed serves the final check.
-    A_grid = np.linspace(A_fractions[0] * A_max, A_fractions[1] * A_max, n_grid)
-    beta_grid = np.array([r.betas for r in betas_grid(probe, A_grid,
-                                                      tol=quad_tol)])
-    known = dict(zip(A_grid.tolist(), beta_grid))
+    known = {}
 
     def beta_at(A):
-        A = float(A)
-        if A not in known:
-            p = CentredParams(m, a, tuple(al), A, c=c)
-            known[A] = np.asarray(betas(p, tol=quad_tol).betas)
-        return known[A]
+        """beta at every A of a 1-D array, (len(A), m): one batched
+        quadrature for the values not computed yet.  Its rows equal the
+        scalar betas bit for bit, so the cache serves the grid, every
+        round of the root finder and the final check alike."""
+        new = [x for x in dict.fromkeys(A.tolist()) if x not in known]
+        if new:
+            rows = betas_grid(probe, np.array(new), tol=quad_tol)
+            known.update(zip(new, (r.betas for r in rows)))
+        return np.array([known[x] for x in A.tolist()]).reshape(-1, m)
 
+    A_grid = np.linspace(A_fractions[0] * A_max, A_fractions[1] * A_max, n_grid)
+    beta_grid = beta_at(A_grid)
+
+    i_of, target = _crossings(beta_grid[:, 0], b_max)
+    A_root = brent(lambda A, rows: beta_at(A)[:, 0] - target[rows],
+                   A_grid[i_of], A_grid[i_of + 1], xtol=1e-14,
+                   stage="periodic_search",
+                   params={"m": m, "a": a, "alphas": tuple(al.tolist())})
+
+    # direct hits on the grid (covers families with constant rational
+    # beta), then the roots, each kept unless an earlier candidate for the
+    # same angles had a residual at least as small
+    A_all = np.concatenate([A_grid, A_root])
     found = {}
-
-    def consider(A_star, beta_star):
-        cand = _rational_candidate(beta_star, b_max)
-        if cand is None:
-            return
-        a_vec, b, residual = cand
-        if residual > tol:
-            return
-        a_vec, b = _reduce_hcf(a_vec, b)
-        key = (a_vec, b)
+    for A_star, a_vec, denom, residual in zip(
+            A_all.tolist(), *_rational_candidates(beta_at(A_all), b_max)):
+        if not residual <= tol:
+            continue
+        residual = float(residual)
+        a_vec, denom = _reduce_hcf(tuple(int(x) for x in a_vec), int(denom))
+        key = (a_vec, denom)
         if key in found and found[key].residual <= residual:
-            return
-        params = CentredParams(m, a, tuple(al), float(A_star), c=c)
-        sol = PeriodicSolution(params, a_vec, b, residual=residual)
-        found[key] = PeriodicSolution(params, a_vec, b,
+            continue
+        params = CentredParams(m, a, tuple(al), A_star, c=c)
+        sol = PeriodicSolution(params, a_vec, denom, residual=residual)
+        found[key] = PeriodicSolution(params, a_vec, denom,
                                       topology=classify_topology(sol, c),
                                       residual=residual)
-
-    # direct hits on the grid (covers families with constant rational beta)
-    for A_val, bvec in zip(A_grid, beta_grid):
-        consider(A_val, bvec)
-
-    # bracketing integer crossings of b*beta_1/pi between grid points
-    for b in range(1, b_max + 1):
-        r0 = b * beta_grid[:, 0] / np.pi
-        for i in range(n_grid - 1):
-            lo_n = int(np.ceil(min(r0[i], r0[i + 1])))
-            hi_n = int(np.floor(max(r0[i], r0[i + 1])))
-            for n_target in range(lo_n, hi_n + 1):
-                target = np.pi * n_target / b
-
-                def g(A):
-                    return beta_at(A)[0] - target
-
-                g_lo = beta_grid[i, 0] - target
-                g_hi = beta_grid[i + 1, 0] - target
-                if g_lo == 0.0 or g_hi == 0.0 or g_lo * g_hi > 0:
-                    continue
-                A_star = brentq(g, A_grid[i], A_grid[i + 1], xtol=1e-14)
-                consider(A_star, beta_at(A_star))
-
     return sorted(found.values(), key=lambda s: (s.denom, s.int_angles))
 
 

@@ -360,8 +360,6 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=m_default)
         sp.add_argument("--a", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
 
     sp = sub.add_parser("evolve", help="integrate a diagonal start under the "
                         "general engine on quadric data")

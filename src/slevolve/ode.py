@@ -14,7 +14,8 @@ values and event times equal scipy's bit for bit (``tests/test_ode.py``
 holds scipy as the oracle).  What differs is the bookkeeping: the dense
 output is one set of arrays evaluated for all query times at once, and with
 ``t_eval`` the interpolant is built only on steps that contain a requested
-time.  scipy is imported only when an event has to be localized (``brentq``).
+time.  Event times come from ``roots.brent``, which equals scipy's
+``brentq`` bit for bit, so the driver imports no scipy module.
 
 The tableau and the ported algorithm come from SciPy, under this notice:
 
@@ -53,6 +54,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 import numpy as np
 
 from .errors import NumericalError
+from .roots import EPS, brent
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -250,7 +252,6 @@ D[3, 15] = -0.14972683625798562581422125276e+3
 # the driver
 # ---------------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
 SAFETY = 0.9        # multiplies steps predicted from the error estimate
 MIN_FACTOR = 0.2    # largest decrease of a step size
 MAX_FACTOR = 10     # largest increase of a step size
@@ -403,9 +404,10 @@ def _find_active_events(g, g_new, direction):
     return np.nonzero(mask)[0]
 
 
-def _dop853(fun, t_end, y0, rtol, atol, events, t_eval):
+def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
     """The scipy DOP853 solver and the ``solve_ivp`` loop around it, on a
-    real state, started at t = 0."""
+    real state, started at t = 0; ``where`` (stage, params) names the run
+    in root-finding errors."""
     t0, tf = 0.0, float(t_end)
     rtol = max(rtol, 100 * EPS)
     atol = np.asarray(atol)
@@ -533,7 +535,7 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval):
                 active, roots, terminate = _event_roots(
                     events, active, event_count, max_events, t_old, t,
                     _step_interpolant(seg_t_old[seg], seg_h[seg],
-                                      seg_y_old[seg], seg_F[seg]))
+                                      seg_y_old[seg], seg_F[seg]), where)
                 for e, te in zip(active, roots):
                     t_events[e].append(te)
                 if terminate:
@@ -584,12 +586,18 @@ def _step_interpolant(t_old, h, y_old, F):
     return sol
 
 
-def _event_roots(events, active, event_count, max_events, t_old, t, sol):
-    """Roots of the active events on one step (scipy's ``handle_events``)."""
-    from scipy.optimize import brentq
-    roots = np.asarray([
-        brentq(lambda s, ev=events[i].fun: ev(s, sol(s)), t_old, t,
-               xtol=4 * EPS, rtol=4 * EPS) for i in active])
+def _event_roots(events, active, event_count, max_events, t_old, t, sol,
+                 where):
+    """Roots of the active events on one step (scipy's ``handle_events``),
+    all located by one lockstep ``brent``; ``where`` is (stage, params)."""
+    def g(s, rows):
+        return np.array([events[active[r]].fun(x, sol(x))
+                         for x, r in zip(s.tolist(), rows.tolist())])
+
+    stage, params = where
+    roots = brent(g, np.full(active.size, t_old), np.full(active.size, t),
+                  xtol=4 * EPS, rtol=4 * EPS, stage=f"{stage} event",
+                  params=params)
     if np.any(event_count[active] >= max_events[active]):
         order = np.argsort(roots) if t > t_old else np.argsort(-roots)
         active = active[order]
@@ -614,7 +622,7 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     """
     z0 = np.asarray(z0, dtype=complex)
     sol = _dop853(rhs, t_end, np.concatenate([z0.real, z0.imag]), rtol, atol,
-                  events, t_eval)
+                  events, t_eval, (stage, params))
     if sol.status < 0:
         where = ", ".join(f"{k}={v}" for k, v in params.items())
         raise IntegrationError(

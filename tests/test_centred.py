@@ -491,6 +491,35 @@ class TestBatchedQuadrature:
             one = betas(CentredParams(m, a, al, float(A), c=0.0))
             assert row == one
 
+    def test_rows_of_different_depth(self, monkeypatch):
+        # one panel at A/A_max = 1 - 1e-10, a few at 0.5, thousands at 1e-3:
+        # rows that are done drop out of the integrand calls, the deep row
+        # then takes many panels per call, and every row still equals its
+        # scalar call bit for bit
+        al = symmetric_alphas(4, 2)
+        params = CentredParams(4, 2, al, 0.5, c=0.0)
+        A = np.array([0.5, 1 - 1e-10, 1e-3]) * params.A_max
+        calls = []
+        real = centred.adaptive_gauss
+
+        def spy(f, a, b, **kw):
+            def g(nodes):
+                calls.append((nodes.rows.tolist(), nodes.x.shape[1] // 48))
+                return f(nodes)
+            return real(g, a, b, **kw)
+
+        monkeypatch.setattr(centred, "adaptive_gauss", spy)
+        rows = centred.betas_grid(params, A)
+        grid_calls = list(calls)
+        for A_r, row in zip(A, rows):
+            assert row == betas(CentredParams(4, 2, al, float(A_r), c=0.0))
+        assert grid_calls[0][0] == [0, 1, 2]
+        assert all(r == [2] for r, _ in grid_calls[3:])
+        assert max(w for _, w in grid_calls) > 64
+        # nodes go only to pending panels of pending rows: far fewer than
+        # the old lockstep layout, which fed every row each call
+        assert sum(len(r) * w for r, w in grid_calls) < 1.1 * 4469 + 10
+
     @pytest.mark.parametrize("m", range(2, 8))
     def test_betas_match_ode(self, m):
         rng = np.random.default_rng(100 + m)
@@ -612,3 +641,106 @@ class TestBatchedQuadrature:
         assert seen.count("call") == 3
         shapes = {s for s in seen if s != "call"}
         assert shapes == {(1, 5), (1, 4)}
+
+
+# periodic_search output recorded before the lockstep root finder: A and the
+# residual as float.hex, so any change to the search shows up bit for bit
+GOLDEN_SEARCH = {
+    "sym(3,1)": [
+        ((-8, 4, 4), 7, "0x1.a957a66a24680p+0", "0x1.0000000000000p-50",
+         "two T²-cones, N_− = −N_+")],
+    "sym(6,3)": [
+        ((-1, -1, -1, 1, 1, 1), 2, "0x1.b27b802ce9a3bp-2",
+         "0x1.8000000000000p-50", "cone on S^2×S^2×S^1 (possibly /Z₂)"),
+        ((-2, -2, -2, 2, 2, 2), 5, "0x1.4fa0dc084abe9p-4",
+         "0x1.8800000000000p-47", "cone on S^2×S^2×S^1 (possibly /Z₂)"),
+        ((-4, -4, -4, 4, 4, 4), 7, "0x1.e15c4f9264859p-1",
+         "0x1.8000000000000p-51", "cone on S^2×S^2×S^1 (possibly /Z₂)"),
+        ((-3, -3, -3, 3, 3, 3), 7, "0x1.32a8fbf60aa45p-3",
+         "0x1.6000000000000p-49", "cone on S^2×S^2×S^1 (possibly /Z₂)"),
+        ((-3, -3, -3, 3, 3, 3), 8, "0x1.3a317ecbc00a9p-5",
+         "0x1.5000000000000p-47", "cone on S^2×S^2×S^1 (possibly /Z₂)")],
+    # untied alphas have no closed family; tol = 1e-2 keeps the nearest
+    # rational point, which exercises the candidate choice all the same
+    "seed 11, m=3, a=1": [
+        ((-9, 5, 4), 8, "0x1.1655363d86344p+0", "0x1.38d784da44800p-11",
+         "T²-cone, N = −N")],
+    "seed 27, m=3, a=2": [
+        ((-3, -6, 9), 8, "0x1.358be1bbd8affp+0", "0x1.3ec6784a37400p-8",
+         "cone on S^1×S^0×S^1 (possibly /Z₂)")],
+}
+
+
+def _golden_case(name):
+    if name.startswith("sym"):
+        m, a = (int(x) for x in name[4:-1].split(","))
+        return symmetric_alphas(m, a), a, 1e-8
+    seed, m, a = (int(part.split("=")[-1].split()[-1])
+                  for part in name.split(","))
+    rng = np.random.default_rng(seed)
+    return normalize_lambda(rng.uniform(0.5, 3.0, size=m), a)[0], a, 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_search_golden(name):
+    alphas, a, tol = _golden_case(name)
+    got = [(s.int_angles, s.denom, float(s.params.A).hex(),
+            float(s.residual).hex(), s.topology)
+           for s in periodic_search(alphas, a, 8, tol=tol)]
+    assert got == GOLDEN_SEARCH[name]
+
+
+def _rational_candidate_loop(beta_vals, b_max):
+    """The scalar reference: best (a_vec, b, residual), first b wins ties."""
+    best = None
+    r = np.asarray(beta_vals) / np.pi
+    for b in range(1, b_max + 1):
+        a_vec = np.round(b * r).astype(int)
+        if a_vec.sum() != 0:
+            continue
+        residual = float(np.max(np.abs(beta_vals - np.pi * a_vec / b)))
+        if best is None or residual < best[2]:
+            best = (tuple(int(x) for x in a_vec), b, residual)
+    return best
+
+
+def test_rational_candidates_equal_scalar_loop():
+    rng = np.random.default_rng(41)
+    beta = np.empty((600, 4))
+    # exact rationals (ties between b and its multiples), near rationals
+    # and generic angles, all summing to zero
+    num = rng.integers(-9, 10, size=(600, 3))
+    den = rng.integers(1, 9, size=(600, 1))
+    beta[:, :3] = np.pi * num / den
+    beta[200:400, :3] += rng.normal(scale=1e-3, size=(200, 3))
+    beta[400:, :3] = rng.uniform(-3, 3, size=(200, 3))
+    beta[:, 3] = -beta[:, :3].sum(axis=1)
+    none = 0
+    for b_max in (2, 8):
+        a_vec, b, residual = centred._rational_candidates(beta, b_max)
+        for row, av, bb, res in zip(beta, a_vec, b, residual):
+            want = _rational_candidate_loop(row, b_max)
+            if want is None:
+                none += 1
+                assert res == np.inf
+            else:
+                assert (tuple(int(x) for x in av), int(bb), float(res)) == want
+    assert none > 0
+
+
+def test_search_batches_its_quadrature(monkeypatch):
+    # one betas_grid call for the grid plus one per root-finding round, and
+    # no one-row betas call
+    sizes = []
+    real = centred.betas_grid
+
+    def spy(params, A, tol=3e-12):
+        sizes.append(np.size(A))
+        return real(params, A, tol=tol)
+
+    monkeypatch.setattr(centred, "betas_grid", spy)
+    monkeypatch.setattr(centred, "betas", None)
+    sols = periodic_search(symmetric_alphas(6, 3), 3, 8)
+    assert len(sols) == 5
+    assert sizes[0] == 96 and len(sizes) < 20
+    assert max(sizes[1:]) > 1

@@ -55,7 +55,7 @@ class TestSearchCommand:
         scan = tmp_path / "scan.csv"
         rc = run(["search", "--m", "3", "--a", "1", "--family", "sym",
                   "--bmax", "8", "--grid", "48", "--verify",
-                  "--out", str(out), "--scan-csv", str(scan), "--jobs", "2"])
+                  "--out", str(out), "--scan-csv", str(scan)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["count"] >= 1

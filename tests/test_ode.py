@@ -244,11 +244,27 @@ print(json.dumps([rc, sorted(m for m in sys.modules
 """
 
 
-def _scipy_modules_after(argv, cwd):
+# the root-finding library calls, each in the same fresh process
+_LIBRARY_PROBE = """
+import json, sys
+from slevolve import centred
+al, _ = centred.normalize_lambda([1.0, 1.4, 2.5], 1)
+sols = centred.periodic_search(centred.symmetric_alphas(3, 1), 1, 8)
+defect = centred.verify_periodic(sols[0])["max_defect"]
+params = centred.CentredParams(3, 1, al, 0.5 * float(centred.np.sqrt(
+    centred.np.prod(al))), c=0.0)
+fired = centred.betas_ode(params).period_T > 0
+assert len(sols) == 1 and defect < 1e-6 and fired
+print(json.dumps([0, sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_modules_after(argv, cwd, probe=_PROBE):
     env = dict(os.environ, SLEVOLVE_OUTDIR=str(cwd))
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                           env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -277,6 +293,14 @@ def test_cli_commands_load_no_scipy(tmp_path):
          "--summary", "a.json"],
         ["verify", "--mesh", str(tmp_path / "mesh.json"), "--threshold",
          "1e-6", "--out", "v.json"],
+        ["search", "--m", "3", "--a", "1", "--family", "sym", "--bmax", "8",
+         "--verify", "--out", "s.json"],
     ]
     for argv in argvs:
         assert _scipy_modules_after(argv, tmp_path) == [], argv
+
+
+def test_root_finding_loads_no_scipy(tmp_path):
+    # normalize_lambda, periodic_search, verify_periodic and betas_ode with
+    # its firing period event all find roots with roots.brent
+    assert _scipy_modules_after([], tmp_path, _LIBRARY_PROBE) == []
