@@ -103,6 +103,7 @@ def cmd_evolve(ns) -> int:
             "initial_membership": {
                 "max_omega_residual": diag.max_omega_residual,
                 "min_singular_ratio": diag.min_singular_ratio},
+            "diagnostics": traj.diagnostics(),
             "escaped": traj.escaped,
             "escape_time": traj.escape_time,
             "flagged_checkpoints": traj.flagged,

@@ -104,16 +104,35 @@ class EvolutionData:
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         return self.sampler(count, seed)
 
+    def tangent_bases(self, pts) -> np.ndarray:
+        """Orthonormal bases of T_p P as rows for stacked points, shape
+        (N, m-1, n).
+
+        One stacked full SVD of the normal covectors (r, n) at every point;
+        the rank rule and the rows kept are ``scipy.linalg.null_space``'s:
+        singular values above s.max() * eps * max(r, n) span the normal
+        space, and the remaining right singular vectors are the basis.
+        """
+        pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
+        if len(pts) == 0:
+            return np.empty((0, self.m - 1, self.n))
+        N = np.array([np.atleast_2d(self.normals(p)) for p in pts])
+        _, s, vh = np.linalg.svd(N, full_matrices=True)
+        tol = np.max(s, axis=-1, initial=0.0) * (
+            np.finfo(float).eps * max(N.shape[1], self.n))
+        dims = self.n - np.sum(s > tol[:, None], axis=-1)
+        bad = np.nonzero(dims != self.m - 1)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                f"{self.label}: tangent space at sample {i} (point "
+                f"{pts[i].tolist()}) has dimension {dims[i]}, expected "
+                f"{self.m - 1}")
+        return np.ascontiguousarray(vh[:, self.n - self.m + 1:, :])
+
     def tangent_basis(self, p) -> np.ndarray:
         """Orthonormal basis of T_p P as rows, from the normal covectors."""
-        from scipy.linalg import null_space
-        N = np.atleast_2d(self.normals(p))
-        basis = null_space(N)
-        if basis.shape[1] != self.m - 1:
-            raise ValidationError(
-                f"tangent space at sample has dimension {basis.shape[1]}, "
-                f"expected {self.m - 1}")
-        return basis.T
+        return self.tangent_bases(np.asarray(p, dtype=float)[None])[0]
 
     def tangency_residual(self, p) -> float:
         """Size of the component of chi(p) transverse to T_p P: the interior
@@ -167,6 +186,35 @@ class EvolutionData:
 # quadric evolution data
 # ---------------------------------------------------------------------------
 
+def _line_roots(coeffs: np.ndarray):
+    """Roots s of a2 s^2 + a1 s + a0 for each row (a2, a1, a0) of coeffs,
+    or -a0/a1 when |a2| <= 1e-14 (none when |a1| is below it too).
+
+    The quadratics are solved by one stacked ``eigvals`` of their companion
+    matrices, which equals ``np.roots`` bit for bit.  Rows where np.roots
+    takes another path keep it: a0 = 0 (stripped into an exact root 0) and
+    non-finite coefficients (its error).  Yields one root array per row, in
+    order.
+    """
+    a2, a1, a0 = coeffs.T
+    quad = np.abs(a2) > 1e-14
+    stacked = quad & (a0 != 0.0) & np.isfinite(a1) & np.isfinite(a0)
+    comp = np.zeros((int(stacked.sum()), 2, 2))
+    comp[:, 0, 0] = -a1[stacked] / a2[stacked]
+    comp[:, 0, 1] = -a0[stacked] / a2[stacked]
+    comp[:, 1, 0] = 1.0
+    eig = iter(np.linalg.eigvals(comp))
+    for i in range(len(coeffs)):
+        if stacked[i]:
+            yield next(eig)
+        elif quad[i]:
+            yield np.roots(coeffs[i])
+        elif abs(a1[i]) > 1e-14:
+            yield [-a0[i] / a1[i]]
+        else:
+            yield []
+
+
 def _quadric_sampler(spec: QuadricSpec, c: float):
     """Sample the level set Q = c by intersecting random lines with it,
     rejecting points where |dQ| is below the nonsingularity threshold."""
@@ -176,24 +224,29 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
     def sampler(count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         pts = []
-        attempts = 0
-        while len(pts) < count and attempts < 250 * count + 500:
-            attempts += 1
-            p0 = rng.normal(size=n) * rng.uniform(0.3, 3.0)
-            d = rng.normal(size=n)
-            a2 = d @ spec.S @ d
-            a1 = 2.0 * p0 @ spec.S @ d + spec.b @ d
-            a0 = spec.value(p0) - c
-            roots = np.roots([a2, a1, a0]) if abs(a2) > 1e-14 else (
-                [-a0 / a1] if abs(a1) > 1e-14 else [])
-            for s in roots:
-                if abs(np.imag(s)) > 1e-12:
-                    continue
-                p = p0 + float(np.real(s)) * d
+        attempts, budget = 0, 250 * count + 500
+        while len(pts) < count and attempts < budget:
+            # one block of lines per round, drawn in the per-attempt order;
+            # the draws past the last accepted point are never used
+            block = min(count - len(pts), budget - attempts)
+            attempts += block
+            lines, coeffs = [], []
+            for _ in range(block):
+                p0 = rng.normal(size=n) * rng.uniform(0.3, 3.0)
+                d = rng.normal(size=n)
+                lines.append((p0, d))
+                coeffs.append((d @ spec.S @ d,
+                               2.0 * p0 @ spec.S @ d + spec.b @ d,
+                               spec.value(p0) - c))
+            roots = _line_roots(np.array(coeffs))
+            hits = (p0 + float(np.real(s)) * d
+                    for (p0, d), rs in zip(lines, roots)
+                    for s in rs if abs(np.imag(s)) <= 1e-12)
+            for p in hits:
                 if np.linalg.norm(spec.gradient(p)) >= _SINGULAR_TOL * scale:
                     pts.append(p)
-                if len(pts) >= count:
-                    break
+                    if len(pts) >= count:
+                        break
         if len(pts) < count:
             raise ConstructionError(
                 "could not sample the quadric level set (empty or degenerate)")

@@ -147,40 +147,37 @@ class CPDiagnostics:
                 and self.min_singular_ratio >= sv_ratio_tol)
 
 
-def _tangent_bases(data: EvolutionData, pts: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases at the sample points, shape (N, m-1, n)."""
-    return np.array([data.tangent_basis(p) for p in pts]).reshape(
-        len(pts), data.m - 1, data.n)
+def _omega_residuals(Z: np.ndarray) -> np.ndarray:
+    """Pullback-omega residual of each stack of pushed tangent frames
+    Z (C, N, m-1, m), shape (C,).
 
-
-def _membership_arrays(A: np.ndarray, bases: np.ndarray) -> CPDiagnostics:
-    """Admissibility diagnostics of the linear part A on stacked tangent
-    bases (N, m-1, n).
-
-    Row i of Z[p] is the i-th basis vector pushed into C^m; omega of two
-    pushed vectors is Im(conj(z_i) . z_j), normalized by their lengths, and
-    injectivity comes from the singular values of the real (2m, m-1) frames.
+    Row i of Z[c, p] is the i-th tangent basis vector at sample p pushed
+    into C^m by map c; omega of two pushed vectors is Im(conj(z_i) . z_j),
+    normalized by their lengths, and the residual is its largest size over
+    samples and pairs.
     """
-    Z = bases @ A.T
     norms = np.linalg.norm(Z, axis=-1)
-    iu, ju = np.triu_indices(Z.shape[1], 1)
-    omega = np.imag(np.conj(Z) @ Z.transpose(0, 2, 1))[:, iu, ju]
-    denom = np.maximum(norms[:, iu] * norms[:, ju], 1e-300)
-    svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
-                          compute_uv=False)
-    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-    return CPDiagnostics(float(np.max(np.abs(omega) / denom, initial=0.0)),
-                         float(np.min(svals[:, -1], initial=np.inf)),
-                         float(np.min(ratios, initial=np.inf)),
-                         len(bases))
+    iu, ju = np.triu_indices(Z.shape[-2], 1)
+    omega = np.imag(np.conj(Z) @ np.swapaxes(Z, -1, -2))[..., iu, ju]
+    denom = np.maximum(norms[..., iu] * norms[..., ju], 1e-300)
+    return np.max((np.abs(omega) / denom).reshape(len(Z), -1), axis=1,
+                  initial=0.0)
 
 
 def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
                   seed: int = 0) -> CPDiagnostics:
-    """Evaluate the two admissibility conditions on sampled points of P."""
+    """Evaluate the two admissibility conditions on sampled points of P:
+    the omega residual, and injectivity from the singular values of the
+    real (2m, m-1) pushed frames."""
     _check_dims(phi, data)
-    bases = _tangent_bases(data, data.sample(n_samples, seed))
-    return _membership_arrays(phi.A, bases)
+    Z = data.tangent_bases(data.sample(n_samples, seed)) @ phi.A.T
+    svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
+                          compute_uv=False)
+    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    return CPDiagnostics(float(_omega_residuals(Z[None])[0]),
+                         float(np.min(svals[:, -1], initial=np.inf)),
+                         float(np.min(ratios, initial=np.inf)),
+                         len(Z))
 
 
 @dataclass
@@ -188,7 +185,8 @@ class Trajectory:
     """Time-indexed maps with integration and membership diagnostics.
 
     nfev and accepted_steps summarize the controller's work (their gap
-    reflects rejected trials and dense-output setup).
+    reflects rejected trials and dense-output setup); membership_samples is
+    the number of sample points the residuals are taken over.
     """
 
     times: np.ndarray
@@ -199,9 +197,16 @@ class Trajectory:
     flagged: list = field(default_factory=list)
     nfev: int = 0
     accepted_steps: int = 0
+    membership_samples: int = 0
 
     def final(self) -> EvolMap:
         return self.maps[-1]
+
+    def diagnostics(self) -> dict:
+        """The run's deterministic work counts."""
+        return {"nfev": self.nfev, "accepted_steps": self.accepted_steps,
+                "checkpoints": len(self.times),
+                "membership_samples": self.membership_samples}
 
 
 def _pack(A: np.ndarray, t0: np.ndarray) -> np.ndarray:
@@ -254,16 +259,18 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     escape_time = float(sol.t_events[0][0]) if escaped else None
     t_last = sol.t[-1]
     times = np.linspace(0.0, t_last, checkpoints)
-    maps = [EvolMap(n, m, z[:m * n].reshape(m, n), z[m * n:])
-            for z in sol(times)]
+    zs = sol(times)
+    maps = [EvolMap(n, m, z[:m * n].reshape(m, n), z[m * n:]) for z in zs]
 
-    bases = _tangent_bases(data, data.sample(membership_samples, seed))
-    residuals = np.array([_membership_arrays(mp.A, bases).max_omega_residual
-                          for mp in maps])
+    # every checkpoint's map pushes the same frames
+    bases = data.tangent_bases(data.sample(membership_samples, seed))
+    As = zs[:, :m * n].reshape(-1, m, n)
+    residuals = _omega_residuals(bases @ np.swapaxes(As, 1, 2)[:, None])
     tol_line = 10.0 * residuals[0] + 1e-8
     flagged = [int(i) for i in np.nonzero(residuals > tol_line)[0]]
     return Trajectory(times, maps, residuals, escaped, escape_time,
-                      flagged, int(sol.nfev), accepted_steps=len(sol.t) - 1)
+                      flagged, int(sol.nfev), accepted_steps=len(sol.t) - 1,
+                      membership_samples=len(bases))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -153,6 +153,22 @@ class TestEvolveCommand:
         doc = json.loads(summary.read_text())
         assert doc["max_omega_residual"] <= 1e-8
 
+    def test_summary_diagnostics_deterministic(self, tmp_path, monkeypatch):
+        # the config echoes the path, so the two runs write the same name
+        monkeypatch.delenv("SLEVOLVE_OUTDIR", raising=False)
+        paths = [tmp_path / d / "s.json" for d in ("one", "two")]
+        for path in paths:
+            path.parent.mkdir()
+            monkeypatch.chdir(path.parent)
+            assert run(["evolve", "--m", "4", "--a", "2", "--t-end", "1",
+                        "--seed", "3", "--summary", "s.json"]) == 0
+        text = paths[0].read_bytes()
+        assert text == paths[1].read_bytes()
+        diag = json.loads(text)["diagnostics"]
+        assert diag["checkpoints"] == 33
+        assert diag["membership_samples"] == 40
+        assert diag["nfev"] > diag["accepted_steps"] > 0
+
     def test_escape_reported(self, tmp_path):
         summary = tmp_path / "s.json"
         rc = run(["evolve", "--m", "3", "--a", "3", "--c", "1.0",

@@ -295,6 +295,10 @@ def test_cli_commands_load_no_scipy(tmp_path):
          "1e-6", "--out", "v.json"],
         ["search", "--m", "3", "--a", "1", "--family", "sym", "--bmax", "8",
          "--verify", "--out", "s.json"],
+        # membership_cp and evolver.integrate: sampler, tangent frames,
+        # DOP853 with its blow-up event, checkpoint residuals
+        ["evolve", "--m", "3", "--a", "1", "--t-end", "1", "--summary",
+         "s.json"],
     ]
     for argv in argvs:
         assert _scipy_modules_after(argv, tmp_path) == [], argv
