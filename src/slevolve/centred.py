@@ -23,7 +23,7 @@ pass through zero and the lift jumps, so work in w coordinates there.
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -299,40 +299,50 @@ class WSolutionPath:
         return np.unwrap(np.angle(W), axis=0)
 
 
-def _rhs_packed(signs: tuple, t, y) -> np.ndarray:
-    """``rhs_w`` on the packed real vector (Re w, Im w) of ``ode.solve``.
+@lru_cache(maxsize=None)
+def _w_kernel(a: int, m: int):
+    """``rhs_w`` as ``rhs(t, y)`` on the packed real vector (Re w, Im w) of
+    ``ode.solve``: straight-line code, generated and compiled once per
+    (a, m).
 
-    The running products of ``_leave_one_out`` on Python complex numbers,
-    with the conjugate and the signs (one +-1.0 per letter) applied to the
-    real parts directly: a row this short costs far less this way than in
-    numpy calls, and the ODE solvers call it once per stage.
+    It makes the running products of ``_leave_one_out`` on Python complex
+    numbers in a fixed order: the prefixes prod_{k<j} w_k, the suffixes
+    prod_{k>j} w_k, then prefix * suffix.  Both chains start from 1+0j and
+    keep their products with it, which can change the sign of a zero
+    (``tests/test_centred.py`` holds the plain loop as the bitwise
+    reference).  The conjugate and the sign of letter j come in as one
+    multiplication of the real part by +-1.0 and of the imaginary part by
+    -+1.0.  A row this short costs far less this way than in numpy calls,
+    and the ODE driver calls it once per stage.
     """
-    m = len(signs)
-    vals = y.tolist()
-    w = list(map(complex, vals[:m], vals[m:]))
-    pre = [1 + 0j]                  # prod_{k<j} w_k
-    for z in w[:-1]:
-        pre.append(pre[-1] * z)
-    out = [0.0] * (2 * m)
-    suf = 1 + 0j                    # prod_{k>j} w_k
+    signs = (1.0,) * a + (-1.0,) * (m - a)
+    xs = [f"x{j}" for j in range(m)] + [f"v{j}" for j in range(m)]
+    body = [f"{', '.join(xs)}, = y.tolist()"]
+    body += [f"w{j} = complex(x{j}, v{j})" for j in range(m)]
+    pre, suf = ["one"], "one"       # prod_{k<j} w_k; prod_{k>j} w_k
+    for j in range(m - 1):
+        body.append(f"p{j + 1} = {pre[j]} * w{j}")
+        pre.append(f"p{j + 1}")
     for j in range(m - 1, -1, -1):
-        p = pre[j] * suf
-        out[j], out[m + j] = signs[j] * p.real, -signs[j] * p.imag
-        suf = w[j] * suf
-    return np.array(out)
-
-
-def _w_signs(a: int, m: int) -> tuple:
-    return (1.0,) * a + (-1.0,) * (m - a)
+        body.append(f"q{j} = {pre[j]} * {suf}")
+        if j:
+            body.append(f"s{j} = w{j} * {suf}")
+            suf = f"s{j}"
+    out = ([f"{signs[j]!r} * q{j}.real" for j in range(m)]
+           + [f"{-signs[j]!r} * q{j}.imag" for j in range(m)])
+    body.append(f"return array(({', '.join(out)},), dtype=float)")
+    src = "def rhs(t, y):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"one": 1 + 0j, "array": np.array}
+    exec(compile(src, f"<w kernel a={a} m={m}>", "exec"), namespace)
+    return namespace["rhs"]
 
 
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
                 atol: float = 1e-13) -> WSolutionPath:
     """Integrate the w system from t=0 to t_end with dense output."""
     w0 = np.asarray(w0, dtype=complex)
-    sol = ode.solve(partial(_rhs_packed, _w_signs(a, w0.size)), w0, t_end,
-                    rtol, atol, stage="integrate_w",
-                    params={"m": w0.size, "a": a})
+    sol = ode.solve(_w_kernel(a, w0.size), w0, t_end, rtol, atol,
+                    stage="integrate_w", params={"m": w0.size, "a": a})
     return WSolutionPath(a, sol, (0.0, sol.t[-1]))
 
 
@@ -959,7 +969,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
     params.require_case_d()
     w0 = w_initial(params)
     m = params.m
-    rhs = partial(_rhs_packed, _w_signs(params.a, m))
+    rhs = _w_kernel(params.a, m)
 
     def du_event(t, y):
         w = y[:m] + 1j * y[m:]
@@ -1131,18 +1141,20 @@ def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
     w_j(t + b T) = (-1)^{a_j} w_j(t) on a grid of t in [0, T].  Only the
     two check windows are asked of the solver, so steps between them build
     no interpolant; the values equal the dense output's bit for bit.
+    ``nfev`` and ``accepted_steps`` are the run's work counts.
     """
     params = sol.params
     quad = betas(params)
     T, b = quad.period_T, sol.denom
     w0 = w_initial(params)
     t_grid = np.linspace(0.0, T, n_check)
-    run = ode.solve(partial(_rhs_packed, _w_signs(params.a, params.m)), w0,
-                    b * T + T, rtol, atol, stage="verify_periodic",
+    run = ode.solve(_w_kernel(params.a, params.m), w0, b * T + T, rtol,
+                    atol, stage="verify_periodic",
                     params={"m": params.m, "a": params.a, "A": params.A},
                     t_eval=np.concatenate([t_grid, t_grid + b * T]))
     w_base, w_shift = run.z_eval[:n_check], run.z_eval[n_check:]
     signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
     err = float(np.max(np.abs(w_shift - signs * w_base)))
     return {"max_defect": err, "period_T": T, "denom": b,
-            "betas": list(quad.betas)}
+            "betas": list(quad.betas), "nfev": int(run.nfev),
+            "accepted_steps": int(run.t.size - 1)}

@@ -159,7 +159,9 @@ def cmd_search(ns) -> int:
             check = centred.verify_periodic(sol)
             entry["verification"] = {
                 "max_defect": check["max_defect"],
-                "period_T": check["period_T"]}
+                "period_T": check["period_T"],
+                "diagnostics": {k: check[k]
+                                for k in ("nfev", "accepted_steps")}}
         out_sols.append(entry)
         _progress(f"found a={entry['int_angles']} b={entry['denom']} "
                   f"A={entry['A']:.9g}")

@@ -8,14 +8,32 @@ complex start, calls the right-hand side on the packed real vector
 
 The method is DOP853 with its 7th-order dense output (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, Sec. II.5 and II.6),
-ported from scipy's ``solve_ivp(method="DOP853")`` with the same numpy
-operations in the same order: step times, right-hand-side counts, dense
-values and event times equal scipy's bit for bit (``tests/test_ode.py``
-holds scipy as the oracle).  What differs is the bookkeeping: the dense
-output is one set of arrays evaluated for all query times at once, and with
-``t_eval`` the interpolant is built only on steps that contain a requested
-time.  Event times come from ``roots.brent``, which equals scipy's
-``brentq`` bit for bit, so the driver imports no scipy module.
+ported from scipy's ``solve_ivp(method="DOP853")`` with the same floating
+point operations in the same order: step times, right-hand-side counts,
+dense values and event times equal scipy's bit for bit
+(``tests/test_ode.py`` holds scipy as the oracle).  What differs is the
+bookkeeping: the dense output is one set of arrays evaluated for all query
+times at once, and with ``t_eval`` the interpolant is built only on steps
+that contain a requested time.  Event times come from ``roots.brent``,
+which equals scipy's ``brentq`` bit for bit, so the driver imports no scipy
+module.
+
+Bitwise equality fixes which operations stay in numpy.  Every product whose
+rounding belongs to BLAS is the numpy call scipy makes: the gemv of each
+stage combination (written into one preallocated buffer, then scaled by h
+in place: the same elementwise product as scipy's ``np.dot(...) * h``), of
+the solution update and of both error estimates, the ``ddot`` of each
+error norm, and the dense output's ``np.dot(D, K)``.  A hand-written sum
+would round differently, and so may another BLAS build.  The scalar step
+control runs on Python floats: the direction, h and |h|, the stage times
+t + c*h, the minimum step (``math.nextafter``), the square roots of the
+error norm and the step factor.  Each of these is one IEEE-754 double
+operation (+, -, *, /, sqrt, or ``pow`` from the same C library), which
+rounds the same on a Python float as on a numpy float64 scalar, at a
+fraction of the numpy scalar's cost.  The ``t_eval`` window of each step
+comes from ``bisect`` on a list, which returns ``np.searchsorted``'s index
+on a sorted array, ties included (``bisect_right`` is side="right",
+``bisect_left`` side="left").
 
 The tableau and the ported algorithm come from SciPy, under this notice:
 
@@ -50,6 +68,9 @@ THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
+
+import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -258,9 +279,10 @@ MAX_FACTOR = 10     # largest increase of a step size
 ERROR_EXPONENT = -1 / 8     # -1 / (error estimator order + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# the stage rows A[s, :s], as the contiguous slices scipy's loop takes
-_STAGES = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(A[s, :s], C[s])
+# the stage rows A[s, :s], as the contiguous slices scipy's loop takes,
+# with the nodes C[s] as Python floats
+_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
+_EXTRA_STAGES = [(A[s, :s], float(C[s]))
                  for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
@@ -384,14 +406,15 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 
 
 def _error_norm(KT, h, scale):
-    err5 = np.dot(KT, E5) / scale
-    err3 = np.dot(KT, E3) / scale
-    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+    # the gemv and the ddot stay numpy's; the rest is Python floats
+    err5 = KT.dot(E5) / scale
+    err3 = KT.dot(E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def _find_active_events(g, g_new, direction):
@@ -412,15 +435,16 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
     rtol = max(rtol, 100 * EPS)
     atol = np.asarray(atol)
     n = y0.size
-    direction = np.sign(tf - t0) if tf != t0 else 1
+    direction = -1.0 if tf < t0 else 1.0
     dense = t_eval is None
 
     t, y = t0, y0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t0, y0, tf, f, direction, rtol, atol)
+    h_abs = float(_initial_step(fun, t0, y0, tf, f, direction, rtol, atol))
     nfev = 1 if t == tf else 2
     K_extended = np.empty((N_STAGES_EXTENDED, n))
     K = K_extended[:N_STAGES + 1]
+    dy = np.empty(n)
     # the transposed stage views scipy takes afresh at every stage
     stages = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, start=1)]
     extra_stages = [(K_extended[:s].T, a, c) for s, (a, c)
@@ -433,6 +457,8 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
         t_eval = np.asarray(t_eval, dtype=float)
         if direction < 0:
             t_eval = t_eval[::-1]
+        # ascending either way; bisect on the list is searchsorted's answer
+        t_eval_list = t_eval.tolist()
         t_eval_i = 0 if direction > 0 else t_eval.size
         eval_segs = np.empty(t_eval.size, dtype=int)
     directions = np.array([ev.direction for ev in events])
@@ -445,7 +471,8 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
         """Store the step's interpolant (three extra stages); return its
         index."""
         for s, (Ks, a, c) in enumerate(extra_stages, start=N_STAGES + 1):
-            dy = np.dot(Ks, a) * h
+            Ks.dot(a, out=dy)
+            np.multiply(dy, h, out=dy)
             K_extended[s] = fun(t_old + c * h, y_old + dy)
         F = np.empty((INTERPOLATOR_POWER, n))
         f_old = K_extended[0]
@@ -474,7 +501,7 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
             t_eval_i = t_eval.size
     while status is None:
         # one accepted step (RungeKutta._step_impl)
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
@@ -487,13 +514,14 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
             if direction * (t_new - tf) > 0:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             K[0] = f
             for s, (Ks, a, c) in enumerate(stages, start=1):
-                dy = np.dot(Ks, a) * h
+                Ks.dot(a, out=dy)
+                np.multiply(dy, h, out=dy)
                 K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(KT_main, B)
+            y_new = y + h * KT_main.dot(B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             nfev += N_STAGES
@@ -553,10 +581,10 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
         else:
             ts.append(t)
             if direction > 0:
-                t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+                t_eval_i_new = bisect_right(t_eval_list, t)
                 lo, hi = t_eval_i, t_eval_i_new
             else:
-                t_eval_i_new = np.searchsorted(t_eval, t, side="left")
+                t_eval_i_new = bisect_left(t_eval_list, t)
                 lo, hi = t_eval_i_new, t_eval_i
             if hi > lo:
                 if seg is None:

@@ -1,6 +1,16 @@
+import hashlib
+
 import numpy as np
 
 from slevolve import centred
+
+
+def digest_le(arr) -> str:
+    """SHA-256 of an array's little-endian bytes, as recorded reference
+    data stores long arrays."""
+    arr = np.asarray(arr)
+    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    return hashlib.sha256(np.ascontiguousarray(le).tobytes()).hexdigest()
 
 
 def random_case_d(rng, m, a=None, A_frac=None, c=1.0):

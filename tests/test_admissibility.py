@@ -17,23 +17,17 @@ scipy is a test-only oracle: the batched frames are checked against
 ``scipy.linalg.null_space`` point by point.
 """
 
-import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from conftest import digest_le
 from slevolve import ValidationError, evodata, evolver
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data",
                          "admissibility_reference.json")
-
-
-def _digest(arr) -> str:
-    arr = np.asarray(arr)
-    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return hashlib.sha256(np.ascontiguousarray(le).tobytes()).hexdigest()
 
 
 def _hex(values) -> list:
@@ -94,7 +88,7 @@ def snapshot() -> dict:
         traj = evolver.integrate(evolver.EvolMap.diagonal(w0), data, 1.0)
         maps = np.array([mp.A for mp in traj.maps])
         out["evolve"][label] = {
-            "maps_sha256": _digest(maps),
+            "maps_sha256": digest_le(maps),
             "final_map": _hex(maps[-1]),
             "omega_residuals": _hex(traj.omega_residuals),
             "nfev": traj.nfev, "accepted_steps": traj.accepted_steps}
@@ -113,7 +107,7 @@ def snapshot() -> dict:
                 "samples": diag.samples}
     for label, data in datas.items():
         out["sample"][f"{label}/12/seed=5"] = _hex(data.sample(12, 5))
-        out["sample"][f"{label}/200/seed=0"] = _digest(data.sample(200, 0))
+        out["sample"][f"{label}/200/seed=0"] = digest_le(data.sample(200, 0))
     return out
 
 

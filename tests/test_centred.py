@@ -15,6 +15,24 @@ from slevolve.centred import (CentredParams, PeriodicSolution,
                               verify_periodic, w_initial)
 
 
+def _packed_rhs_loop(signs, y):
+    """The w kernel's reference: the running-product loop it replaced, on
+    Python complex numbers, with signs[j] = +-1.0 per letter."""
+    m = len(signs)
+    vals = y.tolist()
+    w = list(map(complex, vals[:m], vals[m:]))
+    pre = [1 + 0j]                  # prod_{k<j} w_k
+    for z in w[:-1]:
+        pre.append(pre[-1] * z)
+    out = [0.0] * (2 * m)
+    suf = 1 + 0j                    # prod_{k>j} w_k
+    for j in range(m - 1, -1, -1):
+        p = pre[j] * suf
+        out[j], out[m + j] = signs[j] * p.real, -signs[j] * p.imag
+        suf = w[j] * suf
+    return np.array(out)
+
+
 class TestRhsW:
     def test_m3_unit_start(self):
         dw = rhs_w(np.array([1.0, 1.0, 1.0], complex), 1)
@@ -36,14 +54,26 @@ class TestRhsW:
     def test_packed_rhs_matches_rhs_w(self, m):
         rng = np.random.default_rng(m)
         for a in range(1, m + 1):
-            signs = centred._w_signs(a, m)
+            kernel = centred._w_kernel(a, m)
+            signs = (1.0,) * a + (-1.0,) * (m - a)
             for _ in range(50):
                 y = rng.normal(size=2 * m) * rng.uniform(0.1, 3.0)
                 want = rhs_w(y[:m] + 1j * y[m:], a)
-                got = centred._rhs_packed(signs, 0.0, y)
+                got = kernel(0.0, y)
+                assert got.tobytes() == _packed_rhs_loop(signs, y).tobytes()
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got[:m] - want.real)) <= 1e-15 * scale
                 assert np.max(np.abs(got[m:] - want.imag)) <= 1e-15 * scale
+            # magnitudes from 1e-150 to 1e150, with exact (signed) zeros:
+            # overflow, underflow and zero products round as in the loop
+            for _ in range(200):
+                y = rng.normal(size=2 * m) * 10.0 ** rng.uniform(
+                    -150, 150, size=2 * m)
+                zeros = rng.uniform(size=2 * m) < 0.25
+                y[zeros] = np.where(rng.uniform(size=2 * m) < 0.5,
+                                    0.0, -0.0)[zeros]
+                assert (kernel(0.0, y).tobytes()
+                        == _packed_rhs_loop(signs, y).tobytes())
 
     def test_packed_rhs_keeps_verify_defects(self):
         # verify_periodic integrated on the rhs_w closure it used before

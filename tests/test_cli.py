@@ -70,6 +70,24 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert "found" in captured.err
 
+    def test_verify_diagnostics_deterministic(self, tmp_path, monkeypatch):
+        # the config echoes the path, so the two runs write the same name
+        monkeypatch.delenv("SLEVOLVE_OUTDIR", raising=False)
+        paths = [tmp_path / d / "s.json" for d in ("one", "two")]
+        for path in paths:
+            path.parent.mkdir()
+            monkeypatch.chdir(path.parent)
+            assert run(["search", "--m", "4", "--a", "2", "--family", "sym",
+                        "--bmax", "8", "--verify", "--out", "s.json"]) == 0
+        text = paths[0].read_bytes()
+        assert text == paths[1].read_bytes()
+        sols = json.loads(text)["solutions"]
+        assert len(sols) == 4
+        for sol in sols:
+            diag = sol["verification"]["diagnostics"]
+            assert set(diag) == {"nfev", "accepted_steps"}
+            assert diag["nfev"] > diag["accepted_steps"] > 0
+
     def test_data_stream_clean(self, tmp_path, capsys):
         out = tmp_path / "sols.json"
         run(["search", "--m", "2", "--a", "1", "--alphas", "1.3,1.3",

@@ -165,25 +165,51 @@ class TestAgainstScipy:
         assert ref.status == -1 and ref.message == entry["sol"].message
 
     def test_verify_periodic_windows(self, calls):
+        self._check_windows(calls, 3, 1, (-8, 4, 4), 7)
+
+    def test_verify_periodic_windows_m6(self, calls):
+        self._check_windows(calls, 6, 3, (-3, -3, -3, 3, 3, 3), 8)
+
+    @staticmethod
+    def _check_windows(calls, m, a, angles, b):
         sol = next(s for s in centred.periodic_search(
-            centred.symmetric_alphas(3, 1), 1, 8) if s.int_angles == (-8, 4, 4))
+            centred.symmetric_alphas(m, a), a, 8)
+            if (s.int_angles, s.denom) == (angles, b))
         calls.clear()
         got = centred.verify_periodic(sol)
         (entry,) = calls
         ref = assert_matches_scipy(entry)
+        assert got["nfev"] == ref.nfev == entry["sol"].nfev
         # the same defect as reading both windows off the dense output
-        T, b = got["period_T"], sol.denom
-        path = centred.integrate_w(centred.w_initial(sol.params), 1,
+        T = got["period_T"]
+        path = centred.integrate_w(centred.w_initial(sol.params), a,
                                    b * T + T)
+        dense = assert_matches_scipy(calls[-1])
         t_grid = np.linspace(0.0, T, 257)
         assert np.array_equal(entry["sol"].z_eval,
                               path.w(np.concatenate([t_grid, t_grid + b * T])))
         signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
-        dense = np.max(np.abs(path.w(t_grid + b * T) - signs * path.w(t_grid)))
-        assert got["max_defect"] == float(dense)
-        # interpolants only on the steps holding a window point
+        defect = np.max(np.abs(path.w(t_grid + b * T)
+                               - signs * path.w(t_grid)))
+        assert got["max_defect"] == float(defect)
+        # the same steps; interpolants only on those holding a window point
+        assert got["accepted_steps"] == dense.t.size - 1
         assert entry["sol"].nfev < calls[-1]["sol"].nfev
-        assert ref.nfev == entry["sol"].nfev
+
+    def test_search_verify_counts(self, calls, tmp_path, monkeypatch):
+        # the counts `slevolve search --verify` writes are the scipy replay's
+        from slevolve import cli
+        monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))
+        assert cli.main(["search", "--m", "4", "--a", "2", "--family", "sym",
+                         "--bmax", "8", "--verify", "--out", "s.json"]) == 0
+        sols = json.loads((tmp_path / "s.json").read_text())["solutions"]
+        assert len(sols) == len(calls) == 4
+        for sol, entry in zip(sols, calls):
+            assert entry["kw"]["stage"] == "verify_periodic"
+            ref = assert_matches_scipy(entry)
+            diag = sol["verification"]["diagnostics"]
+            assert diag["nfev"] == ref.nfev
+            assert diag["accepted_steps"] == entry["sol"].t.size - 1
 
 
 class TestDriver:
@@ -200,6 +226,28 @@ class TestDriver:
         assert np.array_equal(sol.z_eval, _complex(ref.y, 1))
         assert sol.nfev == ref.nfev
         assert np.max(np.abs(sol.z_eval[:, 0] - np.exp(1j * te))) < 1e-10
+
+    @pytest.mark.parametrize("t_end", [-3.0, 3.0])
+    def test_t_eval_at_step_times(self, t_end):
+        # t_eval holding the exact step times of the same run: at each tie
+        # the bisect window must be searchsorted's (side="right" forward,
+        # side="left" backward), or a point moves to the neighbouring step
+        rhs = centred._w_kernel(2, 4)
+        w0 = np.array([1.1, 0.9j, 1.2 * np.exp(0.4j), 0.8 + 0.3j])
+        steps = ode.solve(rhs, w0, t_end, 1e-11, 1e-13, stage="test",
+                          params={}).t
+        te = np.unique(np.concatenate([steps, np.linspace(0.0, t_end, 31)]))
+        if t_end < 0:
+            te = te[::-1]
+        sol = ode.solve(rhs, w0, t_end, 1e-11, 1e-13, stage="test",
+                        params={}, t_eval=te)
+        ref = solve_ivp(rhs, (0.0, t_end),
+                        np.concatenate([w0.real, w0.imag]), method="DOP853",
+                        rtol=1e-11, atol=1e-13, t_eval=te)
+        assert np.isin(steps, te).all() and steps.size > 5
+        assert np.array_equal(sol.t, steps)
+        assert np.array_equal(sol.z_eval, _complex(ref.y, 4))
+        assert sol.nfev == ref.nfev
 
     def test_empty_interval(self):
         sol = ode.solve(lambda t, y: -y, [2.0 + 1j], 0.0, 1e-10, 1e-12,
