@@ -22,6 +22,7 @@ pass through zero and the lift jumps, so work in w coordinates there.
 """
 
 import operator
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -300,41 +301,59 @@ class WSolutionPath:
 
 
 @lru_cache(maxsize=None)
-def _w_kernel(a: int, m: int):
-    """``rhs_w`` as ``rhs(t, y)`` on the packed real vector (Re w, Im w) of
-    ``ode.solve``: straight-line code, generated and compiled once per
+def _w_kernel(a: int, m: int) -> ode.System:
+    """``rhs_w`` as an ``ode.System`` on the packed real vector (Re w, Im w)
+    of ``ode.solve``: straight-line code, generated and compiled once per
     (a, m).
 
-    It makes the running products of ``_leave_one_out`` on Python complex
-    numbers in a fixed order: the prefixes prod_{k<j} w_k, the suffixes
-    prod_{k>j} w_k, then prefix * suffix.  Both chains start from 1+0j and
-    keep their products with it, which can change the sign of a zero
-    (``tests/test_centred.py`` holds the plain loop as the bitwise
-    reference).  The conjugate and the sign of letter j come in as one
-    multiplication of the real part by +-1.0 and of the imaginary part by
-    -+1.0.  A row this short costs far less this way than in numpy calls,
-    and the ODE driver calls it once per stage.
+    Both ``rhs(t, y)`` and the fused ``stage`` make the running products of
+    ``_leave_one_out`` on Python complex numbers in a fixed order: the
+    prefixes prod_{k<j} w_k, the suffixes prod_{k>j} w_k, then prefix *
+    suffix.  Both chains start from 1+0j and keep their products with it,
+    which can change the sign of a zero (``tests/test_centred.py`` holds
+    the plain loop as the bitwise reference).  The conjugate and the sign
+    of letter j come in as one multiplication of the real part by +-1.0 and
+    of the imaginary part by -+1.0.  A row this short costs far less this
+    way than in numpy calls.
+
+    ``stage`` is the driver's call per Runge-Kutta stage.  It takes the
+    step's start as a list (``start`` is ``ndarray.tolist``) and the stage
+    combination g, forms each component y_i + g_i*h (the two roundings of
+    numpy's ``g *= h; y + g``), and packs the 2m outputs straight into row
+    s of the stage matrix, and the stage state into ``y_new`` when given.
     """
     signs = (1.0,) * a + (-1.0,) * (m - a)
+    n = 2 * m
+    layout = struct.Struct(f"{n}d")     # one row of K, native doubles
     xs = [f"x{j}" for j in range(m)] + [f"v{j}" for j in range(m)]
-    body = [f"{', '.join(xs)}, = y.tolist()"]
-    body += [f"w{j} = complex(x{j}, v{j})" for j in range(m)]
+    products = [f"w{j} = complex(x{j}, v{j})" for j in range(m)]
     pre, suf = ["one"], "one"       # prod_{k<j} w_k; prod_{k>j} w_k
     for j in range(m - 1):
-        body.append(f"p{j + 1} = {pre[j]} * w{j}")
+        products.append(f"p{j + 1} = {pre[j]} * w{j}")
         pre.append(f"p{j + 1}")
     for j in range(m - 1, -1, -1):
-        body.append(f"q{j} = {pre[j]} * {suf}")
+        products.append(f"q{j} = {pre[j]} * {suf}")
         if j:
-            body.append(f"s{j} = w{j} * {suf}")
+            products.append(f"s{j} = w{j} * {suf}")
             suf = f"s{j}"
-    out = ([f"{signs[j]!r} * q{j}.real" for j in range(m)]
-           + [f"{-signs[j]!r} * q{j}.imag" for j in range(m)])
-    body.append(f"return array(({', '.join(out)},), dtype=float)")
-    src = "def rhs(t, y):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"one": 1 + 0j, "array": np.array}
+    out = ", ".join([f"{signs[j]!r} * q{j}.real" for j in range(m)]
+                    + [f"{-signs[j]!r} * q{j}.imag" for j in range(m)])
+    rhs = ([f"{', '.join(xs)}, = y.tolist()"] + products
+           + [f"return array(({out},), dtype=float)"])
+    stage = ([f"{', '.join(f'g{i}' for i in range(n))}, = g.tolist()",
+              f"{', '.join(f'y{i}' for i in range(n))}, = y"]
+             + [f"{x} = y{i} + g{i} * h" for i, x in enumerate(xs)]
+             + products
+             + [f"pack(K, row * {layout.size}, {out})",
+                "if y_new is not None:",
+                f"    pack(y_new, 0, {', '.join(xs)})"])
+    src = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
+                  for head, body in (("rhs(t, y)", rhs),
+                                     ("stage(t, y, g, h, K, row, y_new=None)",
+                                      stage)))
+    namespace = {"one": 1 + 0j, "array": np.array, "pack": layout.pack_into}
     exec(compile(src, f"<w kernel a={a} m={m}>", "exec"), namespace)
-    return namespace["rhs"]
+    return ode.System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
 
 
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,

@@ -20,20 +20,40 @@ module.
 
 Bitwise equality fixes which operations stay in numpy.  Every product whose
 rounding belongs to BLAS is the numpy call scipy makes: the gemv of each
-stage combination (written into one preallocated buffer, then scaled by h
-in place: the same elementwise product as scipy's ``np.dot(...) * h``), of
-the solution update and of both error estimates, the ``ddot`` of each
-error norm, and the dense output's ``np.dot(D, K)``.  A hand-written sum
-would round differently, and so may another BLAS build.  The scalar step
-control runs on Python floats: the direction, h and |h|, the stage times
-t + c*h, the minimum step (``math.nextafter``), the square roots of the
-error norm and the step factor.  Each of these is one IEEE-754 double
-operation (+, -, *, /, sqrt, or ``pow`` from the same C library), which
-rounds the same on a Python float as on a numpy float64 scalar, at a
-fraction of the numpy scalar's cost.  The ``t_eval`` window of each step
-comes from ``bisect`` on a list, which returns ``np.searchsorted``'s index
-on a sorted array, ties included (``bisect_right`` is side="right",
-``bisect_left`` side="left").
+stage combination g and of the solution update (each written into one
+preallocated buffer), the gemv of both error estimates, the ``ddot`` of
+each error norm, and the dense output's ``np.dot(D, K)``.  A hand-written
+sum would round differently, and so may another BLAS build.
+
+Everything else in a stage is the right-hand side's, through one call (the
+stage protocol of ``System``): ``stage(t + c*h, ys, g, h, K, s)`` forms the
+stage state y + g*h, evaluates the right-hand side there and writes row s
+of the stage matrix K; the last stage of a step (first same as last) also
+writes the state, ``y_new``.  ``ys`` is the step's start as the system's
+``start(y)`` gave it, once per step.  A plain numpy ``rhs(t, y)`` is
+wrapped by an adapter whose stage is scipy's ``g *= h; K[s] = rhs(t, y +
+g)``.  A generated kernel (``centred._w_kernel``) takes ``ys = y.tolist()``
+and forms x_i = y_i + g_i*h on Python floats, which rounds as numpy does:
+scaling by h and adding are one IEEE-754 double operation per element
+each, the same on a Python float as in numpy's loop, in the same order.
+(The one freedom is a sum of two NaNs, where IEEE 754 leaves open whose
+sign and payload the result carries; numpy's own loop differs by lane
+there.)  The kernel writes its outputs with ``struct.pack_into`` in native
+``d`` format, a plain copy of each C double into the row, so the sign of a
+zero and a NaN's payload survive as they would in ``K[s] = array(...)``.
+That saves the numpy calls around each stage (the scaling, the sum, the
+list round trip and the row assignment), which cost more than the w
+system's arithmetic.
+
+The scalar step control runs on Python floats: the direction, h and |h|,
+the stage times t + c*h, the minimum step (``math.nextafter``), the square
+roots of the error norm and the step factor.  Each of these is one
+IEEE-754 double operation (+, -, *, /, sqrt, or ``pow`` from the same C
+library), which rounds the same on a Python float as on a numpy float64
+scalar, at a fraction of the numpy scalar's cost.  The ``t_eval`` window of
+each step comes from ``bisect`` on a list, which returns
+``np.searchsorted``'s index on a sorted array, ties included
+(``bisect_right`` is side="right", ``bisect_left`` side="left").
 
 The tableau and the ported algorithm come from SciPy, under this notice:
 
@@ -74,7 +94,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .roots import EPS, brent
 
 N_STAGES = 12
@@ -286,6 +306,43 @@ _EXTRA_STAGES = [(A[s, :s], float(C[s]))
                  for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
+class System:
+    """A right-hand side as the driver steps it (the stage protocol).
+
+    ``rhs(t, y)`` returns the derivative at the packed real vector y as a
+    float array; it serves the first evaluation, the initial step size,
+    events, and calls on the system itself.  ``start(y)`` gives, once per
+    step, the form of the step's start state y that ``stage`` takes.
+    ``stage(t, ys, g, h, K, s, y_new=None)`` is one Runge-Kutta stage at
+    time t: with the stage combination g (the driver's buffer, which it may
+    overwrite) it forms x = y + g*h, writes rhs(t, x) into row s of K and,
+    when ``y_new`` is given, x into ``y_new``, with the same rounding as
+    ``g *= h; y + g`` in numpy.
+    """
+
+    __slots__ = ("rhs", "start", "stage")
+
+    def __init__(self, rhs, start, stage):
+        self.rhs = rhs
+        self.start = start
+        self.stage = stage
+
+    def __call__(self, t, y):
+        return self.rhs(t, y)
+
+
+def _as_is(y):
+    return y
+
+
+def _numpy_system(fun) -> System:
+    """The adapter for a plain numpy ``fun(t, y)``: each stage is scipy's."""
+    def stage(t, y, g, h, K, s, y_new=None):
+        np.multiply(g, h, out=g)
+        K[s] = fun(t, np.add(y, g, out=y_new))     # y + g without y_new
+    return System(fun, _as_is, stage)
+
+
 class Event:
     """A scalar event g(t, y) on the packed state: its zeros are located on
     the dense output.  ``direction`` > 0 (< 0) keeps only upward (downward)
@@ -427,10 +484,11 @@ def _find_active_events(g, g_new, direction):
     return np.nonzero(mask)[0]
 
 
-def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
+def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
     """The scipy DOP853 solver and the ``solve_ivp`` loop around it, on a
-    real state, started at t = 0; ``where`` (stage, params) names the run
-    in root-finding errors."""
+    real state, started at t = 0, every stage one ``system.stage`` call;
+    ``where`` (stage, params) names the run in root-finding errors."""
+    fun, start, stage = system.rhs, system.start, system.stage
     t0, tf = 0.0, float(t_end)
     rtol = max(rtol, 100 * EPS)
     atol = np.asarray(atol)
@@ -445,9 +503,9 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
     K_extended = np.empty((N_STAGES_EXTENDED, n))
     K = K_extended[:N_STAGES + 1]
     dy = np.empty(n)
-    # the transposed stage views scipy takes afresh at every stage
-    stages = [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, start=1)]
-    extra_stages = [(K_extended[:s].T, a, c) for s, (a, c)
+    # each stage's row and the transposed view scipy takes afresh at it
+    stages = [(s, K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, start=1)]
+    extra_stages = [(s, K_extended[:s].T, a, c) for s, (a, c)
                     in enumerate(_EXTRA_STAGES, start=N_STAGES + 1)]
     KT, KT_main = K.T, K[:-1].T
 
@@ -467,13 +525,12 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
     g = [ev.fun(t0, y0) for ev in events]
     t_events = [[] for _ in events]
 
-    def dense_output(t_old, t, y_old, y, f, h):
+    def dense_output(t_old, t, y_old, ys_old, y, f, h):
         """Store the step's interpolant (three extra stages); return its
         index."""
-        for s, (Ks, a, c) in enumerate(extra_stages, start=N_STAGES + 1):
+        for s, Ks, a, c in extra_stages:
             Ks.dot(a, out=dy)
-            np.multiply(dy, h, out=dy)
-            K_extended[s] = fun(t_old + c * h, y_old + dy)
+            stage(t_old + c * h, ys_old, dy, h, K_extended, s)
         F = np.empty((INTERPOLATOR_POWER, n))
         f_old = K_extended[0]
         delta_y = y - y_old
@@ -505,6 +562,8 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
+        K[0] = f
+        ys = start(y)
         while True:
             if h_abs < min_step:
                 status, message = -1, TOO_SMALL_STEP
@@ -516,14 +575,12 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
             h = t_new - t
             h_abs = abs(h)
 
-            K[0] = f
-            for s, (Ks, a, c) in enumerate(stages, start=1):
+            for s, Ks, a, c in stages:
                 Ks.dot(a, out=dy)
-                np.multiply(dy, h, out=dy)
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * KT_main.dot(B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+                stage(t + c * h, ys, dy, h, K_extended, s)
+            KT_main.dot(B, out=dy)
+            y_new = np.empty(n)
+            stage(t + h, ys, dy, h, K_extended, N_STAGES, y_new)
             nfev += N_STAGES
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -543,21 +600,21 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
         if status == -1:
             break
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, f = t_new, y_new, K[N_STAGES].copy()
         if direction * (t - tf) >= 0:
             status = 0
 
         # dense output, events and t_eval (the solve_ivp loop)
         seg = None
         if dense:
-            seg = dense_output(t_old, t, y_old, y, f, h)
+            seg = dense_output(t_old, t, y_old, ys, y, f, h)
             nfev += 3
         if events:
             g_new = [ev.fun(t, y) for ev in events]
             active = _find_active_events(g, g_new, directions)
             if active.size > 0:
                 if seg is None:
-                    seg = dense_output(t_old, t, y_old, y, f, h)
+                    seg = dense_output(t_old, t, y_old, ys, y, f, h)
                     nfev += 3
                 event_count[active] += 1
                 active, roots, terminate = _event_roots(
@@ -588,7 +645,7 @@ def _dop853(fun, t_end, y0, rtol, atol, events, t_eval, where):
                 lo, hi = t_eval_i_new, t_eval_i
             if hi > lo:
                 if seg is None:
-                    seg = dense_output(t_old, t, y_old, y, f, h)
+                    seg = dense_output(t_old, t, y_old, ys, y, f, h)
                     nfev += 3
                 eval_segs[lo:hi] = seg
                 t_eval_i = t_eval_i_new
@@ -641,18 +698,26 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
 
     ``rhs(t, y)`` and each event's ``fun(t, y)`` act on the packed real
     vector y = (Re z, Im z) and ``rhs`` returns a float array of that
-    shape.  Without ``t_eval`` the solution carries its dense output; with
-    ``t_eval`` (sorted along the direction of integration, inside the
-    interval) only the values there are kept, and only steps containing
-    one of those times pay for an interpolant.  A run that cannot reach
-    t_end raises ``IntegrationError``, naming ``stage``, ``params``, the
-    time reached, the last step size tried and the tolerances.
+    shape; a ``System`` brings its own stage call, any other callable is
+    stepped through the numpy adapter.  Without ``t_eval`` the solution
+    carries its dense output; with ``t_eval`` (sorted along the direction
+    of integration, inside the interval) only the values there are kept,
+    and only steps containing one of those times pay for an interpolant.
+    A NaN or infinite t_end, which no step can reach, raises
+    ``ValidationError``.  A run that cannot reach t_end raises
+    ``IntegrationError``, naming ``stage``, ``params``, the time reached,
+    the last step size tried and the tolerances.
     """
+    where = ", ".join(f"{k}={v}" for k, v in params.items())
+    if not math.isfinite(t_end):
+        raise ValidationError(f"{stage} needs a finite t_end ({where}): "
+                              f"got t_end = {float(t_end)!r}")
+    if not isinstance(rhs, System):
+        rhs = _numpy_system(rhs)
     z0 = np.asarray(z0, dtype=complex)
     sol = _dop853(rhs, t_end, np.concatenate([z0.real, z0.imag]), rtol, atol,
                   events, t_eval, (stage, params))
     if sol.status < 0:
-        where = ", ".join(f"{k}={v}" for k, v in params.items())
         raise IntegrationError(
             f"{stage} failed ({where}): reached t = {float(sol.t[-1])!r} of "
             f"t_end = {float(t_end)!r}, last step size {sol.h_abs:.3e}, "

@@ -75,6 +75,54 @@ class TestRhsW:
                 assert (kernel(0.0, y).tobytes()
                         == _packed_rhs_loop(signs, y).tobytes())
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_fused_stage_matches_numpy_stage(self, m):
+        # the fused stage against the numpy adapter's arithmetic, byte for
+        # byte: stage state y + g*h (signed zeros, inf and NaN included),
+        # the row it writes (and no other) and the y_new it writes.  One
+        # case is exempt: when y_i and g_i*h are both NaN, IEEE 754 lets
+        # the sum return either NaN, and numpy's own add differs by lane
+        # (its SIMD body keeps the first operand's, its scalar tail the
+        # second's), so there only NaN-ness is compared
+        rng = np.random.default_rng(100 + m)
+        n = 2 * m
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+        def same(got, want, nan_meets_nan):
+            if nan_meets_nan:
+                got, want = (np.where(np.isnan(v), np.nan, v)
+                             for v in (got, want))
+            return got.tobytes() == want.tobytes()
+
+        for a in range(1, m + 1):
+            kernel = centred._w_kernel(a, m)
+            for trial in range(300):
+                y, g = (rng.normal(size=n) * 10.0 ** rng.uniform(
+                    -150, 150, size=n) for _ in range(2))
+                if trial % 3:
+                    for v in (y, g):
+                        hit = rng.uniform(size=n) < 0.15
+                        v[hit] = rng.choice(special, size=n)[hit]
+                h = (-1.0) ** trial * 10.0 ** rng.uniform(-8, 1)
+                t = float(rng.uniform(-5, 5))
+                dy = g.copy()
+                np.multiply(dy, h, out=dy)
+                with np.errstate(invalid="ignore"):
+                    x = y + dy
+                nan_meets_nan = bool(np.any(np.isnan(y) & np.isnan(dy)))
+                want = kernel(t, x)
+                s = int(rng.integers(16))
+                K = rng.normal(size=(16, n))
+                rows = K.copy()
+                y_new = np.empty(n)
+                kernel.stage(t, kernel.start(y), g, h, K, s, y_new)
+                assert same(K[s], want, nan_meets_nan)
+                assert same(y_new, x, nan_meets_nan)
+                K[s] = rows[s]
+                assert K.tobytes() == rows.tobytes()
+                kernel.stage(t, kernel.start(y), g, h, K, s)
+                assert same(K[s], want, nan_meets_nan)
+
     def test_packed_rhs_keeps_verify_defects(self):
         # verify_periodic integrated on the rhs_w closure it used before
         from scipy.integrate import solve_ivp

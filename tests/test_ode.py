@@ -91,7 +91,8 @@ def assert_matches_scipy(entry):
 
 
 class TestAgainstScipy:
-    @pytest.mark.parametrize("m,a", [(3, 1), (5, 2)])
+    # every kernel width from 2 to 6, each stage through the fused call
+    @pytest.mark.parametrize("m,a", [(3, 1), (5, 2), (2, 1), (4, 1), (6, 2)])
     def test_integrate_w(self, calls, m, a):
         params = centred.CentredParams(m, a, centred.symmetric_alphas(m, a),
                                        0.6, c=0.0)
@@ -99,6 +100,17 @@ class TestAgainstScipy:
         path = centred.integrate_w(centred.w_initial(params), a, 3 * T)
         (entry,) = calls
         ref = assert_matches_scipy(entry)
+        assert path.t_span == (0.0, ref.t[-1])
+
+    def test_integrate_w_backward(self, calls):
+        # negative h: the stage state y + g*h is formed with h < 0
+        params = centred.CentredParams(4, 2, centred.symmetric_alphas(4, 2),
+                                       0.6, c=0.0)
+        T = centred.betas(params).period_T
+        path = centred.integrate_w(centred.w_initial(params), 2, -3 * T)
+        (entry,) = calls
+        ref = assert_matches_scipy(entry)
+        assert ref.t[-1] == -3 * T and np.all(np.diff(ref.t) < 0)
         assert path.t_span == (0.0, ref.t[-1])
 
     def test_betas_ode_upward_event(self, calls):
@@ -276,6 +288,41 @@ class TestDriver:
             assert part in msg
         assert abs(exc.value.solution.t[-1] - 1.0) < 1e-6
 
+    def test_non_finite_t_end_rejected(self, tmp_path):
+        # no step reaches a NaN or infinite t_end, so a run would never end:
+        # each is refused before the first step, naming stage and params.
+        # A fresh process under a timeout keeps a hang a failure.
+        out = _run_probe(_NON_FINITE_PROBE, [], tmp_path)
+        assert out == [f"decay needs a finite t_end (k=1): got t_end = {v}"
+                       for v in ("nan", "inf", "-inf")]
+
+    def test_cli_non_finite_t_end_exits_2(self, tmp_path):
+        out = _run_probe(_CLI_EXIT_PROBE, [
+            "affine", "--m", "3", "--a", "1", "--alphas", "1.5,3", "--A",
+            "0.5", "--t-end", "nan"], tmp_path)
+        assert out == [2]
+
+
+_NON_FINITE_PROBE = """
+import json
+from slevolve import ode
+from slevolve.errors import ValidationError
+messages = []
+for t_end in (float("nan"), float("inf"), -float("inf")):
+    try:
+        ode.solve(lambda t, y: -y, [1 + 0j], t_end, 1e-10, 1e-12,
+                  stage="decay", params={"k": 1})
+    except ValidationError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+_CLI_EXIT_PROBE = """
+import json, sys
+import slevolve.cli
+print(json.dumps([slevolve.cli.main(json.loads(sys.argv[1]))]))
+"""
+
 
 # -- import footprint ---------------------------------------------------------
 
@@ -308,15 +355,21 @@ print(json.dumps([0, sorted(m for m in sys.modules
 """
 
 
-def _scipy_modules_after(argv, cwd, probe=_PROBE):
+def _run_probe(probe, argv, cwd, timeout=60):
+    """The last stdout line of ``probe`` (JSON) run with ``argv`` in a fresh
+    process on this checkout; a run past ``timeout`` seconds fails."""
     env = dict(os.environ, SLEVOLVE_OUTDIR=str(cwd))
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                           env=env, cwd=cwd, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    rc, mods = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _scipy_modules_after(argv, cwd, probe=_PROBE):
+    rc, mods = _run_probe(probe, argv, cwd, timeout=120)
     assert rc == 0
     return mods
 
