@@ -3,8 +3,8 @@ Lagrangian submanifolds of C^m swept out by evolving quadrics.
 
 Layers, bottom up:
 
-- ``multilinear``: exterior algebra over R^n and the standard forms on
-  C^m = R^{2m} (interleaved real coordinates).
+- ``multilinear``: exterior algebra over R^n, and the one kernel that
+  evaluates omega and Omega on tangent frames in C^m = R^{2m}.
 - ``elliptic``: Jacobi elliptic functions by the arithmetic-geometric mean.
 - ``evodata``: evolution data (P, chi) -- quadrics, products, planar
   curves -- with validation, symmetry algebras and the n = m classifier.

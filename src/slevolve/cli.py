@@ -11,6 +11,7 @@ SLEVOLVE_OUTDIR environment variable prefixes relative output paths.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -36,6 +37,14 @@ def _write_json(path: str, payload: dict, config: dict) -> None:
     with open(_outpath(path), "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _emit(path: str, payload: dict, config: dict) -> None:
+    """Write the payload as JSON to path, or print it if path is empty."""
+    if path:
+        _write_json(path, payload, config)
+    else:
+        print(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _parse_floats(text: str) -> tuple:
@@ -122,10 +131,7 @@ def cmd_betas(ns) -> int:
     result = centred.betas(params, tol=ns.quad_tol)
     payload = result.to_dict()
     payload["case"] = centred.classify_case(params)
-    if ns.out:
-        _write_json(ns.out, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.out, payload, cfg)
     return 0
 
 
@@ -139,10 +145,7 @@ def cmd_limits(ns) -> int:
         "large_A_limit": list(lim.large_A),
         "sum_squares_large_A": float(np.sum(np.asarray(lim.large_A) ** 2)),
     }
-    if ns.out:
-        _write_json(ns.out, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.out, payload, cfg)
     return 0
 
 
@@ -167,11 +170,7 @@ def cmd_search(ns) -> int:
                   f"A={entry['A']:.9g}")
     if ns.scan_csv:
         _write_scan_csv(ns, alphas, cfg)
-    payload = {"solutions": out_sols, "count": len(out_sols)}
-    if ns.out:
-        _write_json(ns.out, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.out, {"solutions": out_sols, "count": len(out_sols)}, cfg)
     return 0
 
 
@@ -263,19 +262,14 @@ def cmd_crosssection(ns) -> int:
     payload = {"mu": section.mu, "nu": section.nu,
                "swapped": section.swapped, "period": section.period,
                "max_constraint_residuals": [r1, r2]}
-    if ns.summary:
-        _write_json(ns.summary, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.summary, payload, cfg)
     return 0
 
 
 def cmd_affine(ns) -> int:
     from . import affine as affine_mod
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m - 1) if (ns.alphas or ns.family) else None
-    if alphas is None:
-        raise ValidationError("--alphas required")
+    alphas = _alphas_for(ns, ns.m - 1)
     params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
     w0, beta0 = affine_mod.affine_initial(params)
     path = affine_mod.integrate_affine(w0, beta0, ns.a, ns.t_end)
@@ -290,7 +284,7 @@ def cmd_affine(ns) -> int:
     if ns.out:
         cols = (["t"] + [f"Rew{j + 1},Imw{j + 1}" for j in range(ns.m - 1)]
                 + ["Rebeta", "Imbeta"])
-        lines = [",".join(",".join(cols).split(","))]
+        lines = [",".join(cols)]
         for i, t in enumerate(t_grid):
             vals = [t]
             for j in range(ns.m - 1):
@@ -304,10 +298,7 @@ def cmd_affine(ns) -> int:
                "escaped": path.escaped,
                "escape_time": path.escape_time,
                "beta_closed_form_defect": defect}
-    if ns.summary:
-        _write_json(ns.summary, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.summary, payload, cfg)
     return 0
 
 
@@ -337,10 +328,7 @@ def cmd_report(ns) -> int:
         drift = np.abs(np.sqrt(np.maximum(params.Q(u.mean(axis=1)), 0.0))
                        * np.sin(theta) - params.A)
         payload["conservation_drift"] = float(drift.max())
-    if ns.out:
-        _write_json(ns.out, payload, cfg)
-    else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+    _emit(ns.out, payload, cfg)
     return 0
 
 
@@ -348,10 +336,23 @@ def cmd_report(ns) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with '-' and then a
+    digit, a point, "inf" or "nan" as a value, not as an option name, so
+    that ``--t-end -1e1``, ``--t-end -inf`` and ``--w0 -1,1j,1`` parse
+    (argparse alone takes only plain negative decimals).  Subparsers are
+    built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)",
+                                                   re.IGNORECASE)
+
+
 def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     """The slevolve parser; ``defaults`` (a config file's values) replace
     every subcommand's defaults, so explicit flags still override them."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="slevolve",
         description="construct, search and verify evolved-quadric "
                     "special Lagrangian families")
@@ -363,6 +364,11 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=m_default)
         sp.add_argument("--a", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
+
+    # --alphas or --family sym, read by _alphas_for
+    alphas = argparse.ArgumentParser(add_help=False)
+    alphas.add_argument("--alphas")
+    alphas.add_argument("--family", choices=["sym"])
 
     sp = sub.add_parser("evolve", help="integrate a diagonal start under the "
                         "general engine on quadric data")
@@ -377,27 +383,24 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.add_argument("--summary", help="summary JSON path")
     sp.set_defaults(func=cmd_evolve)
 
-    sp = sub.add_parser("betas", help="monodromy angles by quadrature")
+    sp = sub.add_parser("betas", help="monodromy angles by quadrature",
+                        parents=[alphas])
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--quad-tol", dest="quad_tol", type=float, default=3e-12)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_betas)
 
-    sp = sub.add_parser("limits", help="endpoint limits of the monodromy angles")
+    sp = sub.add_parser("limits", parents=[alphas],
+                        help="endpoint limits of the monodromy angles")
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_limits)
 
-    sp = sub.add_parser("search", help="scan for closed (periodic) families")
+    sp = sub.add_parser("search", help="scan for closed (periodic) families",
+                        parents=[alphas])
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--bmax", type=int, default=8)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--grid", type=int, default=96)
@@ -407,12 +410,11 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_search)
 
-    sp = sub.add_parser("mesh", help="emit a mesh of a constructed family")
+    sp = sub.add_parser("mesh", help="emit a mesh of a constructed family",
+                        parents=[alphas])
     common(sp, 3)
     sp.add_argument("--kind", choices=["centred", "affine", "link"],
                     default="centred")
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--A", type=float, default=1.0)
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--t-end", dest="t_end", type=float, default=2.0)
@@ -433,19 +435,17 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("crosssection", help="cone link circle in closed form")
+    sp = sub.add_parser("crosssection", parents=[alphas],
+                        help="cone link circle in closed form")
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--n", type=int, default=257)
     sp.add_argument("--out", help="CSV path")
     sp.add_argument("--summary", help="JSON path")
     sp.set_defaults(func=cmd_crosssection)
 
-    sp = sub.add_parser("affine", help="integrate the translated family")
+    sp = sub.add_parser("affine", help="integrate the translated family",
+                        parents=[alphas])
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, default=6.0)
     sp.add_argument("--n", type=int, default=257)
@@ -453,11 +453,9 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.add_argument("--summary", help="JSON path")
     sp.set_defaults(func=cmd_affine)
 
-    sp = sub.add_parser("report", help="bundle of diagnostics for one "
-                        "parameter point")
+    sp = sub.add_parser("report", parents=[alphas], help="bundle of "
+                        "diagnostics for one parameter point")
     common(sp, 3)
-    sp.add_argument("--alphas")
-    sp.add_argument("--family", choices=["sym"])
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--out")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ode
 from .errors import ConstructionError, ValidationError
 from .multilinear import Multivector, k_subsets
 
@@ -366,21 +367,33 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
     if p0 is None:
         raise ConstructionError("vector field vanishes at all probe points")
 
-    # exact affine flow via the augmented matrix exponential
+    # the affine flow as the linear flow y' = aug y of y = (x, 1)
     aug = np.zeros((3, 3))
     aug[:2, :2] = M
     aug[:2, 2] = v
     radius = max(np.abs(np.linalg.eigvals(M)).max(), 0.2)
     t_max = min(3.0, 4.0 / radius)
 
+    def flow(t, y):
+        # packed (Re y, Im y); the imaginary half starts and stays zero
+        return (y.reshape(2, 3) @ aug.T).ravel()
+
     def sampler(count, seed=0):
-        from scipy.linalg import expm
         rng = np.random.default_rng(seed + 104729)
         ts = rng.uniform(-t_max, t_max, size=count)
         pts = np.empty((count, m))
-        for i, t in enumerate(ts):
-            flow = expm(t * aug) @ np.array([p0[0], p0[1], 1.0])
-            pts[i, :2] = flow[:2]
+        # one run each side of t = 0, to +-t_max whatever the draws, so a
+        # point depends on its time alone
+        order = np.argsort(ts)
+        ahead = ts[order] >= 0.0
+        for idx, t_end in ((order[ahead], t_max),
+                           (order[~ahead][::-1], -t_max)):
+            if idx.size:
+                sol = ode.solve(flow, [p0[0], p0[1], 1.0], t_end, 1e-13, 1e-15,
+                                stage="evodata.curve_data",
+                                params={"M": M.tolist(), "v": v.tolist()},
+                                t_eval=ts[idx])
+                pts[idx, :2] = sol.z_eval[:, :2].real
         pts[:, 2:] = rng.normal(scale=1.5, size=(count, m - 2))
         return pts
 
@@ -510,32 +523,6 @@ def symmetry_algebra(data: EvolutionData, tol: float = _RANK_TOL) -> SymmetryAlg
             raise RuntimeError("Lie closure exceeded gl(n) dimension")
     basis = [row.reshape(n, n) for row in current]
     return SymmetryAlgebra(n, basis, generators, ker_dim, grew)
-
-
-def lie_derivative_residual(data: EvolutionData, vfield: np.ndarray,
-                            step: float = 1e-5, n_probe: int = 12,
-                            seed: int = 0) -> float:
-    """Finite-difference size of L_v chi for a linear field v (matrix V).
-
-    The pullback of chi under the time-s flow of V is
-    Lambda^{m-1}(e^{-sV}) chi(e^{sV} x); the derivative at s=0 is estimated
-    by central differences and normalized by |chi(x)|.
-    """
-    from scipy.linalg import expm
-    V = np.asarray(vfield, dtype=float)
-    rng = np.random.default_rng(seed)
-    n = data.n
-    fwd = expm(step * V)
-    bwd = expm(-step * V)
-    worst = 0.0
-    for _ in range(n_probe):
-        x = rng.normal(size=n)
-        chi_plus = data.chi_at(fwd @ x).pushforward(bwd)
-        chi_minus = data.chi_at(bwd @ x).pushforward(fwd)
-        diff = (chi_plus - chi_minus) * (0.5 / step)
-        scale = max(data.chi_at(x).norm(), 1e-30)
-        worst = max(worst, diff.norm() / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import ode
 from .errors import ValidationError
 from .evodata import EvolutionData
-from .multilinear import complex_to_real, k_subsets
+from .multilinear import complex_to_real, frame_forms, k_subsets
 
 BLOWUP_GUARD = 1e8
 
@@ -147,23 +147,6 @@ class CPDiagnostics:
                 and self.min_singular_ratio >= sv_ratio_tol)
 
 
-def _omega_residuals(Z: np.ndarray) -> np.ndarray:
-    """Pullback-omega residual of each stack of pushed tangent frames
-    Z (C, N, m-1, m), shape (C,).
-
-    Row i of Z[c, p] is the i-th tangent basis vector at sample p pushed
-    into C^m by map c; omega of two pushed vectors is Im(conj(z_i) . z_j),
-    normalized by their lengths, and the residual is its largest size over
-    samples and pairs.
-    """
-    norms = np.linalg.norm(Z, axis=-1)
-    iu, ju = np.triu_indices(Z.shape[-2], 1)
-    omega = np.imag(np.conj(Z) @ np.swapaxes(Z, -1, -2))[..., iu, ju]
-    denom = np.maximum(norms[..., iu] * norms[..., ju], 1e-300)
-    return np.max((np.abs(omega) / denom).reshape(len(Z), -1), axis=1,
-                  initial=0.0)
-
-
 def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
                   seed: int = 0) -> CPDiagnostics:
     """Evaluate the two admissibility conditions on sampled points of P:
@@ -174,7 +157,7 @@ def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
     svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
                           compute_uv=False)
     ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-    return CPDiagnostics(float(_omega_residuals(Z[None])[0]),
+    return CPDiagnostics(float(np.max(frame_forms(Z)[0], initial=0.0)),
                          float(np.min(svals[:, -1], initial=np.inf)),
                          float(np.min(ratios, initial=np.inf)),
                          len(Z))
@@ -265,7 +248,8 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     # every checkpoint's map pushes the same frames
     bases = data.tangent_bases(data.sample(membership_samples, seed))
     As = zs[:, :m * n].reshape(-1, m, n)
-    residuals = _omega_residuals(bases @ np.swapaxes(As, 1, 2)[:, None])
+    residuals = np.max(frame_forms(bases @ np.swapaxes(As, 1, 2)[:, None])[0],
+                       axis=1, initial=0.0)
     tol_line = 10.0 * residuals[0] + 1e-8
     flagged = [int(i) for i in np.nonzero(residuals > tol_line)[0]]
     return Trajectory(times, maps, residuals, escaped, escape_time,

@@ -26,7 +26,7 @@ import numpy as np
 from . import affine as affine_mod
 from . import centred, threefold
 from .errors import ValidationError
-from .multilinear import complex_to_real
+from .multilinear import complex_to_real, frame_forms
 
 _DEGENERATE_GRAM = 1e-14
 VERTEX_TOL = 1e-12      # relative vertex offset a verified mesh may carry
@@ -561,22 +561,13 @@ class SLReport:
              else {"max_vertex_offset": self.max_vertex_offset})
 
 
-def _frame_residuals(F: np.ndarray) -> tuple:
-    """Per-row (omega residual, Im Omega residual) of complex frames
-    (N, m, m), rows = tangent vectors in complex coordinates.  Degenerate
-    rows (a vector of norm below 1e-300, or Gram volume squared below 1e-14)
-    read NaN."""
-    F = np.asarray(F, dtype=complex)
-    norms = np.linalg.norm(np.concatenate([F.real, F.imag], axis=-1), axis=-1)
-    short = np.any(norms < 1e-300, axis=-1)
-    unit = F / np.where(short[:, None], 1.0, norms)[..., None]
-    # <v_i, v_j>: real part the Gram matrix, imaginary part omega(v_i, v_j)
-    herm = unit @ np.conj(unit).swapaxes(-1, -2)
-    det = np.linalg.det(herm.real)
-    bad = short | ~(det >= _DEGENERATE_GRAM)
-    omega = np.max(np.abs(herm.imag), axis=(-2, -1))
-    vol = np.sqrt(np.where(bad, 1.0, det))
-    im = np.abs(np.linalg.det(unit.swapaxes(-1, -2)).imag) / vol
+def _residuals(F: np.ndarray) -> tuple:
+    """Per-row (omega residual, |Im Omega| per Gram volume) of complex
+    frames (N, m, m); NaN where the frame is degenerate (Gram determinant
+    of its unit vectors below 1e-14, a zero vector included)."""
+    omega, gram, im = frame_forms(F)
+    bad = ~(gram >= _DEGENERATE_GRAM)
+    im /= np.sqrt(np.where(bad, 1.0, gram))
     omega[bad] = np.nan
     im[bad] = np.nan
     return omega, im
@@ -608,7 +599,7 @@ def sl_residuals(target, n_samples: int = 1000, seed: int = 0,
     P = target.sample_params(n_samples, seed)
     F = target.frames(P) if tangents == "analytic" else target.fd_frames(
         P, probe)
-    return _report(*_frame_residuals(F))
+    return _report(*_residuals(F))
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +744,7 @@ def mesh_residual_report(mesh: Mesh) -> SLReport:
     """Residual report for a mesh via its family's analytic frames, with
     the largest offset of a stored vertex coordinate from the family's
     point at its parameters, relative to max(1, largest |coordinate|)."""
-    report = _report(*_frame_residuals(_mesh_frames(mesh)))
+    report = _report(*_residuals(_mesh_frames(mesh)))
     rebuilt = complex_to_real(mesh.family.points(mesh.params, mesh.chart))
     scale = max(1.0, float(np.max(np.abs(mesh.vertices), initial=0.0)))
     offset = float(np.max(np.abs(rebuilt - mesh.vertices), initial=0.0))
@@ -763,7 +754,7 @@ def mesh_residual_report(mesh: Mesh) -> SLReport:
 def attach_residuals(mesh: Mesh) -> Mesh:
     """A copy of the mesh with per-vertex residuals (NaN where the frame is
     degenerate) from its family's analytic frames."""
-    res_omega, res_imomega = _frame_residuals(_mesh_frames(mesh))
+    res_omega, res_imomega = _residuals(_mesh_frames(mesh))
     return replace(mesh, res_omega=res_omega, res_imomega=res_imomega)
 
 

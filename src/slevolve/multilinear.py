@@ -1,4 +1,5 @@
-"""Exterior algebra over R^n and the standard forms g, omega, Omega on C^m = R^{2m}.
+"""Exterior algebra over R^n, and the standard forms g, omega, Omega of
+C^m = R^{2m} on tangent frames.
 
 Multivectors are stored densely, indexed by the combinatorial rank of the
 strictly increasing basis subset in lexicographic order.  C^m is identified
@@ -13,6 +14,10 @@ that for a 1-form xi
 
 and on basis elements e_I . dx_J = sign(J, I \\ J) e_{I \\ J}, the sign of the
 shuffle sorting the concatenation (J, I \\ J) into I.
+
+``frame_forms`` is the one evaluator of omega and Omega on frames: the
+evolution engine's membership and checkpoint residuals and every mesh and
+family residual report call it on batched complex frames.
 """
 
 from dataclasses import dataclass, field
@@ -168,24 +173,6 @@ class Multivector:
                 out[subset_rank(rest, n)] += _shuffle_sign(J, rest) * a * b
         return Multivector(n, k - q, out)
 
-    def pushforward(self, B: np.ndarray) -> "Multivector":
-        """Apply Lambda^k B for a real N x n matrix B."""
-        B = np.asarray(B, dtype=float)
-        N = B.shape[0]
-        if B.shape[1] != self.n:
-            raise ValidationError("pushforward matrix has wrong width")
-        k = self.k
-        out = np.zeros(comb(N, k))
-        src = [(i, S) for i, S in enumerate(k_subsets(self.n, k))
-               if self.coeffs[i] != 0.0]
-        for t, T in enumerate(k_subsets(N, k)):
-            rows = B[list(T), :]
-            acc = 0.0
-            for i, S in src:
-                acc += self.coeffs[i] * np.linalg.det(rows[:, list(S)])
-            out[t] = acc
-        return Multivector(N, k, out)
-
     def embed(self, N: int) -> "Multivector":
         """Reinterpret over a larger ambient R^N (extra coordinates unused)."""
         if N < self.n:
@@ -212,56 +199,6 @@ def _permutation_sign(seq: tuple, sorted_seq: tuple) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """Point of C^m stored as 2m interleaved reals (Re z_1, Im z_1, ...)."""
-
-    m: int
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (2 * self.m,):
-            raise ValidationError(f"expected {2 * self.m} coordinates")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("non-finite coordinate")
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @classmethod
-    def from_complex(cls, z) -> "ComplexPoint":
-        z = np.asarray(z, dtype=complex)
-        return cls(z.size, complex_to_real(z))
-
-    def to_complex(self) -> np.ndarray:
-        return real_to_complex(self.coords)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """m real tangent vectors in R^{2m}, the columns of a candidate tangent
-    m-plane to C^m."""
-
-    m: int
-    vectors: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.shape != (self.m, 2 * self.m):
-            raise ValidationError(
-                f"frame must be {self.m} vectors of length {2 * self.m}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("non-finite frame entry")
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
-
-
-def real_to_complex(v: np.ndarray) -> np.ndarray:
-    """Interleaved R^{2m} vector -> complex m-vector."""
-    v = np.asarray(v, dtype=float)
-    return v[..., 0::2] + 1j * v[..., 1::2]
-
-
 def complex_to_real(z: np.ndarray) -> np.ndarray:
     """Complex m-vector -> interleaved R^{2m} vector."""
     z = np.asarray(z, dtype=complex)
@@ -271,37 +208,35 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_omega(v1, v2, m: int) -> float:
-    """Symplectic form omega = sum_j dx_j ^ dy_j evaluated on two vectors."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.shape != (2 * m,) or v2.shape != (2 * m,):
-        raise ValidationError(f"vectors must have length {2 * m}")
-    return float(np.dot(v1[0::2], v2[1::2]) - np.dot(v1[1::2], v2[0::2]))
 
 
-def eval_omega_complex(frame: Frame) -> complex:
-    """The complex volume form dz_1 ^ ... ^ dz_m on a frame: the determinant
-    of the m x m complex matrix whose columns are the frame vectors read as
-    complex m-vectors."""
-    Z = real_to_complex(frame.vectors).T
-    return complex(np.linalg.det(Z))
+def frame_forms(Z) -> tuple:
+    """omega and, on square frames, the Gram determinant and Im Omega of
+    complex tangent frames Z (..., k, m), one tangent vector per row.
 
+    Returns ``(omega, gram, im_Omega)``, each of shape ``Z.shape[:-2]``.
+    ``omega`` is the largest |omega(z_i, z_j)| / (|z_i| |z_j|) over pairs
+    of rows, with omega(z_i, z_j) = Im sum_l conj(z_il) z_jl.  For k = m,
+    ``gram`` is the Gram determinant of the unit rows and ``im_Omega`` is
+    |Im Omega| on them, Omega = dz_1 ^ ... ^ dz_m being the determinant of
+    the matrix with the rows as columns; for k < m both are None.  A zero
+    row gives omega 0 against every row and a zero Gram determinant.
 
-def contract(chi: Multivector, alpha: Multivector) -> np.ndarray:
-    """Natural contraction of an (m-1)-vector with an (m-2)-form, returning a
-    vector in R^n.  Degrees must differ by exactly one."""
-    if chi.n != alpha.n:
-        raise ValidationError("contraction over different R^n")
-    if alpha.k != chi.k - 1:
-        raise ValidationError(
-            f"degree mismatch: multivector degree {chi.k}, form degree {alpha.k}")
-    return chi.interior(alpha).coeffs.copy()
-
-
-def gram_volume(vectors: np.ndarray) -> float:
-    """Square root of the Gram determinant of row vectors."""
-    V = np.asarray(vectors, dtype=float)
-    g = V @ V.T
-    det = np.linalg.det(g)
-    return float(np.sqrt(max(det, 0.0)))
+    One Hermitian product of the rows gives omega (its imaginary part) and
+    the Gram matrix (its real part), so products of entries must neither
+    under- nor overflow: entries between about 1e-150 and 1e150 in size.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    k, m = Z.shape[-2:]
+    norms = np.linalg.norm(Z, axis=-1)
+    herm = np.conj(Z) @ np.swapaxes(Z, -1, -2)
+    iu, ju = np.triu_indices(k, 1)
+    denom = np.maximum(norms[..., iu] * norms[..., ju], 1e-300)
+    omega = np.max(np.abs(herm.imag[..., iu, ju]) / denom, axis=-1,
+                   initial=0.0)
+    if k != m:
+        return omega, None, None
+    outer = np.maximum(norms[..., :, None] * norms[..., None, :], 1e-300)
+    unit_cols = np.swapaxes(Z / np.maximum(norms, 1e-300)[..., None], -1, -2)
+    return (omega, np.linalg.det(herm.real / outer),
+            np.abs(np.linalg.det(unit_cols).imag))

@@ -25,6 +25,7 @@ import pytest
 
 from conftest import digest_le
 from slevolve import ValidationError, evodata, evolver
+from slevolve.multilinear import frame_forms
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data",
                          "admissibility_reference.json")
@@ -180,7 +181,8 @@ def test_checkpoint_residuals_equal_membership_residuals():
     data = evodata.example_quadric(4, 2, 1.0)
     bases = data.tangent_bases(data.sample(25, 1))
     As = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    got = evolver._omega_residuals(bases @ np.swapaxes(As, 1, 2)[:, None])
+    got = np.max(frame_forms(bases @ np.swapaxes(As, 1, 2)[:, None])[0],
+                 axis=1, initial=0.0)
     want = []
     for A in As:                      # one map at a time, pairs in a loop
         Z = bases @ A.T

@@ -284,3 +284,36 @@ class TestOtherCommands:
         assert doc["case"] == "d"
         assert doc["conservation_drift"] <= 1e-8
         assert abs(doc["betas"]["sum_betas"]) <= 1e-10
+
+
+class TestNegativeValues:
+    # argparse alone reads a token like -1e1, -inf or -1,1j,1 as an option
+    # name, so each of these exited 2 with "expected one argument"
+    @pytest.mark.parametrize("argv,key,want", [
+        (["affine", "--A", "0.5", "--t-end", "-1e1"], "t_end", -10.0),
+        (["affine", "--A", "0.5", "--t-end", "-inf"], "t_end", -np.inf),
+        (["evolve", "--c", "-1e-3"], "c", -1e-3),
+        (["evolve", "--w0", "-1,1j,1"], "w0", "-1,1j,1"),
+        (["mesh", "--out", "m.json", "--t-end", "-.5"], "t_end", -0.5),
+        (["betas", "--A", "1", "--alphas", "-1,2,2"], "alphas", "-1,2,2"),
+    ])
+    def test_parsed_as_values(self, argv, key, want):
+        assert getattr(cli.build_parser().parse_args(argv), key) == want
+
+    def test_negative_exponent_t_end_runs(self, tmp_path):
+        summary = tmp_path / "a.json"
+        rc = run(["affine", "--m", "3", "--a", "1", "--alphas", "1.5,3",
+                  "--A", "0.5", "--t-end", "-1e0", "--summary", str(summary)])
+        assert rc == 0
+        assert json.loads(summary.read_text())["config"]["t_end"] == -1.0
+        assert run(["evolve", "--m", "3", "--w0", "-1,1j,1", "--c", "-1e-3",
+                    "--t-end", "2e-1", "--summary", str(summary)]) == 0
+        # a non-finite t_end still reaches the driver's refusal
+        assert run(["affine", "--m", "3", "--a", "1", "--alphas", "1.5,3",
+                    "--A", "0.5", "--t-end", "-inf"]) == 2
+
+    def test_option_names_still_options(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["affine", "--A", "0.5",
+                                           "--t-end", "--n", "3"])
+        assert exc.value.code == 2

@@ -4,11 +4,11 @@ symmetry algebra, and the square-case classification."""
 import numpy as np
 import pytest
 
+from oracles import lie_derivative_residual
 from slevolve import ConstructionError, ValidationError, evodata
 from slevolve.evodata import (QuadricSpec, classify_square, curve_data,
                               example_paraboloid, example_quadric,
-                              extend_product, lie_derivative_residual,
-                              quadric_data, symmetry_algebra)
+                              extend_product, quadric_data, symmetry_algebra)
 from slevolve.multilinear import Multivector
 
 
@@ -101,6 +101,35 @@ class TestCurveData:
         pts = data.sample(100, seed=7)
         radii = np.linalg.norm(pts, axis=1)
         assert radii.max() - radii.min() <= 1e-9  # integral curves are circles
+
+    @pytest.mark.parametrize("M,v", [
+        ([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),     # rotation
+        ([[0.2, -1.0], [1.0, 0.1]], [0.3, 0.0]),     # spiral, affine
+        ([[1.0, 0.0], [0.0, -2.0]], [0.5, 1.0]),     # saddle
+        ([[3.0, 1.0], [0.0, 3.0]], [0.0, 0.0]),      # Jordan block
+        ([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]),      # nilpotent shear
+        ([[0.0, 0.0], [0.0, 0.0]], [1.0, -2.0]),     # constant field
+    ])
+    def test_sampler_matches_matrix_exponential(self, M, v):
+        # scipy's expm of the augmented matrix, at the sampler's own draw
+        # times, is the oracle for the integrated flow
+        from scipy.linalg import expm
+        M, v = np.array(M), np.array(v)
+        data = curve_data(M, v, 3)
+        pts = data.sample(40, seed=3)
+        radius = max(np.abs(np.linalg.eigvals(M)).max(), 0.2)
+        t_max = min(3.0, 4.0 / radius)
+        ts = np.random.default_rng(3 + 104729).uniform(-t_max, t_max, 40)
+        p0 = next(np.array(c) for c in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+                  if np.linalg.norm(M @ c + v) > 1e-10)
+        aug = np.zeros((3, 3))
+        aug[:2, :2], aug[:2, 2] = M, v
+        want = np.array([(expm(t * aug) @ [p0[0], p0[1], 1.0])[:2]
+                         for t in ts])
+        err = np.linalg.norm(pts[:, :2] - want, axis=1)
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
+        # a point depends on its draw time alone: repeat draws repeat bits
+        assert np.array_equal(data.sample(40, seed=3), pts)
 
     def test_identity_field_formula(self):
         data = curve_data(np.eye(2), np.zeros(2), 3)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import eval_omega
 from slevolve import NumericalError, ValidationError, centred
 from slevolve.affine import AffineParams, affine_initial, rhs_affine
 from slevolve.evodata import (QuadricSpec, curve_data, example_paraboloid,
                               example_quadric, extend_product, quadric_data)
 from slevolve.evolver import (EvolMap, integrate, membership_cp, rhs_general,
                               trajectory_to_csv)
-from slevolve.multilinear import complex_to_real, eval_omega, k_subsets
+from slevolve.multilinear import complex_to_real, k_subsets
 
 
 def random_map(rng, m, n):

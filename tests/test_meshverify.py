@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import Frame, eval_omega, eval_omega_complex, gram_volume
 from slevolve import ValidationError, affine, centred, meshverify, threefold
-from slevolve.multilinear import (Frame, complex_to_real, eval_omega,
-                                  eval_omega_complex, gram_volume)
+from slevolve.multilinear import complex_to_real
 from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
                                  CentredFamily, ConeOverLinkFamily, Mesh,
                                  QuadricChart, RotatedPlaneFamily, export,
@@ -83,7 +83,7 @@ class TestFrameKernel:
         thetas = rng.uniform(0.0, 1.0, size=m)
         thetas[-1] = np.pi - thetas[:-1].sum()
         F[4:100] = rng.normal(size=(96, m, m)) * np.exp(1j * thetas)
-        got = np.column_stack(meshverify._frame_residuals(F))
+        got = np.column_stack(meshverify._residuals(F))
         want = np.array([reference_residuals(f) for f in F])
         assert np.isnan(got[:3]).all()
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -125,10 +125,10 @@ class TestResiduals:
         assert rep.max_residual() <= 1e-6
         # per-sample residuals are invariant under scaling the ray coordinate
         pvs = fam.sample_params(50, 7)
-        f1 = meshverify._frame_residuals(fam.frames(pvs))
+        f1 = meshverify._residuals(fam.frames(pvs))
         pvs2 = pvs.copy()
         pvs2[:, 2] *= 2.0
-        f2 = meshverify._frame_residuals(fam.frames(pvs2))
+        f2 = meshverify._residuals(fam.frames(pvs2))
         assert np.abs(f1[0] - f2[0]).max() <= 1e-10
         assert np.abs(f1[1] - f2[1]).max() <= 1e-10
 

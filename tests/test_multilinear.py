@@ -8,11 +8,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import (ComplexPoint, Frame, contract, eval_omega,
+                     eval_omega_complex, gram_volume, pushforward,
+                     real_to_complex)
 from slevolve import ValidationError
-from slevolve.multilinear import (ComplexPoint, Frame, Multivector,
-                                  complex_to_real, contract, eval_omega,
-                                  eval_omega_complex, gram_volume, k_subsets,
-                                  real_to_complex)
+from slevolve.multilinear import (Multivector, complex_to_real, frame_forms,
+                                  k_subsets)
 
 
 def omega_matrix(m):
@@ -148,6 +149,60 @@ class TestOmegaComplex:
                 np.cos(thetas.sum()) * signed, abs=1e-10 * (1 + abs(signed)))
 
 
+def scalar_forms(Z):
+    """omega, Gram determinant and |Im Omega| of one complex frame (k, m)
+    from the scalar forms, on its unit rows."""
+    k, m = Z.shape
+    V = complex_to_real(Z)
+    U = V / np.linalg.norm(V, axis=1)[:, None]
+    omega = max(abs(eval_omega(u, w, m)) for u in U for w in U)
+    if k < m:
+        return omega, None, None
+    return (omega, gram_volume(U) ** 2,
+            abs(eval_omega_complex(Frame(m, U)).imag))
+
+
+class TestFrameForms:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_square_frames_match_scalar_forms(self, m):
+        rng = np.random.default_rng(20 + m)
+        Z = rng.normal(size=(60, m, m)) + 1j * rng.normal(size=(60, m, m))
+        Z[20:40] = (rng.normal(size=(20, m, m))
+                    * np.exp(1j * rng.uniform(-1, 1, size=(20, 1, m))))
+        got = np.column_stack(frame_forms(Z))
+        want = np.array([scalar_forms(z) for z in Z])
+        assert np.max(np.abs(got - want)) <= 1e-14
+        # rotated real frames are Lagrangian
+        assert got[20:40, 0].max() <= 1e-15
+
+    @pytest.mark.parametrize("k,m", [(1, 2), (2, 3), (3, 4), (4, 6)])
+    def test_tangent_frames_omega_only(self, k, m):
+        rng = np.random.default_rng(30 + m)
+        shape = (7, 40, k, m)
+        Z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        omega, gram, im = frame_forms(Z)
+        assert omega.shape == (7, 40) and gram is None and im is None
+        want = [scalar_forms(z)[0] for z in Z.reshape(-1, k, m)]
+        assert np.max(np.abs(omega.ravel() - want)) <= 1e-14
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(41)
+        Z = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        ref = np.column_stack(frame_forms(Z))
+        # powers of two scale exactly, so each row may carry its own
+        scales = 2.0 ** rng.integers(-400, 400, size=(50, 3, 1))
+        assert np.array_equal(np.column_stack(frame_forms(Z * scales)), ref)
+        for s in (1e-100, 1e100):
+            got = np.column_stack(frame_forms(Z * s))
+            assert np.max(np.abs(got - ref)) <= 1e-14, s
+
+    def test_zero_row(self):
+        Z = np.eye(3, dtype=complex)
+        Z[1] = 0.0
+        omega, gram, im = frame_forms(Z)
+        assert (omega, gram, im) == (0.0, 0.0, 0.0)
+
+
 class TestContract:
     def test_sign_convention_single_entry(self):
         chi = Multivector.basis(3, (0, 1))
@@ -218,7 +273,7 @@ class TestMultivectorBasics:
         n, N, k = 3, 4, 2
         B = rng.normal(size=(N, n))
         mv = Multivector(n, k, rng.normal(size=comb(n, k)))
-        pushed = mv.pushforward(B)
+        pushed = pushforward(mv, B)
         for t_idx, T in enumerate(k_subsets(N, k)):
             acc = 0.0
             for s_idx, S in enumerate(k_subsets(n, k)):

@@ -381,6 +381,9 @@ def test_cli_commands_load_no_scipy(tmp_path):
         centred.CentredParams(3, 1, al, A, c=0.0), 0.0, (0.0, 1.0),
         resolution=(9, 16))
     meshverify.export(mesh, "json", str(tmp_path / "mesh.json"))
+    curve = evodata.curve_data(np.array([[0.2, -1.0], [1.0, 0.1]]),
+                               np.array([0.3, 0.0]), 3)
+    (tmp_path / "curve.json").write_text(json.dumps(curve.to_json_dict()))
     argvs = [
         [],
         ["betas", "--m", "3", "--a", "1", "--alphas", "1,2,2", "--A", "1.0",
@@ -400,6 +403,12 @@ def test_cli_commands_load_no_scipy(tmp_path):
         # DOP853 with its blow-up event, checkpoint residuals
         ["evolve", "--m", "3", "--a", "1", "--t-end", "1", "--summary",
          "s.json"],
+        # the same on curve data, whose sampler integrates the planar flow
+        ["evolve", "--data", str(tmp_path / "curve.json"), "--t-end", "0.5",
+         "--summary", "d.json"],
+        # analytic mesh frames and the frame kernel
+        ["mesh", "--m", "3", "--a", "1", "--alphas", "1,2,2", "--A", "1.0",
+         "--resolution", "9x16", "--with-residuals", "--out", "m.json"],
     ]
     for argv in argvs:
         assert _scipy_modules_after(argv, tmp_path) == [], argv
