@@ -192,21 +192,22 @@ def _write_scan_csv(ns, alphas, cfg) -> None:
 def cmd_mesh(ns) -> int:
     from . import affine as affine_mod
     from . import meshverify
-    cfg = _resolved_config(ns)
-    nt, nq = (int(x) for x in ns.resolution.split("x"))
+    resolution = ns.resolution.split("x")
+    t_end = 2.0 if ns.t_end is None else ns.t_end
     if ns.kind == "centred":
         alphas = _alphas_for(ns, ns.m)
         params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
-        mesh = meshverify.mesh_centred(params, ns.c, (0.0, ns.t_end),
-                                       resolution=(nt, nq))
+        mesh = meshverify.mesh_centred(params, ns.c, (0.0, t_end),
+                                       resolution=resolution)
     elif ns.kind == "affine":
         alphas = _alphas_for(ns, ns.m - 1)
         params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
-        mesh = meshverify.mesh_affine(params, (0.0, ns.t_end),
-                                      resolution=(nt, nq))
+        mesh = meshverify.mesh_affine(params, (0.0, t_end),
+                                      resolution=resolution)
     elif ns.kind == "link":
         alphas = _alphas_for(ns, ns.m)
-        mesh = meshverify.mesh_link(alphas, ns.A, resolution=(nt, nq))
+        mesh = meshverify.mesh_link(alphas, ns.A, resolution=resolution,
+                                    t_span=ns.t_end)
     else:
         raise ValidationError(f"unknown mesh kind {ns.kind!r}")
     if ns.with_residuals:
@@ -417,7 +418,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
                     default="centred")
     sp.add_argument("--A", type=float, default=1.0)
     sp.add_argument("--c", type=float, default=0.0)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=2.0)
+    sp.add_argument("--t-end", dest="t_end", type=float,
+                    help="default 2.0; one period for --kind link")
     sp.add_argument("--resolution", default="33x64")
     sp.add_argument("--format", choices=["obj", "ply", "csv", "json"],
                     default="json")

@@ -19,7 +19,8 @@ reference for convergence checks.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -436,34 +437,30 @@ class CentredFamily(_SweptFamily):
         if t_span is None:
             t_span = 2.0 * centred.betas(params).period_T if case == "d" else 2.0
         self.t_span = float(t_span)
-        if w0 is not None:
-            self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
-                                            self.t_span)
-        elif case == "c":
+        if w0 is None and case == "c":
             self.path = CaseCWPath(params)
         else:
-            self.path = centred.integrate_w(centred.w_initial(params), self.a,
+            w0 = centred.w_initial(params) if w0 is None else w0
+            self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
                                             self.t_span)
         self.chart = QuadricChart(self.m, self.a, self.c, radius)
 
 
 class AffineFamily(_SweptFamily):
     """The translated (paraboloid) submanifold as a map of (t, x_1..x_{m-1}),
-    swept by a prebuilt ``path`` or one integrated from (w0, beta0)."""
+    swept by the path integrated from (w0, beta0)."""
 
     def __init__(self, params: affine_mod.AffineParams, t_span: float = 4.0,
-                 radius: float = 2.0, w0=None, beta0=None, path=None):
+                 radius: float = 2.0, w0=None, beta0=None):
         self.params = params
         self.m, self.a = params.m, params.a
-        if path is None:
-            if w0 is None:
-                w0, beta0 = affine_mod.affine_initial(params)
-            elif beta0 is None:
-                beta0 = 0.0
-            path = affine_mod.integrate_affine(w0, beta0, params.a,
-                                               float(t_span))
-        self.path = path
-        self.t_span = min(float(t_span), path.t_span[1])
+        if w0 is None:
+            w0, beta0 = affine_mod.affine_initial(params)
+        elif beta0 is None:
+            beta0 = 0.0
+        self.path = affine_mod.integrate_affine(w0, beta0, params.a,
+                                                float(t_span))
+        self.t_span = min(float(t_span), self.path.t_span[1])
         signs = np.ones(self.m - 1)
         signs[self.a:] = -1.0
         self.chart = ParaboloidChart(signs, radius)
@@ -549,16 +546,10 @@ class SLReport:
         return max(self.max_omega_residual, self.max_imOmega_residual)
 
     def to_dict(self) -> dict:
-        return {
-            "max_omega_residual": self.max_omega_residual,
-            "mean_omega_residual": self.mean_omega_residual,
-            "max_imOmega_residual": self.max_imOmega_residual,
-            "mean_imOmega_residual": self.mean_imOmega_residual,
-            "normalization": self.normalization,
-            "sample_count": self.sample_count,
-            "skipped": self.skipped,
-        } | ({} if self.max_vertex_offset is None
-             else {"max_vertex_offset": self.max_vertex_offset})
+        doc = asdict(self)
+        if self.max_vertex_offset is None:
+            del doc["max_vertex_offset"]
+        return doc
 
 
 def _residuals(F: np.ndarray) -> tuple:
@@ -656,7 +647,94 @@ def _sheet_grid(outer, inner, n_sheets: int, wrap: bool) -> tuple:
     return P, np.concatenate([quads + k * no * ni for k in range(n_sheets)])
 
 
-def _swept_mesh(family, chart, P, faces, names, recipe) -> Mesh:
+def _t_end(t_span) -> float:
+    if float(t_span[0]) != 0.0:
+        raise ValidationError("t_span must start at 0")
+    return float(t_span[1])
+
+
+def _grid_size(resolution) -> list:
+    """Two grid counts, integers (or decimal strings) of at least 2."""
+    try:
+        sizes = [int(n) if isinstance(n, str) else operator.index(n)
+                 for n in resolution]
+    except (TypeError, ValueError):
+        sizes = []
+    if len(sizes) != 2 or min(sizes) < 2:
+        raise ValidationError("resolution must be two integers, each at "
+                              f"least 2; got {resolution!r}")
+    return sizes
+
+
+def _initial_state(w0, beta0=None) -> dict:
+    """Recipe entries of the initial state a caller passed."""
+    state = {}
+    if w0 is not None:
+        w0 = np.asarray(w0, complex)
+        state |= {"w0_re": w0.real.tolist(), "w0_im": w0.imag.tolist()}
+    if beta0 is not None:
+        state["beta0"] = [complex(beta0).real, complex(beta0).imag]
+    return state
+
+
+def _recipe_w0(r: dict):
+    return (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
+            if "w0_re" in r else None)
+
+
+# One construction per mesh kind, recipe -> (family, row chart, parameter
+# grid, faces), serves the builder and rebuild_family alike; a key missing
+# from a recipe takes the builder's default.
+
+def _centred_mesh(r: dict) -> tuple:
+    params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
+                                   r["A"], c=r["c"])
+    nt, nq = _grid_size(r["resolution"])
+    radius = r.get("radius", 2.0)
+    family = CentredFamily(params, t_span=r["t_end"], w0=_recipe_w0(r),
+                           radius=radius)
+    chart = ProfileChart(params.m, params.a, params.c, r.get("n_sheets", 2))
+    qs = (np.linspace(0.0, 2 * np.pi, nq, endpoint=False) if chart.wrap
+          else np.linspace(-radius, radius, nq))
+    P, faces = _sheet_grid(np.linspace(0.0, family.t_span, nt), qs,
+                           chart.n_sheets, chart.wrap)
+    return family, chart, P, faces
+
+
+def _affine_mesh(r: dict) -> tuple:
+    params = affine_mod.AffineParams(r["m"], r["a"], tuple(r["alphas"]),
+                                     r["A"], complex(*r.get("Cconst", (0, 0))))
+    nt, nq = _grid_size(r["resolution"])
+    beta0 = complex(*r["beta0"]) if "beta0" in r else None
+    family = AffineFamily(params, t_span=r["t_end"],
+                          radius=r.get("radius", 1.5), w0=_recipe_w0(r),
+                          beta0=beta0)
+    if family.path.escaped:     # the grid stops short of the blow-up
+        family.t_span = 0.98 * family.path.t_span[1]
+    chart = _AffineProfileChart(family.chart.signs, r["profile_radii"])
+    P, faces = _sheet_grid(np.linspace(0.0, family.t_span, nt),
+                           np.linspace(0.0, 2 * np.pi, nq, endpoint=False),
+                           len(chart.radii), True)
+    return family, chart, P, faces
+
+
+def _link_mesh(r: dict) -> tuple:
+    ns, nt = _grid_size(r.get("resolution", (64, 64)))
+    family = ConeOverLinkFamily(tuple(r["alphas"]), r["A"],
+                                t_span=r.get("t_end"))
+    chart = _LinkRowChart(family.chart.section)
+    P, faces = _sheet_grid(np.linspace(0.0, chart.section.period, ns),
+                           np.linspace(0.0, family.t_span, nt), 1, False)
+    return family, chart, P, faces
+
+
+_CONSTRUCTIONS = {"centred": _centred_mesh, "affine": _affine_mesh,
+                  "link": _link_mesh}
+
+
+def _mesh(recipe: dict) -> Mesh:
+    family, chart, P, faces = _CONSTRUCTIONS[recipe["kind"]](recipe)
+    names = ("s", "t", "sheet") if chart.t_col else ("t", "q", "sheet")
     return Mesh(family.m, complex_to_real(family.points(P, chart)), faces, P,
                 names, recipe=recipe, family=family, chart=chart)
 
@@ -670,25 +748,11 @@ def mesh_centred(params: centred.CentredParams, c: float, t_span,
     For c = 0 the sheet radii come in doubling pairs so ray-scaling of the
     cone can be checked vertexwise.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 != 0.0:
-        raise ValidationError("t_span must start at 0")
-    nt, nq = resolution
-    family = CentredFamily(params, c=c, t_span=t1, w0=w0, radius=radius)
-    chart = ProfileChart(params.m, params.a, c, n_sheets)
-    if chart.wrap:
-        qs = np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
-    else:
-        qs = np.linspace(-radius, radius, nq)
-    P, faces = _sheet_grid(np.linspace(t0, t1, nt), qs, chart.n_sheets,
-                           chart.wrap)
-    start = np.asarray(family.path.w(0.0), complex)
-    return _swept_mesh(family, chart, P, faces, ("t", "q", "sheet"), {
+    return _mesh({
         "kind": "centred", "m": params.m, "a": params.a,
-        "alphas": list(params.alphas), "A": params.A, "c": c, "t_end": t1,
-        "resolution": [nt, nq], "radius": radius,
-        "n_sheets": chart.n_sheets, "w0_re": start.real.tolist(),
-        "w0_im": start.imag.tolist()})
+        "alphas": list(params.alphas), "A": params.A, "c": c,
+        "t_end": _t_end(t_span), "resolution": _grid_size(resolution),
+        "radius": radius, "n_sheets": n_sheets} | _initial_state(w0))
 
 
 def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
@@ -696,41 +760,35 @@ def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
                 beta0=None) -> Mesh:
     """Mesh of the translated family over a (t, profile angle) grid; the
     first two free coordinates run around circles of the given radii, the
-    rest stay at a fixed offset."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 != 0.0:
-        raise ValidationError("t_span must start at 0")
-    nt, nq = resolution
-    family = AffineFamily(params, t_span=t1, radius=radius, w0=w0, beta0=beta0)
-    path = family.path
-    if path.escaped and path.t_span[1] < t1:
-        t1 = path.t_span[1] * 0.98
-        family = AffineFamily(params, t_span=t1, radius=radius, path=path)
-    chart = _AffineProfileChart(family.chart.signs, profile_radii)
-    P, faces = _sheet_grid(np.linspace(t0, t1, nt),
-                           np.linspace(0.0, 2 * np.pi, nq, endpoint=False),
-                           len(profile_radii), True)
-    start = np.asarray(path.w(0.0), complex)
-    b_start = complex(path.beta(0.0))
-    return _swept_mesh(family, chart, P, faces, ("t", "q", "sheet"), {
+    rest stay at a fixed offset.  A path that escapes before t_end is
+    meshed up to 0.98 of its escape time."""
+    return _mesh({
         "kind": "affine", "m": params.m, "a": params.a,
-        "alphas": list(params.alphas), "A": params.A, "t_end": t1,
-        "profile_radii": list(profile_radii), "resolution": [nt, nq],
-        "w0_re": start.real.tolist(), "w0_im": start.imag.tolist(),
-        "beta0": [b_start.real, b_start.imag]})
+        "alphas": list(params.alphas), "A": params.A,
+        "Cconst": [params.Cconst.real, params.Cconst.imag],
+        "t_end": _t_end(t_span), "profile_radii": list(profile_radii),
+        "resolution": _grid_size(resolution), "radius": radius}
+        | _initial_state(w0, beta0))
 
 
 def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:
     """Mesh of the cone link (the unit-sphere cross-section surface) over
-    one cross-section period in s and, by default, one (u, theta) period
-    in t."""
-    ns, nt = resolution
-    family = ConeOverLinkFamily(tuple(alphas), A, t_span=t_span)
-    chart = _LinkRowChart(family.chart.section)
-    P, faces = _sheet_grid(np.linspace(0.0, chart.section.period, ns),
-                           np.linspace(0.0, family.t_span, nt), 1, False)
-    return _swept_mesh(family, chart, P, faces, ("s", "t", "sheet"),
-                       {"kind": "link", "alphas": list(alphas), "A": A})
+    one cross-section period in s and t in [0, t_span], by default one
+    (u, theta) period."""
+    return _mesh({"kind": "link", "alphas": list(alphas), "A": A,
+                  "resolution": _grid_size(resolution)}
+                 | ({} if t_span is None else {"t_end": float(t_span)}))
+
+
+def rebuild_family(mesh: Mesh):
+    """Reconstruct the generating family and row chart of an imported mesh
+    through the construction that built it, from its recipe, so residuals
+    can be verified analytically at the stored vertex parameters."""
+    construct = _CONSTRUCTIONS.get(mesh.recipe.get("kind"))
+    if construct is None:
+        raise ValidationError("mesh recipe does not name a rebuildable family")
+    mesh.family, mesh.chart = construct(mesh.recipe)[:2]
+    return mesh.family
 
 
 def _mesh_frames(mesh: Mesh) -> np.ndarray:
@@ -796,65 +854,47 @@ def export(mesh: Mesh, fmt: str, path, projection=None) -> None:
             "schema": "slmesh-1",
             "m": mesh.m,
             "param_names": list(mesh.param_names),
-            "vertices": [[float(v) for v in row] for row in mesh.vertices],
-            "faces": [[int(i) for i in f] for f in mesh.faces],
-            "params": [[float(v) for v in row] for row in mesh.params],
+            "vertices": mesh.vertices.tolist(),
+            "faces": mesh.faces.tolist(),
+            "params": mesh.params.tolist(),
             "recipe": mesh.recipe,
         }
         for key in ("res_omega", "res_imomega"):
             arr = getattr(mesh, key)
             doc[key] = None if arr is None else [float(v) for v in arr]
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
-
-    if fmt == "csv":
+        lines = [json.dumps(doc, indent=1, sort_keys=True)]
+    elif fmt == "csv":
         extra = [n for n in mesh.param_names if n != "t"]
-        m = mesh.m
         cols = (["t"] + [f"param{i + 1}" for i in range(len(extra))]
-                + [c for j in range(1, m + 1) for c in (f"x{j}", f"y{j}")]
+                + [c for j in range(1, mesh.m + 1) for c in (f"x{j}", f"y{j}")]
                 + ["res_omega", "res_imomega"])
-        lines = [",".join(cols)]
-        ro = mesh.res_omega if mesh.res_omega is not None else np.full(
-            len(mesh.vertices), np.nan)
-        ri = mesh.res_imomega if mesh.res_imomega is not None else np.full(
-            len(mesh.vertices), np.nan)
         t_idx = mesh.param_names.index("t") if "t" in mesh.param_names else 0
-        for i, v in enumerate(mesh.vertices):
-            prow = mesh.params[i]
-            rest = [prow[j] for j in range(len(prow)) if j != t_idx]
-            vals = [prow[t_idx], *rest, *v, ro[i], ri[i]]
-            lines.append(",".join(_fmt(float(x)) for x in vals))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-
-    if fmt == "obj":
-        P = _project_vertices(mesh, projection)
-        lines = [f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in P]
-        lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1} {f[3] + 1}"
-                  for f in mesh.faces]
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-
-    if fmt == "ply":
-        P = _project_vertices(mesh, projection)
-        header = [
-            "ply", "format ascii 1.0",
-            f"element vertex {len(P)}",
-            "property double x", "property double y", "property double z",
-            f"element face {len(mesh.faces)}",
-            "property list uchar int vertex_indices", "end_header"]
-        lines = header + [" ".join(_fmt(c) for c in p) for p in P]
-        lines += ["4 " + " ".join(str(int(i)) for i in f)
-                  for f in mesh.faces]
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-
-    raise ValidationError(f"unknown mesh format {fmt!r}")
+        res = [np.full(len(mesh.vertices), np.nan) if r is None else r
+               for r in (mesh.res_omega, mesh.res_imomega)]
+        rows = np.column_stack([mesh.params[:, t_idx],
+                                np.delete(mesh.params, t_idx, axis=1),
+                                mesh.vertices, *res])
+        lines = [",".join(cols)] + [",".join(map(_fmt, row))
+                                    for row in rows.tolist()]
+    elif fmt in ("obj", "ply"):
+        P = _project_vertices(mesh, projection).tolist()
+        faces = mesh.faces.tolist()
+        if fmt == "obj":
+            lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in P]
+            lines += [f"f {i + 1} {j + 1} {k + 1} {l + 1}"
+                      for i, j, k, l in faces]
+        else:
+            lines = [
+                "ply", "format ascii 1.0", f"element vertex {len(P)}",
+                "property double x", "property double y", "property double z",
+                f"element face {len(faces)}",
+                "property list uchar int vertex_indices", "end_header"]
+            lines += [" ".join(map(_fmt, p)) for p in P]
+            lines += ["4 " + " ".join(map(str, f)) for f in faces]
+    else:
+        raise ValidationError(f"unknown mesh format {fmt!r}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def import_json(path) -> Mesh:
@@ -874,46 +914,3 @@ def import_json(path) -> Mesh:
         if doc.get(key) is not None:
             setattr(mesh, key, np.asarray(doc[key], float))
     return mesh
-
-
-def _centred_from_recipe(r: dict) -> tuple:
-    params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
-                                   r["A"], c=r["c"])
-    w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
-          if "w0_re" in r else None)
-    return (CentredFamily(params, c=r["c"], t_span=r["t_end"], w0=w0,
-                          radius=r.get("radius", 2.0)),
-            ProfileChart(r["m"], r["a"], r["c"], r.get("n_sheets", 2)))
-
-
-def _affine_from_recipe(r: dict) -> tuple:
-    params = affine_mod.AffineParams(r["m"], r["a"], tuple(r["alphas"]),
-                                     r["A"])
-    w0 = (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
-          if "w0_re" in r else None)
-    beta0 = complex(*r["beta0"]) if "beta0" in r else None
-    # the sampling radius is not in the recipe: mesh_affine's default
-    family = AffineFamily(params, t_span=r["t_end"], radius=1.5, w0=w0,
-                          beta0=beta0)
-    return family, _AffineProfileChart(family.chart.signs, r["profile_radii"])
-
-
-def _link_from_recipe(r: dict) -> tuple:
-    family = ConeOverLinkFamily(tuple(r["alphas"]), r["A"])
-    return family, _LinkRowChart(family.chart.section)
-
-
-_REBUILDERS = {"centred": _centred_from_recipe,
-               "affine": _affine_from_recipe,
-               "link": _link_from_recipe}
-
-
-def rebuild_family(mesh: Mesh):
-    """Reconstruct the generating family and row chart of an imported mesh
-    from its recipe (including the stored initial state) so residuals can
-    be verified analytically at the stored vertex parameters."""
-    build = _REBUILDERS.get(mesh.recipe.get("kind"))
-    if build is None:
-        raise ValidationError("mesh recipe does not name a rebuildable family")
-    mesh.family, mesh.chart = build(mesh.recipe)
-    return mesh.family

@@ -38,10 +38,17 @@ class TestBetasCommand:
         db["config"].pop("out")
         assert da == db
 
-    def test_validation_exit_code(self, tmp_path):
+    def test_validation_exit_code(self, tmp_path, capsys):
         rc = run(["betas", "--m", "3", "--a", "1", "--alphas", "1,2,2.5",
                   "--A", "1.0", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+        # a malformed mesh resolution is named: no traceback, no empty mesh
+        out = tmp_path / "m.json"
+        for res in ("33", "-3x16", "0x16", "9x0", "9xa"):
+            assert run(["mesh", "--alphas", "1,2,2", "--resolution", res,
+                        "--out", str(out)]) == 2
+            assert "resolution" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +143,30 @@ class TestMeshAndVerify:
         assert rc == 3
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["max_vertex_offset"] > 0.1
+
+    @pytest.mark.parametrize("argv", [
+        # case c, A = A_max: the closed-form path, not an integration
+        ["--kind", "centred", "--m", "3", "--a", "1", "--alphas", "1,2,2",
+         "--A", "2", "--c", "1"],
+        # a path that escapes before t = 50
+        ["--kind", "affine", "--m", "4", "--a", "3", "--alphas", "1,2,3",
+         "--A", "0.4", "--t-end", "50"],
+    ], ids=["centred-case-c", "affine-escaping"])
+    def test_verify_rebuilds_the_built_mesh(self, tmp_path, argv):
+        mesh, rep = tmp_path / "m.json", tmp_path / "rep.json"
+        assert run(["mesh", *argv, "--resolution", "9x16",
+                    "--out", str(mesh)]) == 0
+        assert run(["verify", "--mesh", str(mesh), "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["max_vertex_offset"] == 0.0
+
+    def test_link_honours_t_end(self, tmp_path):
+        mesh = tmp_path / "link.json"
+        assert run(["mesh", "--kind", "link", "--alphas", "1.2,2,3",
+                    "--A", "0.4", "--t-end", "0.5", "--resolution", "8x8",
+                    "--out", str(mesh)]) == 0
+        t = np.asarray(json.loads(mesh.read_text())["params"])[:, 1]
+        assert t.min() == 0.0 and t.max() == 0.5
+        assert run(["verify", "--mesh", str(mesh)]) == 0
 
     def test_missing_or_malformed_file_is_exit_two(self, tmp_path, capsys):
         paths = [tmp_path / "missing.json"]

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,3 +434,94 @@ class TestExport:
         mesh = mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(3, 6))
         with pytest.raises(ValidationError):
             export(mesh, "stl", tmp_path / "m.stl")
+
+
+T_LINK = centred.betas(centred.CentredParams(3, 1, (1.2, 2.0, 3.0), 0.4,
+                                             c=0.0)).period_T
+AFF4 = affine.AffineParams(4, 2, centred.symmetric_alphas(3, 2), 0.4)
+
+
+def parent_recipe(mesh):
+    """The recipe keys an earlier writer stored: always the path's start,
+    the affine t_end cut at an escape, and only (alphas, A) for a link."""
+    r, path = mesh.recipe, mesh.family.path
+    if r["kind"] == "link":
+        return {"kind": "link", "alphas": r["alphas"], "A": r["A"]}
+    old = {k: r[k] for k in ("kind", "m", "a", "alphas", "A", "resolution")}
+    start = np.asarray(path.w(0.0), complex)
+    old |= {"t_end": mesh.family.t_span, "w0_re": start.real.tolist(),
+            "w0_im": start.imag.tolist()}
+    if r["kind"] == "centred":
+        old |= {"c": r["c"], "radius": r["radius"],
+                "n_sheets": mesh.chart.n_sheets}
+    else:
+        b = complex(path.beta(0.0))
+        old |= {"profile_radii": r["profile_radii"], "beta0": [b.real, b.imag]}
+    return old
+
+
+class TestRecipe:
+    @pytest.mark.parametrize("build", [
+        # case c, A = A_max: the closed-form path, not an integration
+        lambda: mesh_centred(centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 2.0,
+                                                   c=1.0), 1.0, (0.0, 2.0),
+                             resolution=(9, 16)),
+        lambda: mesh_link((1.2, 2.0, 3.0), 0.4, resolution=(9, 12),
+                          t_span=0.5 * T_LINK),
+        lambda: mesh_link((1.2, 2.0, 3.0), 0.4, resolution=(9, 12),
+                          t_span=2.0 * T_LINK),
+        # escapes before t = 50: meshed to 0.98 of the escape time
+        lambda: mesh_affine(affine.AffineParams(4, 3, (1.0, 2.0, 3.0), 0.4),
+                            (0.0, 50.0), resolution=(9, 16)),
+        lambda: mesh_affine(affine.AffineParams(4, 2, AFF4.alphas, 0.4,
+                                                Cconst=0.3 - 0.2j),
+                            (0.0, 1.0), resolution=(5, 8)),
+    ], ids=["centred-case-c", "link-half-period", "link-two-periods",
+            "affine-escaping", "affine-Cconst"])
+    def test_rebuilt_mesh_is_the_built_mesh(self, tmp_path, build):
+        mesh = build()
+        export(mesh, "json", tmp_path / "m.json")
+        back = import_json(tmp_path / "m.json")
+        rebuild_family(back)
+        assert mesh_residual_report(back).max_vertex_offset == 0.0
+        if back.recipe["kind"] == "affine" and back.family.path.escaped:
+            # the recipe keeps the requested horizon, not the cut one
+            assert back.recipe["t_end"] == 50.0
+            escape = back.family.path.t_span[1]
+            assert back.params[:, 0].max() == 0.98 * escape < 50.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(5, 8)),
+        lambda: mesh_centred(centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0,
+                                                   c=0.0), 0.0, (0.0, 1.0),
+                             resolution=(5, 8)),
+        lambda: mesh_affine(AFF4, (0.0, 2.0), resolution=(5, 8)),
+        lambda: mesh_link((1.2, 2.0, 3.0), 0.4, resolution=(8, 8)),
+    ], ids=["centred", "cone", "affine", "link"])
+    def test_earlier_recipes_still_verify(self, build):
+        mesh = build()
+        old = replace(mesh, recipe=json.loads(json.dumps(parent_recipe(mesh))),
+                      family=None, chart=None)
+        rebuild_family(old)
+        report = mesh_residual_report(old)
+        assert report.max_vertex_offset <= 1e-12
+        assert report.max_residual() <= 1e-6
+
+    @pytest.mark.parametrize("resolution", [
+        (33,), (-3, 16), (0, 16), (9, 0), (9, 16, 4), (9.5, 16), ("9", "a")])
+    def test_malformed_resolution_rejected(self, resolution):
+        for build in (
+                lambda: mesh_centred(P122, 1.0, (0.0, 1.0), resolution),
+                lambda: mesh_affine(AFF4, (0.0, 1.0), resolution),
+                lambda: mesh_link((1.2, 2.0, 3.0), 0.4, resolution)):
+            with pytest.raises(ValidationError, match="resolution"):
+                build()
+
+    def test_report_dict_names_offset_for_meshes_only(self):
+        mesh = mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(3, 6))
+        keys = ["max_omega_residual", "mean_omega_residual",
+                "max_imOmega_residual", "mean_imOmega_residual",
+                "normalization", "sample_count", "skipped"]
+        assert list(sl_residuals(mesh.family, 20).to_dict()) == keys
+        report = mesh_residual_report(mesh).to_dict()
+        assert list(report) == keys + ["max_vertex_offset"]
