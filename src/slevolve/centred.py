@@ -558,88 +558,62 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
                    describe=None) -> tuple:
     """Row-batched, vector-valued adaptive Gauss-Legendre quadrature.
 
-    Row r integrates over [a_r, b_r].  ``f`` takes the ``Nodes`` of one
-    call, x of shape (L, n) for the rows ``rows`` that still have panels
-    pending, and returns their K integrands there, shape (L, K, n).  Each
-    panel is estimated with 16- and 32-point rules on one set of nodes; it
-    is accepted when every integrand's disagreement is within its width
-    share of ``tol`` or at its rounding floor (or at ``max_depth``), and
-    bisected otherwise.  One call of ``f`` takes up to ``_CALL_NODES``
-    nodes, shared among the pending rows: the fewer rows are left, the more
-    panels each takes.  Every accept decision depends on its panel alone
-    and accepted panels are summed per row in order of position, so a row's
-    result does not depend on the other rows.
+    Row r integrates over [a_r, b_r].  Pending panels form one flat stack,
+    a line (row, lo, hi, depth) each.  A round takes up to ``_CALL_NODES``
+    nodes' worth of panels off the top, whatever their rows, and calls
+    ``f`` once on their ``Nodes``: x (P, n), one line per panel, and rows
+    (P,), which may repeat.  ``f`` returns a new array of the K integrands
+    there, (P, K, n), which is weighted in place.  Each panel is estimated
+    with 16- and 32-point rules on one set of nodes; it is accepted when
+    every integrand's disagreement is within its width share of ``tol`` or
+    at its rounding floor (or at ``max_depth``), and bisected otherwise,
+    its children going back on top: depth first.  Every accept decision
+    depends on its panel alone and accepted panels are summed per row in
+    order of position, so a row's result does not depend on the other rows.
 
     Returns (values, errors), each (N, K).  Raises NumericalError when a row
     exceeds ``_PANEL_BUDGET`` panels or its error estimate is grossly over
     budget; ``describe(r)`` names row r in the message.
     """
-    x16, w16 = _gl_rule(16)
-    x32, w32 = _gl_rule(32)
+    (x16, w16), (x32, w32) = _gl_rule(16), _gl_rule(32)
     nodes, weights = np.concatenate([x16, x32]), np.concatenate([w16, w32])
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))
     n_rows = a.size
     describe = describe or (lambda r: f"quadrature row {r}")
     total = b - a
     # a panel's share of tol per unit of its half width
-    share = (2.0 * tol / np.where(total == 0, 1.0, total))[:, None]
+    share = 2.0 * tol / np.where(total == 0, 1.0, total)
     call_panels = max(1, _CALL_NODES // nodes.size)
     floor = 64.0 * np.finfo(float).eps
-
-    cap = max_depth + 2
-    stack = np.zeros((n_rows, cap, 3))        # pending (lo, hi, depth)
-    stack[:, 0, 0], stack[:, 0, 1] = a, b
-    sp = np.ones(n_rows, dtype=np.intp)
+    stack = np.column_stack([np.arange(n_rows), a, b, np.zeros(n_rows)])
     panels = np.zeros(n_rows, dtype=np.intp)
     records = []
-    while True:
-        rows = np.nonzero(sp)[0]
-        if not rows.size:
-            break
-        k = np.minimum(sp[rows], max(1, call_panels // rows.size))
-        width = int(k.max())
-        panels[rows] += k
+    while stack.size:
+        top, stack = stack[:-call_panels - 1:-1], stack[:-call_panels]
+        rows, lo, hi = top[:, 0].astype(np.intp), top[:, 1], top[:, 2]
+        panels += np.bincount(rows, minlength=n_rows)
         if panels.max() > _PANEL_BUDGET:
             raise NumericalError(
                 f"{describe(int(np.argmax(panels)))}: quadrature panel "
                 f"budget of {_PANEL_BUDGET} panels exhausted")
-        slot = np.arange(width)
-        live = slot < k[:, None]                              # (L, W)
-        ent = stack[rows[:, None], np.maximum(sp[rows, None] - 1 - slot, 0)]
-        lo, hi = ent[..., 0], ent[..., 1]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = f(Nodes((mid[..., None] + half[..., None] * nodes)
-                       .reshape(rows.size, -1), rows))
-        sums = np.add.reduceat(
-            vals.reshape(rows.size, vals.shape[1], width, nodes.size)
-            * weights, (0, x16.size), axis=-1)
-        sums *= half[:, None, :, None]
-        i32 = sums[..., 1]                                    # (L, K, W)
+        vals = f(Nodes(mid[:, None] + half[:, None] * nodes, rows))
+        vals *= weights
+        sums = np.add.reduceat(vals, (0, x16.size), axis=-1)
+        sums *= half[:, None, None]
+        i32 = sums[..., 1]                                    # (P, K)
         err = np.abs(i32 - sums[..., 0])
         # a panel already converged to rounding level cannot improve by
         # splitting, however small its width share of the budget is
         ok = ((err <= np.maximum((half * share[rows])[:, None],
                                  floor * np.abs(i32))).all(axis=1)
-              | (ent[..., 2] >= max_depth))
-        i, s = np.nonzero(live & ok)
-        records.append((rows[i], lo[i, s], i32[i, :, s], err[i, :, s]))
+              | (top[:, 3] >= max_depth))
+        records.append((rows[ok], lo[ok], i32[ok], err[ok]))
         # children of the split panels go on top of what is left
-        sp[rows] -= k
-        split = live & ~ok
-        i, s = np.nonzero(split)
-        if i.size:
-            r = rows[i]
-            pos = sp[r] + 2 * (split.cumsum(axis=1)[i, s] - 1)
-            sp[rows] += 2 * split.sum(axis=1)
-            if sp.max() > cap:
-                grow = max(int(sp.max()), 2 * cap) - cap
-                stack = np.pad(stack, ((0, 0), (0, grow), (0, 0)))
-                cap += grow
-            kids = ent[i, s][:, None].repeat(2, axis=1)       # (P, 2, 3)
-            kids[:, 0, 1] = kids[:, 1, 0] = mid[i, s]
-            kids[..., 2] += 1
-            stack[r[:, None], pos[:, None] + (0, 1)] = kids
+        kids = top[~ok].repeat(2, axis=0)
+        kids[::2, 2] = kids[1::2, 1] = mid[~ok]
+        kids[:, 3] += 1
+        stack = np.concatenate([stack, kids])
 
     row, left, val, err = (np.concatenate(z) for z in zip(*records))
     order = np.lexsort((left, row))
@@ -684,8 +658,7 @@ class _Deflated:
             self.base = np.zeros((w.shape[0], 0), dtype=complex)
         self.lead = lead
         self.abs_lead = np.abs(lead)[:, None]
-        self.re = self.base.real[..., None]
-        self.im2 = (self.base.imag ** 2)[..., None]
+        self.re, self.im2 = self.base.real, self.base.imag ** 2
 
     def positive_at(self, s: np.ndarray) -> np.ndarray:
         """Whether each row's factor is positive at its offset s (N,)."""
@@ -693,10 +666,11 @@ class _Deflated:
 
     def sqrt(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """sqrt of the factor of row rows[i] at offsets s[i] (L, n):
-        computed once per node."""
-        if not self.base.shape[1]:
-            return np.broadcast_to(np.sqrt(self.abs_lead[rows]), s.shape)
-        mod2 = ((self.re[rows] + s[:, None]) ** 2 + self.im2[rows]).prod(axis=1)
+        computed once per node, one root at a time (an (L, k, n) broadcast
+        pays numpy's per-line overhead k times over on short lines)."""
+        mod2 = np.ones_like(s)
+        for re, im2 in zip(self.re[rows].T, self.im2[rows].T):
+            mod2 *= (re[:, None] + s) ** 2 + im2[:, None]
         return np.sqrt(self.abs_lead[rows] * np.sqrt(mod2))
 
 
@@ -721,8 +695,9 @@ class _ArcGeometry:
         w2 = _synthetic_division(_synthetic_division(coeffs, gamma), delta)
         self.R = _Deflated(-w2[:, 0], w2, gamma)
         al = params.alpha_array
-        self.off_gamma = al[:self.a] + gamma[:, None]   # alpha_j + u, j <= a
-        self.off_delta = al[self.a:] - delta[:, None]   # alpha_j - u, j > a
+        # alpha_j + u = off_j + s2 for j <= a, alpha_j - u = off_j + c2 after
+        self.off = np.concatenate([al[:self.a] + gamma[:, None],
+                                   al[self.a:] - delta[:, None]], axis=1)
         bad = ~self.R.positive_at(0.5 * self.width)
         if bad.any():
             raise NumericalError(
@@ -731,19 +706,18 @@ class _ArcGeometry:
 
     def __call__(self, nodes: Nodes) -> np.ndarray:
         """1/((alpha_j +- u) sqrt R) for every letter j, then 1/sqrt R, at
-        nodes psi (L, n) of the rows ``rows``; shape (L, m+1, n)."""
+        nodes psi (L, n) of the rows ``rows``; shape (L, m+1, n), stored
+        letter by letter so that each is written in one contiguous pass."""
         psi, rows = nodes
         width = self.width[rows, None]
         s2 = width * np.sin(psi) ** 2
         c2 = width * np.cos(psi) ** 2
         g = 1.0 / self.R.sqrt(s2, rows)
-        out = np.empty((psi.shape[0], self.m + 1, psi.shape[1]))
-        np.divide(g[:, None], self.off_gamma[rows, :, None] + s2[:, None],
-                  out=out[:, :self.a])
-        np.divide(g[:, None], self.off_delta[rows, :, None] + c2[:, None],
-                  out=out[:, self.a:self.m])
-        out[:, self.m] = g
-        return out
+        out = np.empty((self.m + 1,) + psi.shape)
+        for j, off in enumerate(self.off[rows].T):
+            np.divide(g, off[:, None] + (s2 if j < self.a else c2), out=out[j])
+        out[self.m] = g
+        return out.transpose(1, 0, 2)
 
     def psi_of_u(self, u: float) -> np.ndarray:
         frac = (u - self.gamma) / self.width

@@ -47,12 +47,17 @@ def _emit(path: str, payload: dict, config: dict) -> None:
         print(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
-
-
-def _parse_complexes(text: str) -> np.ndarray:
-    return np.asarray([complex(x) for x in text.split(",")])
+def _parse_numbers(text: str, flag: str, kind) -> list:
+    """The comma-separated values of option ``flag``, each read by ``kind``
+    (float or complex); a token that is not one names the flag."""
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(kind(token))
+        except ValueError:
+            raise ValidationError(
+                f"{flag}: {token!r} is not a {kind.__name__}") from None
+    return out
 
 
 def _progress(msg: str) -> None:
@@ -80,7 +85,7 @@ def _alphas_for(ns, letters: int) -> tuple:
         return centred.symmetric_alphas(letters, ns.a)
     if ns.alphas is None:
         raise ValidationError("--alphas is required (or --family sym)")
-    return _parse_floats(ns.alphas)
+    return tuple(_parse_numbers(ns.alphas, "--alphas", float))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +102,7 @@ def cmd_evolve(ns) -> int:
     else:
         data = evodata.example_quadric(ns.m, ns.a, ns.c)
     if ns.w0:
-        w0 = _parse_complexes(ns.w0)
+        w0 = np.asarray(_parse_numbers(ns.w0, "--w0", complex))
     else:
         rng = np.random.default_rng(ns.seed)
         w0 = rng.normal(size=ns.m) + 1j * rng.normal(size=ns.m)

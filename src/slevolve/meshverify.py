@@ -389,7 +389,7 @@ class _SweptFamily(_Family):
 
     def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.0, self.t_span, size=(count, 1))
+        ts = rng.uniform(*sorted((0.0, self.t_span)), size=(count, 1))
         return np.column_stack([ts, self.chart.sample_coords(count, seed + 1)])
 
     def _motion(self, t) -> tuple:
@@ -460,7 +460,7 @@ class AffineFamily(_SweptFamily):
             beta0 = 0.0
         self.path = affine_mod.integrate_affine(w0, beta0, params.a,
                                                 float(t_span))
-        self.t_span = min(float(t_span), self.path.t_span[1])
+        self.t_span = float(self.path.t_span[1])    # the end it reached
         signs = np.ones(self.m - 1)
         signs[self.a:] = -1.0
         self.chart = ParaboloidChart(signs, radius)
@@ -780,6 +780,14 @@ def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:
                  | ({} if t_span is None else {"t_end": float(t_span)}))
 
 
+class _ImportedRecipe(dict):
+    """A recipe read back from a file: a key it lacks is bad input."""
+
+    def __missing__(self, key):
+        raise ValidationError(
+            f"{self.get('kind')} mesh recipe lacks the key {key!r}")
+
+
 def rebuild_family(mesh: Mesh):
     """Reconstruct the generating family and row chart of an imported mesh
     through the construction that built it, from its recipe, so residuals
@@ -787,7 +795,7 @@ def rebuild_family(mesh: Mesh):
     construct = _CONSTRUCTIONS.get(mesh.recipe.get("kind"))
     if construct is None:
         raise ValidationError("mesh recipe does not name a rebuildable family")
-    mesh.family, mesh.chart = construct(mesh.recipe)[:2]
+    mesh.family, mesh.chart = construct(_ImportedRecipe(mesh.recipe))[:2]
     return mesh.family
 
 

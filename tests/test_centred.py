@@ -569,34 +569,66 @@ class TestBatchedQuadrature:
             one = betas(CentredParams(m, a, al, float(A), c=0.0))
             assert row == one
 
-    def test_rows_of_different_depth(self, monkeypatch):
-        # one panel at A/A_max = 1 - 1e-10, a few at 0.5, thousands at 1e-3:
-        # rows that are done drop out of the integrand calls, the deep row
-        # then takes many panels per call, and every row still equals its
-        # scalar call bit for bit
-        al = symmetric_alphas(4, 2)
-        params = CentredParams(4, 2, al, 0.5, c=0.0)
-        A = np.array([0.5, 1 - 1e-10, 1e-3]) * params.A_max
+    @staticmethod
+    def _spy_calls(monkeypatch):
+        """The rows of every integrand call, and its node count as the
+        bench tracer counts it (``np.size``), in call order."""
         calls = []
         real = centred.adaptive_gauss
 
         def spy(f, a, b, **kw):
             def g(nodes):
-                calls.append((nodes.rows.tolist(), nodes.x.shape[1] // 48))
+                calls.append((nodes.rows.tolist(), np.size(nodes)))
                 return f(nodes)
             return real(g, a, b, **kw)
 
         monkeypatch.setattr(centred, "adaptive_gauss", spy)
+        return calls
+
+    def _nodes_alone(self, calls, params, A, tol=3e-12):
+        """Integrand nodes of ``betas`` run alone at every A of ``A``."""
+        total = 0
+        for A_r in A:
+            calls.clear()
+            betas(CentredParams(params.m, params.a, params.alphas, float(A_r),
+                                c=params.c), tol=tol)
+            total += sum(n for _, n in calls)
+        return total
+
+    def test_rows_of_different_depth(self, monkeypatch):
+        # one panel at A/A_max = 1 - 1e-10, a few at 0.5, thousands at 1e-3:
+        # each call takes the top panels of one flat stack, one line per
+        # panel, whatever their rows; the shallow rows finish first, the
+        # deep row then fills whole calls, and every row still equals its
+        # scalar call bit for bit
+        al = symmetric_alphas(4, 2)
+        params = CentredParams(4, 2, al, 0.5, c=0.0)
+        A = np.array([0.5, 1 - 1e-10, 1e-3]) * params.A_max
+        calls = self._spy_calls(monkeypatch)
         rows = centred.betas_grid(params, A)
         grid_calls = list(calls)
         for A_r, row in zip(A, rows):
             assert row == betas(CentredParams(4, 2, al, float(A_r), c=0.0))
-        assert grid_calls[0][0] == [0, 1, 2]
-        assert all(r == [2] for r, _ in grid_calls[3:])
-        assert max(w for _, w in grid_calls) > 64
-        # nodes go only to pending panels of pending rows: far fewer than
-        # the old lockstep layout, which fed every row each call
-        assert sum(len(r) * w for r, w in grid_calls) < 1.1 * 4469 + 10
+        assert set(grid_calls[0][0]) == {0, 1, 2}
+        assert all(set(r) == {2} for r, _ in grid_calls[3:])
+        assert all(n == 48 * len(r) for r, n in grid_calls)
+        assert max(len(r) for r, _ in grid_calls) > 64
+        # nothing is padded: the nodes are 48 per panel, exactly the
+        # panels each row takes when run alone
+        assert (sum(n for _, n in grid_calls)
+                == self._nodes_alone(calls, params, A))
+
+    def test_search_grid_nodes_equal_rows_alone(self, monkeypatch):
+        # the 96-row grid of periodic_search, whose rows finish at many
+        # different depths: a layout padded to the widest row costs more
+        al = symmetric_alphas(5, 2)
+        params = CentredParams(5, 2, al, 0.5, c=0.0)
+        A = np.linspace(0.02 * params.A_max, 0.98 * params.A_max, 96)
+        calls = self._spy_calls(monkeypatch)
+        centred.betas_grid(params, A, tol=1e-12)
+        grid_nodes = sum(n for _, n in calls)
+        assert len(calls[0][0]) == 96
+        assert grid_nodes == self._nodes_alone(calls, params, A, tol=1e-12)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_betas_match_ode(self, m):
@@ -699,15 +731,19 @@ class TestBatchedQuadrature:
     def test_one_quadrature_routine(self, monkeypatch):
         # every caller sends its m+1 integrands through one adaptive_gauss
         # call: K = m+1 values per node, one call per quadrature
-        seen = []
+        seen = []                   # per adaptive_gauss call, its K values
         real = centred.adaptive_gauss
 
         def spy(f, a, b, **kw):
-            def g(x):
-                vals = f(x)
-                seen.append(vals.shape[:2])
+            def g(nodes):
+                vals = f(nodes)
+                # one line of 48 nodes per panel, all of the one row
+                assert nodes.x.shape == (nodes.rows.size, 48)
+                assert not nodes.rows.any()
+                assert vals.shape[::2] == nodes.x.shape
+                seen[-1].add(vals.shape[1])
                 return vals
-            seen.append("call")
+            seen.append(set())
             return real(g, a, b, **kw)
 
         monkeypatch.setattr(centred, "adaptive_gauss", spy)
@@ -716,9 +752,7 @@ class TestBatchedQuadrature:
         quadrature_solution(params, -0.1, 0.2)
         centred.quadrature_case_b(CentredParams(3, 3, (1.0, 1.5, 2.0), 0.8),
                                   0.0, 0.5)
-        assert seen.count("call") == 3
-        shapes = {s for s in seen if s != "call"}
-        assert shapes == {(1, 5), (1, 4)}
+        assert seen == [{5}, {5}, {4}]
 
 
 # periodic_search output recorded before the lockstep root finder: A and the

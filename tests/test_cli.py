@@ -50,6 +50,20 @@ class TestBetasCommand:
             assert "resolution" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag,token", [
+        (["betas", "--m", "3", "--a", "1", "--alphas", "1,x,2", "--A", "1"],
+         "--alphas", "x"),
+        (["betas", "--m", "3", "--a", "1", "--alphas", "1,,2", "--A", "1"],
+         "--alphas", ""),
+        (["evolve", "--m", "3", "--a", "1", "--w0", "1,2j,q", "--t-end",
+          "0.1"], "--w0", "q"),
+    ])
+    def test_non_numeric_value_exits_two(self, argv, flag, token, capsys):
+        # a bad token was a bare ValueError: a traceback and exit 1
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(token) in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["betas", "--m", "3", "--what", "1"])
@@ -178,6 +192,27 @@ class TestMeshAndVerify:
             assert run(["verify", "--mesh", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,argv,key", [
+        ("centred", ["--m", "3", "--a", "1", "--alphas", "1,2,2", "--A", "1",
+                     "--c", "1"], "t_end"),
+        ("affine", ["--m", "4", "--a", "3", "--alphas", "1,2,3", "--A",
+                    "0.4"], "profile_radii"),
+        ("link", ["--alphas", "1.2,2,3", "--A", "0.4"], "alphas"),
+    ])
+    def test_recipe_missing_a_key_is_exit_two(self, tmp_path, capsys, kind,
+                                              argv, key):
+        # rebuild_family let the KeyError out: a traceback and exit 1
+        mesh = tmp_path / "m.json"
+        assert run(["mesh", "--kind", kind, *argv, "--resolution", "5x8",
+                    "--out", str(mesh)]) == 0
+        doc = json.loads(mesh.read_text())
+        del doc["recipe"][key]
+        mesh.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--mesh", str(mesh)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
 
     def test_centred_mesh_formats(self, tmp_path):
         for fmt in ("json", "csv", "obj", "ply"):

@@ -120,6 +120,19 @@ class TestResiduals:
         rep = sl_residuals(AffineFamily(params, t_span=4.0), 500, 5)
         assert rep.max_residual() <= 1e-6
 
+    def test_affine_family_backward(self):
+        # a path integrated backward escapes at t = -1.77: the family kept
+        # min(-50, -1.77) = -50, and sampling a negative span died in
+        # rng.uniform; now it keeps the end it reached and samples [t, 0]
+        fam = AffineFamily(affine.AffineParams(4, 3, (1, 2, 3), 0.4),
+                           t_span=-50.0)
+        assert fam.path.escaped
+        assert fam.t_span == fam.path.t_span[1]
+        assert -2.0 < fam.t_span < -1.5
+        t = fam.sample_params(500, 5)[:, 0]
+        assert np.all((fam.t_span <= t) & (t <= 0.0))
+        assert sl_residuals(fam, 500, 5).max_residual() <= 1e-12
+
     def test_cone_family_and_ray_invariance(self):
         fam = ConeOverLinkFamily((1.2, 2.0, 3.0), 0.4)
         rep = sl_residuals(fam, 500, 6)
