@@ -12,7 +12,9 @@ only beta is new.  With A = Q(u)^(1/2) sin(theta) over the m-1 letters,
     beta(t) = C + u(t)/2 - i A t,    C = beta(0) - u(0)/2,
 
 and for A > 0 the imaginary part decreases strictly: the translated family
-never closes up.
+never closes up.  ``integrate_affine`` accordingly runs on the centred w
+kernel over the m-1 letters, generated with beta as one more component,
+and returns a ``centred.WSolutionPath`` that carries beta.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,6 @@ import numpy as np
 
 from . import centred, ode
 from .errors import ValidationError
-
-_CASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class AffineParams:
 
     @property
     def A_max(self) -> float:
-        return float(np.sqrt(np.prod(np.asarray(self.alphas))))
+        return self.reduced().A_max
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,19 @@ def rhs_affine(state, a: int):
     return centred.rhs_w(w, a), np.conj(np.prod(w, axis=-1))
 
 
-def beta_closed(u: float, u0: float, t: float, A: float,
-                beta0: complex) -> complex:
-    """beta(t) = C + u(t)/2 - i A t with C = beta(0) - u(0)/2."""
+def beta_closed(u, u0: float, t, A: float, beta0: complex):
+    """beta(t) = C + u(t)/2 - i A t with C = beta(0) - u(0)/2; u and t may
+    be arrays of one shape, evaluated elementwise."""
     C = complex(beta0) - 0.5 * u0
     return C + 0.5 * u - 1j * A * t
 
 
-def classify_affine_case(params: AffineParams, tol: float = _CASE_TOL) -> str:
-    """'a' (A=0, planar), 'b' (a=m-1), 'c' (A maximal), or 'd' (generic,
-    annotated never-periodic by the strictly decreasing Im beta)."""
-    if abs(params.A) <= tol:
-        return "a"
-    if params.a == params.m - 1:
-        return "b"
-    if abs(params.A - params.A_max) <= tol * (1.0 + params.A_max):
-        return "c"
-    return "d"
+def classify_affine_case(params: AffineParams,
+                         tol: float = centred._CASE_TOL) -> str:
+    """The centred case of the w subsystem: 'a' (A=0, planar), 'b'
+    (a=m-1), 'c' (A maximal), or 'd' (generic, annotated never-periodic by
+    the strictly decreasing Im beta)."""
+    return centred.classify_case(params.reduced(), tol)
 
 
 def case_span_note(params: AffineParams) -> str:
@@ -125,48 +121,26 @@ def case_span_note(params: AffineParams) -> str:
     return ""
 
 
-class AffinePath:
-    """Dense solution (w(t), beta(t)) of the translated system."""
-
-    def __init__(self, a, sol, t_span, escaped=False, escape_time=None):
-        self.a = a
-        self._sol = sol
-        self.t_span = t_span
-        self.escaped = escaped
-        self.escape_time = escape_time
-
-    def w(self, t):
-        return self._sol(t)[..., :-1]
-
-    def beta(self, t):
-        return self._sol(t)[..., -1]
-
-
 def integrate_affine(w0, beta0: complex, a: int, t_end: float,
                      rtol: float = 1e-11, atol: float = 1e-13,
-                     guard: float = 1e8) -> AffinePath:
-    """Integrate (w, beta) to t_end with the escape guard of the a = m-1
-    case (both directions if t_end < 0)."""
+                     guard: float = 1e8) -> centred.WSolutionPath:
+    """Integrate (w, beta) to t_end on the translated w kernel, with the
+    escape guard of the a = m-1 case (both directions if t_end < 0)."""
     w0 = np.asarray(w0, dtype=complex)
     k = w0.size
-
-    def rhs(t, y):
-        z = y[:k + 1] + 1j * y[k + 1:]
-        dw = centred.rhs_w(z[:k], a)
-        dbeta = np.conj(np.prod(z[:k]))
-        dz = np.concatenate([dw, [dbeta]])
-        return np.concatenate([dz.real, dz.imag])
 
     def blow_up(t, y):
         return float(np.linalg.norm(y) - guard)
 
-    z0 = np.concatenate([w0, [complex(beta0)]])
-    sol = ode.solve(rhs, z0, t_end, rtol, atol, stage="integrate_affine",
+    z0 = np.append(w0, complex(beta0))
+    sol = ode.solve(centred._w_kernel(a, k, translated=True), z0, t_end,
+                    rtol, atol, stage="integrate_affine",
                     params={"m": k + 1, "a": a},
                     events=[ode.Event(blow_up, direction=1.0, terminal=True)])
     escaped = sol.status == 1
     esc_t = float(sol.t_events[0][0]) if escaped else None
-    return AffinePath(a, sol, (0.0, sol.t[-1]), escaped, esc_t)
+    return centred.WSolutionPath(a, sol, (0.0, sol.t[-1]), escaped, esc_t,
+                                 translated=True)
 
 
 def affine_initial(params: AffineParams, u0: float = 0.0,

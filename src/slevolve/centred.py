@@ -21,7 +21,6 @@ Angle bookkeeping uses the continuous lift of arg w_j; near A = 0 some w_j
 pass through zero and the lift jumps, so work in w coordinates there.
 """
 
-import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -253,20 +252,17 @@ def _leave_one_out(w: np.ndarray) -> np.ndarray:
     """prod_{k != j} w_k over the last axis without division (stable when
     some |w_j| is tiny).
 
-    The running products round like complex scalar products, so a stack of
-    rows gives each row's result bit for bit; a single row runs on Python
-    complex numbers, which cost far less than numpy scalars.
+    The running products round like complex scalar products and the last
+    one is numpy's multiply, the same loop for every row, so a single row
+    gives the same result as its row of a stack, bit for bit.
     """
     cols = w.T
-    if cols.ndim == 1:
-        cols, mul, one = cols.tolist(), operator.mul, 1 + 0j
-    else:
-        mul, one = _cmul, np.ones(cols.shape[1:], dtype=complex)
+    one = np.ones(cols.shape[1:], dtype=complex)
     m = len(cols)
     pre, suf = [one], [one]     # prod_{k<j} w_k; prod_{k>=m-j} w_k
     for j in range(m):
-        pre.append(mul(pre[j], cols[j]))
-        suf.append(mul(cols[m - 1 - j], suf[j]))
+        pre.append(_cmul(pre[j], cols[j]))
+        suf.append(_cmul(cols[m - 1 - j], suf[j]))
     return (np.asarray(pre[:m]) * np.asarray(suf[m - 1::-1])).T
 
 
@@ -281,18 +277,31 @@ def rhs_w(w, a: int) -> np.ndarray:
 
 
 class WSolutionPath:
-    """Dense solution of the w system with continuous angle bookkeeping."""
+    """Dense solution of the w system with continuous angle bookkeeping.
 
-    def __init__(self, a, sol, t_span, escaped=False, escape_time=None):
+    A path of the translated system (``translated=True``, see ``affine``)
+    carries the translation beta as its last component after the letters.
+    """
+
+    def __init__(self, a, sol, t_span, escaped=False, escape_time=None,
+                 translated=False):
         self.a = a
         self._sol = sol
         self.t_span = t_span
         self.escaped = escaped
         self.escape_time = escape_time
+        self.translated = translated
 
     def w(self, t):
         """w values at scalar or array t; shape (..., m) complex."""
-        return self._sol(t)
+        z = self._sol(t)
+        return z[..., :-1] if self.translated else z
+
+    def beta(self, t):
+        """The translation beta at scalar or array t (translated paths)."""
+        if not self.translated:
+            raise ValidationError("a path of the centred system has no beta")
+        return self._sol(t)[..., -1]
 
     def angles(self, t_grid) -> np.ndarray:
         """Continuously lifted arg w_j over an (ordered, dense) t grid."""
@@ -301,34 +310,42 @@ class WSolutionPath:
 
 
 @lru_cache(maxsize=None)
-def _w_kernel(a: int, m: int) -> ode.System:
+def _w_kernel(a: int, m: int, translated: bool = False) -> ode.System:
     """``rhs_w`` as an ``ode.System`` on the packed real vector (Re w, Im w)
     of ``ode.solve``: straight-line code, generated and compiled once per
-    (a, m).
+    (a, m, translated).
+
+    With ``translated`` the state gains the translation beta after the m
+    letters, packed as (Re w, Re beta, Im w, Im beta), and the system gains
+    dbeta/dt = conj(w_1 ... w_m) (see ``affine``); beta enters no
+    derivative.
 
     Both ``rhs(t, y)`` and the fused ``stage`` make the running products of
     ``_leave_one_out`` on Python complex numbers in a fixed order: the
     prefixes prod_{k<j} w_k, the suffixes prod_{k>j} w_k, then prefix *
-    suffix.  Both chains start from 1+0j and keep their products with it,
-    which can change the sign of a zero (``tests/test_centred.py`` holds
-    the plain loop as the bitwise reference).  The conjugate and the sign
-    of letter j come in as one multiplication of the real part by +-1.0 and
-    of the imaginary part by -+1.0.  A row this short costs far less this
-    way than in numpy calls.
+    suffix; the full product prod w is the last prefix times w_m.  Both
+    chains start from 1+0j and keep their products with it, which can
+    change the sign of a zero (``tests/test_centred.py`` holds the plain
+    loop as the bitwise reference).  The conjugate and the sign of letter j
+    come in as one multiplication of the real part by +-1.0 and of the
+    imaginary part by -+1.0; the conjugate of prod w negates its imaginary
+    part, as ``np.conj`` does.  A row this short costs far less this way
+    than in numpy calls.
 
     ``stage`` is the driver's call per Runge-Kutta stage.  It takes the
     step's start as a list (``start`` is ``ndarray.tolist``) and the stage
     combination g, forms each component y_i + g_i*h (the two roundings of
-    numpy's ``g *= h; y + g``), and packs the 2m outputs straight into row
-    s of the stage matrix, and the stage state into ``y_new`` when given.
+    numpy's ``g *= h; y + g``), and packs the outputs straight into row s
+    of the stage matrix, and the stage state into ``y_new`` when given.
     """
     signs = (1.0,) * a + (-1.0,) * (m - a)
-    n = 2 * m
+    size = m + translated           # complex components of the state
+    n = 2 * size
     layout = struct.Struct(f"{n}d")     # one row of K, native doubles
-    xs = [f"x{j}" for j in range(m)] + [f"v{j}" for j in range(m)]
+    xs = [f"x{j}" for j in range(size)] + [f"v{j}" for j in range(size)]
     products = [f"w{j} = complex(x{j}, v{j})" for j in range(m)]
     pre, suf = ["one"], "one"       # prod_{k<j} w_k; prod_{k>j} w_k
-    for j in range(m - 1):
+    for j in range(m - 1 + translated):
         products.append(f"p{j + 1} = {pre[j]} * w{j}")
         pre.append(f"p{j + 1}")
     for j in range(m - 1, -1, -1):
@@ -336,8 +353,12 @@ def _w_kernel(a: int, m: int) -> ode.System:
         if j:
             products.append(f"s{j} = w{j} * {suf}")
             suf = f"s{j}"
-    out = ", ".join([f"{signs[j]!r} * q{j}.real" for j in range(m)]
-                    + [f"{-signs[j]!r} * q{j}.imag" for j in range(m)])
+    re = [f"{signs[j]!r} * q{j}.real" for j in range(m)]
+    im = [f"{-signs[j]!r} * q{j}.imag" for j in range(m)]
+    if translated:
+        re.append(f"p{m}.real")
+        im.append(f"-p{m}.imag")
+    out = ", ".join(re + im)
     rhs = ([f"{', '.join(xs)}, = y.tolist()"] + products
            + [f"return array(({out},), dtype=float)"])
     stage = ([f"{', '.join(f'g{i}' for i in range(n))}, = g.tolist()",
@@ -352,7 +373,8 @@ def _w_kernel(a: int, m: int) -> ode.System:
                                      ("stage(t, y, g, h, K, row, y_new=None)",
                                       stage)))
     namespace = {"one": 1 + 0j, "array": np.array, "pack": layout.pack_into}
-    exec(compile(src, f"<w kernel a={a} m={m}>", "exec"), namespace)
+    exec(compile(src, f"<w kernel a={a} m={m} translated={translated}>",
+                 "exec"), namespace)
     return ode.System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
 
 
@@ -1069,6 +1091,8 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     finding, and keeps solutions whose full angle vector matches its
     rational target within tol.  An empty result is not an error.
     """
+    if b_max < 1:
+        raise ValidationError(f"b_max must be at least 1, got {b_max}")
     first = next(iter(alphas))
     if np.iterable(first):
         out = []

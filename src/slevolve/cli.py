@@ -47,6 +47,21 @@ def _emit(path: str, payload: dict, config: dict) -> None:
         print(json.dumps(payload, indent=1, sort_keys=True))
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """A CSV file: the header's names, then one line per row of values,
+    each written with 17 significant digits."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    with open(_outpath(path), "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _check_count(value: int, flag: str) -> None:
+    """A count option ``flag`` must be at least 1."""
+    if value < 1:
+        raise ValidationError(f"{flag} must be at least 1, got {value}")
+
+
 def _parse_numbers(text: str, flag: str, kind) -> list:
     """The comma-separated values of option ``flag``, each read by ``kind``
     (float or complex); a token that is not one names the flag."""
@@ -157,6 +172,7 @@ def cmd_limits(ns) -> int:
 def cmd_search(ns) -> int:
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
+    _check_count(ns.bmax, "--bmax")
     _progress(f"searching alphas={alphas} with b_max={ns.bmax}")
     sols = centred.periodic_search(alphas, ns.a, ns.bmax, tol=ns.tol,
                                    n_grid=ns.grid, c=ns.c)
@@ -174,24 +190,21 @@ def cmd_search(ns) -> int:
         _progress(f"found a={entry['int_angles']} b={entry['denom']} "
                   f"A={entry['A']:.9g}")
     if ns.scan_csv:
-        _write_scan_csv(ns, alphas, cfg)
+        _write_scan_csv(ns, alphas)
     _emit(ns.out, {"solutions": out_sols, "count": len(out_sols)}, cfg)
     return 0
 
 
-def _write_scan_csv(ns, alphas, cfg) -> None:
+def _write_scan_csv(ns, alphas) -> None:
     A_grid = np.linspace(0.02, 0.98, ns.grid) * float(np.sqrt(np.prod(alphas)))
     rows = centred.betas_grid(
         centred.CentredParams(ns.m, ns.a, alphas, A_grid[0], c=ns.c), A_grid)
     cols = ([f"alpha{j + 1}" for j in range(ns.m)] + ["A"]
             + [f"beta{j + 1}" for j in range(ns.m)] + ["T", "quad_error"])
-    lines = [",".join(cols)]
-    for A, res in zip(A_grid, rows):
-        vals = list(alphas) + [A] + list(res.betas) + [res.period_T,
-                                                       res.quadrature_error]
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    with open(_outpath(ns.scan_csv), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(ns.scan_csv, cols, (
+        list(alphas) + [A] + list(res.betas) + [res.period_T,
+                                                res.quadrature_error]
+        for A, res in zip(A_grid, rows)))
 
 
 def cmd_mesh(ns) -> int:
@@ -254,17 +267,14 @@ def cmd_crosssection(ns) -> int:
     from . import threefold
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
+    _check_count(ns.n, "--n")
     section = threefold.cross_section(alphas)
     s = np.linspace(0.0, section.period, ns.n)
     X = section.x(s)
     r1, r2 = section.constraint_residuals(s)
     if ns.out:
-        lines = ["s,x1,x2,x3"]
-        for i in range(ns.n):
-            lines.append(",".join(f"{v:.17g}" for v in
-                                  (s[i], X[i, 0], X[i, 1], X[i, 2])))
-        with open(_outpath(ns.out), "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(ns.out, ["s", "x1", "x2", "x3"],
+                   np.column_stack([s, X]).tolist())
     payload = {"mu": section.mu, "nu": section.nu,
                "swapped": section.swapped, "period": section.period,
                "max_constraint_residuals": [r1, r2]}
@@ -276,6 +286,7 @@ def cmd_affine(ns) -> int:
     from . import affine as affine_mod
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m - 1)
+    _check_count(ns.n, "--n")
     params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
     w0, beta0 = affine_mod.affine_initial(params)
     path = affine_mod.integrate_affine(w0, beta0, ns.a, ns.t_end)
@@ -283,22 +294,13 @@ def cmd_affine(ns) -> int:
     W = path.w(t_grid)
     B = path.beta(t_grid)
     u_t = np.abs(W[:, 0]) ** 2 - alphas[0]
-    closed = np.array([affine_mod.beta_closed(u_t[i], 0.0, t_grid[i],
-                                              params.A, beta0)
-                       for i in range(t_grid.size)])
+    closed = affine_mod.beta_closed(u_t, 0.0, t_grid, params.A, beta0)
     defect = float(np.abs(B - closed).max())
     if ns.out:
-        cols = (["t"] + [f"Rew{j + 1},Imw{j + 1}" for j in range(ns.m - 1)]
-                + ["Rebeta", "Imbeta"])
-        lines = [",".join(cols)]
-        for i, t in enumerate(t_grid):
-            vals = [t]
-            for j in range(ns.m - 1):
-                vals += [W[i, j].real, W[i, j].imag]
-            vals += [B[i].real, B[i].imag]
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-        with open(_outpath(ns.out), "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        names = [f"w{j + 1}" for j in range(ns.m - 1)] + ["beta"]
+        cols = ["t"] + [part + name for name in names for part in ("Re", "Im")]
+        _write_csv(ns.out, cols, np.column_stack(    # (Re, Im) interleaved
+            [t_grid, np.column_stack([W, B]).view(float)]).tolist())
     payload = {"case": affine_mod.classify_affine_case(params),
                "note": affine_mod.case_span_note(params),
                "escaped": path.escaped,

@@ -198,14 +198,13 @@ def _pack(A: np.ndarray, t0: np.ndarray) -> np.ndarray:
 
 
 def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
-              tol: float = None, rtol: float = 1e-10, atol: float = 1e-12,
+              rtol: float = 1e-10, atol: float = 1e-12,
               checkpoints: int = 33, membership_samples: int = 40,
               seed: int = 0, guard: float = BLOWUP_GUARD) -> Trajectory:
     """Adaptive integration of the evolution equation up to t_end.
 
-    ``tol`` sets the per-step relative error target (absolute a hundredth
-    of it); the finer rtol/atol pair can be given instead.  Stops cleanly
-    at the blow-up guard (escaping families leave every bounded set in
+    ``rtol`` and ``atol`` set the per-step error target.  Stops cleanly at
+    the blow-up guard (escaping families leave every bounded set in
     finite time); the guard crossing is localized by the solver's root
     finder.  The guard bounds |A|^(m-2) (|A| for m = 2), A the linear
     part: (dA, dt0) depend on A alone and are homogeneous of degree m-1 in
@@ -219,8 +218,6 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     flagged.
     """
     _check_dims(phi0, data)
-    if tol is not None:
-        rtol, atol = tol, tol * 1e-2
     n, m = phi0.n, phi0.m
     plan = _rhs_plan(data)
     half = m * n + m

@@ -1,8 +1,9 @@
 """One Dormand-Prince 8(5,3) driver for every ODE in slevolve.
 
-The w system (``centred.integrate_w``, ``centred.betas_ode``), the
-translated system (``affine.integrate_affine``) and the general evolution
-equation (``evolver.integrate``) all run through ``solve``.  It takes a
+The w system (``centred.integrate_w``, ``centred.betas_ode``) and the
+translated system (``affine.integrate_affine``), both on the generated w
+kernel, and the general evolution equation (``evolver.integrate``) all run
+through ``solve``.  It takes a
 complex start, calls the right-hand side on the packed real vector
 (Re z, Im z), and hands back complex values, so no caller packs or unpacks.
 
@@ -32,7 +33,8 @@ of the stage matrix K; the last stage of a step (first same as last) also
 writes the state, ``y_new``.  ``ys`` is the step's start as the system's
 ``start(y)`` gave it, once per step.  A plain numpy ``rhs(t, y)`` is
 wrapped by an adapter whose stage is scipy's ``g *= h; K[s] = rhs(t, y +
-g)``.  A generated kernel (``centred._w_kernel``) takes ``ys = y.tolist()``
+g)``.  A generated kernel (``centred._w_kernel``, which serves the w
+system and the translated system alike) takes ``ys = y.tolist()``
 and forms x_i = y_i + g_i*h on Python floats, which rounds as numpy does:
 scaling by h and adding are one IEEE-754 double operation per element
 each, the same on a Python float as in numpy's loop, in the same order.

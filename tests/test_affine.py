@@ -50,6 +50,16 @@ class TestBetaClosed:
                            for i in range(ts.size)])
         assert np.abs(path.beta(ts) - closed).max() <= 1e-8
 
+    def test_grid_equals_pointwise(self):
+        # the cli evaluates the closed form on its whole output grid at once
+        rng = np.random.default_rng(71)
+        u, t = rng.normal(size=(2, 64)) * 10.0 ** rng.uniform(-3, 3,
+                                                              size=(2, 64))
+        grid = beta_closed(u, 0.3, t, 0.7, 0.2 - 0.4j)
+        pointwise = np.array([beta_closed(u[i], 0.3, t[i], 0.7, 0.2 - 0.4j)
+                              for i in range(u.size)])
+        assert grid.tobytes() == pointwise.tobytes()
+
     def test_im_beta_strictly_decreasing(self):
         params = normalized(4, 2)
         w0, b0 = affine_initial(params)
@@ -98,6 +108,26 @@ class TestCases:
             AffineParams(2, 1, (1.0,), 0.2)  # m >= 3
         with pytest.raises(ValidationError):
             AffineParams(5, 1, (1.0,) * 4, 0.2)  # a below (m-1)/2
+
+
+class TestPath:
+    def test_translated_w_path(self):
+        # one path class for the w system and the translated system: the
+        # letters come from w (and its angles), the translation from beta
+        params = normalized(4, 2)
+        w0, b0 = affine_initial(params)
+        path = integrate_affine(w0, b0, params.a, 2.0)
+        assert isinstance(path, centred.WSolutionPath) and path.translated
+        ts = np.linspace(0.0, 2.0, 9)
+        assert path.w(ts).shape == (9, 3) and path.beta(ts).shape == (9,)
+        assert path.w(0.0).tobytes() == w0.tobytes() and path.beta(0.0) == b0
+        assert path.angles(ts).shape == (9, 3)
+
+    def test_centred_path_has_no_beta(self):
+        path = centred.integrate_w(np.ones(3, complex), 1, 0.5)
+        assert not path.translated
+        with pytest.raises(ValidationError):
+            path.beta(0.1)
 
 
 class TestQuadratureAffine:

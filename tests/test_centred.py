@@ -33,6 +33,73 @@ def _packed_rhs_loop(signs, y):
     return np.array(out)
 
 
+def _packed_translated_loop(signs, y):
+    """The translated kernel's reference on y = (Re w, Re beta, Im w,
+    Im beta): ``_packed_rhs_loop`` over the letters, and conj(prod w) as
+    the running product from 1+0j on Python complex numbers."""
+    k = len(signs)
+    vals = y.tolist()
+    re, im = vals[:k], vals[k + 1:2 * k + 1]
+    dw = _packed_rhs_loop(signs, np.array(re + im)).tolist()
+    prod = 1 + 0j
+    for z in map(complex, re, im):
+        prod = prod * z
+    return np.array(dw[:k] + [prod.real] + dw[k:] + [-prod.imag])
+
+
+def _wide_values(rng, n):
+    """n reals with magnitudes from 1e-150 to 1e150, about a quarter of
+    them exact zeros of either sign."""
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150, size=n)
+    zeros = rng.uniform(size=n) < 0.25
+    y[zeros] = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)[zeros]
+    return y
+
+
+def _assert_fused_stage(kernel, n, rng):
+    """The fused stage of a kernel on n packed reals against the numpy
+    adapter's arithmetic, byte for byte: the stage state y + g*h (signed
+    zeros, inf and NaN included), the row it writes (and no other) and the
+    y_new it writes.  One case is exempt: when y_i and g_i*h are both NaN,
+    IEEE 754 lets the sum return either NaN, and numpy's own add differs by
+    lane (its SIMD body keeps the first operand's, its scalar tail the
+    second's), so there only NaN-ness is compared."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+    def same(got, want, nan_meets_nan):
+        if nan_meets_nan:
+            got, want = (np.where(np.isnan(v), np.nan, v)
+                         for v in (got, want))
+        return got.tobytes() == want.tobytes()
+
+    for trial in range(300):
+        y, g = (rng.normal(size=n) * 10.0 ** rng.uniform(
+            -150, 150, size=n) for _ in range(2))
+        if trial % 3:
+            for v in (y, g):
+                hit = rng.uniform(size=n) < 0.15
+                v[hit] = rng.choice(special, size=n)[hit]
+        h = (-1.0) ** trial * 10.0 ** rng.uniform(-8, 1)
+        t = float(rng.uniform(-5, 5))
+        dy = g.copy()
+        np.multiply(dy, h, out=dy)
+        with np.errstate(invalid="ignore"):
+            x = y + dy
+        nan_meets_nan = bool(np.any(np.isnan(y) & np.isnan(dy)))
+        want = kernel(t, x)
+        s = int(rng.integers(16))
+        K = rng.normal(size=(16, n))
+        rows = K.copy()
+        y_new = np.empty(n)
+        kernel.stage(t, kernel.start(y), g, h, K, s, y_new)
+        assert same(K[s], want, nan_meets_nan)
+        assert same(y_new, x, nan_meets_nan)
+        K[s] = rows[s]
+        assert K.tobytes() == rows.tobytes()
+        kernel.stage(t, kernel.start(y), g, h, K, s)
+        assert same(K[s], want, nan_meets_nan)
+
+
 class TestRhsW:
     def test_m3_unit_start(self):
         dw = rhs_w(np.array([1.0, 1.0, 1.0], complex), 1)
@@ -67,61 +134,58 @@ class TestRhsW:
             # magnitudes from 1e-150 to 1e150, with exact (signed) zeros:
             # overflow, underflow and zero products round as in the loop
             for _ in range(200):
-                y = rng.normal(size=2 * m) * 10.0 ** rng.uniform(
-                    -150, 150, size=2 * m)
-                zeros = rng.uniform(size=2 * m) < 0.25
-                y[zeros] = np.where(rng.uniform(size=2 * m) < 0.5,
-                                    0.0, -0.0)[zeros]
+                y = _wide_values(rng, 2 * m)
                 assert (kernel(0.0, y).tobytes()
                         == _packed_rhs_loop(signs, y).tobytes())
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_fused_stage_matches_numpy_stage(self, m):
-        # the fused stage against the numpy adapter's arithmetic, byte for
-        # byte: stage state y + g*h (signed zeros, inf and NaN included),
-        # the row it writes (and no other) and the y_new it writes.  One
-        # case is exempt: when y_i and g_i*h are both NaN, IEEE 754 lets
-        # the sum return either NaN, and numpy's own add differs by lane
-        # (its SIMD body keeps the first operand's, its scalar tail the
-        # second's), so there only NaN-ness is compared
         rng = np.random.default_rng(100 + m)
-        n = 2 * m
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
-
-        def same(got, want, nan_meets_nan):
-            if nan_meets_nan:
-                got, want = (np.where(np.isnan(v), np.nan, v)
-                             for v in (got, want))
-            return got.tobytes() == want.tobytes()
-
         for a in range(1, m + 1):
-            kernel = centred._w_kernel(a, m)
-            for trial in range(300):
-                y, g = (rng.normal(size=n) * 10.0 ** rng.uniform(
-                    -150, 150, size=n) for _ in range(2))
-                if trial % 3:
-                    for v in (y, g):
-                        hit = rng.uniform(size=n) < 0.15
-                        v[hit] = rng.choice(special, size=n)[hit]
-                h = (-1.0) ** trial * 10.0 ** rng.uniform(-8, 1)
-                t = float(rng.uniform(-5, 5))
-                dy = g.copy()
-                np.multiply(dy, h, out=dy)
-                with np.errstate(invalid="ignore"):
-                    x = y + dy
-                nan_meets_nan = bool(np.any(np.isnan(y) & np.isnan(dy)))
-                want = kernel(t, x)
-                s = int(rng.integers(16))
-                K = rng.normal(size=(16, n))
-                rows = K.copy()
-                y_new = np.empty(n)
-                kernel.stage(t, kernel.start(y), g, h, K, s, y_new)
-                assert same(K[s], want, nan_meets_nan)
-                assert same(y_new, x, nan_meets_nan)
-                K[s] = rows[s]
-                assert K.tobytes() == rows.tobytes()
-                kernel.stage(t, kernel.start(y), g, h, K, s)
-                assert same(K[s], want, nan_meets_nan)
+            _assert_fused_stage(centred._w_kernel(a, m), 2 * m, rng)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_translated_rhs_matches_loop(self, k):
+        # the translated kernel over k letters: its letter rows are the
+        # centred kernel's, and beta's row is conj(prod w) as the loop
+        # forms it, byte for byte over magnitudes from 1e-150 to 1e150 with
+        # exact (signed) zeros
+        rng = np.random.default_rng(200 + k)
+        n = 2 * (k + 1)
+        letters = np.r_[0:k, k + 1:n - 1]
+        for a in range(1, k + 1):
+            kernel = centred._w_kernel(a, k, translated=True)
+            signs = (1.0,) * a + (-1.0,) * (k - a)
+            for _ in range(200):
+                y = _wide_values(rng, n)
+                got = kernel(0.0, y)
+                assert got.tobytes() == _packed_translated_loop(signs,
+                                                                y).tobytes()
+                assert (got[letters].tobytes()
+                        == centred._w_kernel(a, k)(0.0, y[letters]).tobytes())
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_translated_fused_stage_matches_numpy_stage(self, k):
+        rng = np.random.default_rng(300 + k)
+        for a in range(1, k + 1):
+            _assert_fused_stage(centred._w_kernel(a, k, translated=True),
+                                2 * (k + 1), rng)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_one_row_equals_its_row_of_a_stack(self, m):
+        # a single row runs the stacked products, so it rounds as its row
+        # of a stack does
+        rng = np.random.default_rng(400 + m)
+        W = np.empty((40, m), dtype=complex)
+        W.real, W.imag = (_wide_values(rng, W.size).reshape(W.shape)
+                          for _ in range(2))
+        with np.errstate(all="ignore"):
+            for a in range(1, m + 1):
+                stack = rhs_w(W, a)
+                assert (rhs_w(W.reshape(8, 5, m), a).tobytes()
+                        == stack.tobytes())
+                for w, row in zip(W, stack):
+                    assert rhs_w(w, a).tobytes() == row.tobytes()
 
     def test_packed_rhs_keeps_verify_defects(self):
         # verify_periodic integrated on the rhs_w closure it used before
@@ -515,6 +579,12 @@ class TestPeriodicSearch:
         fams = [symmetric_alphas(3, 1)]
         sols = periodic_search(fams, 1, b_max=7, tol=1e-8, n_grid=48)
         assert any(s.denom == 7 for s in sols)
+
+    @pytest.mark.parametrize("b_max", [0, -2])
+    def test_b_max_below_one_rejected(self, b_max):
+        # no denominator to try: this was an argmin of an empty sequence
+        with pytest.raises(ValidationError, match="b_max"):
+            periodic_search(symmetric_alphas(3, 1), 1, b_max)
 
     def test_solution_round_trip(self):
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.1, c=0.0)

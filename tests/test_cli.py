@@ -49,6 +49,17 @@ class TestBetasCommand:
                         "--out", str(out)]) == 2
             assert "resolution" in capsys.readouterr().err
             assert not out.exists()
+        # a count below 1 is named: it was a numpy ValueError and exit 1
+        for argv, flag in (
+                (["search", "--family", "sym", "--bmax", "0"], "--bmax"),
+                (["search", "--family", "sym", "--bmax", "-2"], "--bmax"),
+                (["crosssection", "--alphas", "1.2,2,3", "--n", "0"], "--n"),
+                (["crosssection", "--alphas", "1.2,2,3", "--n", "-1"], "--n"),
+                (["affine", "--alphas", "1,1", "--A", "0.4", "--n", "0"],
+                 "--n")):
+            assert run(argv + ["--out", str(out)]) == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv,flag,token", [
         (["betas", "--m", "3", "--a", "1", "--alphas", "1,x,2", "--A", "1"],
