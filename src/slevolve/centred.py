@@ -1093,6 +1093,8 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     """
     if b_max < 1:
         raise ValidationError(f"b_max must be at least 1, got {b_max}")
+    if n_grid < 2:
+        raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     first = next(iter(alphas))
     if np.iterable(first):
         out = []

@@ -56,15 +56,15 @@ def _write_csv(path: str, header: list, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_count(value: int, flag: str) -> None:
-    """A count option ``flag`` must be at least 1."""
-    if value < 1:
-        raise ValidationError(f"{flag} must be at least 1, got {value}")
+def _check_count(value: int, flag: str, least: int = 1) -> None:
+    """A count option ``flag`` must be at least ``least``."""
+    if value < least:
+        raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
 def _parse_numbers(text: str, flag: str, kind) -> list:
     """The comma-separated values of option ``flag``, each read by ``kind``
-    (float or complex); a token that is not one names the flag."""
+    (float, complex or int); a token that is not one names the flag."""
     out = []
     for token in text.split(","):
         try:
@@ -173,6 +173,7 @@ def cmd_search(ns) -> int:
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     _check_count(ns.bmax, "--bmax")
+    _check_count(ns.grid, "--grid", 2)
     _progress(f"searching alphas={alphas} with b_max={ns.bmax}")
     sols = centred.periodic_search(alphas, ns.a, ns.bmax, tol=ns.tol,
                                    n_grid=ns.grid, c=ns.c)
@@ -233,7 +234,7 @@ def cmd_mesh(ns) -> int:
     projection = None
     if ns.projection:
         projection = ("pca" if ns.projection == "pca"
-                      else tuple(int(i) for i in ns.projection.split(",")))
+                      else _parse_numbers(ns.projection, "--projection", int))
     meshverify.export(mesh, ns.format, _outpath(ns.out), projection=projection)
     _progress(f"wrote {ns.out} ({len(mesh.vertices)} vertices)")
     return 0

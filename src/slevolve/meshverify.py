@@ -10,12 +10,14 @@ x(q): the point is w(t) x(q), plus a translation beta(t) in the last
 coordinate for the paraboloid families; the t row of the frame comes from
 the evolution right-hand side and the other rows from the chart's analytic
 Jacobian, so residuals measure the construction itself rather than
-integration error.  A mesh is a family, a row chart, a parameter grid and
-faces, and its frames come from the same code with the mesh's chart in
-place of the family's.  Frames are normalized to unit vectors and the
-volume residual divided by the frame's Gram volume, making every report
-scale free.  Central differences of ``points`` (``tangents="fd"``) are the
-reference for convergence checks.
+integration error.  A mesh is a family, a parameter grid and faces: a
+grid row (t, q, sheet) lifts to a point of the family's own chart, q
+running along a profile line and the sheet fixing the other coordinates,
+so the mesh's points and frames are the family's at the lifted rows.  On
+a quadric the profile lines are the chart's own circles.  Frames are
+normalized to unit vectors and the volume residual divided by the frame's
+Gram volume, making every report scale free.  Central differences of
+``points`` (``tangents="fd"``) are the reference for convergence checks.
 """
 
 import json
@@ -40,26 +42,6 @@ NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
 # charts: points and analytic Jacobians for whole row arrays
 # ---------------------------------------------------------------------------
 
-def sphere_embed(phis: np.ndarray) -> tuple:
-    """Unit-sphere points (..., d+1) and Jacobians (..., d, d+1) for
-    hyperspherical angles (..., d).
-
-    d angles parametrize S^d; interior sampling keeps sin(phi_j) away from
-    zero so the Jacobian rows stay independent.
-    """
-    phis = np.asarray(phis, dtype=float)
-    d = phis.shape[-1]
-    sin, cos = np.sin(phis), np.cos(phis)
-    pre = np.ones(phis.shape[:-1] + (d + 1,))   # prod_{j<i} sin(phi_j)
-    pre[..., 1:] = np.cumprod(sin, axis=-1)
-    p = pre.copy()
-    p[..., :d] *= cos
-    # d p_i / d phi_j: p_i cot(phi_j) for i > j, -sin(phi_i) pre_i for i = j
-    jac = np.triu(p[..., None, :] * (cos / sin)[..., :, None], k=1)
-    jac[..., np.arange(d), np.arange(d)] = -sin * pre[..., :d]
-    return p, jac
-
-
 class _Chart:
     """Chart protocol: ``point_and_jacobian(Q)`` maps coordinate rows
     (..., k) to points (..., m) and Jacobians (..., m-1, m).  A parameter
@@ -71,12 +53,17 @@ class _Chart:
 class QuadricChart(_Chart):
     """Coordinates on {sum x_j^2 - sum y_j^2 = c} in R^a x R^{m-a}.
 
-    Layout of the m-1 continuous coordinates (branch signs, where the
-    sphere factor is S^0, ride along as trailing +-1 entries):
+    One coordinate group, the block, is r u with u a unit vector in R^d:
+    the other m - d coordinates o are free, and r^2 = c + |o|^2 for the
+    x block, |o|^2 - c for the y block.  For d >= 2,
+    u = (s cos q, s sin q, zeta) with s = sqrt(1 - |zeta|^2) and rows
+    (q, zeta, o); its q lines at zeta = 0 are the circles a centred mesh
+    draws.  For d = 1 (signature (1, 1)) u is a sign in a trailing column:
+    rows (o, sign).  The Jacobian rows are the exact coordinate derivatives.
 
-      c > 0:  (a-1 angles on the x sphere, m-a radial y's)
-      c < 0:  (a radial x's, m-a-1 angles on the y sphere)
-      c = 0:  (rho, a-1 x angles, m-a-1 y angles), the cone radius rho > 0
+    The block is the x group for c >= 0 and the y group for c < 0, the one
+    on which r^2 stays positive, unless it has fewer than two coordinates
+    and the other group has at least two.
     """
 
     def __init__(self, m: int, a: int, c: float, radius: float = 2.0):
@@ -85,190 +72,109 @@ class QuadricChart(_Chart):
         if a == m and c <= 0:
             raise ValidationError("a = m needs c > 0")
         self.m, self.a, self.c, self.radius = m, a, float(c), radius
-        ax, ay = a, m - a
-        if self.c > 0:
-            self.n_branch = 1 if ax == 1 else 0
-        elif self.c < 0:
-            self.n_branch = 1 if ay == 1 else 0
-        else:
-            self.n_branch = (1 if ax == 1 else 0) + (1 if ay == 1 else 0)
-        self.n_cont = m - 1
+        x_block = self.c >= 0
+        own, rest = (a, m - a) if x_block else (m - a, a)
+        if own < 2 <= rest:
+            x_block = not x_block
+        self.block = (0, a) if x_block else (a, m)
+        self.sign = 1.0 if x_block else -1.0    # r^2 = sign c + |o|^2
+        self.d = self.block[1] - self.block[0]
+        self.other = np.r_[0:self.block[0], self.block[1]:m]
 
     def sample_coords(self, count: int, seed: int = 0) -> np.ndarray:
-        """(count, n_cont + n_branch) coordinate rows, branches trailing."""
+        """(count, m-1) coordinate rows, (count, 2) for d = 1; |zeta| stays
+        below 0.6, and where r can vanish (at |o| = sqrt|c|) the single
+        outside coordinate is drawn beyond it."""
         rng = np.random.default_rng(seed)
-        m, a, c = self.m, self.a, self.c
+        d, n_out = self.d, self.m - self.d
         cols = []
-
-        def angles(d):
-            if d <= 0:
-                return None
-            block = np.empty((count, d))
-            for j in range(d - 1):
-                block[:, j] = rng.uniform(0.35, np.pi - 0.35, size=count)
-            block[:, d - 1] = rng.uniform(0.0, 2 * np.pi, size=count)
-            return block
-
-        if c > 0:
-            ang = angles(a - 1)
-            if ang is not None:
-                cols.append(ang)
-            cols.append(rng.uniform(-self.radius, self.radius,
-                                    size=(count, m - a)))
-        elif c < 0:
-            cols.append(rng.uniform(-self.radius, self.radius,
-                                    size=(count, a)))
-            ang = angles(m - a - 1)
-            if ang is not None:
-                cols.append(ang)
+        if d >= 2:
+            cols.append(rng.uniform(0.0, 2 * np.pi, size=(count, 1)))
+            cols.append(rng.uniform(-0.6, 0.6, size=(count, d - 2))
+                        / np.sqrt(max(d - 2, 1)))
+        if n_out == 1 and self.sign * self.c <= 0:
+            cols.append(rng.choice([-1.0, 1.0], size=(count, 1))
+                        * (np.sqrt(abs(self.c))
+                           + rng.uniform(0.4, self.radius, size=(count, 1))))
         else:
-            cols.append(rng.uniform(0.4, self.radius, size=(count, 1)))
-            for d in (a - 1, m - a - 1):
-                ang = angles(d)
-                if ang is not None:
-                    cols.append(ang)
-        for _ in range(self.n_branch):
+            cols.append(rng.uniform(-self.radius, self.radius,
+                                    size=(count, n_out)))
+        if d == 1:
             cols.append(rng.choice([-1.0, 1.0], size=(count, 1)))
         return np.column_stack(cols)
 
-    def point_and_jacobian(self, q) -> tuple:
+    def point_and_jacobian(self, Q) -> tuple:
         """Quadric points (..., m) and chart Jacobians (..., m-1, m)."""
-        q = np.asarray(q, dtype=float)
-        cont, branch = q[..., :self.n_cont], q[..., self.n_cont:]
-        m, a, c = self.m, self.a, self.c
-        ay = m - a
-        shape = q.shape[:-1]
-        x = np.empty(shape + (m,))
-        jac = np.zeros(shape + (self.n_cont, m))
-        signs = [branch[..., i:i + 1] for i in range(self.n_branch)]
-
-        def factor(angles):
-            """Sphere factor: S^d from d angles, S^0 from the next sign."""
-            if angles.shape[-1]:
-                return sphere_embed(angles)
-            return signs.pop(0), np.zeros(shape + (0, 1))
-
-        if c > 0:
-            na = a - 1
-            sig, dsig = factor(cont[..., :na])
-            ys = cont[..., na:]
-            r = np.sqrt(c + np.sum(ys ** 2, axis=-1))[..., None]
-            x[..., :a] = r * sig
-            x[..., a:] = ys
-            # d/d(angle): r * dsig; d/d(y_k): (y_k / r) sig + e_{a+k}
-            jac[..., :na, :a] = r[..., None] * dsig
-            jac[..., na:, :a] = (ys / r)[..., :, None] * sig[..., None, :]
-            jac[..., na + np.arange(ay), a + np.arange(ay)] = 1.0
-        elif c < 0:
-            xs = cont[..., :a]
-            tau, dtau = factor(cont[..., a:])
-            r = np.sqrt(np.sum(xs ** 2, axis=-1) - c)[..., None]
-            x[..., :a] = xs
-            x[..., a:] = r * tau
-            jac[..., np.arange(a), np.arange(a)] = 1.0
-            jac[..., :a, a:] = (xs / r)[..., :, None] * tau[..., None, :]
-            jac[..., a:, a:] = r[..., None] * dtau
+        Q = np.asarray(Q, dtype=float)
+        m, d, (lo, hi) = self.m, self.d, self.block
+        shape = Q.shape[:-1]
+        o = Q[..., d - 1:m - 1]
+        if d == 1:
+            u, du = Q[..., m - 1:], np.zeros(shape + (0, 1))
         else:
-            rho = cont[..., :1]
-            na = a - 1
-            sig, dsig = factor(cont[..., 1:1 + na])
-            tau, dtau = factor(cont[..., 1 + na:])
-            x[..., :a] = rho * sig
-            x[..., a:] = rho * tau
-            jac[..., 0, :a] = sig
-            jac[..., 0, a:] = tau
-            jac[..., 1:1 + na, :a] = rho[..., None] * dsig
-            jac[..., 1 + na:, a:] = rho[..., None] * dtau
+            q, zeta = Q[..., 0], Q[..., 1:d - 1]
+            s = np.sqrt(1.0 - np.sum(zeta ** 2, axis=-1))
+            cs = np.stack([np.cos(q), np.sin(q)], axis=-1)
+            u = np.concatenate([s[..., None] * cs, zeta], axis=-1)
+            du = np.zeros(shape + (d - 1, d))
+            du[..., 0, 0], du[..., 0, 1] = -u[..., 1], u[..., 0]
+            du[..., 1:, :2] = (-(zeta / s[..., None])[..., :, None]
+                               * cs[..., None, :])
+            du[..., 1:, 2:] = np.eye(d - 2)
+        r = np.sqrt(self.sign * self.c + np.sum(o ** 2, axis=-1))[..., None]
+        x = np.empty(shape + (m,))
+        x[..., lo:hi] = r * u
+        x[..., self.other] = o
+        jac = np.zeros(shape + (m - 1, m))
+        jac[..., :d - 1, lo:hi] = r[..., None] * du
+        # d/do_k: the unit step in o_k and the change dr/do_k = o_k / r of r
+        jac[..., d - 1:, lo:hi] = (o / r)[..., :, None] * u[..., None, :]
+        jac[..., d - 1 + np.arange(m - d), self.other] = 1.0
         return x, jac
 
 
-def _profile_circle(m, a, c, n_sheets):
-    """Closed profiles on the quadric, one per sheet: (block, fixed, radii).
+def _profile_circle(chart: QuadricChart, n_sheets: int) -> np.ndarray:
+    """Per-sheet values of the coordinates outside the chart's block.
 
-    Sheet k is the circle of radius radii[k] in the first two coordinates
-    of ``block`` (the x block (0, a) or the y block (a, m)), every other
-    coordinate held at fixed[k].  An x-block circle needs
-    c + |y_fix|^2 > 0, a y-block circle |x_fix|^2 - c > 0; the feasible one
-    is chosen.  Signature (1, 1) falls back to the two open hyperbola
-    branches: block None, fixed the branch signs.  For the c = 0 cone the
-    sheet radii come in doubling pairs to support the ray-scaling checks.
+    Sheet k is the circle zeta = 0 at o = values[k] (for d = 1, the
+    hyperbola branch of sign values[k]).  Where r can vanish, the single
+    outside coordinate lies beyond sqrt|c|.  For the c = 0 cone the sheet
+    radii come in doubling pairs to support the ray-scaling checks.
     """
-    if a >= 2 and c > 0:
-        block, fixed = (0, a), np.zeros((1 if m == a else n_sheets, m))
-        fixed[:, a:a + 1] = 0.7 * np.arange(len(fixed))[:, None]
-    elif m - a >= 2 and c != 0.0:
-        block, fixed = (a, m), np.zeros((n_sheets, m))
-        fixed[:, 0] = np.sqrt(max(c, 0.0)) + 0.8 + 0.6 * np.arange(n_sheets)
-    elif a >= 2 and c < 0:
-        block, fixed = (0, a), np.zeros((n_sheets, m))
-        fixed[:, a] = np.sqrt(-c) + 0.8 + 0.6 * np.arange(n_sheets)
-    elif c == 0.0 and max(a, m - a) >= 2:
-        # cone: radial doubling pairs 1, 2 along the rays
+    n_out = chart.m - chart.d
+    if chart.d == 1:
+        return np.array([[1.0], [-1.0]])
+    if chart.c == 0.0:
         rho = np.array([1.0, 2.0])[:max(n_sheets, 1), None]
-        block, fixed = ((0, a) if a >= 2 else (a, m)), np.zeros((len(rho), m))
-        if a >= 2:
-            fixed[:, a:] = rho / np.sqrt(max(m - a, 1))
-        else:
-            fixed[:, :a] = rho
-    else:
-        return None, np.array([[1.0], [-1.0]]), None
-    if not len(fixed):
+        return np.repeat(rho / np.sqrt(n_out), n_out, axis=1)
+    k = np.arange(1 if n_out == 0 else n_sheets)
+    values = np.zeros((len(k), n_out))
+    if chart.sign > 0 and chart.c > 0:     # r^2 = c + |o|^2 > 0 everywhere
+        values[:, :1] = 0.7 * k[:, None]
+    else:       # beyond the zero sqrt(-sign c) of r, if r has one
+        values[:, 0] = np.sqrt(max(-chart.sign * chart.c, 0.0)) + 0.8 + 0.6 * k
+    if not len(values):
         raise ValidationError("no admissible mesh sheet for these parameters")
-    if block[0] == 0:
-        rsq = c + np.sum(fixed[:, a:] ** 2, axis=1)
-    else:
-        rsq = np.sum(fixed[:, :a] ** 2, axis=1) - c
-    return block, fixed, np.sqrt(rsq)
+    return values
 
 
-class ProfileChart(_Chart):
-    """Rows (q, sheet) on the closed profiles of ``_profile_circle``.
+class _LiftedRows(_Chart):
+    """A mesh's row chart: a row, its time value aside, is (q, sheet), and
+    reads as the family's chart at ``lift(q, values[sheet])``."""
 
-    The first Jacobian row is the profile tangent.  The others complete it
-    to a basis of the quadric's tangent space: each coordinate outside the
-    circle's block moves with the radial compensation inside the block that
-    keeps the point on the level set, and the block's remaining
-    coordinates, zero on the circle, move freely.  On a hyperbola branch
-    the single row is the branch tangent.
-    """
-
-    def __init__(self, m: int, a: int, c: float, n_sheets: int = 2):
-        self.m, self.c = m, float(c)
-        self.block, self.fixed, self.radii = _profile_circle(m, a, self.c,
-                                                             n_sheets)
-        self.n_sheets = len(self.fixed)
-        self.wrap = self.block is not None
+    def __init__(self, chart, values, lift, t_col: int = 0):
+        self.chart, self.lift, self.t_col = chart, lift, t_col
+        self.values = np.asarray(values, dtype=float)
+        self.n_sheets = len(self.values)
 
     def point_and_jacobian(self, Q) -> tuple:
         Q = np.asarray(Q, dtype=float)
-        q, sheet = Q[..., 0], Q[..., 1].astype(int)
-        m, c = self.m, self.c
-        jac = np.zeros(q.shape + (m - 1, m))
-        x = self.fixed[sheet]
-        if self.block is None:      # signature (1, 1): x = (+-sqrt(c+q^2), q)
-            sg = x[..., 0]
-            x = np.empty(q.shape + (2,))
-            root = np.sqrt(c + q ** 2) if c >= 0 else np.sqrt(q ** 2 - c)
-            lead, free = (0, 1) if c >= 0 else (1, 0)
-            x[..., lead], x[..., free] = sg * root, q
-            jac[..., 0, lead], jac[..., 0, free] = sg * q / root, 1.0
-            return x, jac
-        lo, hi = self.block
-        r = self.radii[sheet]
-        x[..., lo] = r * np.cos(q)
-        x[..., lo + 1] = r * np.sin(q)
-        jac[..., 0, lo] = -r * np.sin(q)
-        jac[..., 0, lo + 1] = r * np.cos(q)
-        other = np.r_[0:lo, hi:m]
-        xb = x[..., lo:hi]
-        rows = 1 + np.arange(other.size)
-        jac[..., rows, other] = 1.0
-        jac[..., rows, lo:hi] = ((x[..., other] / np.sum(xb ** 2, axis=-1,
-                                                         keepdims=True))
-                                 [..., :, None] * xb[..., None, :])
-        jac[..., 1 + other.size + np.arange(hi - lo - 2),
-            np.arange(lo + 2, hi)] = 1.0
-        return x, jac
+        sheet = Q[:, 1]
+        if not np.isin(sheet, np.arange(self.n_sheets)).all():
+            raise ValidationError("a sheet id is not an integer in "
+                                  f"0..{self.n_sheets - 1}")
+        return self.chart.point_and_jacobian(
+            self.lift(Q[:, 0], self.values[sheet.astype(int)]))
 
 
 class ParaboloidChart(_Chart):
@@ -293,23 +199,6 @@ class ParaboloidChart(_Chart):
         return x, np.concatenate([eye, (-self.signs * xs)[..., None]], axis=-1)
 
 
-class _AffineProfileChart(ParaboloidChart):
-    """Affine mesh rows (q, sheet): circles of the sheet radii in the first
-    two free coordinates, the others held at 0.3."""
-
-    def __init__(self, signs, radii):
-        super().__init__(signs)
-        self.radii = np.asarray(radii, dtype=float)
-
-    def point_and_jacobian(self, Q) -> tuple:
-        Q = np.asarray(Q, dtype=float)
-        q, r = Q[..., 0], self.radii[Q[..., 1].astype(int)]
-        xs = np.full(q.shape + (self.signs.size,), 0.3)
-        xs[..., 0] = r * np.cos(q)
-        xs[..., 1] = r * np.sin(q)
-        return super().point_and_jacobian(xs)
-
-
 class ConeChart(_Chart):
     """The cone over the link circle: coordinates (s, r) -> r x(s)."""
 
@@ -328,16 +217,6 @@ class ConeChart(_Chart):
         s, r = Q[..., 0], Q[..., 1:2]
         x = self.section.x(s)
         return r * x, np.stack([r * self.section.dx_ds(s), x], axis=-2)
-
-
-class _LinkRowChart(ConeChart):
-    """Link mesh rows (s, t, sheet): the unit cross-section, t in column 1."""
-
-    t_col = 1
-
-    def point_and_jacobian(self, Q) -> tuple:
-        s = np.asarray(Q, dtype=float)[..., 0]
-        return super().point_and_jacobian(np.stack([s, np.ones_like(s)], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +262,8 @@ class _SweptFamily(_Family):
     Subclasses set m, t_span and chart.  ``_motion(t)`` gives (w, dw, beta,
     dbeta); here the centred evolution along ``path``, while a translating
     family's w covers the first m-1 coordinates and beta moves the last.
-    ``points`` and ``frames`` take a row chart in place of ``chart``: that
-    is how a mesh evaluates its parameter grid.
+    ``points`` and ``frames`` also take a mesh's row chart, which reads
+    the mesh's rows as points of ``chart``.
     """
 
     def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
@@ -603,8 +482,8 @@ class Mesh:
 
     params holds the generating parameters per vertex (named by
     param_names, sheet id last).  When present, ``family`` (a swept family)
-    and ``chart`` (the row chart reading params; None for the family's own
-    rows) let residuals be recomputed analytically at every vertex.
+    and ``chart`` (the row chart lifting params to the family's chart; None
+    for the family's own rows) let residuals be recomputed analytically at every vertex.
     """
 
     m: int
@@ -627,9 +506,16 @@ class Mesh:
         F = np.asarray(self.faces, dtype=int)
         if F.size and (F.min() < 0 or F.max() >= len(V)):
             raise ValidationError("face index out of range")
+        P = np.asarray(self.params, dtype=float)
+        if P.shape != (len(V), len(self.param_names)):
+            raise ValidationError(
+                f"params must be (N vertices, {len(self.param_names)} names) "
+                f"= {(len(V), len(self.param_names))}; got {P.shape}")
+        if not np.all(np.isfinite(P)):
+            raise ValidationError("non-finite vertex parameter")
         self.vertices = V
         self.faces = F.reshape(-1, 4) if F.size else np.zeros((0, 4), int)
-        self.params = np.asarray(self.params, dtype=float)
+        self.params = P
 
 
 def _sheet_grid(outer, inner, n_sheets: int, wrap: bool) -> tuple:
@@ -693,11 +579,15 @@ def _centred_mesh(r: dict) -> tuple:
     radius = r.get("radius", 2.0)
     family = CentredFamily(params, t_span=r["t_end"], w0=_recipe_w0(r),
                            radius=radius)
-    chart = ProfileChart(params.m, params.a, params.c, r.get("n_sheets", 2))
-    qs = (np.linspace(0.0, 2 * np.pi, nq, endpoint=False) if chart.wrap
+    quadric, pad = family.chart, max(family.chart.d - 2, 0)
+    chart = _LiftedRows(
+        quadric, _profile_circle(quadric, r.get("n_sheets", 2)),
+        lambda q, o: np.column_stack([q, np.zeros((len(q), pad)), o]))
+    wrap = quadric.d >= 2
+    qs = (np.linspace(0.0, 2 * np.pi, nq, endpoint=False) if wrap
           else np.linspace(-radius, radius, nq))
     P, faces = _sheet_grid(np.linspace(0.0, family.t_span, nt), qs,
-                           chart.n_sheets, chart.wrap)
+                           chart.n_sheets, wrap)
     return family, chart, P, faces
 
 
@@ -711,10 +601,21 @@ def _affine_mesh(r: dict) -> tuple:
                           beta0=beta0)
     if family.path.escaped:     # the grid stops short of the blow-up
         family.t_span = 0.98 * family.path.t_span[1]
-    chart = _AffineProfileChart(family.chart.signs, r["profile_radii"])
+    k = family.chart.signs.size
+
+    def circle(q, rad):
+        """The first two free coordinates on the circle of radius rad, the
+        others at 0.3."""
+        xs = np.full((len(q), k), 0.3)
+        xs[:, 0] = rad[:, 0] * np.cos(q)
+        xs[:, 1] = rad[:, 0] * np.sin(q)
+        return xs
+
+    chart = _LiftedRows(family.chart, np.reshape(r["profile_radii"], (-1, 1)),
+                        circle)
     P, faces = _sheet_grid(np.linspace(0.0, family.t_span, nt),
                            np.linspace(0.0, 2 * np.pi, nq, endpoint=False),
-                           len(chart.radii), True)
+                           chart.n_sheets, True)
     return family, chart, P, faces
 
 
@@ -722,8 +623,10 @@ def _link_mesh(r: dict) -> tuple:
     ns, nt = _grid_size(r.get("resolution", (64, 64)))
     family = ConeOverLinkFamily(tuple(r["alphas"]), r["A"],
                                 t_span=r.get("t_end"))
-    chart = _LinkRowChart(family.chart.section)
-    P, faces = _sheet_grid(np.linspace(0.0, chart.section.period, ns),
+    # one sheet, the unit cross-section: ray coordinate r = 1
+    chart = _LiftedRows(family.chart, [[1.0]],
+                        lambda s, ray: np.column_stack([s, ray]), t_col=1)
+    P, faces = _sheet_grid(np.linspace(0.0, family.chart.section.period, ns),
                            np.linspace(0.0, family.t_span, nt), 1, False)
     return family, chart, P, faces
 
@@ -732,11 +635,15 @@ _CONSTRUCTIONS = {"centred": _centred_mesh, "affine": _affine_mesh,
                   "link": _link_mesh}
 
 
+def _param_names(chart) -> tuple:
+    return ("s", "t", "sheet") if chart.t_col else ("t", "q", "sheet")
+
+
 def _mesh(recipe: dict) -> Mesh:
     family, chart, P, faces = _CONSTRUCTIONS[recipe["kind"]](recipe)
-    names = ("s", "t", "sheet") if chart.t_col else ("t", "q", "sheet")
     return Mesh(family.m, complex_to_real(family.points(P, chart)), faces, P,
-                names, recipe=recipe, family=family, chart=chart)
+                _param_names(chart), recipe=recipe, family=family,
+                chart=chart)
 
 
 def mesh_centred(params: centred.CentredParams, c: float, t_span,
@@ -795,8 +702,13 @@ def rebuild_family(mesh: Mesh):
     construct = _CONSTRUCTIONS.get(mesh.recipe.get("kind"))
     if construct is None:
         raise ValidationError("mesh recipe does not name a rebuildable family")
-    mesh.family, mesh.chart = construct(_ImportedRecipe(mesh.recipe))[:2]
-    return mesh.family
+    family, chart = construct(_ImportedRecipe(mesh.recipe))[:2]
+    if tuple(mesh.param_names) != _param_names(chart):
+        raise ValidationError(f"a {mesh.recipe['kind']} mesh names its params "
+                              f"{_param_names(chart)}, not "
+                              f"{tuple(mesh.param_names)}")
+    mesh.family, mesh.chart = family, chart
+    return family
 
 
 def _mesh_frames(mesh: Mesh) -> np.ndarray:
@@ -834,8 +746,6 @@ def _fmt(x: float) -> str:
 
 def _project_vertices(mesh: Mesh, projection):
     V = mesh.vertices
-    if V.shape[1] == 3:
-        return V
     if projection is None:
         if mesh.m > 3:
             raise ValidationError(
@@ -845,10 +755,12 @@ def _project_vertices(mesh: Mesh, projection):
         C = V - V.mean(axis=0)
         _, _, vt = np.linalg.svd(C, full_matrices=False)
         return C @ vt[:3].T
-    idx = tuple(projection)
-    if len(idx) != 3:
-        raise ValidationError("projection must be 'pca' or three indices")
-    return V[:, list(idx)]
+    idx = list(projection)
+    if len(idx) != 3 or not all(0 <= i < V.shape[1] for i in idx):
+        raise ValidationError("projection must be 'pca' or three coordinate "
+                              f"indices in 0..{V.shape[1] - 1}; got "
+                              f"{projection!r}")
+    return V[:, idx]
 
 
 def export(mesh: Mesh, fmt: str, path, projection=None) -> None:
@@ -915,10 +827,13 @@ def import_json(path) -> Mesh:
                if k not in doc]
     if missing:
         raise ValidationError(f"slmesh-1 document lacks {', '.join(missing)}")
-    mesh = Mesh(int(doc["m"]), np.asarray(doc["vertices"], float),
-                np.asarray(doc["faces"], int), np.asarray(doc["params"], float),
-                tuple(doc["param_names"]), recipe=doc.get("recipe", {}))
-    for key in ("res_omega", "res_imomega"):
-        if doc.get(key) is not None:
-            setattr(mesh, key, np.asarray(doc[key], float))
-    return mesh
+    try:
+        fields = (int(doc["m"]), np.asarray(doc["vertices"], float),
+                  np.asarray(doc["faces"], int),
+                  np.asarray(doc["params"], float), tuple(doc["param_names"]))
+        res = {key: np.asarray(doc[key], float)
+               for key in ("res_omega", "res_imomega")
+               if doc.get(key) is not None}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed slmesh-1 field: {exc}") from None
+    return Mesh(*fields, recipe=doc.get("recipe", {}), **res)

@@ -586,6 +586,13 @@ class TestPeriodicSearch:
         with pytest.raises(ValidationError, match="b_max"):
             periodic_search(symmetric_alphas(3, 1), 1, b_max)
 
+    @pytest.mark.parametrize("n_grid", [1, 0, -3])
+    def test_n_grid_below_two_rejected(self, n_grid):
+        # no interval to bracket: 0 and 1 searched nothing and returned [],
+        # -3 was a numpy ValueError
+        with pytest.raises(ValidationError, match="n_grid"):
+            periodic_search(symmetric_alphas(3, 1), 1, 8, n_grid=n_grid)
+
     def test_solution_round_trip(self):
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.1, c=0.0)
         sol = PeriodicSolution(params, (-8, 4, 4), 7, topology="x",

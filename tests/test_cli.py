@@ -49,10 +49,14 @@ class TestBetasCommand:
                         "--out", str(out)]) == 2
             assert "resolution" in capsys.readouterr().err
             assert not out.exists()
-        # a count below 1 is named: it was a numpy ValueError and exit 1
+        # a count below its least is named: it was a numpy ValueError and
+        # exit 1, or for --grid 0 and 1 an empty search and exit 0
         for argv, flag in (
                 (["search", "--family", "sym", "--bmax", "0"], "--bmax"),
                 (["search", "--family", "sym", "--bmax", "-2"], "--bmax"),
+                (["search", "--family", "sym", "--grid", "0"], "--grid"),
+                (["search", "--family", "sym", "--grid", "1"], "--grid"),
+                (["search", "--family", "sym", "--grid", "-3"], "--grid"),
                 (["crosssection", "--alphas", "1.2,2,3", "--n", "0"], "--n"),
                 (["crosssection", "--alphas", "1.2,2,3", "--n", "-1"], "--n"),
                 (["affine", "--alphas", "1,1", "--A", "0.4", "--n", "0"],
@@ -224,6 +228,52 @@ class TestMeshAndVerify:
         assert run(["verify", "--mesh", str(mesh)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("argv,projection", [
+        (["--alphas", "1,2,2"], "1,2,x"),
+        (["--kind", "link", "--alphas", "1.2,2,3", "--A", "0.4"], "1,2,9"),
+        (["--m", "4", "--a", "2", "--family", "sym"], "0,1,99"),
+        (["--alphas", "1,2,2"], "-1,0,1"),
+        (["--alphas", "1,2,2"], "0,1"),
+    ])
+    def test_bad_projection_is_exit_two(self, tmp_path, capsys, argv,
+                                        projection):
+        # a ValueError or IndexError traceback and exit 1; -1 silently took
+        # the last coordinate
+        out = tmp_path / "m.obj"
+        assert run(["mesh", *argv, "--resolution", "4x8", "--format", "obj",
+                    "--projection", projection, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "projection" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [row.pop() for row in doc["params"]],
+        lambda doc: doc["params"].__delitem__(slice(-3, None)),
+        lambda doc: doc["params"][-1].__setitem__(2, 7),
+        lambda doc: doc["params"][0].__setitem__(2, 0.5),
+        lambda doc: doc["params"][0].__setitem__(0, None),
+        lambda doc: [doc.update(param_names=["t", "q"])]
+        + [row.pop() for row in doc["params"]],
+        lambda doc: doc["params"][0].pop(),
+        lambda doc: doc["vertices"][0].pop(),
+        lambda doc: doc.update(m="x"),
+    ], ids=["two-columns", "three-rows-short", "sheet-7", "sheet-half",
+            "t-null", "two-names", "ragged-params", "ragged-vertices",
+            "m-not-int"])
+    def test_malformed_file_is_exit_two(self, tmp_path, capsys, edit):
+        # IndexError and ValueError tracebacks and exit 1; a sheet of 0.5
+        # read as sheet 0, and a null t as NaN, and both verified
+        mesh = tmp_path / "m.json"
+        assert run(["mesh", "--alphas", "1,2,2", "--resolution", "5x8",
+                    "--out", str(mesh)]) == 0
+        doc = json.loads(mesh.read_text())
+        edit(doc)
+        mesh.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--mesh", str(mesh)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_centred_mesh_formats(self, tmp_path):
         for fmt in ("json", "csv", "obj", "ply"):

@@ -15,7 +15,7 @@ from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
                                  QuadricChart, RotatedPlaneFamily, export,
                                  import_json, mesh_affine, mesh_centred,
                                  mesh_link, mesh_residual_report,
-                                 rebuild_family, sl_residuals, sphere_embed)
+                                 rebuild_family, sl_residuals)
 
 P122 = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
 
@@ -39,19 +39,21 @@ class TestChart:
             sv = np.linalg.svd(jac, compute_uv=False)
             assert sv[-1] > 1e-8
 
-    def test_sphere_embed_jacobian_fd(self):
-        rng = np.random.default_rng(72)
-        for d in (1, 2, 3):
-            phis = rng.uniform(0.4, np.pi - 0.4, size=d)
-            p, jac = sphere_embed(phis)
-            assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-14)
-            h = 1e-7
-            for j in range(d):
-                up, dn = phis.copy(), phis.copy()
-                up[j] += h
-                dn[j] -= h
-                fd = (sphere_embed(up)[0] - sphere_embed(dn)[0]) / (2 * h)
-                assert np.allclose(fd, jac[j], atol=1e-8)
+    def test_jacobian_rows_are_coordinate_derivatives(self):
+        # every chart row, zeta rows included, against central differences
+        h = 1e-7
+        for m, a, c in [(3, 1, 1.0), (3, 2, -1.0), (4, 4, 1.0), (5, 2, 0.0),
+                        (5, 1, -1.0), (2, 1, -1.0), (6, 3, 1.0)]:
+            chart = QuadricChart(m, a, c)
+            qs = chart.sample_coords(20, seed=72)
+            _, jac = chart.point_and_jacobian(qs)
+            for j in range(m - 1):
+                up, dn = qs.copy(), qs.copy()
+                up[:, j] += h
+                dn[:, j] -= h
+                fd = (chart.point_and_jacobian(up)[0]
+                      - chart.point_and_jacobian(dn)[0]) / (2 * h)
+                assert np.abs(fd - jac[:, j]).max() <= 1e-7
 
 
 def reference_residuals(frame):
