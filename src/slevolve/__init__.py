@@ -12,8 +12,9 @@ Layers, bottom up:
 - ``centred``: the diagonal (centred-quadric) reduction: conserved
   quantity, turning points, monodromy-angle quadrature, periodicity search.
 - ``affine``: the translated (paraboloid) family and its closed beta law.
-- ``threefold``: m = 3 cone links and the conformal sweep map.
-- ``meshverify``: meshes, analytic-frame residual verification, exporters.
+- ``threefold``: the m = 3 cone link circle and explicit translated solutions.
+- ``meshverify``: the swept families (the conformal cone-over-link sweep
+  among them), meshes, analytic-frame residual verification, exporters.
 - ``cli``: the ``slevolve`` command-line front end.
 """
 

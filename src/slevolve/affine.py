@@ -153,18 +153,6 @@ def affine_initial(params: AffineParams, u0: float = 0.0,
     return w0, complex(beta0)
 
 
-def quadrature_affine(params: AffineParams, u0: float, u: float,
-                      tol: float = 1e-12) -> centred.QuadratureArc:
-    """Angle and time increments of the w subsystem between u0 and u on the
-    monotone branch; the kernel is the centred one over m-1 letters (the
-    a = m-1 case runs on an unbounded half line and uses the one-sided
-    substitution)."""
-    reduced = params.reduced()
-    if params.a == params.m - 1:
-        return centred.quadrature_case_b(reduced, u0, u, tol=tol)
-    return centred.quadrature_solution(reduced, u0, u, tol=tol)
-
-
 def betas_affine(params: AffineParams, tol: float = 3e-12) -> centred.BetaResult:
     """Monodromy data of the w subsystem (the translation itself never
     closes: beta(t + T) - beta(t) = -i A T)."""

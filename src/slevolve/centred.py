@@ -156,19 +156,6 @@ class WVector:
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """(u, theta_1..theta_m) at time t."""
-
-    u: float
-    thetas: tuple
-    t: float = 0.0
-
-    @property
-    def theta(self) -> float:
-        return float(np.sum(self.thetas))
-
-
-@dataclass(frozen=True)
 class BetaResult:
     """Monodromy angles with the period and turning points they belong to."""
 
@@ -426,42 +413,6 @@ def normalize_lambda(w0_sq, a: int) -> tuple:
         lam -= f(lam) / fp
     alphas = np.concatenate([s[:a] - lam, s[a:] + lam])
     return tuple(float(x) for x in alphas), float(lam)
-
-
-def reduce_state(w, params: CentredParams, consistency_tol: float = 1e-8):
-    """Recover (u, theta_j) and the conserved A from a w value.
-
-    The m values of u implied by the moduli must agree to consistency_tol.
-    """
-    if isinstance(w, WVector):
-        t, w = w.t, w.array
-    else:
-        t, w = 0.0, np.asarray(w, dtype=complex)
-    al = params.alpha_array
-    u_each = params.signs * (np.abs(w) ** 2 - al)
-    scale = max(1.0, float(np.max(np.abs(al))))
-    if np.max(u_each) - np.min(u_each) > consistency_tol * scale:
-        raise ValidationError("moduli inconsistent with the given alphas")
-    u = float(np.mean(u_each))
-    thetas = tuple(float(x) for x in np.angle(w))
-    state = ReducedState(u, thetas, t)
-    A = float(np.sqrt(max(params.Q(u), 0.0)) * np.sin(state.theta))
-    return state, A
-
-
-def rhs_reduced(state: ReducedState, params: CentredParams):
-    """du/dt and dtheta_j/dt of the reduced system."""
-    al = params.alpha_array
-    u = state.u
-    radicands = np.where(params.signs > 0, al + u, al - u)
-    if np.any(radicands <= 0):
-        raise ValidationError("state outside the domain alpha_j +- u > 0")
-    Q = float(np.prod(radicands))
-    sqrtQ = np.sqrt(Q)
-    theta = state.theta
-    du = 2.0 * sqrtQ * np.cos(theta)
-    dthetas = -params.signs * sqrtQ * np.sin(theta) / radicands
-    return float(du), dthetas
 
 
 def w_initial(params: CentredParams, u0: float = 0.0) -> np.ndarray:

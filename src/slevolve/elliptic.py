@@ -103,9 +103,3 @@ def jacobi_grid(t: np.ndarray, k: float) -> np.ndarray:
     dn = np.sqrt(np.where(sn ** 2 < 0.5, 1.0 - (k * sn) ** 2,
                           (1.0 - k) * (1.0 + k) + (k * cn) ** 2))
     return np.stack([sn, cn, dn], axis=-1)
-
-
-def jacobi_derivatives(triple: JacobiTriple) -> tuple:
-    """(sn', cn', dn') from the defining first-order system."""
-    sn, cn, dn, k = triple.sn, triple.cn, triple.dn, triple.k
-    return (cn * dn, -sn * dn, -(k ** 2) * sn * cn)

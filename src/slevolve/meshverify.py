@@ -127,8 +127,10 @@ class QuadricChart(_Chart):
         x[..., self.other] = o
         jac = np.zeros(shape + (m - 1, m))
         jac[..., :d - 1, lo:hi] = r[..., None] * du
-        # d/do_k: the unit step in o_k and the change dr/do_k = o_k / r of r
-        jac[..., d - 1:, lo:hi] = (o / r)[..., :, None] * u[..., None, :]
+        # d/do_k: the unit step in o_k and the change dr/do_k = o_k / r of r,
+        # left at 0 on a cone's vertex r = 0 (whose frame is degenerate)
+        dr = np.divide(o, r, out=np.zeros_like(o), where=r > 0)
+        jac[..., d - 1:, lo:hi] = dr[..., :, None] * u[..., None, :]
         jac[..., d - 1 + np.arange(m - d), self.other] = 1.0
         return x, jac
 
@@ -352,7 +354,16 @@ class AffineFamily(_SweptFamily):
 
 class ConeOverLinkFamily(_SweptFamily):
     """The three-dimensional cone r * Phi(s, t) over the link surface as a
-    map of (t, s, r)."""
+    map of (t, s, r).
+
+    Phi(s, t) = (x_1(s) w_1(t), x_2(s) w_2(t), x_3(s) w_3(t)) sweeps the
+    unit-speed link circle x(s) of ``threefold.cross_section`` by the
+    evolution; at r = 1 the frame rows are (dPhi/dt, dPhi/ds, Phi).  The
+    two derivatives are orthogonal with equal squared norm
+    alpha_3 - u + (alpha_2 - alpha_3)(alpha_1 + alpha_3) x_3^2, where
+    u = |w_1|^2 - alpha_1, so Phi is conformal; minimality of the cone then
+    makes it harmonic.
+    """
 
     def __init__(self, alphas, A: float, r_range=(0.5, 2.0), t_span=None):
         al = np.asarray(alphas, dtype=float)
@@ -380,28 +391,6 @@ class Affine3ClosedFamily(_SweptFamily):
     def _motion(self, t) -> tuple:
         f = self.form
         return f.w(t), f.dw(t), f.beta(t), f.dbeta(t)
-
-
-class RotatedPlaneFamily(_Family):
-    """The plane diag(e^{i theta_1}, ..., e^{i theta_m}) R^m; special
-    Lagrangian exactly when the phases sum to a multiple of pi.  It has no
-    time value: its chart is the identity on R^m."""
-
-    def __init__(self, thetas, radius: float = 2.0):
-        self.thetas = np.asarray(thetas, dtype=float)
-        self.m = self.thetas.size
-        self.radius = radius
-
-    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return rng.uniform(-self.radius, self.radius, size=(count, self.m))
-
-    def points(self, P) -> np.ndarray:
-        return np.exp(1j * self.thetas) * np.asarray(P, dtype=float)
-
-    def frames(self, P) -> np.ndarray:
-        return np.broadcast_to(np.diag(np.exp(1j * self.thetas)),
-                               (len(P), self.m, self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +688,19 @@ def rebuild_family(mesh: Mesh):
     """Reconstruct the generating family and row chart of an imported mesh
     through the construction that built it, from its recipe, so residuals
     can be verified analytically at the stored vertex parameters."""
-    construct = _CONSTRUCTIONS.get(mesh.recipe.get("kind"))
+    kind = mesh.recipe.get("kind")
+    construct = _CONSTRUCTIONS.get(kind) if isinstance(kind, str) else None
     if construct is None:
         raise ValidationError("mesh recipe does not name a rebuildable family")
-    family, chart = construct(_ImportedRecipe(mesh.recipe))[:2]
+    try:
+        family, chart = construct(_ImportedRecipe(mesh.recipe))[:2]
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{kind} mesh recipe holds a value of the "
+                              f"wrong type: {exc}") from None
     if tuple(mesh.param_names) != _param_names(chart):
-        raise ValidationError(f"a {mesh.recipe['kind']} mesh names its params "
+        raise ValidationError(f"a {kind} mesh names its params "
                               f"{_param_names(chart)}, not "
                               f"{tuple(mesh.param_names)}")
     mesh.family, mesh.chart = family, chart
@@ -836,4 +832,7 @@ def import_json(path) -> Mesh:
                if doc.get(key) is not None}
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed slmesh-1 field: {exc}") from None
-    return Mesh(*fields, recipe=doc.get("recipe", {}), **res)
+    recipe = doc.get("recipe", {})
+    if not isinstance(recipe, dict):
+        raise ValidationError("the slmesh-1 recipe must be an object")
+    return Mesh(*fields, recipe=recipe, **res)

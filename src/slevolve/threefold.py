@@ -1,4 +1,5 @@
-"""The three-dimensional family: cone links and their conformal coordinates.
+"""The three-dimensional family: the cone link circle in closed form and the
+fully explicit translated solutions.
 
 For m = 3, a = 1 the diagonal system is
 
@@ -9,25 +10,20 @@ and the c = 0 cone meets the unit sphere in a surface swept by the circle
     C = {x : alpha_1 x_1^2 + alpha_2 x_2^2 + alpha_3 x_3^2 = 1,
              x_1^2 - x_2^2 - x_3^2 = 0},
 
-parametrized in closed form by Jacobi elliptic functions.  With the
-cross-section speed normalized the sweep map
-
-    Phi(s, t) = (x_1(s) w_1(t), x_2(s) w_2(t), x_3(s) w_3(t))
-
-has orthogonal coordinate derivatives of equal norm
-alpha_3 + u + (alpha_2 - alpha_3)(alpha_1 + alpha_3) v, with v = x_3^2, so it
-is conformal; minimality of the cone then makes it harmonic.
+parametrized in closed form by Jacobi elliptic functions, with the
+cross-section speed normalized.  The sweep of the circle by the evolution
+is ``meshverify.ConeOverLinkFamily``.
 
 Naming note: the symbol gamma is used both for the conformal factor (fixed
 to 1 here, inside CrossSection) and for the lower turning point of u (inside
 BetaResult); they are unrelated quantities.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import centred, elliptic
+from . import elliptic
 from .errors import ValidationError
 
 _NORM_TOL = 1e-9
@@ -99,10 +95,6 @@ class CrossSection:
             s13 * (-nu2 * sn * cn), -s12 * (cn * dn), s13 * (-sn * dn)],
             axis=-1)
 
-    def v(self, s) -> np.ndarray:
-        """v(s) = x_3(s)^2."""
-        return self.x(s)[..., 2] ** 2
-
     def constraint_residuals(self, s) -> tuple:
         """Residuals of the two defining constraints along the circle."""
         x = self.x(s)
@@ -125,90 +117,6 @@ def cross_section(alphas) -> CrossSection:
         nu = np.sqrt((a2 - a3) / (a1 + a2))
         swapped = True
     return CrossSection(tuple(map(float, al)), float(mu), float(nu), swapped)
-
-
-@dataclass
-class ConformalGrid:
-    """The sweep map on an (s, t) grid with analytic first derivatives."""
-
-    alphas: tuple
-    s_grid: np.ndarray
-    t_grid: np.ndarray
-    phi: np.ndarray = field(repr=False)       # (ns, nt, 3) complex
-    dphi_ds: np.ndarray = field(repr=False)
-    dphi_dt: np.ndarray = field(repr=False)
-    u_values: np.ndarray = field(repr=False)  # (nt,)
-    v_values: np.ndarray = field(repr=False)  # (ns,)
-
-    def norms_closed(self) -> np.ndarray:
-        """The closed expression alpha_3 - u + (alpha_2-alpha_3)(alpha_1+alpha_3) v
-        for |dPhi/ds|^2 = |dPhi/dt|^2 on the grid (an exact polynomial
-        identity given the circle constraints; positive since u < alpha_3)."""
-        a1, a2, a3 = self.alphas
-        return (a3 - self.u_values[None, :]
-                + (a2 - a3) * (a1 + a3) * self.v_values[:, None])
-
-    def residuals(self) -> dict:
-        """Conformality and sphere-membership residuals over the grid."""
-        sphere = np.abs(np.linalg.norm(self.phi, axis=-1) - 1.0).max()
-        inner = np.abs(np.sum(self.dphi_ds * np.conj(self.dphi_dt),
-                              axis=-1).real).max()
-        ns2 = np.sum(np.abs(self.dphi_ds) ** 2, axis=-1)
-        nt2 = np.sum(np.abs(self.dphi_dt) ** 2, axis=-1)
-        closed = self.norms_closed()
-        return {
-            "max_sphere_residual": float(sphere),
-            "max_orthogonality": float(inner),
-            "max_norm_mismatch": float(np.abs(ns2 - nt2).max()),
-            "max_norm_vs_closed": float(max(np.abs(ns2 - closed).max(),
-                                            np.abs(nt2 - closed).max())),
-        }
-
-
-def conformal_map(alphas, A: float, w_path=None, s_grid=None, t_grid=None,
-                  ns: int = 96, nt: int = 96) -> ConformalGrid:
-    """Evaluate the sweep map and its analytic derivatives on a grid.
-
-    ``w_path`` is a dense solution of the three-function system consistent
-    with the given alphas (checked); by default one is integrated from the
-    standard initial state.  The default grids cover one full cross-section
-    period in s and one (u, theta) period in t.
-    """
-    al = _check_normalized3(alphas)
-    params = centred.CentredParams(3, 1, tuple(al), float(A), c=0.0)
-    section = cross_section(al)
-
-    if t_grid is None:
-        T = centred.betas(params).period_T
-        t_grid = np.linspace(0.0, T, nt)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if w_path is None:
-        w_path = centred.integrate_w(centred.w_initial(params), 1,
-                                     float(t_grid[-1]) if t_grid[-1] > 0 else 1.0)
-    W = w_path.w(t_grid)  # (nt, 3)
-
-    # the trajectory must realize the same alphas: moduli pattern check
-    u_each = np.array([np.abs(W[0, 0]) ** 2 - al[0],
-                       al[1] - np.abs(W[0, 1]) ** 2,
-                       al[2] - np.abs(W[0, 2]) ** 2])
-    if np.max(u_each) - np.min(u_each) > 1e-8 * max(1.0, al.max()):
-        raise ValidationError("w trajectory is inconsistent with the alphas")
-
-    if s_grid is None:
-        s_grid = np.linspace(0.0, section.period, ns)
-    s_grid = np.asarray(s_grid, dtype=float)
-
-    X = section.x(s_grid)          # (ns, 3)
-    dX = section.dx_ds(s_grid)     # (ns, 3)
-    dW = centred.rhs_w(W, 1)       # (nt, 3)
-
-    phi = X[:, None, :] * W[None, :, :]
-    dphi_ds = dX[:, None, :] * W[None, :, :]
-    dphi_dt = X[:, None, :] * dW[None, :, :]
-    u_values = np.abs(W[:, 0]) ** 2 - al[0]
-    v_values = X[:, 2] ** 2
-    return ConformalGrid(tuple(map(float, al)), s_grid, t_grid, phi,
-                         dphi_ds, dphi_dt, u_values, v_values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scalar reference implementations the tests check the library against.
+"""Reference implementations the tests check the library against.
 
 The library evaluates omega and Omega on batched complex frames with one
 kernel (``multilinear.frame_forms``); the functions here evaluate the same
@@ -6,6 +6,10 @@ forms one vector pair or one real frame at a time, from their coordinate
 definitions on R^{2m} with interleaved coordinates (Re z_1, Im z_1, ...).
 ``lie_derivative_residual`` checks a symmetry field by finite differences
 of the pushed-forward chi, with ``scipy.linalg.expm`` for the flow.
+
+The rest are references no command runs: the reduced (u, theta_j) form of
+the centred system, the derivative relations of the Jacobi functions, the
+rotated planes and the conformality residuals of the cone-over-link sweep.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +18,8 @@ from math import comb
 import numpy as np
 
 from slevolve import ValidationError
+from slevolve.centred import CentredParams, WVector
+from slevolve.elliptic import JacobiTriple
 from slevolve.multilinear import Multivector, complex_to_real, k_subsets
 
 
@@ -143,3 +149,118 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
         scale = max(data.chi_at(x).norm(), 1e-30)
         worst = max(worst, diff.norm() / scale)
     return worst
+
+
+@dataclass(frozen=True)
+class ReducedState:
+    """(u, theta_1..theta_m) at time t."""
+
+    u: float
+    thetas: tuple
+    t: float = 0.0
+
+    @property
+    def theta(self) -> float:
+        return float(np.sum(self.thetas))
+
+
+def reduce_state(w, params: CentredParams, consistency_tol: float = 1e-8):
+    """Recover (u, theta_j) and the conserved A from a w value.
+
+    The m values of u implied by the moduli must agree to consistency_tol.
+    """
+    if isinstance(w, WVector):
+        t, w = w.t, w.array
+    else:
+        t, w = 0.0, np.asarray(w, dtype=complex)
+    al = params.alpha_array
+    u_each = params.signs * (np.abs(w) ** 2 - al)
+    scale = max(1.0, float(np.max(np.abs(al))))
+    if np.max(u_each) - np.min(u_each) > consistency_tol * scale:
+        raise ValidationError("moduli inconsistent with the given alphas")
+    u = float(np.mean(u_each))
+    thetas = tuple(float(x) for x in np.angle(w))
+    state = ReducedState(u, thetas, t)
+    A = float(np.sqrt(max(params.Q(u), 0.0)) * np.sin(state.theta))
+    return state, A
+
+
+def rhs_reduced(state: ReducedState, params: CentredParams):
+    """du/dt and dtheta_j/dt of the reduced system."""
+    al = params.alpha_array
+    u = state.u
+    radicands = np.where(params.signs > 0, al + u, al - u)
+    if np.any(radicands <= 0):
+        raise ValidationError("state outside the domain alpha_j +- u > 0")
+    Q = float(np.prod(radicands))
+    sqrtQ = np.sqrt(Q)
+    theta = state.theta
+    du = 2.0 * sqrtQ * np.cos(theta)
+    dthetas = -params.signs * sqrtQ * np.sin(theta) / radicands
+    return float(du), dthetas
+
+
+def jacobi_derivatives(triple: JacobiTriple) -> tuple:
+    """(sn', cn', dn') from the defining first-order system."""
+    sn, cn, dn, k = triple.sn, triple.cn, triple.dn, triple.k
+    return (cn * dn, -sn * dn, -(k ** 2) * sn * cn)
+
+
+class RotatedPlaneFamily:
+    """The plane diag(e^{i theta_1}, ..., e^{i theta_m}) R^m in the batched
+    family protocol of ``meshverify``; special Lagrangian exactly when the
+    phases sum to a multiple of pi.  It has no time value: its chart is the
+    identity on R^m."""
+
+    def __init__(self, thetas, radius: float = 2.0):
+        self.thetas = np.asarray(thetas, dtype=float)
+        self.m = self.thetas.size
+        self.radius = radius
+
+    def sample_params(self, count: int, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-self.radius, self.radius, size=(count, self.m))
+
+    def points(self, P) -> np.ndarray:
+        return np.exp(1j * self.thetas) * np.asarray(P, dtype=float)
+
+    def frames(self, P) -> np.ndarray:
+        return np.broadcast_to(np.diag(np.exp(1j * self.thetas)),
+                               (len(P), self.m, self.m))
+
+
+def link_grid(family, ns: int, nt: int) -> np.ndarray:
+    """Parameter rows (t, s, r = 1) of a ``ConeOverLinkFamily`` on an ns x nt
+    grid over one period of the link circle in s and [0, t_span] in t."""
+    S, T = np.meshgrid(np.linspace(0.0, family.chart.section.period, ns),
+                       np.linspace(0.0, family.t_span, nt), indexing="ij")
+    return np.column_stack([T.ravel(), S.ravel(), np.ones(S.size)])
+
+
+def link_conformality(family, ns: int, nt: int) -> dict:
+    """Conformality and sphere residuals of the sweep Phi(s, t) of a
+    ``ConeOverLinkFamily`` on its ``link_grid``.
+
+    At r = 1 the family's frame rows are (dPhi/dt, dPhi/ds, Phi); the two
+    derivatives must be orthogonal, of equal squared norm, and that norm
+    must be alpha_3 - u + (alpha_2 - alpha_3)(alpha_1 + alpha_3) x_3^2 with
+    u = |w_1|^2 - alpha_1; Phi itself lies on the unit sphere.
+    """
+    P = link_grid(family, ns, nt)
+    F = family.frames(P)
+    dphi_dt, dphi_ds = F[:, 0], F[:, 1]
+    a1, a2, a3 = family.params.alphas
+    u = np.abs(family.path.w(P[:, 0])[:, 0]) ** 2 - a1
+    x3 = family.chart.section.x(P[:, 1])[:, 2]
+    closed = a3 - u + (a2 - a3) * (a1 + a3) * x3 ** 2
+    ns2 = np.sum(np.abs(dphi_ds) ** 2, axis=-1)
+    nt2 = np.sum(np.abs(dphi_dt) ** 2, axis=-1)
+    inner = np.sum(dphi_ds * np.conj(dphi_dt), axis=-1).real
+    sphere = np.linalg.norm(family.points(P), axis=-1) - 1.0
+    return {
+        "max_sphere_residual": float(np.abs(sphere).max()),
+        "max_orthogonality": float(np.abs(inner).max()),
+        "max_norm_mismatch": float(np.abs(ns2 - nt2).max()),
+        "max_norm_vs_closed": float(max(np.abs(ns2 - closed).max(),
+                                        np.abs(nt2 - closed).max())),
+    }

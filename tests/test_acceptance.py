@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_case_d
+from oracles import link_conformality
 from slevolve import affine, centred, elliptic, evolver, meshverify, threefold
 from slevolve.evodata import example_paraboloid, example_quadric
 
@@ -185,8 +186,8 @@ def test_criterion_07_jacobi_layer():
 def test_criterion_08_conformality():
     worst = {"orth": 0.0, "norm": 0.0, "closed": 0.0, "sphere": 0.0}
     for al in ((2 / 3, 4 / 3, 4 / 3), (1.2, 2.0, 3.0)):
-        grid = threefold.conformal_map(al, 0.45, ns=100, nt=100)
-        res = grid.residuals()
+        res = link_conformality(meshverify.ConeOverLinkFamily(al, 0.45),
+                                100, 100)
         worst["orth"] = max(worst["orth"], res["max_orthogonality"])
         worst["norm"] = max(worst["norm"], res["max_norm_mismatch"])
         worst["closed"] = max(worst["closed"], res["max_norm_vs_closed"])

@@ -8,7 +8,7 @@ from slevolve import ValidationError, affine, centred
 from slevolve.affine import (AffineParams, AffineState, affine_initial,
                              beta_closed, betas_affine, case_span_note,
                              classify_affine_case, integrate_affine,
-                             quadrature_affine, rhs_affine)
+                             rhs_affine)
 from slevolve.threefold import Affine3ClosedForm
 
 
@@ -131,6 +131,10 @@ class TestPath:
 
 
 class TestQuadratureAffine:
+    """The w subsystem's quadrature is the centred one over m-1 letters on
+    ``params.reduced()``; a = m-1 runs on an unbounded half line and takes
+    the one-sided substitution of ``quadrature_case_b``."""
+
     def test_round_trip_case_d(self):
         params = normalized(4, 2)
         w0, b0 = affine_initial(params)
@@ -141,14 +145,14 @@ class TestQuadratureAffine:
         signs = np.array([1.0, 1.0, -1.0])
         u0 = 0.0
         u1 = float(np.mean(signs * (np.abs(W1) ** 2 - al)))
-        arc = quadrature_affine(params, u0, u1)
+        arc = centred.quadrature_solution(params.reduced(), u0, u1)
         dth = np.angle(W1) - np.angle(W0)
         assert np.allclose(arc.dthetas, dth, atol=1e-8)
         assert arc.dt == pytest.approx(t1, abs=1e-9)
 
     def test_zero_A_freezes_angles(self):
         params = AffineParams(4, 2, centred.symmetric_alphas(3, 2), 1e-9)
-        arc = quadrature_affine(params, -0.1, 0.25)
+        arc = centred.quadrature_solution(params.reduced(), -0.1, 0.25)
         assert np.abs(np.asarray(arc.dthetas)).max() <= 1e-8
 
     def test_against_explicit_m3_solution(self):
@@ -163,7 +167,7 @@ class TestQuadratureAffine:
         t1 = 0.5
         w1 = form.w(t1)
         u1 = float(np.abs(w1[0]) ** 2 - alphas[0])
-        arc = quadrature_affine(params, 0.0, u1)
+        arc = centred.quadrature_case_b(params.reduced(), 0.0, u1)
         dth = np.angle(w1) - np.angle(w0)
         assert np.allclose(arc.dthetas, dth, atol=1e-8)
         assert arc.dt == pytest.approx(t1, abs=1e-8)
@@ -171,7 +175,7 @@ class TestQuadratureAffine:
     def test_outside_domain_rejected(self):
         params = normalized(4, 2)
         with pytest.raises(ValidationError):
-            quadrature_affine(params, 0.0, 5.0)
+            centred.quadrature_solution(params.reduced(), 0.0, 5.0)
 
 
 class TestConservedQuantity:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_case_d
+from oracles import ReducedState, reduce_state, rhs_reduced
 from slevolve import NumericalError, ValidationError, centred
-from slevolve.centred import (CentredParams, PeriodicSolution,
-                              ReducedState, WVector, beta_limits, betas,
-                              betas_ode, classify_case, classify_topology,
-                              integrate_w, normalize_lambda, periodic_search,
-                              quadrature_solution, reduce_state, rhs_reduced,
-                              rhs_w, symmetric_alphas, turning_points,
+from slevolve.centred import (CentredParams, PeriodicSolution, WVector,
+                              beta_limits, betas, betas_ode, classify_case,
+                              classify_topology, integrate_w, normalize_lambda,
+                              periodic_search, quadrature_solution, rhs_w,
+                              symmetric_alphas, turning_points,
                               verify_periodic, w_initial)
 
 

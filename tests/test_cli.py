@@ -258,12 +258,19 @@ class TestMeshAndVerify:
         lambda doc: doc["params"][0].pop(),
         lambda doc: doc["vertices"][0].pop(),
         lambda doc: doc.update(m="x"),
+        lambda doc: doc["recipe"].update(alphas="abc"),
+        lambda doc: doc["recipe"].update(A="x"),
+        lambda doc: doc["recipe"].update(t_end=[1]),
+        lambda doc: doc["recipe"].update(kind=["centred"]),
+        lambda doc: doc.update(recipe=5),
     ], ids=["two-columns", "three-rows-short", "sheet-7", "sheet-half",
             "t-null", "two-names", "ragged-params", "ragged-vertices",
-            "m-not-int"])
+            "m-not-int", "alphas-str", "A-str", "t-end-list", "kind-list",
+            "recipe-not-object"])
     def test_malformed_file_is_exit_two(self, tmp_path, capsys, edit):
-        # IndexError and ValueError tracebacks and exit 1; a sheet of 0.5
-        # read as sheet 0, and a null t as NaN, and both verified
+        # AttributeError, IndexError, TypeError and ValueError tracebacks
+        # and exit 1; a sheet of 0.5 read as sheet 0, and a null t as NaN,
+        # and both verified
         mesh = tmp_path / "m.json"
         assert run(["mesh", "--alphas", "1,2,2", "--resolution", "5x8",
                     "--out", str(mesh)]) == 0

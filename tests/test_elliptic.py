@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from oracles import jacobi_derivatives
 from slevolve import ValidationError
-from slevolve.elliptic import (JacobiTriple, complete_K, jacobi,
-                               jacobi_derivatives, jacobi_grid)
+from slevolve.elliptic import JacobiTriple, complete_K, jacobi, jacobi_grid
 
 
 def jacobi_ode_oracle(t, k, rtol=1e-12, atol=1e-14):

@@ -2,20 +2,22 @@
 
 import filecmp
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import Frame, eval_omega, eval_omega_complex, gram_volume
+from oracles import (Frame, RotatedPlaneFamily, eval_omega,
+                     eval_omega_complex, gram_volume)
 from slevolve import ValidationError, affine, centred, meshverify, threefold
 from slevolve.multilinear import complex_to_real
 from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
                                  CentredFamily, ConeOverLinkFamily, Mesh,
-                                 QuadricChart, RotatedPlaneFamily, export,
-                                 import_json, mesh_affine, mesh_centred,
-                                 mesh_link, mesh_residual_report,
-                                 rebuild_family, sl_residuals)
+                                 QuadricChart, export, import_json,
+                                 mesh_affine, mesh_centred, mesh_link,
+                                 mesh_residual_report, rebuild_family,
+                                 sl_residuals)
 
 P122 = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
 
@@ -254,6 +256,18 @@ class TestMeshCentred:
         rep = mesh_residual_report(mesh)
         assert rep.max_residual() <= 1e-14
         assert rep.skipped == 0
+
+    def test_cone_vertex_skipped_without_warning(self):
+        # the m = 2 cone x = +-y: the odd profile grid puts one row of each
+        # sheet on the vertex, where the frame's t row w'(t) x = 0 is
+        # degenerate; the chart must not divide 0 by 0 on the way there
+        params = centred.CentredParams(2, 1, (1.0, 1.0), 0.5, c=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = mesh_centred(params, 0.0, (0.0, 2.0), resolution=(5, 9))
+            rep = mesh_residual_report(mesh)
+        assert rep.max_residual() <= 1e-14
+        assert (rep.sample_count, rep.skipped) == (80, 10)
 
     @pytest.mark.parametrize("m,a,c", [(3, 1, 1.0), (3, 2, 1.0), (4, 2, -1.0),
                                        (2, 1, 1.0), (2, 1, -1.0), (3, 3, 1.0),

@@ -1,12 +1,14 @@
 """Three-dimensional specializations: the cone link circle, the conformal
-sweep map, and the fully explicit translated solutions."""
+sweep of the cone-over-link family, and the fully explicit translated
+solutions."""
 
 import numpy as np
 import pytest
 
+from oracles import link_conformality, link_grid
 from slevolve import ValidationError, centred, elliptic
-from slevolve.threefold import (Affine3ClosedForm, affine3_closed,
-                                conformal_map, cross_section)
+from slevolve.meshverify import ConeOverLinkFamily
+from slevolve.threefold import Affine3ClosedForm, affine3_closed, cross_section
 
 SYM = (2 / 3, 4 / 3, 4 / 3)
 ASYM = (1.2, 2.0, 3.0)       # 1/1.2 = 1/2 + 1/3
@@ -76,7 +78,8 @@ class TestCrossSection:
         a1, _, a3 = cs.alphas
         s = np.linspace(0, cs.period, 65)
         sn = np.array([elliptic.jacobi(cs.mu * si, cs.nu).sn for si in s])
-        assert np.allclose(cs.v(s), sn ** 2 / (a1 + a3), atol=1e-12)
+        assert np.allclose(cs.x(s)[..., 2] ** 2, sn ** 2 / (a1 + a3),
+                           atol=1e-12)
 
     def test_periodicity(self):
         for alphas in (ASYM, SWAPPED):
@@ -90,41 +93,35 @@ class TestCrossSection:
 
 
 class TestConformalMap:
+    """Phi(s, t) = (x_j(s) w_j(t)) is conformal: read off the frames of the
+    cone-over-link family at r = 1, rows (dPhi/dt, dPhi/ds, Phi)."""
+
     @pytest.mark.parametrize("alphas,A", [(SYM, 0.5), (ASYM, 0.3)])
     def test_grid_residuals(self, alphas, A):
-        grid = conformal_map(alphas, A, ns=100, nt=100)
-        res = grid.residuals()
+        res = link_conformality(ConeOverLinkFamily(alphas, A), 100, 100)
         assert res["max_sphere_residual"] <= 1e-10
         assert res["max_orthogonality"] <= 1e-10
         assert res["max_norm_mismatch"] <= 1e-9
         assert res["max_norm_vs_closed"] <= 1e-9
 
-    def test_fd_conformality(self):
-        grid = conformal_map(ASYM, 0.3, ns=24, nt=24)
-        h = 1e-5
-        params = centred.CentredParams(3, 1, ASYM, 0.3, c=0.0)
-        path = centred.integrate_w(centred.w_initial(params),
-                                   1, float(grid.t_grid[-1]) + 2 * h)
-        cs = cross_section(ASYM)
-        worst_orth = worst_norm = 0.0
-        for s in grid.s_grid[2:-2:5]:
-            for t in grid.t_grid[2:-2:5]:
-                dps = (cs.x(s + h) * path.w(t) - cs.x(s - h) * path.w(t)) / (2 * h)
-                dpt = (cs.x(s) * path.w(t + h) - cs.x(s) * path.w(t - h)) / (2 * h)
-                worst_orth = max(worst_orth,
-                                 abs(np.sum(dps * np.conj(dpt)).real))
-                worst_norm = max(worst_norm,
-                                 abs(np.sum(np.abs(dps) ** 2)
-                                     - np.sum(np.abs(dpt) ** 2)))
-        assert worst_orth <= 1e-6
-        assert worst_norm <= 1e-6
+    def test_stretched_t_row_detected(self):
+        family = ConeOverLinkFamily(ASYM, 0.3)
+        frames = family.frames
+        family.frames = lambda P: frames(P) * np.array([[1.01], [1], [1]])
+        res = link_conformality(family, 100, 100)
+        assert res["max_norm_mismatch"] > 1e-9
+        assert res["max_norm_vs_closed"] > 1e-9
 
-    def test_mismatched_trajectory_rejected(self):
-        params = centred.CentredParams(3, 1, SYM, 0.5, c=0.0)
-        other = centred.CentredParams(3, 1, ASYM, 0.3, c=0.0)
-        path = centred.integrate_w(centred.w_initial(other), 1, 2.0)
-        with pytest.raises(ValidationError):
-            conformal_map(SYM, 0.5, w_path=path)
+    def test_fd_conformality(self):
+        family = ConeOverLinkFamily(ASYM, 0.3)
+        P = link_grid(family, 24, 24).reshape(24, 24, 3)[2:-2:5, 2:-2:5]
+        F = family.fd_frames(P.reshape(-1, 3), probe=1e-5)
+        dpt, dps = F[:, 0], F[:, 1]
+        orth = np.abs(np.sum(dps * np.conj(dpt), axis=-1).real)
+        norm = np.abs(np.sum(np.abs(dps) ** 2, axis=-1)
+                      - np.sum(np.abs(dpt) ** 2, axis=-1))
+        assert orth.max() <= 1e-6
+        assert norm.max() <= 1e-6
 
 
 class TestAffine3Closed:
