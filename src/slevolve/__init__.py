@@ -3,11 +3,14 @@ Lagrangian submanifolds of C^m swept out by evolving quadrics.
 
 Layers, bottom up:
 
-- ``multilinear``: exterior algebra over R^n, and the one kernel that
-  evaluates omega and Omega on tangent frames in C^m = R^{2m}.
+- ``multilinear``: k-subset indexing of k-vectors over R^n with its one
+  primitive, the insertion table (the signs and ranks of e_i ^ e_K), and
+  the one kernel that evaluates omega and Omega on tangent frames in
+  C^m = R^{2m}.
 - ``elliptic``: Jacobi elliptic functions by the arithmetic-geometric mean.
-- ``evodata``: evolution data (P, chi) -- quadrics, products, planar
-  curves -- with validation, symmetry algebras and the n = m classifier.
+- ``evodata``: evolution data (P, chi), chi one coefficient array --
+  quadrics, products, planar curves -- with validation, symmetry algebras
+  and the n = m classifier.
 - ``evolver``: the general engine for linear/affine maps R^n -> C^m.
 - ``centred``: the diagonal (centred-quadric) reduction: conserved
   quantity, turning points, monodromy-angle quadrature, periodicity search.

@@ -14,12 +14,13 @@ closes under commutators onto span(Im L) and acts locally transitively on P.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from . import ode
 from .errors import ConstructionError, ValidationError
-from .multilinear import Multivector, k_subsets
+from .multilinear import insertion_table, k_subsets
 
 _SINGULAR_TOL = 1e-8
 _RANK_TOL = 1e-10
@@ -63,44 +64,41 @@ class QuadricSpec:
 class EvolutionData:
     """A pair (P, chi) with samplers and normal data for validation.
 
-    chi(x) = chi_const + sum_q x_q * chi_linear[q]; the sampler produces
-    points of P (seeded, reproducible) and ``normals`` returns the covectors
-    cutting out T_p P, from which orthonormal tangent bases are built.
+    chi is one array of shape (C(n, m-1), n+1), a row per (m-1)-subset of
+    ``k_subsets`` and a column per coordinate x_q, then the constant column:
+    chi(x) = chi[:, :n] @ x + chi[:, n].  The sampler produces points of P
+    (seeded, reproducible) and ``normals`` returns the covectors cutting out
+    T_p P, from which orthonormal tangent bases are built.
     """
 
-    def __init__(self, n, m, kind, chi_linear, chi_const, sampler, normals,
-                 label="", recipe=None):
+    def __init__(self, n, m, chi, sampler, normals, label="", recipe=None):
         if not (2 <= m <= n):
             raise ValidationError("need 2 <= m <= n")
-        if kind not in ("linear", "affine"):
-            raise ValidationError("kind must be 'linear' or 'affine'")
-        if len(chi_linear) != n:
-            raise ValidationError("chi_linear needs one column per coordinate")
+        chi = np.array(chi, dtype=float)
+        shape = (comb(n, m - 1), n + 1)
+        if chi.shape != shape:
+            raise ValidationError(
+                f"chi needs shape {shape} (one row per (m-1)-subset, one "
+                f"column per coordinate and the constant), got {chi.shape}")
+        if not np.all(np.isfinite(chi)):
+            raise ValidationError("non-finite chi coefficient")
+        chi.flags.writeable = False
         self.n = n
         self.m = m
-        self.kind = kind
-        self.chi_linear = list(chi_linear)
-        self.chi_const = chi_const
+        self.chi = chi
         self.sampler = sampler
         self.normals = normals
         self.label = label
         self.recipe = dict(recipe or {})
-        self._chi_matrix = None
 
-    def chi_at(self, x) -> Multivector:
-        x = np.asarray(x, dtype=float)
-        out = self.chi_const
-        for q in range(self.n):
-            if x[q] != 0.0:
-                out = out + x[q] * self.chi_linear[q]
-        return out
+    @property
+    def kind(self) -> str:
+        """'affine' exactly when chi has a nonzero constant column."""
+        return "affine" if np.any(self.chi[:, -1] != 0.0) else "linear"
 
-    def chi_matrix(self) -> np.ndarray:
-        """Coefficients of chi as an array: (number of (m-1)-subsets, n)."""
-        if self._chi_matrix is None:
-            self._chi_matrix = np.column_stack(
-                [mv.coeffs for mv in self.chi_linear])
-        return self._chi_matrix
+    def chi_at(self, x) -> np.ndarray:
+        """Coefficients of chi at points x (..., n), shape (..., C(n, m-1))."""
+        return np.asarray(x, dtype=float) @ self.chi[:, :-1].T + self.chi[:, -1]
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         return self.sampler(count, seed)
@@ -135,26 +133,27 @@ class EvolutionData:
         """Orthonormal basis of T_p P as rows, from the normal covectors."""
         return self.tangent_bases(np.asarray(p, dtype=float)[None])[0]
 
-    def tangency_residual(self, p) -> float:
-        """Size of the component of chi(p) transverse to T_p P: the interior
-        product with each defining normal must vanish for a multivector of
-        Lambda^{m-1} T_p P."""
-        chi = self.chi_at(p)
-        nchi = chi.norm()
-        if nchi == 0.0:
-            return np.inf
-        worst = 0.0
-        for nu in np.atleast_2d(self.normals(p)):
-            scale = np.linalg.norm(nu)
-            resid = chi.interior(Multivector.from_vector(nu)).norm()
-            worst = max(worst, resid / (scale * nchi))
-        return worst
+    def tangency_residual(self, pts) -> np.ndarray:
+        """Size of the component of chi(p) transverse to T_p P at stacked
+        points, shape (N,): the interior product with each defining normal
+        must vanish for a multivector of Lambda^{m-1} T_p P.  Inf where
+        chi(p) = 0."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
+        chis = self.chi_at(pts)
+        nus = np.array([np.atleast_2d(self.normals(p)) for p in pts])
+        rank, sign = insertion_table(self.n, self.m - 2)
+        resid = np.einsum("ki,pri,pki->prk", sign, nus, chis[:, rank])
+        worst = np.max(np.linalg.norm(resid, axis=-1)
+                       / np.linalg.norm(nus, axis=-1), axis=-1)
+        nchi = np.linalg.norm(chis, axis=-1)
+        return np.divide(worst, nchi, out=np.full_like(worst, np.inf),
+                         where=nchi != 0.0)
 
     def validate(self, n_samples: int = 200, seed: int = 0) -> dict:
         """Numerical check of the defining conditions on sampled points."""
         pts = self.sample(n_samples, seed)
-        tang = [self.tangency_residual(p) for p in pts]
-        chinorm = [self.chi_at(p).norm() for p in pts]
+        tang = self.tangency_residual(pts)
+        chinorm = np.linalg.norm(self.chi_at(pts), axis=-1)
         span_pts = self.sample(2 * self.n, seed + 1)
         if self.kind == "affine":
             span_pts = np.column_stack([span_pts, np.ones(len(span_pts))])
@@ -176,8 +175,8 @@ class EvolutionData:
             "m": self.m,
             "kind": self.kind,
             "label": self.label,
-            "chi_linear": [mv.coeffs.tolist() for mv in self.chi_linear],
-            "chi_const": self.chi_const.coeffs.tolist(),
+            "chi_linear": self.chi[:, :-1].T.tolist(),
+            "chi_const": self.chi[:, -1].tolist(),
         }
         d.update(self.recipe)
         return d
@@ -186,6 +185,14 @@ class EvolutionData:
 # ---------------------------------------------------------------------------
 # quadric evolution data
 # ---------------------------------------------------------------------------
+
+def _top_contraction(X: np.ndarray) -> np.ndarray:
+    """chi of n = m data, chi(x) = xi(x) . (e_1 ^ ... ^ e_n) with the 1-form
+    xi(x)_i = X[i, :n] @ x + X[i, n], as an (n, n+1) chi array:
+    chi(x) = sum_i (-1)^(i-1) xi_i e_1 ^ ... e_i-hat ... ^ e_n.
+    """
+    return insertion_table(X.shape[0], X.shape[0] - 1)[1] @ X
+
 
 def _line_roots(coeffs: np.ndarray):
     """Roots s of a2 s^2 + a1 s + a0 for each row (a2, a1, a0) of coeffs,
@@ -263,11 +270,7 @@ def quadric_data(spec: QuadricSpec, c: float) -> EvolutionData:
     homogeneous (b = 0).
     """
     n = spec.n
-    top = Multivector.basis(n, range(n))
-    chi_linear = [top.interior(Multivector.from_vector(2.0 * spec.S[:, q]))
-                  for q in range(n)]
-    chi_const = top.interior(Multivector.from_vector(spec.b))
-    kind = "linear" if np.all(spec.b == 0.0) else "affine"
+    chi = _top_contraction(np.column_stack([2.0 * spec.S, spec.b]))
     c_eff = c - spec.c0
     sampler = _quadric_sampler(spec, c)
 
@@ -275,7 +278,7 @@ def quadric_data(spec: QuadricSpec, c: float) -> EvolutionData:
         return spec.gradient(p)[None, :]
 
     data = EvolutionData(
-        n, n, kind, chi_linear, chi_const, sampler, normals,
+        n, n, chi, sampler, normals,
         label=f"quadric(n={n}, c={c})",
         recipe={"recipe": "quadric", "S": spec.S.tolist(),
                 "b": spec.b.tolist(), "c": float(c_eff)})
@@ -317,10 +320,13 @@ def extend_product(data: EvolutionData, k: int) -> EvolutionData:
         return data
     n, m = data.n, data.m
     n2, m2 = n + k, m + k
-    extra = Multivector.basis(n2, range(n, n2))
-    chi_linear = [data.chi_linear[q].embed(n2).wedge(extra) for q in range(n)]
-    chi_linear += [Multivector.zero(n2, m2 - 1) for _ in range(k)]
-    chi_const = data.chi_const.embed(n2).wedge(extra)
+    # e_I ^ e_{n+1} ^ ... ^ e_{n+k} = e_{I + {n+1, ..., n+k}}: each row
+    # moves, and the new coordinates get zero columns
+    subs = k_subsets(n2, m2 - 1)
+    rows = [subs.index(I + tuple(range(n, n2))) for I in k_subsets(n, m - 1)]
+    chi = np.zeros((len(subs), n2 + 1))
+    chi[rows, :n] = data.chi[:, :n]
+    chi[rows, n2] = data.chi[:, n]
 
     def sampler(count, seed=0):
         rng = np.random.default_rng(seed + 7919)
@@ -333,7 +339,7 @@ def extend_product(data: EvolutionData, k: int) -> EvolutionData:
         return np.column_stack([base, np.zeros((base.shape[0], k))])
 
     return EvolutionData(
-        n2, m2, data.kind, chi_linear, chi_const, sampler, normals,
+        n2, m2, chi, sampler, normals,
         label=f"{data.label} x R^{k}",
         recipe={"recipe": "product", "base": data.to_json_dict(), "k": k})
 
@@ -350,13 +356,12 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
     if m < 2:
         raise ValidationError("need m >= 2")
     n = m
-    rest = tuple(range(2, m))
-    W1 = Multivector.basis(n, (0,) + rest)
-    W2 = Multivector.basis(n, (1,) + rest)
-    chi_linear = [M[0, 0] * W1 + M[1, 0] * W2, M[0, 1] * W1 + M[1, 1] * W2]
-    chi_linear += [Multivector.zero(n, m - 1) for _ in range(m - 2)]
-    chi_const = v[0] * W1 + v[1] * W2
-    kind = "linear" if np.all(v == 0.0) else "affine"
+    # V ^ e_3 ^ ... ^ e_m = (V_2 dx_1 - V_1 dx_2) . (e_1 ^ ... ^ e_m) for the
+    # field V = M x + v
+    X = np.zeros((m, m + 1))
+    X[0, [0, 1, m]] = M[1, 0], M[1, 1], v[1]
+    X[1, [0, 1, m]] = -M[0, 0], -M[0, 1], -v[0]
+    chi = _top_contraction(X)
 
     # base point with a nonzero field value
     p0 = None
@@ -404,7 +409,7 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
         return nu[None, :]
 
     return EvolutionData(
-        n, m, kind, chi_linear, chi_const, sampler, normals,
+        n, m, chi, sampler, normals,
         label=f"curve x R^{m - 2}",
         recipe={"recipe": "curve", "M": M.tolist(), "v": v.tolist()})
 
@@ -488,21 +493,21 @@ def symmetry_algebra(data: EvolutionData, tol: float = _RANK_TOL) -> SymmetryAlg
     Iterates commutators until the span stabilizes and reports whether any
     iteration enlarged it (it should not: the image of L is already an ideal).
     """
+    n, m = data.n, data.m
     if data.kind == "affine":
-        n2 = data.n + 1
-        cols = [mv.embed(n2) for mv in data.chi_linear]
-        cols.append(data.chi_const.embed(n2))
-        n = n2
+        # the constant column becomes the coefficient of x_{n+1}
+        subs = k_subsets(n + 1, m - 1)
+        cols = np.zeros((len(subs), n + 1))
+        cols[[subs.index(I) for I in k_subsets(n, m - 1)]] = data.chi
+        n += 1
     else:
-        cols = list(data.chi_linear)
-        n = data.n
-    m = data.m
+        cols = data.chi[:, :n]
 
-    generators = []
-    for J in k_subsets(n, m - 2):
-        alpha = Multivector.basis(n, J)
-        L = np.column_stack([col.interior(alpha).coeffs for col in cols])
-        generators.append(L)
+    # L(dx_J)_i = e_{J+i} . dx_J: the form fills the leading m-2 slots, so
+    # the sign is (-1)^(m-2) times that of inserting i into J; the added
+    # 0.0 leaves no zero signed
+    rank, sign = insertion_table(n, m - 2)
+    generators = list(0.0 + ((-1.0) ** m * sign)[:, :, None] * cols[rank])
 
     basis_flat, rank0 = _orthonormal_rows(generators, tol)
     ker_dim = len(generators) - rank0
@@ -519,8 +524,6 @@ def symmetry_algebra(data: EvolutionData, tol: float = _RANK_TOL) -> SymmetryAlg
             break
         grew = True
         current = new_flat
-        if new_rank > n * n:
-            raise RuntimeError("Lie closure exceeded gl(n) dimension")
     basis = [row.reshape(n, n) for row in current]
     return SymmetryAlgebra(n, basis, generators, ker_dim, grew)
 
@@ -553,15 +556,10 @@ def classify_square(data: EvolutionData, tol: float = 1e-9,
     if n != m:
         raise ValidationError("classification applies to n = m data")
 
-    def beta_of(mv: Multivector) -> np.ndarray:
-        out = np.empty(n)
-        for i in range(n):
-            wedge = mv.wedge(Multivector.basis(n, (i,)))
-            out[i] = wedge.coeffs[0]
-        return out
-
-    B = np.column_stack([beta_of(mv) for mv in data.chi_linear])
-    beta0 = beta_of(data.chi_const)
+    # beta_i = vol(chi ^ e_i), and e_K ^ e_i = (-1)^(n-1) e_i ^ e_K
+    W = (-1.0) ** (n - 1) * insertion_table(n, n - 1)[1].T
+    B = W @ data.chi[:, :n]
+    beta0 = W @ data.chi[:, n]
     D = B - B.T
     scale = max(np.abs(B).max(), np.abs(beta0).max(), 1e-300)
     svals = np.linalg.svd(D, compute_uv=False)

@@ -75,32 +75,22 @@ def _check_dims(phi: EvolMap, data: EvolutionData) -> None:
 
 def _rhs_plan(data: EvolutionData):
     """Gather plan for the cofactors of the (m-1)-subsets of coordinates
-    carrying any nonzero chi coefficient, with the corresponding rows of the
-    chi coefficient matrices.
+    carrying any nonzero chi coefficient, with the corresponding rows of
+    chi's linear part and constant column.
 
     For m >= 3 the gather indices, shape (S, m, m-1, m-1), pick from the
     flattened linear part every minor "subset s, row j removed"; for m = 2
     they are the subset columns, shape (S,).
     """
-    cache = getattr(data, "_evolver_cache", None)
-    if cache is not None:
-        return cache
     n, m = data.n, data.m
-    subs = k_subsets(n, m - 1)
-    lin = data.chi_matrix()
-    const = data.chi_const.coeffs
-    active = [i for i in range(len(subs))
-              if np.any(lin[i] != 0.0) or const[i] != 0.0]
-    cols = np.array([subs[i] for i in active], dtype=np.intp).reshape(
-        len(active), m - 1)
+    active = np.flatnonzero(np.any(data.chi != 0.0, axis=1))
+    cols = np.array(k_subsets(n, m - 1), dtype=np.intp)[active]
     if m == 2:
         gather = cols[:, 0]
     else:
         keep = np.array([[r for r in range(m) if r != j] for j in range(m)])
         gather = keep[None, :, :, None] * n + cols[:, None, None, :]
-    cache = (gather, lin[active], const[active])
-    data._evolver_cache = cache
-    return cache
+    return gather, data.chi[active, :n], data.chi[active, n]
 
 
 def _rhs_arrays(A: np.ndarray, plan) -> tuple:

@@ -1,35 +1,29 @@
-"""Exterior algebra over R^n, and the standard forms g, omega, Omega of
-C^m = R^{2m} on tangent frames.
+"""Exterior-algebra indexing over R^n, and the standard forms g, omega,
+Omega of C^m = R^{2m} on tangent frames.
 
-Multivectors are stored densely, indexed by the combinatorial rank of the
-strictly increasing basis subset in lexicographic order.  C^m is identified
-with R^{2m} through interleaved coordinates (Re z_1, Im z_1, ..., Re z_m,
+A k-vector is an array of coefficients, one per strictly increasing basis
+subset in lexicographic order (``k_subsets``).  C^m is identified with
+R^{2m} through interleaved coordinates (Re z_1, Im z_1, ..., Re z_m,
 Im z_m), which makes the symplectic form and the complex structure explicit.
 
 Sign conventions, fixed once and tested against a permutation-expansion
-oracle: a q-form contracts into the *leading* q slots of a multivector, so
-that for a 1-form xi
+oracle: a 1-form xi contracts into the *leading* slot of a multivector,
 
-    xi . (v_1 ^ ... ^ v_k) = sum_j (-1)^(j-1) xi(v_j) v_1 ^ ... v_j-hat ... ^ v_k
+    xi . (v_1 ^ ... ^ v_k) = sum_j (-1)^(j-1) xi(v_j) v_1 ^ ... v_j-hat ... ^ v_k,
 
-and on basis elements e_I . dx_J = sign(J, I \\ J) e_{I \\ J}, the sign of the
-shuffle sorting the concatenation (J, I \\ J) into I.
+so that on basis elements e_{K+i} . dx_i = (-1)^#{j in K: j < i} e_K, the
+sign with which e_i ^ e_K = e_{K+i}.  ``insertion_table`` holds these signs
+and ranks, the one primitive the evolution-data constructions need.
 
 ``frame_forms`` is the one evaluator of omega and Omega on frames: the
 evolution engine's membership and checkpoint residuals and every mesh and
 family residual report call it on batched complex frames.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
-
-from .errors import ValidationError
-
-MAX_DIM = 16
 
 
 @lru_cache(maxsize=None)
@@ -39,164 +33,29 @@ def k_subsets(n: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _subset_rank_table(n: int, k: int) -> dict:
-    return {s: i for i, s in enumerate(k_subsets(n, k))}
+def insertion_table(n: int, k: int) -> tuple:
+    """Inserting an index into each k-subset of {0, ..., n-1}.
 
-
-def subset_rank(subset: tuple, n: int) -> int:
-    """Lexicographic rank of a strictly increasing subset among k-subsets."""
-    return _subset_rank_table(n, len(subset))[tuple(subset)]
-
-
-def _shuffle_sign(left: tuple, right: tuple) -> int:
-    """Sign of the permutation sorting the concatenation (left, right), both
-    already sorted, into one increasing sequence.  Equals (-1)^inversions."""
-    inv = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
-@dataclass(frozen=True)
-class Multivector:
-    """Element of Lambda^k R^n with dense real coefficients.
-
-    ``coeffs[i]`` multiplies the wedge of basis vectors indexed by
-    ``k_subsets(n, k)[i]``.  Values are immutable after construction.
+    Returns ``(rank, sign)``, both of shape (C(n, k), n): for the k-subset K
+    of row r and an index i not in K, ``rank[r, i]`` is the rank of K + {i}
+    among the (k+1)-subsets and ``sign[r, i]`` is (-1)^#{j in K: j < i};
+    where i is in K the sign is 0 (and the rank 0).  So e_i ^ e_K =
+    sign e_{K+i}, and a 1-form xi contracts a (k+1)-vector X to the k-vector
+    (xi . X)_K = sum_i sign[K, i] xi_i X[rank[K, i]].  Both arrays are
+    read-only.
     """
-
-    n: int
-    k: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not (0 <= self.k <= self.n <= MAX_DIM):
-            raise ValidationError(
-                f"need 0 <= k <= n <= {MAX_DIM}, got k={self.k}, n={self.n}")
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (comb(self.n, self.k),):
-            raise ValidationError(
-                f"expected {comb(self.n, self.k)} coefficients, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("non-finite multivector coefficient")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, n: int, k: int) -> "Multivector":
-        return cls(n, k, np.zeros(comb(n, k)))
-
-    @classmethod
-    def basis(cls, n: int, indices) -> "Multivector":
-        """e_{i_1} ^ ... ^ e_{i_k} for 0-based indices (any order, no repeats)."""
-        idx = tuple(indices)
-        if len(set(idx)) != len(idx):
-            return cls.zero(n, len(idx))
-        order = tuple(sorted(idx))
-        sign = _permutation_sign(idx, order)
-        c = np.zeros(comb(n, len(idx)))
-        c[subset_rank(order, n)] = sign
-        return cls(n, len(idx), c)
-
-    @classmethod
-    def from_vector(cls, v) -> "Multivector":
-        v = np.asarray(v, dtype=float)
-        return cls(v.size, 1, v.copy())
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_same(other)
-        return Multivector(self.n, self.k, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_same(other)
-        return Multivector(self.n, self.k, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Multivector":
-        return Multivector(self.n, self.k, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.n, self.k, -self.coeffs)
-
-    def _check_same(self, other: "Multivector"):
-        if self.n != other.n or self.k != other.k:
-            raise ValidationError("multivector degree/dimension mismatch")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        if self.n != other.n:
-            raise ValidationError("wedge of multivectors over different R^n")
-        n, k, l = self.n, self.k, other.k
-        if k + l > n:
-            raise ValidationError("wedge degree exceeds ambient dimension")
-        out = np.zeros(comb(n, k + l))
-        subs_l = k_subsets(n, l)
-        for i, I in enumerate(k_subsets(n, k)):
-            a = self.coeffs[i]
-            if a == 0.0:
-                continue
-            iset = set(I)
-            for j, J in enumerate(subs_l):
-                b = other.coeffs[j]
-                if b == 0.0 or iset & set(J):
-                    continue
-                merged = tuple(sorted(I + J))
-                out[subset_rank(merged, n)] += _shuffle_sign(I, J) * a * b
-        return Multivector(n, k + l, out)
-
-    def interior(self, form: "Multivector") -> "Multivector":
-        """Contraction with a q-form (also stored as a Multivector of the dual
-        space) filling the leading q slots; returns a (k-q)-vector."""
-        if form.n != self.n:
-            raise ValidationError("form/multivector dimension mismatch")
-        q = form.k
-        if q > self.k:
-            raise ValidationError("form degree exceeds multivector degree")
-        n, k = self.n, self.k
-        out = np.zeros(comb(n, k - q))
-        subs_J = k_subsets(n, q)
-        for i, I in enumerate(k_subsets(n, k)):
-            a = self.coeffs[i]
-            if a == 0.0:
-                continue
-            iset = set(I)
-            for j, J in enumerate(subs_J):
-                b = form.coeffs[j]
-                if b == 0.0 or not set(J) <= iset:
-                    continue
-                rest = tuple(x for x in I if x not in J)
-                out[subset_rank(rest, n)] += _shuffle_sign(J, rest) * a * b
-        return Multivector(n, k - q, out)
-
-    def embed(self, N: int) -> "Multivector":
-        """Reinterpret over a larger ambient R^N (extra coordinates unused)."""
-        if N < self.n:
-            raise ValidationError("cannot embed into smaller dimension")
-        out = np.zeros(comb(N, self.k))
-        for i, I in enumerate(k_subsets(self.n, self.k)):
-            out[subset_rank(I, N)] = self.coeffs[i]
-        return Multivector(N, self.k, out)
-
-
-def _permutation_sign(seq: tuple, sorted_seq: tuple) -> int:
-    perm = [sorted_seq.index(x) for x in seq]
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    larger = {s: r for r, s in enumerate(k_subsets(n, k + 1))}
+    subs = k_subsets(n, k)
+    rank = np.zeros((len(subs), n), dtype=np.intp)
+    sign = np.zeros((len(subs), n))
+    for r, K in enumerate(subs):
+        for i in range(n):
+            if i not in K:
+                rank[r, i] = larger[tuple(sorted(K + (i,)))]
+                sign[r, i] = (-1.0) ** sum(j < i for j in K)
+    rank.flags.writeable = False
+    sign.flags.writeable = False
+    return rank, sign
 
 
 def complex_to_real(z: np.ndarray) -> np.ndarray:
@@ -206,8 +65,6 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
     out[..., 0::2] = z.real
     out[..., 1::2] = z.imag
     return out
-
-
 
 
 def frame_forms(Z) -> tuple:

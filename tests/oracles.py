@@ -4,6 +4,8 @@ The library evaluates omega and Omega on batched complex frames with one
 kernel (``multilinear.frame_forms``); the functions here evaluate the same
 forms one vector pair or one real frame at a time, from their coordinate
 definitions on R^{2m} with interleaved coordinates (Re z_1, Im z_1, ...).
+``perm_expand_contract`` contracts basis multivectors by permutation
+expansion, the reference for the coefficient arrays of chi, and
 ``lie_derivative_residual`` checks a symmetry field by finite differences
 of the pushed-forward chi, with ``scipy.linalg.expm`` for the flow.
 
@@ -13,6 +15,7 @@ rotated planes and the conformality residuals of the cone-over-link sweep.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from slevolve import ValidationError
 from slevolve.centred import CentredParams, WVector
 from slevolve.elliptic import JacobiTriple
-from slevolve.multilinear import Multivector, complex_to_real, k_subsets
+from slevolve.multilinear import complex_to_real, k_subsets
 
 
 @dataclass(frozen=True)
@@ -97,34 +100,51 @@ def gram_volume(vectors: np.ndarray) -> float:
     return float(np.sqrt(max(det, 0.0)))
 
 
-def contract(chi: Multivector, alpha: Multivector) -> np.ndarray:
-    """Natural contraction of an (m-1)-vector with an (m-2)-form, returning a
-    vector in R^n.  Degrees must differ by exactly one."""
-    if chi.n != alpha.n:
-        raise ValidationError("contraction over different R^n")
-    if alpha.k != chi.k - 1:
-        raise ValidationError(
-            f"degree mismatch: multivector degree {chi.k}, form degree {alpha.k}")
-    return chi.interior(alpha).coeffs.copy()
+def basis(n, indices):
+    """Coefficients of e_I over the k-subsets of {0, ..., n-1}."""
+    subs = k_subsets(n, len(indices))
+    return np.eye(len(subs))[subs.index(tuple(indices))]
 
 
-def pushforward(mv: Multivector, B: np.ndarray) -> Multivector:
-    """Apply Lambda^k B to a k-vector, for a real N x n matrix B."""
+def perm_expand_contract(indices, form_idx, n):
+    """Permutation-expansion oracle for e_I . dx_J: expand the basis
+    multivector into signed tensor products, contract the form with the
+    leading slots, and read off the coefficient of each increasing
+    remainder.  Returns coefficients over ``k_subsets(n, |I| - |J|)``."""
+    k, q = len(indices), len(form_idx)
+    rests = k_subsets(n, k - q)
+    out = np.zeros(len(rests))
+    for perm in permutations(range(k)):
+        sign = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        seq = [indices[p] for p in perm]
+        rest = tuple(seq[q:])
+        # the other orderings of the remainder make up its own alternation
+        if tuple(seq[:q]) == tuple(form_idx) and rest == tuple(sorted(rest)):
+            out[rests.index(rest)] += sign
+    return out
+
+
+def pushforward(coeffs, B: np.ndarray, k: int) -> np.ndarray:
+    """Apply Lambda^k B to a k-vector's coefficients, for a real N x n
+    matrix B."""
+    coeffs = np.asarray(coeffs, dtype=float)
     B = np.asarray(B, dtype=float)
-    N = B.shape[0]
-    if B.shape[1] != mv.n:
-        raise ValidationError("pushforward matrix has wrong width")
-    k = mv.k
+    N, n = B.shape
+    if coeffs.shape != (comb(n, k),):
+        raise ValidationError("coefficients do not match the matrix width")
     out = np.zeros(comb(N, k))
-    src = [(i, S) for i, S in enumerate(k_subsets(mv.n, k))
-           if mv.coeffs[i] != 0.0]
+    src = [(i, S) for i, S in enumerate(k_subsets(n, k)) if coeffs[i] != 0.0]
     for t, T in enumerate(k_subsets(N, k)):
         rows = B[list(T), :]
         acc = 0.0
         for i, S in src:
-            acc += mv.coeffs[i] * np.linalg.det(rows[:, list(S)])
+            acc += coeffs[i] * np.linalg.det(rows[:, list(S)])
         out[t] = acc
-    return Multivector(N, k, out)
+    return out
 
 
 def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
@@ -143,11 +163,11 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
     worst = 0.0
     for _ in range(n_probe):
         x = rng.normal(size=data.n)
-        chi_plus = pushforward(data.chi_at(fwd @ x), bwd)
-        chi_minus = pushforward(data.chi_at(bwd @ x), fwd)
+        chi_plus = pushforward(data.chi_at(fwd @ x), bwd, data.m - 1)
+        chi_minus = pushforward(data.chi_at(bwd @ x), fwd, data.m - 1)
         diff = (chi_plus - chi_minus) * (0.5 / step)
-        scale = max(data.chi_at(x).norm(), 1e-30)
-        worst = max(worst, diff.norm() / scale)
+        scale = max(np.linalg.norm(data.chi_at(x)), 1e-30)
+        worst = max(worst, np.linalg.norm(diff) / scale)
     return worst
 
 

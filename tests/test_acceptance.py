@@ -5,7 +5,6 @@ line with the measured figure.  Run with ``pytest tests/test_acceptance.py
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_case_d

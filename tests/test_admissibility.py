@@ -165,7 +165,7 @@ def _curve():
 
 @pytest.mark.parametrize("label", list(sample_data()) + ["curve x R^2"])
 def test_tangent_bases_match_null_space(label):
-    from scipy.linalg import null_space
+    null_space = pytest.importorskip("scipy.linalg").null_space
     data = _curve() if label == "curve x R^2" else sample_data()[label]
     pts = data.sample(40, 9)
     bases = data.tangent_bases(pts)

@@ -4,7 +4,7 @@ translation law, case classification, and quadrature on the half line."""
 import numpy as np
 import pytest
 
-from slevolve import ValidationError, affine, centred
+from slevolve import ValidationError, centred
 from slevolve.affine import (AffineParams, AffineState, affine_initial,
                              beta_closed, betas_affine, case_span_note,
                              classify_affine_case, integrate_affine,

@@ -1,7 +1,6 @@
 """Command-line surface: subcommand wiring, exit codes, determinism,
 config merging and the output-directory environment variable."""
 
-import filecmp
 import json
 
 import numpy as np

@@ -1,21 +1,49 @@
 """Evolution-data constructions: quadrics, products, planar curves, the
 symmetry algebra, and the square-case classification."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from oracles import lie_derivative_residual
+from oracles import basis, lie_derivative_residual, perm_expand_contract
 from slevolve import ConstructionError, ValidationError, evodata
 from slevolve.evodata import (QuadricSpec, classify_square, curve_data,
                               example_paraboloid, example_quadric,
                               extend_product, quadric_data, symmetry_algebra)
-from slevolve.multilinear import Multivector
 
 
 def hatted(n, j, coeff):
     """coeff * e_0 ^ ... e_j-hat ... ^ e_{n-1} with the signed expansion."""
     rest = tuple(i for i in range(n) if i != j)
-    return ((-1.0) ** j * coeff) * Multivector.basis(n, rest)
+    return (-1.0) ** j * coeff * basis(n, rest)
+
+
+def top_contraction_oracle(X):
+    """chi of xi . (e_0 ^ ... ^ e_{n-1}) for the 1-form with coefficient
+    rows X (n, n+1), summed term by term from the permutation expansion."""
+    n = X.shape[0]
+    chi = np.zeros((n, n + 1))
+    for i in range(n):
+        chi += np.outer(perm_expand_contract(tuple(range(n)), (i,), n), X[i])
+    return chi
+
+
+def curve_form(M, v, m):
+    """Rows of the 1-form xi = V_2 dx_1 - V_1 dx_2 of the field V = M x + v:
+    V ^ e_3 ^ ... ^ e_m = xi . (e_1 ^ ... ^ e_m)."""
+    X = np.zeros((m, m + 1))
+    X[0, :2], X[0, m] = M[1], v[1]
+    X[1, :2], X[1, m] = -M[0], -v[0]
+    return X
+
+
+def padded(X, k):
+    """The form rows of X over k more coordinates, on which it vanishes."""
+    n = X.shape[0]
+    out = np.zeros((n + k, n + k + 1))
+    out[:n, :n], out[:n, -1] = X[:, :n], X[:, n]
+    return out
 
 
 class TestQuadricData:
@@ -26,18 +54,17 @@ class TestQuadricData:
             rng = np.random.default_rng(41)
             x = rng.normal(size=m)
             got = data.chi_at(x)
-            want = Multivector.zero(m, m - 1)
+            want = np.zeros(m)
             for j in range(m):
                 sgn = 2.0 if j < a else -2.0
-                want = want + hatted(m, j, sgn * x[j])
-            assert np.allclose(got.coeffs, want.coeffs, atol=1e-14)
+                want += hatted(m, j, sgn * x[j])
+            assert np.allclose(got, want, atol=1e-14)
 
     def test_paraboloid_constant_term(self):
         for m, a in ((3, 2), (4, 2), (5, 3)):
             data = example_paraboloid(m, a)
-            want = (2.0 * (-1.0) ** (m - 1)) * Multivector.basis(
-                m, tuple(range(m - 1)))
-            assert np.allclose(data.chi_const.coeffs, want.coeffs, atol=1e-14)
+            want = 2.0 * (-1.0) ** (m - 1) * basis(m, tuple(range(m - 1)))
+            assert np.allclose(data.chi[:, -1], want, atol=1e-14)
             assert data.kind == "affine"
 
     def test_tangency_residual(self):
@@ -89,7 +116,8 @@ class TestExtendProduct:
         base = example_quadric(2, 1, 1.0)
         data = extend_product(base, 2)
         p = data.sample(5, seed=5)[0]
-        assert data.chi_at(p).k == data.m - 1 == 3
+        assert data.m - 1 == 3
+        assert data.chi_at(p).shape == (comb(data.n, 3),)
 
 
 class TestCurveData:
@@ -135,9 +163,8 @@ class TestCurveData:
         data = curve_data(np.eye(2), np.zeros(2), 3)
         x = np.array([0.7, -1.1, 0.4])
         got = data.chi_at(x)
-        want = (x[0] * Multivector.basis(3, (0, 2))
-                + x[1] * Multivector.basis(3, (1, 2)))
-        assert np.allclose(got.coeffs, want.coeffs, atol=1e-15)
+        want = x[0] * basis(3, (0, 2)) + x[1] * basis(3, (1, 2))
+        assert np.allclose(got, want, atol=1e-15)
 
     def test_affine_kind(self):
         data = curve_data(np.eye(2), np.array([0.5, 0.0]), 2)
@@ -215,10 +242,8 @@ class TestClassifySquare:
 
     def test_scale_invariance(self):
         data = example_quadric(3, 1, 1.0)
-        scaled = evodata.EvolutionData(
-            data.n, data.m, data.kind,
-            [3.0 * mv for mv in data.chi_linear], 3.0 * data.chi_const,
-            data.sampler, data.normals)
+        scaled = evodata.EvolutionData(data.n, data.m, 3.0 * data.chi,
+                                       data.sampler, data.normals)
         assert classify_square(scaled).label == "quadric"
 
     def test_random_specs_round_trip(self):
@@ -242,10 +267,8 @@ class TestClassifySquare:
         data = extend_product(example_quadric(2, 1, 1.0), 1)
         # n = m = 3 here, so build a genuinely rectangular case instead
         base = example_quadric(3, 1, 1.0)
-        rect = evodata.EvolutionData(
-            3, 2, "linear",
-            [Multivector.zero(3, 1) for _ in range(3)],
-            Multivector.zero(3, 1), base.sampler, base.normals)
+        rect = evodata.EvolutionData(3, 2, np.zeros((3, 4)), base.sampler,
+                                     base.normals)
         with pytest.raises(ValidationError):
             classify_square(rect)
         assert classify_square(data).label in ("quadric", "curve_times_plane",
@@ -264,10 +287,91 @@ class TestClassifySquare:
                      extend_product(example_quadric(2, 1, 1.0), 1)):
             back = evodata.evolution_data_from_dict(data.to_json_dict())
             x = rng.normal(size=data.n)
-            assert np.allclose(back.chi_at(x).coeffs,
-                               data.chi_at(x).coeffs, atol=1e-14)
+            assert np.allclose(back.chi_at(x), data.chi_at(x), atol=1e-14)
             assert back.validate(40, 0)["max_tangency_residual"] <= 1e-10
 
     def test_bad_document_rejected(self):
         with pytest.raises(ValidationError):
             evodata.evolution_data_from_dict({"schema": "nope"})
+
+
+def quadric_form(diag, b=None):
+    """Rows of dQ for Q = x' diag(diag) x + b'x."""
+    diag = np.asarray(diag, dtype=float)
+    b = np.zeros(diag.size) if b is None else np.asarray(b, dtype=float)
+    return np.column_stack([2.0 * np.diag(diag), b])
+
+
+SPIRAL = np.array([[0.2, -1.0], [1.0, 0.1]]), np.array([0.3, 0.0])
+# two negative coefficients in a column, so 0.0 times either is -0.0
+NEGATIVE = np.array([[-1.0, -2.0], [-0.5, 0.0]]), np.array([-1.0, 0.0])
+
+# each recipe with the rows of its 1-form xi, chi = xi . (e_1 ^ ... ^ e_n)
+CHI_CASES = {
+    "quadric(2,1,1)": (lambda: example_quadric(2, 1, 1.0),
+                       quadric_form([1, -1])),
+    "quadric(3,1,-1)": (lambda: example_quadric(3, 1, -1.0),
+                        quadric_form([1, -1, -1])),
+    "quadric(4,2,0)": (lambda: example_quadric(4, 2, 0.0),
+                       quadric_form([1, 1, -1, -1])),
+    "quadric(5,5,1)": (lambda: example_quadric(5, 5, 1.0),
+                       quadric_form([1] * 5)),
+    # -1 times a zero entry plus 0 times a negative one is -0.0
+    "quadric(-1,-1)": (
+        lambda: quadric_data(QuadricSpec(2, -np.eye(2), np.zeros(2)), -1.0),
+        quadric_form([-1, -1])),
+    "paraboloid(3,2)": (lambda: example_paraboloid(3, 2),
+                        quadric_form([1, 1, 0], [0, 0, 2])),
+    "paraboloid(5,3)": (lambda: example_paraboloid(5, 3),
+                        quadric_form([1, 1, 1, -1, 0], [0, 0, 0, 0, 2])),
+    "curve(rotation,2)": (
+        lambda: curve_data(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2), 2),
+        curve_form(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2), 2)),
+    "curve(spiral,3)": (lambda: curve_data(*SPIRAL, 3), curve_form(*SPIRAL, 3)),
+    "curve(negative,4)": (lambda: curve_data(*NEGATIVE, 4),
+                          curve_form(*NEGATIVE, 4)),
+    "product(quadric(2,1,1),1)": (
+        lambda: extend_product(example_quadric(2, 1, 1.0), 1),
+        padded(quadric_form([1, -1]), 1)),
+    "product(paraboloid(3,1),2)": (
+        lambda: extend_product(example_paraboloid(3, 1), 2),
+        padded(quadric_form([1, -1, 0], [0, 0, 2]), 2)),
+}
+
+
+class TestChiArray:
+    @pytest.mark.parametrize("label", list(CHI_CASES))
+    def test_recipes_match_permutation_oracle(self, label):
+        # the bytes, so the sign of every zero too
+        make, X = CHI_CASES[label]
+        assert make().chi.tobytes() == top_contraction_oracle(X).tobytes()
+
+    def test_bad_chi_rejected(self):
+        base = example_quadric(3, 1, 1.0)
+        good = base.chi.copy()
+        for chi in (good[:, :3], good[:2], good.ravel(), good[None]):
+            with pytest.raises(ValidationError, match="chi needs shape"):
+                evodata.EvolutionData(3, 3, chi, base.sampler, base.normals)
+        for bad in (np.nan, np.inf, -np.inf):
+            chi = good.copy()
+            chi[1, 2] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                evodata.EvolutionData(3, 3, chi, base.sampler, base.normals)
+
+    def test_chi_is_read_only(self):
+        data = example_quadric(3, 1, 1.0)
+        with pytest.raises(ValueError):
+            data.chi[0, 0] = 1.0
+
+    def test_kind_follows_constant_column(self):
+        base = example_quadric(3, 1, 1.0)
+        chi = base.chi.copy()
+        assert evodata.EvolutionData(3, 3, chi, None, None).kind == "linear"
+        for r in range(3):
+            chi[:, -1] = 0.0
+            chi[r, -1] = -1e-300
+            data = evodata.EvolutionData(3, 3, chi, None, None)
+            assert data.kind == "affine"
+            assert data.to_json_dict()["kind"] == "affine"
+        assert extend_product(example_paraboloid(3, 1), 1).kind == "affine"
+        assert curve_data(np.eye(2), np.zeros(2), 3).kind == "linear"

@@ -29,8 +29,8 @@ def rhs_by_determinants(phi, data):
     eye = np.eye(m)
     C = np.array([[np.linalg.det(np.column_stack([eye[j], phi.A[:, list(I)]]))
                    for I in k_subsets(data.n, m - 1)] for j in range(m)])
-    return (0.5 * np.conj(C) @ data.chi_matrix(),
-            0.5 * np.conj(C) @ data.chi_const.coeffs)
+    return (0.5 * np.conj(C) @ data.chi[:, :-1],
+            0.5 * np.conj(C) @ data.chi[:, -1])
 
 
 class TestSpecialization:

@@ -2,18 +2,18 @@
 brute-force oracles (matrix form of omega, cofactor determinants, and
 permutation expansion of the interior product)."""
 
-from itertools import permutations
 from math import comb
 
 import numpy as np
 import pytest
 
-from oracles import (ComplexPoint, Frame, contract, eval_omega,
-                     eval_omega_complex, gram_volume, pushforward,
-                     real_to_complex)
+from oracles import (ComplexPoint, Frame, basis, eval_omega,
+                     eval_omega_complex, gram_volume, perm_expand_contract,
+                     pushforward, real_to_complex)
 from slevolve import ValidationError
-from slevolve.multilinear import (Multivector, complex_to_real, frame_forms,
-                                  k_subsets)
+from slevolve.evodata import EvolutionData, symmetry_algebra
+from slevolve.multilinear import (complex_to_real, frame_forms,
+                                  insertion_table, k_subsets)
 
 
 def omega_matrix(m):
@@ -36,32 +36,6 @@ def laplace_det(M):
         minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
         total += ((-1) ** j) * M[0, j] * laplace_det(minor)
     return total
-
-
-def perm_expand_contract(indices, form_idx, n):
-    """Permutation-expansion oracle for e_I . dx_J: expand the basis
-    multivector into signed tensor products and contract the form with the
-    leading slots."""
-    k = len(indices)
-    q = len(form_idx)
-    out = np.zeros(n)
-    for perm in permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        for i in range(len(seen)):
-            for j in range(i + 1, len(seen)):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        seq = [indices[p] for p in perm]
-        if tuple(seq[:q]) != tuple(form_idx):
-            continue
-        rest = seq[q:]
-        vec = np.zeros(n)
-        vec[rest[0]] = 1.0
-        out += sign * vec
-    # normalize: the alternating expansion counts each ordering of the
-    # remaining slots; for k-q = 1 there is exactly one, so no division
-    return out
 
 
 class TestOmega:
@@ -203,89 +177,103 @@ class TestFrameForms:
         assert (omega, gram, im) == (0.0, 0.0, 0.0)
 
 
+def contract(chi, n, k):
+    """Every contraction chi . dx_J of a k-vector with a basis (k-1)-form,
+    one row per J in k_subsets(n, k-1): the image generators L(dx_J) of
+    evolution data whose chi holds these coefficients in its x_1 column."""
+    cols = np.zeros((comb(n, k), n + 1))
+    cols[:, 0] = chi
+    data = EvolutionData(n, k + 1, cols, None, None)
+    return np.array(symmetry_algebra(data).image_generators)[:, :, 0]
+
+
 class TestContract:
     def test_sign_convention_single_entry(self):
-        chi = Multivector.basis(3, (0, 1))
-        alpha = Multivector.basis(3, (0,))
-        out = contract(chi, alpha)
+        out = contract(basis(3, (0, 1)), 3, 2)[0]
         oracle = perm_expand_contract((0, 1), (0,), 3)
         assert np.array_equal(out, oracle)
         assert np.count_nonzero(out) == 1
 
     def test_disjoint_indices_vanish(self):
-        chi = Multivector.basis(3, (0, 1))
-        alpha = Multivector.basis(3, (2,))
-        assert np.all(contract(chi, alpha) == 0.0)
+        out = contract(basis(3, (0, 1)), 3, 2)[k_subsets(3, 1).index((2,))]
+        assert np.all(out == 0.0)
 
     def test_oracle_random_bases(self):
-        rng = np.random.default_rng(12)
+        # the bytes, so the sign of every zero too
         for n, k in ((3, 2), (4, 2), (4, 3), (5, 3)):
             for I in k_subsets(n, k):
-                for J in k_subsets(n, k - 1):
-                    got = contract(Multivector.basis(n, I),
-                                   Multivector.basis(n, J))
+                got = contract(basis(n, I), n, k)
+                for J, row in zip(k_subsets(n, k - 1), got):
                     want = perm_expand_contract(I, J, n)
-                    assert np.array_equal(got, want), (I, J)
+                    assert row.tobytes() == want.tobytes(), (I, J)
 
     def test_bilinearity(self):
         rng = np.random.default_rng(13)
         n, k = 4, 3
         for _ in range(20):
             c1 = rng.normal(size=comb(n, k))
-            c2 = rng.normal(size=comb(n, k - 1))
-            chi = Multivector(n, k, c1)
-            alpha = Multivector(n, k - 1, c2)
-            lhs = contract(2.0 * chi, alpha)
-            rhs = 2.0 * contract(chi, alpha)
-            assert np.allclose(lhs, rhs, atol=1e-14)
-            lhs2 = contract(chi, 3.0 * alpha)
-            assert np.allclose(lhs2, 3.0 * contract(chi, alpha), atol=1e-14)
+            c2 = rng.normal(size=comb(n, k))
+            L1 = contract(c1, n, k)
+            assert np.allclose(contract(2.0 * c1, n, k), 2.0 * L1, atol=1e-14)
+            assert np.allclose(contract(c1 + c2, n, k),
+                               L1 + contract(c2, n, k), atol=1e-14)
 
     def test_degree_mismatch_rejected(self):
+        # a 3-vector where data with m = 3 needs 2-vectors
         with pytest.raises(ValidationError):
-            contract(Multivector.basis(4, (0, 1, 2)),
-                     Multivector.basis(4, (0,)))
+            EvolutionData(4, 3, np.zeros((comb(4, 3), 5)), None, None)
+
+    def test_insertion_table_matches_oracle(self):
+        # (dx_i . e_I)_K = sign[K, i] e_I[rank[K, i]], bit for bit
+        for n in range(1, 7):
+            for k in range(n):
+                rank, sign = insertion_table(n, k)
+                for I in k_subsets(n, k + 1):
+                    e_I = basis(n, I)
+                    for i in I:
+                        got = 0.0 + sign[:, i] * e_I[rank[:, i]]
+                        want = perm_expand_contract(I, (i,), n)
+                        assert got.tobytes() == want.tobytes(), (n, I, i)
 
 
-class TestMultivectorBasics:
+class TestBasics:
     def test_wedge_anticommutes(self):
-        a = Multivector.basis(4, (0,))
-        b = Multivector.basis(4, (2,))
-        ab = a.wedge(b)
-        ba = b.wedge(a)
-        assert np.allclose(ab.coeffs, -ba.coeffs)
+        # e_a ^ e_b = -e_b ^ e_a, and e_a ^ e_a = 0
+        rank, sign = insertion_table(4, 1)
+        for a in range(4):
+            assert sign[a, a] == 0.0
+            for b in range(4):
+                if a != b:
+                    assert rank[b, a] == rank[a, b]
+                    assert sign[b, a] == -sign[a, b]
 
     def test_wedge_against_quadric_expansion(self):
-        # interior of a 1-form with the top element reproduces the signed
-        # hatted expansion
+        # a 1-form contracted into the top element gives the signed hatted
+        # expansion; every insertion lands on the top
         n = 4
-        top = Multivector.basis(n, range(n))
+        rank, sign = insertion_table(n, n - 1)
         xi = np.array([0.3, -1.2, 0.8, 2.0])
-        out = top.interior(Multivector.from_vector(xi))
-        expected = Multivector.zero(n, n - 1)
+        expected = np.zeros(n)
         for j in range(n):
             rest = tuple(i for i in range(n) if i != j)
-            expected = expected + ((-1.0) ** j * xi[j]) * Multivector.basis(n, rest)
-        assert np.allclose(out.coeffs, expected.coeffs, atol=1e-15)
+            expected += (-1.0) ** j * xi[j] * basis(n, rest)
+        assert np.all(rank == 0)
+        assert np.allclose(sign @ xi, expected, atol=1e-15)
 
     def test_pushforward_matches_minor_oracle(self):
         rng = np.random.default_rng(14)
         n, N, k = 3, 4, 2
         B = rng.normal(size=(N, n))
-        mv = Multivector(n, k, rng.normal(size=comb(n, k)))
-        pushed = pushforward(mv, B)
+        coeffs = rng.normal(size=comb(n, k))
+        pushed = pushforward(coeffs, B, k)
         for t_idx, T in enumerate(k_subsets(N, k)):
             acc = 0.0
             for s_idx, S in enumerate(k_subsets(n, k)):
-                acc += mv.coeffs[s_idx] * np.linalg.det(
+                acc += coeffs[s_idx] * np.linalg.det(
                     B[np.ix_(list(T), list(S))])
-            assert pushed.coeffs[t_idx] == pytest.approx(acc, abs=1e-12)
+            assert pushed[t_idx] == pytest.approx(acc, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            Multivector(3, 2, np.zeros(5))
-        with pytest.raises(ValidationError):
-            Multivector(20, 1, np.zeros(20))
         with pytest.raises(ValidationError):
             ComplexPoint(2, np.array([1.0, 2.0, np.inf, 0.0]))
         with pytest.raises(ValidationError):
