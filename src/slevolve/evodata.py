@@ -53,12 +53,23 @@ class QuadricSpec:
         object.__setattr__(self, "b", b)
 
     def value(self, x: np.ndarray):
+        """Q at points x (..., n).
+
+        The products (x_i S_ij) x_j are added in one running sum from 0.0,
+        in row-major order (what ``np.einsum("i,ij,j", x, S, x)`` does on
+        one point for n >= 3), and b'x is one dot product per point, so a
+        point has the same value alone as in a stack.
+        """
         x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.S, x) + x @ self.b + self.c0
+        terms = (x[..., :, None] * self.S * x[..., None, :]).reshape(
+            x.shape[:-1] + (-1,))
+        quad = np.cumsum(terms, axis=-1)[..., -1] + 0.0
+        return quad + (x[..., None, :] @ self.b[:, None])[..., 0, 0] + self.c0
 
     def gradient(self, x: np.ndarray):
+        """dQ at points x (..., n), one gemv per point."""
         x = np.asarray(x, dtype=float)
-        return 2.0 * x @ self.S + self.b
+        return (2.0 * x[..., None, :] @ self.S)[..., 0, :] + self.b
 
 
 class EvolutionData:
@@ -225,40 +236,51 @@ def _line_roots(coeffs: np.ndarray):
 
 def _quadric_sampler(spec: QuadricSpec, c: float):
     """Sample the level set Q = c by intersecting random lines with it,
-    rejecting points where |dQ| is below the nonsingularity threshold."""
+    rejecting points where |dQ| is below the nonsingularity threshold.
+
+    Each round draws a block of lines, one attempt at a time in the order
+    the draws were always made, then takes the block's quadratics, hits and
+    gradient norms in stacked calls.  Every product is a matmul with (1, n)
+    cores, where numpy runs one gemv or ddot per row, as it does on one line
+    alone, so the points do not depend on the block size.
+    """
     n = spec.n
     scale = max(1.0, float(np.abs(spec.S).max()), float(np.abs(spec.b).max()))
+    b = spec.b[:, None]
 
     def sampler(count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        pts = []
-        attempts, budget = 0, 250 * count + 500
-        while len(pts) < count and attempts < budget:
-            # one block of lines per round, drawn in the per-attempt order;
+        pts = [np.empty((0, n))]
+        found, attempts, budget = 0, 0, 250 * count + 500
+        while found < count and attempts < budget:
             # the draws past the last accepted point are never used
-            block = min(count - len(pts), budget - attempts)
+            block = min(count - found, budget - attempts)
             attempts += block
-            lines, coeffs = [], []
-            for _ in range(block):
-                p0 = rng.normal(size=n) * rng.uniform(0.3, 3.0)
-                d = rng.normal(size=n)
-                lines.append((p0, d))
-                coeffs.append((d @ spec.S @ d,
-                               2.0 * p0 @ spec.S @ d + spec.b @ d,
-                               spec.value(p0) - c))
-            roots = _line_roots(np.array(coeffs))
-            hits = (p0 + float(np.real(s)) * d
-                    for (p0, d), rs in zip(lines, roots)
-                    for s in rs if abs(np.imag(s)) <= 1e-12)
-            for p in hits:
-                if np.linalg.norm(spec.gradient(p)) >= _SINGULAR_TOL * scale:
-                    pts.append(p)
-                    if len(pts) >= count:
-                        break
-        if len(pts) < count:
+            P0, D = np.empty((block, n)), np.empty((block, n))
+            for i in range(block):
+                P0[i] = rng.normal(size=n) * rng.uniform(0.3, 3.0)
+                D[i] = rng.normal(size=n)
+            rows, cols = D[:, None, :], D[:, :, None]
+            coeffs = np.column_stack([
+                (rows @ spec.S @ cols)[:, 0, 0],
+                (2.0 * P0[:, None, :] @ spec.S @ cols + rows @ b)[:, 0, 0],
+                spec.value(P0) - c])
+            lines, s = [], []
+            for i, rs in enumerate(_line_roots(coeffs)):
+                for r in rs:
+                    if abs(np.imag(r)) <= 1e-12:
+                        lines.append(i)
+                        s.append(float(np.real(r)))
+            hits = P0[lines] + np.array(s)[:, None] * D[lines]
+            grad = spec.gradient(hits)[:, None, :]
+            norms = np.sqrt((grad @ np.swapaxes(grad, 1, 2))[:, 0, 0])
+            good = hits[norms >= _SINGULAR_TOL * scale][:count - found]
+            pts.append(good)
+            found += len(good)
+        if found < count:
             raise ConstructionError(
                 "could not sample the quadric level set (empty or degenerate)")
-        return np.asarray(pts)
+        return np.concatenate(pts)
 
     return sampler
 

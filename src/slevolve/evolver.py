@@ -13,16 +13,40 @@ diagonal closed forms (the acceptance suite checks this to 1e-12).  The
 right-hand side is homogeneous of degree m-1 in phi and depends only on the
 linear part; affine data feeds its constant chi term into the translation
 derivative.
+
+The cofactors are (m-1)-minors of A, and those are wedges of its rows
+r_0, ..., r_{m-1}: the minor of A without row j on the columns of an
+(m-1)-subset K is the e_K coefficient of the leave-one-out wedge
+
+    r_0 ^ ... r_j-hat ... ^ r_{m-1} = P_j ^ S_{j+1},
+
+with prefixes P_j = r_0 ^ ... ^ r_{j-1} and suffixes S_j = r_j ^ ... ^
+r_{m-1} (P_0 = S_m = 1).  On a diagonal map these are the w system's
+running products of ``centred._w_kernel``.  ``integrate`` runs on
+``_stage_kernel``, straight-line code that forms the prefixes, the suffixes
+and their products with ``multilinear.insertion_table`` and contracts them
+with chi's nonzero entries, generated once per (n, m, chi).  It serves the
+shapes n = m <= 5.  ``_rhs_arrays`` takes every minor in one stacked
+``np.linalg.det`` instead: it is ``rhs_general``'s evaluator, the kernel's
+test reference, and ``integrate``'s right-hand side for m >= 6 (and n > m):
+the wedges take 18, 72, 210, 540 and 1302 complex products for n = m = 3
+to 7, growing like 3 m 2^(m-1), against a numpy cost that grows slowly with
+the size, so the kernel loses from m = 6 on (see ``_KERNEL_MAX_M``).  One call
+on a stack of maps, as in ``rhs_general``, is numpy's case too.
 """
 
+import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from . import ode
 from .errors import ValidationError
 from .evodata import EvolutionData
-from .multilinear import complex_to_real, frame_forms, k_subsets
+from .multilinear import (complex_to_real, frame_forms, insertion_table,
+                          k_subsets)
 
 BLOWUP_GUARD = 1e8
 
@@ -68,6 +92,19 @@ class EvolMap:
                              + np.linalg.norm(self.t0) ** 2))
 
 
+def _checked_map(n: int, m: int, A: np.ndarray, t0: np.ndarray) -> EvolMap:
+    """An EvolMap of read-only complex A (m, n) and t0 (m,) whose entries
+    the caller has found finite, built without ``__post_init__``'s checks."""
+    phi = object.__new__(EvolMap)
+    phi.__dict__.update(n=n, m=m, A=A, t0=t0)
+    return phi
+
+
+def _check_count(value: int, name: str, least: int) -> None:
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+
+
 def _check_dims(phi: EvolMap, data: EvolutionData) -> None:
     if phi.n != data.n or phi.m != data.m:
         raise ValidationError("map/evolution-data dimension mismatch")
@@ -111,6 +148,117 @@ def _rhs_arrays(A: np.ndarray, plan) -> tuple:
     return dA, dt0
 
 
+# integrate's right-hand side is the generated kernel for n = m up to this
+# size: one stage costs (median us, numpy path -> kernel, 2-core x86-64,
+# Python 3.11) 22 -> 4 at m = 3 and 49 -> 29 at m = 5, but 49 -> 51 at
+# m = 6 and 98 -> 131 at m = 7
+_KERNEL_MAX_M = 5
+
+
+@lru_cache(maxsize=64)
+def _stage_kernel(n: int, m: int, chi_bytes: bytes) -> ode.System:
+    """``_rhs_arrays`` for the chi array with bytes ``chi_bytes`` as an
+    ``ode.System`` on the packed real vector (Re A, Re t0, Im A, Im t0) of
+    ``ode.solve``: straight-line code, generated and compiled once per
+    (n, m, chi).
+
+    The entries of A become Python complex numbers; the prefix wedges
+    P_2, ..., P_{m-1}, the suffix wedges S_{m-2}, ..., S_1 and the
+    leave-one-out wedges P_j ^ S_{j+1} are formed one coefficient per line,
+    each a signed sum of products, with signs and ranks from
+    ``insertion_table`` (e_I ^ e_J inserts the indices of I into J, the
+    last first).  The derivative of entry (j, q) is the complex sum over
+    the active subsets s of a baked constant 1/2 (-1)^j chi[s, q] times a
+    minor; its real part and its negated imaginary part (the conjugate) are
+    the outputs.  Only lines that an output reads are kept, so inactive
+    subsets of chi cost nothing.  Past the stage state y + g*h, every
+    operation on two values that may both be NaN is complex arithmetic,
+    which runs in C whether or not the interpreter has specialized the
+    code, so the NaN a stage returns does not depend on how often the
+    kernel ran before.
+
+    ``stage`` is the fused stage of ``centred._w_kernel``: it takes the
+    step's start as a list, forms each component y_i + g_i*h on Python
+    floats, and packs the outputs into row s of the stage matrix (and the
+    stage state into ``y_new`` when given).
+    """
+    chi = np.frombuffer(chi_bytes).reshape(comb(n, m - 1), n + 1)
+    half = m * n + m
+    layout = struct.Struct(f"{2 * half}d")      # one row of K, native doubles
+    lines = {}          # name -> (expression, names it reads), in order
+
+    def define(name, terms):
+        # name = sum of coefficient * product of factors, over the terms
+        expr = "".join(
+            f" {'-' if c < 0 else '+'} "
+            + " * ".join(factors if abs(c) == 1.0 else (repr(abs(c)),) + factors)
+            for c, factors in terms)
+        lines[name] = (expr[3:] if expr[1] == "+" else expr[1:],
+                       {f for _, factors in terms for f in factors})
+        return name
+
+    def wedge(X, j, Y, k, prefix):
+        # X ^ Y for a j-vector X and a k-vector Y (names by subset rank)
+        terms = [[] for _ in k_subsets(n, j + k)]
+        for I, x in zip(k_subsets(n, j), X):
+            for r, y in enumerate(Y):
+                sign = 1.0
+                for d, i in enumerate(reversed(I)):
+                    ranks, signs = insertion_table(n, k + d)
+                    sign *= signs[r, i]
+                    if not sign:
+                        break
+                    r = ranks[r, i]
+                if sign:
+                    terms[r].append((sign, (x, y)))
+        return [define(f"{prefix}_{r}", ts) for r, ts in enumerate(terms)]
+
+    rows = [[f"a{i}_{q}" for q in range(n)] for i in range(m)]
+    pre, suf = [None, rows[0]], {m - 1: rows[m - 1]}
+    for j in range(1, m - 1):
+        pre.append(wedge(pre[j], j, rows[j], 1, f"p{j + 1}"))
+    for j in range(m - 2, 0, -1):
+        suf[j] = wedge(rows[j], 1, suf[j + 1], m - 1 - j, f"s{j}")
+    minors = ([suf[1]] + [wedge(pre[j], j, suf[j + 1], m - 1 - j, f"c{j}")
+                          for j in range(1, m - 1)] + [pre[m - 1]])
+
+    active = np.flatnonzero(np.any(chi != 0.0, axis=1))
+    derivs = []         # the line of each derivative, None where it is 0
+    for j, q in ([(j, q) for j in range(m) for q in range(n)]
+                 + [(j, n) for j in range(m)]):
+        terms = [(float(0.5 * (-1) ** j * chi[s, q]), (minors[j][s],))
+                 for s in active if chi[s, q] != 0.0]
+        derivs.append(define(f"d{j}_{q}", terms) if terms else None)
+    needed = set(derivs) - {None}
+    body = []
+    for name, (expr, reads) in reversed(lines.items()):
+        if name in needed:
+            body.append(f"{name} = {expr}")
+            needed |= reads
+    body.reverse()
+    entries = [f"a{i}_{q} = complex(x{i * n + q}, x{half + i * n + q})"
+               for i in range(m) for q in range(n) if f"a{i}_{q}" in needed]
+    out = ", ".join([f"{d}.real" if d else "0.0" for d in derivs]
+                    + [f"-{d}.imag" if d else "0.0" for d in derivs])
+    xs = [f"x{i}" for i in range(2 * half)]
+    rhs = ([f"{', '.join(xs)}, = y.tolist()"] + entries + body
+           + [f"return array(({out},), dtype=float)"])
+    stage = ([f"{', '.join(f'g{i}' for i in range(2 * half))}, = g.tolist()",
+              f"{', '.join(f'y{i}' for i in range(2 * half))}, = y"]
+             + [f"{x} = y{i} + g{i} * h" for i, x in enumerate(xs)]
+             + entries + body
+             + [f"pack(K, row * {layout.size}, {out})",
+                "if y_new is not None:",
+                f"    pack(y_new, 0, {', '.join(xs)})"])
+    src = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in code)
+                  for head, code in (("rhs(t, y)", rhs),
+                                     ("stage(t, y, g, h, K, row, y_new=None)",
+                                      stage)))
+    namespace = {"array": np.array, "pack": layout.pack_into}
+    exec(compile(src, f"<evolver kernel n={n} m={m}>", "exec"), namespace)
+    return ode.System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
+
+
 def rhs_general(phi: EvolMap, data: EvolutionData) -> EvolMap:
     """Right-hand side of the evolution equation as an EvolMap increment.
 
@@ -143,6 +291,7 @@ def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
     the omega residual, and injectivity from the singular values of the
     real (2m, m-1) pushed frames."""
     _check_dims(phi, data)
+    _check_count(n_samples, "n_samples", 1)
     Z = data.tangent_bases(data.sample(n_samples, seed)) @ phi.A.T
     svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
                           compute_uv=False)
@@ -208,14 +357,19 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     flagged.
     """
     _check_dims(phi0, data)
+    _check_count(checkpoints, "checkpoints", 2)
+    _check_count(membership_samples, "membership_samples", 1)
     n, m = phi0.n, phi0.m
-    plan = _rhs_plan(data)
     half = m * n + m
     power = max(m - 2, 1)
+    if n == m <= _KERNEL_MAX_M:
+        rhs = _stage_kernel(n, m, data.chi.tobytes())
+    else:
+        plan = _rhs_plan(data)
 
-    def rhs(t, y):
-        A = (y[:m * n] + 1j * y[half:half + m * n]).reshape(m, n)
-        return _pack(*_rhs_arrays(A, plan))
+        def rhs(t, y):
+            A = (y[:m * n] + 1j * y[half:half + m * n]).reshape(m, n)
+            return _pack(*_rhs_arrays(A, plan))
 
     def blow_up(t, y):
         lin = np.concatenate([y[:m * n], y[half:half + m * n]])
@@ -230,7 +384,11 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     t_last = sol.t[-1]
     times = np.linspace(0.0, t_last, checkpoints)
     zs = sol(times)
-    maps = [EvolMap(n, m, z[:m * n].reshape(m, n), z[m * n:]) for z in zs]
+    if not np.all(np.isfinite(zs)):
+        raise ValidationError("non-finite map entries")
+    zs.flags.writeable = False
+    maps = [_checked_map(n, m, z[:m * n].reshape(m, n), z[m * n:])
+            for z in zs]
 
     # every checkpoint's map pushes the same frames
     bases = data.tangent_bases(data.sample(membership_samples, seed))

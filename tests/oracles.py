@@ -8,6 +8,8 @@ definitions on R^{2m} with interleaved coordinates (Re z_1, Im z_1, ...).
 expansion, the reference for the coefficient arrays of chi, and
 ``lie_derivative_residual`` checks a symmetry field by finite differences
 of the pushed-forward chi, with ``scipy.linalg.expm`` for the flow.
+``quadric_sampler_loop`` is the quadric sampler one line at a time, the
+reference for the stacked sampler's points.
 
 The rest are references no command runs: the reduced (u, theta_j) form of
 the centred system, the derivative relations of the Jacobi functions, the
@@ -20,9 +22,10 @@ from math import comb
 
 import numpy as np
 
-from slevolve import ValidationError
+from slevolve import ConstructionError, ValidationError
 from slevolve.centred import CentredParams, WVector
 from slevolve.elliptic import JacobiTriple
+from slevolve.evodata import _SINGULAR_TOL, QuadricSpec, _line_roots
 from slevolve.multilinear import complex_to_real, k_subsets
 
 
@@ -169,6 +172,46 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
         scale = max(np.linalg.norm(data.chi_at(x)), 1e-30)
         worst = max(worst, np.linalg.norm(diff) / scale)
     return worst
+
+
+def quadric_sampler_loop(spec: QuadricSpec, c: float):
+    """The quadric sampler with every line's coefficients, hits and
+    gradient norms taken one line and one point at a time."""
+    n = spec.n
+    scale = max(1.0, float(np.abs(spec.S).max()), float(np.abs(spec.b).max()))
+
+    def sampler(count: int, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        pts = []
+        attempts, budget = 0, 250 * count + 500
+        while len(pts) < count and attempts < budget:
+            # one block of lines per round, drawn in the per-attempt order;
+            # the draws past the last accepted point are never used
+            block = min(count - len(pts), budget - attempts)
+            attempts += block
+            lines, coeffs = [], []
+            for _ in range(block):
+                p0 = rng.normal(size=n) * rng.uniform(0.3, 3.0)
+                d = rng.normal(size=n)
+                lines.append((p0, d))
+                coeffs.append((d @ spec.S @ d,
+                               2.0 * p0 @ spec.S @ d + spec.b @ d,
+                               spec.value(p0) - c))
+            roots = _line_roots(np.array(coeffs))
+            hits = (p0 + float(np.real(s)) * d
+                    for (p0, d), rs in zip(lines, roots)
+                    for s in rs if abs(np.imag(s)) <= 1e-12)
+            for p in hits:
+                if np.linalg.norm(spec.gradient(p)) >= _SINGULAR_TOL * scale:
+                    pts.append(p)
+                    if len(pts) >= count:
+                        break
+        if len(pts) < count:
+            raise ConstructionError(
+                "could not sample the quadric level set (empty or degenerate)")
+        return np.asarray(pts)
+
+    return sampler
 
 
 @dataclass(frozen=True)

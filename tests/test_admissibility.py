@@ -8,12 +8,17 @@ SHA-256 digests of little-endian bytes where the arrays are long.  They
 were recorded with numpy 2.4 on x86-64 and must be met bit for bit:
 
 - ``evolver.integrate`` maps and omega residuals on the ten seed-1 ``evolve``
-  benchmark inputs, rebuilt here from the same seeded recipe;
+  benchmark inputs, rebuilt here from the same seeded recipe (this section
+  was recorded again when ``integrate`` moved to the generated stage kernel,
+  whose minors round differently from ``np.linalg.det``; the step counts
+  stayed);
 - ``membership_cp`` diagnostics on quadric, paraboloid and product data;
 - ``EvolutionData.sample`` points on the same data and on a hyperplane,
   where every sampler line meets P through the linear branch (a2 = 0).
 
-scipy is a test-only oracle: the batched frames are checked against
+The stacked quadric sampler is also checked against the one-line-at-a-time
+loop of ``oracles.quadric_sampler_loop`` on every example quadric.  scipy
+is a test-only oracle: the batched frames are checked against
 ``scipy.linalg.null_space`` point by point.
 """
 
@@ -24,7 +29,8 @@ import numpy as np
 import pytest
 
 from conftest import digest_le
-from slevolve import ValidationError, evodata, evolver
+from oracles import quadric_sampler_loop
+from slevolve import ConstructionError, ValidationError, evodata, evolver
 from slevolve.multilinear import frame_forms
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data",
@@ -141,6 +147,63 @@ def test_hyperplane_sampler_takes_linear_branch():
     data = sample_data()["hyperplane(3)"]
     pts = data.sample(50, 2)
     assert np.allclose(pts @ np.array([1.0, -2.0, 0.5]), 0.7, atol=1e-12)
+
+
+def _sampler_cases(m):
+    """Every example quadric of dimension m whose level set can be sampled
+    (the cones among them), the paraboloids and the hyperplane of
+    ``sample_data`` at m = 3 and 4, and a quadric with off-diagonal S and
+    b != 0."""
+    cases = []
+    for a in range(1, m + 1):
+        for c in (-1.0, 0.0, 1.0):
+            try:
+                cases.append(evodata.example_quadric(m, a, c))
+            except ConstructionError:       # empty, or the cone's vertex
+                pass
+    cases += [data for data in sample_data().values()
+              if data.recipe["recipe"] == "quadric" and data.m == m]
+    rng = np.random.default_rng(40 + m)
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    S = Q @ np.diag(rng.uniform(0.5, 2.0, size=m) * (-1.0) ** np.arange(m)) @ Q.T
+    cases.append(evodata.quadric_data(
+        evodata.QuadricSpec(m, S, rng.normal(size=m)), 0.8))
+    return cases
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_stacked_sampler_equals_loop(m):
+    # the same points byte for byte: the rng draws, the coefficients (by
+    # gemv and ddot), the roots, the hits and the accepted gradient norms
+    for data in _sampler_cases(m):
+        r = data.recipe
+        loop = quadric_sampler_loop(
+            evodata.QuadricSpec(m, np.array(r["S"]), np.array(r["b"])), r["c"])
+        for seed in range(20):
+            got = data.sample(40, seed)
+            assert got.shape == (40, m)
+            assert got.tobytes() == loop(40, seed).tobytes(), (data.label,
+                                                               seed)
+
+
+def test_quadric_value_and_gradient_per_point():
+    # Q is one running sum of (x_i S_ij) x_j from 0.0 in row-major order
+    # plus b'x and c0, and dQ one gemv, at every point of a stack as alone
+    rng = np.random.default_rng(13)
+    for n in range(2, 7):
+        S = rng.normal(size=(n, n))
+        spec = evodata.QuadricSpec(n, S + S.T, rng.normal(size=n), 0.3)
+        X = rng.normal(size=(25, n)) * 10.0 ** rng.uniform(-3, 3, (25, 1))
+        values, grads = spec.value(X), spec.gradient(X)
+        for x, v, g in zip(X, values, grads):
+            quad = 0.0
+            for i in range(n):
+                for j in range(n):
+                    quad += x[i] * spec.S[i, j] * x[j]
+            want = quad + 0.0 + x @ spec.b + 0.3
+            assert v.hex() == want.hex() == spec.value(x).hex()
+            assert g.tobytes() == (2.0 * x @ spec.S + spec.b).tobytes()
+            assert g.tobytes() == spec.gradient(x).tobytes()
 
 
 def test_line_roots_equal_np_roots():

@@ -150,6 +150,14 @@ class TestMembership:
         assert diag.min_singular_ratio <= 1e-8
         assert not diag.passes()
 
+    def test_no_samples_rejected(self):
+        # the zero map fails on 5 samples; on none it must not pass
+        data = example_quadric(3, 1, 1.0)
+        zero = EvolMap.linear(np.zeros((3, 3), complex))
+        assert not membership_cp(zero, data, n_samples=5).passes()
+        with pytest.raises(ValidationError, match="n_samples"):
+            membership_cp(zero, data, n_samples=0)
+
 
     @pytest.mark.parametrize("m,a", [(2, 1), (3, 1), (4, 2), (5, 5)])
     def test_matches_pairwise_omega(self, m, a):
@@ -207,6 +215,26 @@ class TestIntegrate:
         assert traj.times[-1] == 250.0
         assert abs(traj.final().t0[m - 1]) > 100.0
         assert np.abs(traj.final().A).max() <= 10.0
+
+    @pytest.mark.parametrize("counts", [{"checkpoints": 1},
+                                        {"checkpoints": 0},
+                                        {"membership_samples": 0}])
+    def test_bad_counts_rejected(self, counts):
+        # one checkpoint would make final() the start map, and no sample
+        # would make every residual 0
+        phi0 = EvolMap.diagonal(np.ones(3, complex))
+        (name,) = counts
+        with pytest.raises(ValidationError, match=name):
+            integrate(phi0, example_quadric(3, 1, 1.0), 0.5, **counts)
+
+    def test_checkpoint_maps_are_read_only(self):
+        data = example_quadric(3, 1, 1.0)
+        traj = integrate(EvolMap.diagonal(np.ones(3, complex)), data, 0.2,
+                         checkpoints=3, membership_samples=4)
+        for mp in traj.maps:
+            assert isinstance(mp, EvolMap) and (mp.n, mp.m) == (3, 3)
+            assert mp.A.shape == (3, 3) and mp.t0.shape == (3,)
+            assert not (mp.A.flags.writeable or mp.t0.flags.writeable)
 
     def test_checkpoint_residuals_match_membership(self):
         data = example_quadric(3, 1, 1.0)
