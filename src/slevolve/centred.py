@@ -21,7 +21,6 @@ Angle bookkeeping uses the continuous lift of arg w_j; near A = 0 some w_j
 pass through zero and the lift jumps, so work in w coordinates there.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -299,70 +298,46 @@ class WSolutionPath:
 @lru_cache(maxsize=None)
 def _w_kernel(a: int, m: int, translated: bool = False) -> ode.System:
     """``rhs_w`` as an ``ode.System`` on the packed real vector (Re w, Im w)
-    of ``ode.solve``: straight-line code, generated and compiled once per
-    (a, m, translated).
+    of ``ode.solve``: straight-line code from ``ode.generated_system``,
+    generated and compiled once per (a, m, translated).
 
     With ``translated`` the state gains the translation beta after the m
     letters, packed as (Re w, Re beta, Im w, Im beta), and the system gains
     dbeta/dt = conj(w_1 ... w_m) (see ``affine``); beta enters no
     derivative.
 
-    Both ``rhs(t, y)`` and the fused ``stage`` make the running products of
-    ``_leave_one_out`` on Python complex numbers in a fixed order: the
-    prefixes prod_{k<j} w_k, the suffixes prod_{k>j} w_k, then prefix *
-    suffix; the full product prod w is the last prefix times w_m.  Both
-    chains start from 1+0j and keep their products with it, which can
-    change the sign of a zero (``tests/test_centred.py`` holds the plain
-    loop as the bitwise reference).  The conjugate and the sign of letter j
-    come in as one multiplication of the real part by +-1.0 and of the
-    imaginary part by -+1.0; the conjugate of prod w negates its imaginary
-    part, as ``np.conj`` does.  A row this short costs far less this way
-    than in numpy calls.
-
-    ``stage`` is the driver's call per Runge-Kutta stage.  It takes the
-    step's start as a list (``start`` is ``ndarray.tolist``) and the stage
-    combination g, forms each component y_i + g_i*h (the two roundings of
-    numpy's ``g *= h; y + g``), and packs the outputs straight into row s
-    of the stage matrix, and the stage state into ``y_new`` when given.
+    The code makes the running products of ``_leave_one_out`` on Python
+    complex numbers in a fixed order: the prefixes prod_{k<j} w_k, the
+    suffixes prod_{k>j} w_k, then prefix * suffix; the full product prod w
+    is the last prefix times w_m.  Both chains start from 1+0j and keep
+    their products with it, which can change the sign of a zero
+    (``tests/test_centred.py`` holds the plain loop as the bitwise
+    reference).  The conjugate and the sign of letter j come in as one
+    multiplication of the real part by +-1.0 and of the imaginary part by
+    -+1.0; the conjugate of prod w negates its imaginary part, as
+    ``np.conj`` does.  A row this short costs far less this way than in
+    numpy calls.
     """
     signs = (1.0,) * a + (-1.0,) * (m - a)
     size = m + translated           # complex components of the state
-    n = 2 * size
-    layout = struct.Struct(f"{n}d")     # one row of K, native doubles
-    xs = [f"x{j}" for j in range(size)] + [f"v{j}" for j in range(size)]
-    products = [f"w{j} = complex(x{j}, v{j})" for j in range(m)]
+    body = [f"w{j} = complex(x{j}, x{size + j})" for j in range(m)]
     pre, suf = ["one"], "one"       # prod_{k<j} w_k; prod_{k>j} w_k
     for j in range(m - 1 + translated):
-        products.append(f"p{j + 1} = {pre[j]} * w{j}")
+        body.append(f"p{j + 1} = {pre[j]} * w{j}")
         pre.append(f"p{j + 1}")
     for j in range(m - 1, -1, -1):
-        products.append(f"q{j} = {pre[j]} * {suf}")
+        body.append(f"q{j} = {pre[j]} * {suf}")
         if j:
-            products.append(f"s{j} = w{j} * {suf}")
+            body.append(f"s{j} = w{j} * {suf}")
             suf = f"s{j}"
     re = [f"{signs[j]!r} * q{j}.real" for j in range(m)]
     im = [f"{-signs[j]!r} * q{j}.imag" for j in range(m)]
     if translated:
         re.append(f"p{m}.real")
         im.append(f"-p{m}.imag")
-    out = ", ".join(re + im)
-    rhs = ([f"{', '.join(xs)}, = y.tolist()"] + products
-           + [f"return array(({out},), dtype=float)"])
-    stage = ([f"{', '.join(f'g{i}' for i in range(n))}, = g.tolist()",
-              f"{', '.join(f'y{i}' for i in range(n))}, = y"]
-             + [f"{x} = y{i} + g{i} * h" for i, x in enumerate(xs)]
-             + products
-             + [f"pack(K, row * {layout.size}, {out})",
-                "if y_new is not None:",
-                f"    pack(y_new, 0, {', '.join(xs)})"])
-    src = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
-                  for head, body in (("rhs(t, y)", rhs),
-                                     ("stage(t, y, g, h, K, row, y_new=None)",
-                                      stage)))
-    namespace = {"one": 1 + 0j, "array": np.array, "pack": layout.pack_into}
-    exec(compile(src, f"<w kernel a={a} m={m} translated={translated}>",
-                 "exec"), namespace)
-    return ode.System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
+    return ode.generated_system(
+        f"w kernel a={a} m={m} translated={translated}", body, re + im,
+        {"one": 1 + 0j})
 
 
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
@@ -546,13 +521,17 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
 
     Returns (values, errors), each (N, K).  Raises NumericalError when a row
     exceeds ``_PANEL_BUDGET`` panels or its error estimate is grossly over
-    budget; ``describe(r)`` names row r in the message.
+    budget; ``describe(r)`` names row r in the message.  A NaN, infinite or
+    negative tol raises ValidationError (tol = 0 leaves the rounding floor).
     """
     (x16, w16), (x32, w32) = _gl_rule(16), _gl_rule(32)
     nodes, weights = np.concatenate([x16, x32]), np.concatenate([w16, w32])
     a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))
     n_rows = a.size
     describe = describe or (lambda r: f"quadrature row {r}")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"{describe(0)}: the tolerance must be finite "
+                              f"and non-negative")
     total = b - a
     # a panel's share of tol per unit of its half width
     share = 2.0 * tol / np.where(total == 0, 1.0, total)
@@ -850,8 +829,8 @@ def beta_limits(alphas, a: int, tie_tol: float = 1e-12) -> BetaLimits:
     m = al.size
     if not (1 <= a <= m - 1):
         raise ValidationError("limits need 1 <= a <= m-1")
-    if np.any(al <= 0):
-        raise ValidationError("alphas must be positive")
+    if not np.all((al > 0) & (al < np.inf)):
+        raise ValidationError("alphas must be finite and positive")
     res = np.sum(1.0 / al[:a]) - np.sum(1.0 / al[a:])
     if abs(res) > 1e-9 * np.max(1.0 / al):
         raise ValidationError("alphas must be normalized first")
@@ -1040,10 +1019,14 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     evaluates beta on an A grid, brackets integer crossings of
     b * beta_1 / pi for each candidate denominator, solves for A by root
     finding, and keeps solutions whose full angle vector matches its
-    rational target within tol.  An empty result is not an error.
+    rational target within tol.  An empty result is not an error; a NaN,
+    infinite or negative tol raises ValidationError.
     """
     if b_max < 1:
         raise ValidationError(f"b_max must be at least 1, got {b_max}")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and non-negative, "
+                              f"got {tol!r}")
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     first = next(iter(alphas))

@@ -110,6 +110,7 @@ def _alphas_for(ns, letters: int) -> tuple:
 def cmd_evolve(ns) -> int:
     from . import evodata, evolver
     cfg = _resolved_config(ns)
+    _check_count(ns.seed, "--seed", 0)
     if ns.data:
         with open(ns.data) as fh:
             data = evodata.evolution_data_from_dict(json.load(fh))
@@ -368,11 +369,9 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, m_default=None):
-        sp.add_argument("--config", help="JSON config file (flags override)")
-        sp.add_argument("--m", type=int, default=m_default)
+    def common(sp):
+        sp.add_argument("--m", type=int, default=3)
         sp.add_argument("--a", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
 
     # --alphas or --family sym, read by _alphas_for
     alphas = argparse.ArgumentParser(add_help=False)
@@ -381,7 +380,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="integrate a diagonal start under the "
                         "general engine on quadric data")
-    common(sp, 3)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--data", help="evolution-data JSON (sl-evodata-1)")
     sp.add_argument("--w0", help="comma-separated complex initial diagonal")
@@ -394,7 +394,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("betas", help="monodromy angles by quadrature",
                         parents=[alphas])
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--quad-tol", dest="quad_tol", type=float, default=3e-12)
@@ -403,13 +403,13 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limits", parents=[alphas],
                         help="endpoint limits of the monodromy angles")
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_limits)
 
     sp = sub.add_parser("search", help="scan for closed (periodic) families",
                         parents=[alphas])
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--bmax", type=int, default=8)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--grid", type=int, default=96)
@@ -421,7 +421,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mesh", help="emit a mesh of a constructed family",
                         parents=[alphas])
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--kind", choices=["centred", "affine", "link"],
                     default="centred")
     sp.add_argument("--A", type=float, default=1.0)
@@ -439,7 +439,6 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mesh)
 
     sp = sub.add_parser("verify", help="verify the conditions on a mesh JSON")
-    common(sp)
     sp.add_argument("--mesh", required=True)
     sp.add_argument("--threshold", type=float)
     sp.add_argument("--out")
@@ -447,7 +446,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("crosssection", parents=[alphas],
                         help="cone link circle in closed form")
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--n", type=int, default=257)
     sp.add_argument("--out", help="CSV path")
     sp.add_argument("--summary", help="JSON path")
@@ -455,7 +454,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("affine", help="integrate the translated family",
                         parents=[alphas])
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, default=6.0)
     sp.add_argument("--n", type=int, default=257)
@@ -465,13 +464,14 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", parents=[alphas], help="bundle of "
                         "diagnostics for one parameter point")
-    common(sp, 3)
+    common(sp)
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_report)
 
     for sp in sub.choices.values():
+        sp.add_argument("--config", help="JSON config file (flags override)")
         sp.set_defaults(**(defaults or {}))
     return p
 

@@ -35,7 +35,6 @@ the size, so the kernel loses from m = 6 on (see ``_KERNEL_MAX_M``).  One call
 on a stack of maps, as in ``rhs_general``, is numpy's case too.
 """
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -159,8 +158,8 @@ _KERNEL_MAX_M = 5
 def _stage_kernel(n: int, m: int, chi_bytes: bytes) -> ode.System:
     """``_rhs_arrays`` for the chi array with bytes ``chi_bytes`` as an
     ``ode.System`` on the packed real vector (Re A, Re t0, Im A, Im t0) of
-    ``ode.solve``: straight-line code, generated and compiled once per
-    (n, m, chi).
+    ``ode.solve``: straight-line code from ``ode.generated_system``,
+    generated and compiled once per (n, m, chi).
 
     The entries of A become Python complex numbers; the prefix wedges
     P_2, ..., P_{m-1}, the suffix wedges S_{m-2}, ..., S_1 and the
@@ -171,20 +170,11 @@ def _stage_kernel(n: int, m: int, chi_bytes: bytes) -> ode.System:
     the active subsets s of a baked constant 1/2 (-1)^j chi[s, q] times a
     minor; its real part and its negated imaginary part (the conjugate) are
     the outputs.  Only lines that an output reads are kept, so inactive
-    subsets of chi cost nothing.  Past the stage state y + g*h, every
-    operation on two values that may both be NaN is complex arithmetic,
-    which runs in C whether or not the interpreter has specialized the
-    code, so the NaN a stage returns does not depend on how often the
-    kernel ran before.
-
-    ``stage`` is the fused stage of ``centred._w_kernel``: it takes the
-    step's start as a list, forms each component y_i + g_i*h on Python
-    floats, and packs the outputs into row s of the stage matrix (and the
-    stage state into ``y_new`` when given).
+    subsets of chi cost nothing.  Its sums and products are all complex,
+    as ``ode.generated_system`` asks wherever two NaNs can meet.
     """
     chi = np.frombuffer(chi_bytes).reshape(comb(n, m - 1), n + 1)
     half = m * n + m
-    layout = struct.Struct(f"{2 * half}d")      # one row of K, native doubles
     lines = {}          # name -> (expression, names it reads), in order
 
     def define(name, terms):
@@ -238,25 +228,10 @@ def _stage_kernel(n: int, m: int, chi_bytes: bytes) -> ode.System:
     body.reverse()
     entries = [f"a{i}_{q} = complex(x{i * n + q}, x{half + i * n + q})"
                for i in range(m) for q in range(n) if f"a{i}_{q}" in needed]
-    out = ", ".join([f"{d}.real" if d else "0.0" for d in derivs]
-                    + [f"-{d}.imag" if d else "0.0" for d in derivs])
-    xs = [f"x{i}" for i in range(2 * half)]
-    rhs = ([f"{', '.join(xs)}, = y.tolist()"] + entries + body
-           + [f"return array(({out},), dtype=float)"])
-    stage = ([f"{', '.join(f'g{i}' for i in range(2 * half))}, = g.tolist()",
-              f"{', '.join(f'y{i}' for i in range(2 * half))}, = y"]
-             + [f"{x} = y{i} + g{i} * h" for i, x in enumerate(xs)]
-             + entries + body
-             + [f"pack(K, row * {layout.size}, {out})",
-                "if y_new is not None:",
-                f"    pack(y_new, 0, {', '.join(xs)})"])
-    src = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in code)
-                  for head, code in (("rhs(t, y)", rhs),
-                                     ("stage(t, y, g, h, K, row, y_new=None)",
-                                      stage)))
-    namespace = {"array": np.array, "pack": layout.pack_into}
-    exec(compile(src, f"<evolver kernel n={n} m={m}>", "exec"), namespace)
-    return ode.System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
+    return ode.generated_system(
+        f"evolver kernel n={n} m={m}", entries + body,
+        [f"{d}.real" if d else "0.0" for d in derivs]
+        + [f"-{d}.imag" if d else "0.0" for d in derivs])
 
 
 def rhs_general(phi: EvolMap, data: EvolutionData) -> EvolMap:

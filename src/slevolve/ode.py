@@ -1,9 +1,8 @@
 """One Dormand-Prince 8(5,3) driver for every ODE in slevolve.
 
-The w system (``centred.integrate_w``, ``centred.betas_ode``) and the
-translated system (``affine.integrate_affine``), both on the generated w
-kernel, and the general evolution equation (``evolver.integrate``) all run
-through ``solve``.  It takes a
+The w system (``centred.integrate_w``, ``centred.betas_ode``), the
+translated system (``affine.integrate_affine``) and the general evolution
+equation (``evolver.integrate``) all run through ``solve``.  It takes a
 complex start, calls the right-hand side on the packed real vector
 (Re z, Im z), and hands back complex values, so no caller packs or unpacks.
 
@@ -26,26 +25,15 @@ preallocated buffer), the gemv of both error estimates, the ``ddot`` of
 each error norm, and the dense output's ``np.dot(D, K)``.  A hand-written
 sum would round differently, and so may another BLAS build.
 
-Everything else in a stage is the right-hand side's, through one call (the
-stage protocol of ``System``): ``stage(t + c*h, ys, g, h, K, s)`` forms the
-stage state y + g*h, evaluates the right-hand side there and writes row s
-of the stage matrix K; the last stage of a step (first same as last) also
-writes the state, ``y_new``.  ``ys`` is the step's start as the system's
-``start(y)`` gave it, once per step.  A plain numpy ``rhs(t, y)`` is
-wrapped by an adapter whose stage is scipy's ``g *= h; K[s] = rhs(t, y +
-g)``.  A generated kernel (``centred._w_kernel``, which serves the w
-system and the translated system alike) takes ``ys = y.tolist()``
-and forms x_i = y_i + g_i*h on Python floats, which rounds as numpy does:
-scaling by h and adding are one IEEE-754 double operation per element
-each, the same on a Python float as in numpy's loop, in the same order.
-(The one freedom is a sum of two NaNs, where IEEE 754 leaves open whose
-sign and payload the result carries; numpy's own loop differs by lane
-there.)  The kernel writes its outputs with ``struct.pack_into`` in native
-``d`` format, a plain copy of each C double into the row, so the sign of a
-zero and a NaN's payload survive as they would in ``K[s] = array(...)``.
-That saves the numpy calls around each stage (the scaling, the sum, the
-list round trip and the row assignment), which cost more than the w
-system's arithmetic.
+Everything else in a stage is the right-hand side's, through one call of
+the stage protocol of ``System``: it forms the stage state y + g*h,
+evaluates the right-hand side there and writes its row of the stage matrix
+(the last stage of a step also writes the new state).  A plain numpy
+``rhs(t, y)`` is wrapped by an adapter whose stage is scipy's ``g *= h;
+K[s] = rhs(t, y + g)``.  ``generated_system`` builds the straight-line
+kernels of the w system (``centred._w_kernel``) and of the general engine
+(``evolver._stage_kernel``), whose fused stage is the numpy stage bit for
+bit without the numpy calls around it.
 
 The scalar step control runs on Python floats: the direction, h and |h|,
 the stage times t + c*h, the minimum step (``math.nextafter``), the square
@@ -92,6 +80,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -343,6 +332,46 @@ def _numpy_system(fun) -> System:
         np.multiply(g, h, out=g)
         K[s] = fun(t, np.add(y, g, out=y_new))     # y + g without y_new
     return System(fun, _as_is, stage)
+
+
+def generated_system(name: str, body: list, outputs: list,
+                     constants: dict = None) -> System:
+    """A ``System`` of straight-line code on the n = len(outputs) packed
+    reals x0, ..., x{n-1}, compiled once: ``body`` holds its arithmetic,
+    lines that read the state and ``constants`` by name, and ``outputs``
+    the n expressions of the derivative.  The names y*, g*, t, h, K, row,
+    y_new, array and pack are the scaffold's; ``name`` labels the code.
+
+    ``rhs(t, y)`` reads the state from ``y.tolist()``.  ``stage`` reads the
+    step's start as a list (``start`` is ``ndarray.tolist``) and forms
+    x_i = y_i + g_i*h on Python floats: scaling by h and adding are one
+    IEEE-754 double operation per element each, so x rounds as numpy's
+    ``g *= h; y + g``, except that a sum of two NaNs may carry either one's
+    sign and payload (numpy's own loop differs by lane there).  It packs
+    the outputs into row ``row`` of K, and x into ``y_new`` when given,
+    with ``struct.pack_into`` in native ``d`` format, a plain copy of each
+    double, so signed zeros and NaN payloads survive as in ``K[s] =
+    array(...)``.  The numpy calls this saves cost more than a short
+    system's arithmetic.  The body keeps one rule: past x, every operation
+    on two values that may both be NaN is complex arithmetic, which runs in
+    C whether or not the interpreter has specialized the code, so the NaN a
+    stage returns does not depend on how often the kernel ran before.
+    """
+    n = len(outputs)
+    layout = struct.Struct(f"{n}d")     # one row of K, native doubles
+    xs, gs, ys = (", ".join(f"{v}{i}" for i in range(n)) for v in "xgy")
+    out = ", ".join(outputs)
+    code = "".join(f"    {line}\n" for line in body)
+    src = (f"def rhs(t, y):\n    {xs}, = y.tolist()\n{code}"
+           f"    return array(({out},), dtype=float)\n"
+           f"def stage(t, y, g, h, K, row, y_new=None):\n"
+           f"    {gs}, = g.tolist()\n    {ys}, = y\n"
+           + "".join(f"    x{i} = y{i} + g{i} * h\n" for i in range(n))
+           + f"{code}    pack(K, row * {layout.size}, {out})\n"
+           f"    if y_new is not None:\n        pack(y_new, 0, {xs})\n")
+    namespace = dict(constants or {}, array=np.array, pack=layout.pack_into)
+    exec(compile(src, f"<{name}>", "exec"), namespace)
+    return System(namespace["rhs"], np.ndarray.tolist, namespace["stage"])
 
 
 class Event:
@@ -706,14 +735,21 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     of integration, inside the interval) only the values there are kept,
     and only steps containing one of those times pay for an interpolant.
     A NaN or infinite t_end, which no step can reach, raises
-    ``ValidationError``.  A run that cannot reach t_end raises
-    ``IntegrationError``, naming ``stage``, ``params``, the time reached,
-    the last step size tried and the tolerances.
+    ``ValidationError``, and so does a NaN or infinite tolerance, on which
+    no step size is ever too small, or a negative atol, which scipy refuses
+    too (an rtol below 100 eps is raised to it, as scipy does).  A run that
+    cannot reach t_end raises ``IntegrationError``, naming ``stage``,
+    ``params``, the time reached, the last step size tried and the
+    tolerances.
     """
     where = ", ".join(f"{k}={v}" for k, v in params.items())
     if not math.isfinite(t_end):
         raise ValidationError(f"{stage} needs a finite t_end ({where}): "
                               f"got t_end = {float(t_end)!r}")
+    if not (math.isfinite(rtol) and 0.0 <= atol < math.inf):
+        raise ValidationError(f"{stage} needs a finite rtol and a finite, "
+                              f"non-negative atol ({where}): got rtol = "
+                              f"{float(rtol)!r}, atol = {float(atol)!r}")
     if not isinstance(rhs, System):
         rhs = _numpy_system(rhs)
     z0 = np.asarray(z0, dtype=complex)

@@ -145,7 +145,7 @@ class TestRhsW:
 
     def test_packed_rhs_keeps_verify_defects(self):
         # verify_periodic integrated on the rhs_w closure it used before
-        from scipy.integrate import solve_ivp
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         sol = next(s for s in periodic_search(symmetric_alphas(3, 1), 1, 8)
                    if s.int_angles == (-8, 4, 4))
         params, b = sol.params, sol.denom
@@ -436,6 +436,14 @@ class TestBetaLimitsGeneral:
         with pytest.raises(ValidationError):
             beta_limits((1.0, 1.5, 2.0), 1)
 
+    @pytest.mark.parametrize("alphas", [(1.0, np.nan, 1.0),
+                                        (1.0, np.inf, 1.0),
+                                        (np.nan, 2.0, 2.0)])
+    def test_non_finite_alphas_rejected(self, alphas):
+        # NaN passed the positivity check and ended in a ZeroDivisionError
+        with pytest.raises(ValidationError, match="finite and positive"):
+            beta_limits(alphas, 1)
+
 
 class TestCaseClassification:
     def test_labels(self):
@@ -549,6 +557,17 @@ class TestPeriodicSearch:
         with pytest.raises(ValidationError, match="n_grid"):
             periodic_search(symmetric_alphas(3, 1), 1, 8, n_grid=n_grid)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # NaN and -1 met no residual and returned [] silently, inf met all
+        with pytest.raises(ValidationError, match="tol"):
+            periodic_search(symmetric_alphas(3, 1), 1, 8, tol=tol)
+
+    @pytest.mark.parametrize("quad_tol", [np.nan, np.inf, -1.0])
+    def test_bad_quad_tol_rejected(self, quad_tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            periodic_search(symmetric_alphas(3, 1), 1, 8, quad_tol=quad_tol)
+
     def test_solution_round_trip(self):
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.1, c=0.0)
         sol = PeriodicSolution(params, (-8, 4, 4), 7, topology="x",
@@ -650,6 +669,26 @@ class TestBatchedQuadrature:
         # panels each row takes when run alone
         assert (sum(n for _, n in grid_calls)
                 == self._nodes_alone(calls, params, A))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # NaN exhausted the panel budget and -1 "did not converge", both
+        # numerical failures (exit 3) for what is bad input
+        def f(nodes):
+            return np.cos(nodes.x)[:, None, :]
+
+        with pytest.raises(ValidationError, match="tolerance"):
+            centred.adaptive_gauss(f, 0.0, 1.0, tol=tol)
+        with pytest.raises(ValidationError, match="betas quadrature"):
+            betas(CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=0.0), tol=tol)
+
+    def test_zero_tol_converges_at_the_rounding_floor(self):
+        params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=0.0)
+        exact, floor = betas(params), betas(params, tol=0.0)
+        assert np.allclose(floor.betas, exact.betas, rtol=0, atol=1e-12)
+        value, _ = centred.adaptive_gauss(
+            lambda nodes: np.cos(nodes.x)[:, None, :], 0.0, 1.0, tol=0.0)
+        assert abs(value[0, 0] - np.sin(1.0)) <= 4e-16
 
     def test_search_grid_nodes_equal_rows_alone(self, monkeypatch):
         # the 96-row grid of periodic_search, whose rows finish at many

@@ -78,6 +78,24 @@ class TestBetasCommand:
         err = capsys.readouterr().err
         assert flag in err and repr(token) in err
 
+    @pytest.mark.parametrize("argv,exit_code", [
+        # --tol NaN and -1 exited 0 with "count": 0; --quad-tol NaN and -1
+        # exited 3 ("panel budget exhausted", "did not converge"); the NaN
+        # alpha was a ZeroDivisionError traceback and exit 1
+        (["search", "--family", "sym", "--tol", "nan"], 2),
+        (["search", "--family", "sym", "--tol", "-1"], 2),
+        (["betas", "--alphas", "1,2,2", "--A", "1", "--quad-tol", "nan"], 2),
+        (["betas", "--alphas", "1,2,2", "--A", "1", "--quad-tol", "-1"], 2),
+        (["betas", "--alphas", "1,2,2", "--A", "1", "--quad-tol", "0"], 0),
+        (["limits", "--alphas", "1,nan,1"], 2),
+        (["limits", "--alphas", "1,inf,1"], 2),
+    ])
+    def test_bad_tolerance_or_alpha_exit_code(self, tmp_path, argv,
+                                              exit_code):
+        out = tmp_path / "x.json"
+        assert run(argv + ["--out", str(out)]) == exit_code
+        assert out.exists() == (exit_code == 0)
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["betas", "--m", "3", "--what", "1"])
@@ -320,6 +338,14 @@ class TestEvolveCommand:
         assert diag["membership_samples"] == 40
         assert diag["nfev"] > diag["accepted_steps"] > 0
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        # it was a numpy ValueError traceback and exit 1
+        summary = tmp_path / "s.json"
+        assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1", "--seed",
+                    "-1", "--summary", str(summary)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_escape_reported(self, tmp_path):
         summary = tmp_path / "s.json"
         rc = run(["evolve", "--m", "3", "--a", "3", "--c", "1.0",
@@ -357,6 +383,32 @@ class TestConfigAndEnv:
         doc = json.loads(out.read_text())
         assert doc["config"]["bmax"] == 3
         assert all(s["denom"] <= 3 for s in doc["solutions"])
+
+    @pytest.mark.parametrize("argv", [
+        ["limits", "--alphas", "1,2,2", "--seed", "0"],
+        ["search", "--family", "sym", "--seed", "0"],
+        ["verify", "--mesh", "m.json", "--seed", "0"],
+        ["verify", "--mesh", "m.json", "--a", "1"],
+    ])
+    def test_unread_options_removed(self, argv):
+        # only evolve reads --seed, and verify reads neither --m nor --a
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_config_block_has_no_seed(self, tmp_path):
+        # a config file that sets seed still loads
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "1,2,2", "seed": 4}))
+        for argv in (["limits"], ["limits", "--config", str(cfg)]):
+            out = tmp_path / "lim.json"
+            assert run(argv + ["--alphas", "1,2,2", "--out", str(out)]) == 0
+            config = json.loads(out.read_text())["config"]
+            assert ("seed" in config) == ("--config" in argv)
+        out = tmp_path / "e.json"
+        assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1",
+                    "--summary", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 0
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))

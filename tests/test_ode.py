@@ -302,6 +302,35 @@ class TestDriver:
             "0.5", "--t-end", "nan"], tmp_path)
         assert out == [2]
 
+    def test_bad_tolerances_rejected(self, tmp_path):
+        # a NaN tolerance made every step size NaN, never below the minimum
+        # step, so the run never ended; a negative atol, which scipy
+        # refuses, was taken.  Each is refused before the first step.
+        out = _run_probe(_BAD_TOLERANCE_PROBE, [], tmp_path)
+        want = [("decay", "k=1", r, a) for r, a in _BAD_TOLERANCES]
+        want.append(("integrate_w", "m=3, a=1", "1e-11", "nan"))
+        assert out == [f"{stage} needs a finite rtol and a finite, "
+                       f"non-negative atol ({where}): got rtol = {r}, "
+                       f"atol = {a}" for stage, where, r, a in want]
+
+    @pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+    def test_cli_nan_tolerance_exits_2(self, tmp_path, flag):
+        out = _run_probe(_CLI_EXIT_PROBE, [
+            "evolve", "--m", "3", "--a", "1", "--t-end", "0.1", flag, "nan"],
+            tmp_path)
+        assert out == [2]
+
+    def test_small_rtol_raised_to_100_eps(self):
+        # scipy's clamp stays: rtol 0 and -1 run as 100 eps, bit for bit
+        def rhs(t, y):
+            return np.array([-y[1], y[0]])
+
+        runs = [ode.solve(rhs, [1.0 + 0j], 2.0, rtol, 1e-12, stage="test",
+                          params={}) for rtol in (0.0, -1.0, 100 * ode.EPS)]
+        for run in runs[:2]:
+            assert run.t.tobytes() == runs[2].t.tobytes()
+            assert run(run.t).tobytes() == runs[2](run.t).tobytes()
+
 
 _NON_FINITE_PROBE = """
 import json
@@ -314,6 +343,28 @@ for t_end in (float("nan"), float("inf"), -float("inf")):
                   stage="decay", params={"k": 1})
     except ValidationError as exc:
         messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+_BAD_TOLERANCES = [("nan", "1e-12"), ("1e-10", "nan"), ("inf", "1e-12"),
+                   ("1e-10", "inf"), ("-inf", "1e-12"), ("1e-10", "-1.0")]
+
+_BAD_TOLERANCE_PROBE = f"""
+import json
+import numpy as np
+from slevolve import centred, ode
+from slevolve.errors import ValidationError
+messages = []
+for rtol, atol in {_BAD_TOLERANCES!r}:
+    try:
+        ode.solve(lambda t, y: -y, [1 + 0j], 1.0, float(rtol), float(atol),
+                  stage="decay", params={{"k": 1}})
+    except ValidationError as exc:
+        messages.append(str(exc))
+try:
+    centred.integrate_w(np.ones(3, complex), 1, 0.1, atol=float("nan"))
+except ValidationError as exc:
+    messages.append(str(exc))
 print(json.dumps(messages))
 """
 
