@@ -60,38 +60,11 @@ class AffineParams:
         return self.reduced().A_max
 
 
-@dataclass(frozen=True)
-class AffineState:
-    """w_1..w_{m-1} (nonzero) and the translation beta at time t.
-
-    beta itself may vanish: only the scale letters are constrained away
-    from zero, and the closed translation law needs no such restriction.
-    """
-
-    w: tuple
-    beta: complex
-    t: float = 0.0
-
-    def __post_init__(self):
-        w = tuple(complex(z) for z in self.w)
-        if any(z == 0 for z in w):
-            raise ValidationError("all w_j must be nonzero")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "beta", complex(self.beta))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.w, dtype=complex)
-
-
-def rhs_affine(state, a: int):
-    """(dw, dbeta): the centred right-hand side over the m-1 letters and
-    dbeta/dt = conj(prod w_j); w may be a stack (..., m-1)."""
-    if isinstance(state, AffineState):
-        w = state.array
-    else:
-        w, _ = state
-        w = np.asarray(w, dtype=complex)
+def rhs_affine(w, a: int):
+    """(dw, dbeta): the centred right-hand side over the m-1 letters w and
+    dbeta/dt = conj(prod w_j); w may be a stack (..., m-1).  beta enters
+    neither."""
+    w = np.asarray(w, dtype=complex)
     return centred.rhs_w(w, a), np.conj(np.prod(w, axis=-1))
 
 

@@ -131,30 +131,6 @@ def _q_coefficients(alphas: tuple, a: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WVector:
-    """State of the diagonal evolution: nonzero w_1..w_m at time t."""
-
-    w: tuple
-    t: float = 0.0
-
-    def __post_init__(self):
-        w = tuple(complex(z) for z in self.w)
-        if any(z == 0 for z in w):
-            raise ValidationError("all w_j must be nonzero")
-        if not all(np.isfinite(z.real) and np.isfinite(z.imag) for z in w):
-            raise ValidationError("non-finite w")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def m(self) -> int:
-        return len(self.w)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.w, dtype=complex)
-
-
-@dataclass(frozen=True)
 class BetaResult:
     """Monodromy angles with the period and turning points they belong to."""
 
@@ -254,8 +230,6 @@ def _leave_one_out(w: np.ndarray) -> np.ndarray:
 
 def rhs_w(w, a: int) -> np.ndarray:
     """dw_j/dt = +-conj(prod_{k != j} w_k), + for j <= a; w is (..., m)."""
-    if isinstance(w, WVector):
-        w = w.array
     w = np.asarray(w, dtype=complex)
     signs = np.ones(w.shape[-1])
     signs[a:] = -1.0
@@ -414,6 +388,7 @@ def w_initial(params: CentredParams, u0: float = 0.0) -> np.ndarray:
 
 _PANEL_BUDGET = 200_000     # panels per row of one adaptive_gauss call
 _CALL_NODES = 8192          # nodes per integrand call, bounding its memory
+_MAX_DEPTH = 52             # bisections after which a panel is accepted
 
 
 def _level_root(al, signs, log_level, end, far, d):
@@ -458,17 +433,18 @@ def _level_root(al, signs, log_level, end, far, d):
     raise NumericalError("turning point iteration did not converge")
 
 
-def turning_points(params: CentredParams, A=None) -> tuple:
+def turning_points(params: CentredParams, A: np.ndarray) -> tuple:
     """The two roots gamma < 0 < delta of Q(u) = A^2 bracketing zero,
-    solved to rounding level.
+    solved to rounding level, at every A of a 1-D array: arrays of each.
 
-    With a 1-D array ``A`` of values in (0, A_max) for the alphas of
-    ``params`` (checked by the caller), returns an array of each.
+    ``params`` must be in case (d), and every A in (0, A_max) for its
+    alphas.
     """
-    if A is None:
-        params.require_case_d()
-        gamma, delta = turning_points(params, np.array([params.A]))
-        return float(gamma[0]), float(delta[0])
+    params.require_case_d()
+    A_max = params.A_max
+    if np.ndim(A) != 1 or not np.all((A > 0) & (A < A_max)):
+        raise ValidationError(f"case (d) requires 0 < A < {A_max:.6g} "
+                              "for every A")
     lo, hi = params.u_interval()
     al = params.alpha_array
     n = A.size
@@ -502,8 +478,7 @@ class Nodes(NamedTuple):
         return self.x.size
 
 
-def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
-                   describe=None) -> tuple:
+def adaptive_gauss(f, a, b, tol: float = 1e-12, describe=None) -> tuple:
     """Row-batched, vector-valued adaptive Gauss-Legendre quadrature.
 
     Row r integrates over [a_r, b_r].  Pending panels form one flat stack,
@@ -514,7 +489,7 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
     there, (P, K, n), which is weighted in place.  Each panel is estimated
     with 16- and 32-point rules on one set of nodes; it is accepted when
     every integrand's disagreement is within its width share of ``tol`` or
-    at its rounding floor (or at ``max_depth``), and bisected otherwise,
+    at its rounding floor (or at ``_MAX_DEPTH``), and bisected otherwise,
     its children going back on top: depth first.  Every accept decision
     depends on its panel alone and accepted panels are summed per row in
     order of position, so a row's result does not depend on the other rows.
@@ -559,7 +534,7 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, max_depth: int = 52,
         # splitting, however small its width share of the budget is
         ok = ((err <= np.maximum((half * share[rows])[:, None],
                                  floor * np.abs(i32))).all(axis=1)
-              | (top[:, 3] >= max_depth))
+              | (top[:, 3] >= _MAX_DEPTH))
         records.append((rows[ok], lo[ok], i32[ok], err[ok]))
         # children of the split panels go on top of what is left
         kids = top[~ok].repeat(2, axis=0)
@@ -671,12 +646,6 @@ class _ArcGeometry:
         out[self.m] = g
         return out.transpose(1, 0, 2)
 
-    def psi_of_u(self, u: float) -> np.ndarray:
-        frac = (u - self.gamma) / self.width
-        if np.any((frac < -1e-12) | (frac > 1.0 + 1e-12)):
-            raise ValidationError("u outside the turning interval")
-        return np.arcsin(np.sqrt(np.clip(frac, 0.0, 1.0)))
-
 
 def _angle_errors(A, errs, m):
     """A * sum_j err_j over the angle columns plus the period's error, one
@@ -697,13 +666,9 @@ def betas_grid(params: CentredParams, A, tol: float = 3e-12) -> list:
     which share their nodes.  Each row equals ``betas`` at its A bit for
     bit.
     """
-    params.require_case_d()
     A = np.atleast_1d(np.asarray(A, dtype=float))
-    m, a, A_max = params.m, params.a, params.A_max
-    if A.ndim != 1 or not np.all((A > 0) & (A < A_max)):
-        raise ValidationError(f"case (d) requires 0 < A < {A_max:.6g} "
-                              "for every A")
     arc = _ArcGeometry(params, A)
+    m, a, A_max = params.m, params.a, params.A_max
     # the arc covers [gamma, delta] once, which is half a period in u but
     # integrates dv / sqrt(Q - A^2) = the full period T.  Integrating half
     # the integrands to tol/2 and doubling is exact in binary.
@@ -726,84 +691,6 @@ def betas(params: CentredParams, tol: float = 3e-12) -> BetaResult:
     return betas_grid(params, params.A, tol=tol)[0]
 
 
-@dataclass(frozen=True)
-class QuadratureArc:
-    """theta_j(u) - theta_j(u0) and t(u) - t(u0) along the rising branch."""
-
-    dthetas: tuple
-    dt: float
-    error: float
-
-
-def _arc_increments(params: CentredParams, integrands, x0, x1, tol: float,
-                    where: str) -> QuadratureArc:
-    """dtheta_j = -sign_j A int 1/((alpha_j +- u) sqrt(...)) and dt from the
-    m+1 integrands of one row between x0 and x1; ``where`` names the stage
-    and parameters in errors."""
-    m, A = params.m, params.A
-    vals, errs = adaptive_gauss(integrands, x0, x1, tol=tol,
-                                describe=lambda r: where)
-    dthetas = -params.signs * A * vals[0, :m]
-    return QuadratureArc(tuple(float(x) for x in dthetas), float(vals[0, m]),
-                         float(_angle_errors(A, errs, m)[0]))
-
-
-def quadrature_solution(params: CentredParams, u0: float, u: float,
-                        tol: float = 1e-12) -> QuadratureArc:
-    """Angle and time increments between u0 and u on the branch where
-    theta stays in (-pi/2, pi/2) (u strictly increasing in t)."""
-    params.require_case_d()
-    arc = _ArcGeometry(params, np.array([params.A]))
-    return _arc_increments(
-        params, arc, arc.psi_of_u(u0), arc.psi_of_u(u), tol,
-        f"quadrature_solution (m={params.m}, a={params.a}, "
-        f"A/A_max={params.A / params.A_max:.6g})")
-
-
-def quadrature_case_b(params: CentredParams, u0: float, u: float,
-                      tol: float = 1e-12) -> QuadratureArc:
-    """Angle and time increments when a = m (all letters carry +u).
-
-    Q is then increasing on the admissible half line, so there is a single
-    turning point gamma and u runs on [gamma, infinity); the substitution
-    u = gamma + q^2 removes the endpoint singularity.
-    """
-    if params.a != params.m:
-        raise ValidationError("this branch is for a = m")
-    if params.A <= 0:
-        raise ValidationError("need A > 0")
-    al = params.alpha_array
-    A2 = params.A ** 2
-    lo = -float(np.min(al))
-    hi = lo + 1.0
-    while params.Q(hi) < A2:
-        hi = lo + 2 * (hi - lo)
-    gamma = _level_root(al, params.signs, np.array([2.0 * np.log(params.A)]),
-                        np.array([lo]), np.array([hi]),
-                        np.array([0.5 * (hi - lo)]))
-    if u0 < gamma[0] - 1e-12 or u < gamma[0] - 1e-12:
-        raise ValidationError("u outside the admissible half line")
-
-    coeffs = params.Q_coefficients()[None].copy()
-    coeffs[:, -1] -= A2
-    w1 = _synthetic_division(coeffs, gamma)
-    W = _Deflated(w1[:, 0], w1, gamma)
-    off = (al + gamma[0])[None, :, None]
-
-    def integrands(nodes):
-        q, rows = nodes
-        q2 = q ** 2
-        g = 1.0 / W.sqrt(q2, rows)
-        return np.concatenate([g[:, None] / (off + q2[:, None]), g[:, None]],
-                              axis=1)
-
-    q0 = np.sqrt(max(u0 - gamma[0], 0.0))
-    q1 = np.sqrt(max(u - gamma[0], 0.0))
-    return _arc_increments(
-        params, integrands, q0, q1, tol,
-        f"quadrature_case_b (m={params.m}, a={params.a}, A={params.A:.6g})")
-
-
 # ---------------------------------------------------------------------------
 # limits of the monodromy angles
 # ---------------------------------------------------------------------------
@@ -824,7 +711,10 @@ class BetaLimits:
     large_A: tuple
 
 
-def beta_limits(alphas, a: int, tie_tol: float = 1e-12) -> BetaLimits:
+_TIE_TOL = 1e-12            # relative gap under which two alphas tie
+
+
+def beta_limits(alphas, a: int) -> BetaLimits:
     al = np.asarray(alphas, dtype=float)
     m = al.size
     if not (1 <= a <= m - 1):
@@ -837,8 +727,8 @@ def beta_limits(alphas, a: int, tie_tol: float = 1e-12) -> BetaLimits:
 
     lo1 = np.min(al[:a])
     lo2 = np.min(al[a:])
-    first = np.where(al[:a] <= lo1 * (1 + tie_tol))[0]
-    second = a + np.where(al[a:] <= lo2 * (1 + tie_tol))[0]
+    first = np.where(al[:a] <= lo1 * (1 + _TIE_TOL))[0]
+    second = a + np.where(al[a:] <= lo2 * (1 + _TIE_TOL))[0]
     k, l = first.size, second.size
 
     small = np.zeros(m)
@@ -902,8 +792,11 @@ def classify_topology(sol: PeriodicSolution, c: float) -> str:
 # measuring period and monodromy from the ODE (the independent route)
 # ---------------------------------------------------------------------------
 
-def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
-              n_lift: int = 4096) -> BetaResult:
+_N_LIFT = 4096              # samples of one period for the angle lift
+
+
+def betas_ode(params: CentredParams, rtol: float = 1e-11,
+              atol: float = 1e-13) -> BetaResult:
     """Period and monodromy angles measured from direct w integration.
 
     The period is located from successive minima of u (ascending zeros of
@@ -937,7 +830,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11, atol: float = 1e-13,
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
     path = WSolutionPath(params.a, sol, (0.0, sol.t[-1]))
-    th = path.angles(np.linspace(t1, t2, n_lift))
+    th = path.angles(np.linspace(t1, t2, _N_LIFT))
     beta_vals = th[-1] - th[0]
     u_min = _u_of_w(path.w(t1), params)
     u_max = _u_of_w(path.w(t1 + 0.5 * T), params)
@@ -1008,16 +901,18 @@ def _reduce_hcf(a_vec: tuple, b: int) -> tuple:
     return tuple(x // g for x in a_vec), b // g
 
 
+_A_FRACTIONS = (0.02, 0.98)  # the A window of periodic_search, over A_max
+
+
 def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
-                    n_grid: int = 96, A_fractions: tuple = (0.02, 0.98),
-                    c: float = 0.0, quad_tol: float = 1e-12) -> list:
+                    n_grid: int = 96, c: float = 0.0,
+                    quad_tol: float = 1e-12) -> list:
     """Scan A for parameter points where all beta_j / pi are rational with
     common denominator <= b_max.
 
-    ``alphas`` is one normalized alpha tuple or an iterable of them (the
-    caller-supplied scan over the family parameters).  Per tuple, the scan
-    evaluates beta on an A grid, brackets integer crossings of
-    b * beta_1 / pi for each candidate denominator, solves for A by root
+    ``alphas`` is one normalized alpha tuple.  The scan evaluates beta on
+    an A grid over ``_A_FRACTIONS`` of A_max, brackets integer crossings
+    of b * beta_1 / pi for each candidate denominator, solves for A by root
     finding, and keeps solutions whose full angle vector matches its
     rational target within tol.  An empty result is not an error; a NaN,
     infinite or negative tol raises ValidationError.
@@ -1029,15 +924,9 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
                               f"got {tol!r}")
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
-    first = next(iter(alphas))
-    if np.iterable(first):
-        out = []
-        for al_tuple in alphas:
-            out.extend(periodic_search(al_tuple, a, b_max, tol=tol,
-                                       n_grid=n_grid, A_fractions=A_fractions,
-                                       c=c, quad_tol=quad_tol))
-        return out
     al = np.asarray(alphas, dtype=float)
+    if al.ndim != 1:
+        raise ValidationError("alphas must be one tuple of numbers")
     m = al.size
     probe = CentredParams(m, a, tuple(al), 0.5 * float(np.sqrt(np.prod(al))), c=c)
     probe.require_case_d()
@@ -1055,7 +944,8 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
             known.update(zip(new, (r.betas for r in rows)))
         return np.array([known[x] for x in A.tolist()]).reshape(-1, m)
 
-    A_grid = np.linspace(A_fractions[0] * A_max, A_fractions[1] * A_max, n_grid)
+    A_grid = np.linspace(_A_FRACTIONS[0] * A_max, _A_FRACTIONS[1] * A_max,
+                         n_grid)
     beta_grid = beta_at(A_grid)
 
     i_of, target = _crossings(beta_grid[:, 0], b_max)
@@ -1086,8 +976,11 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     return sorted(found.values(), key=lambda s: (s.denom, s.int_angles))
 
 
+_N_CHECK = 257              # check times per period in verify_periodic
+
+
 def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
-                    atol: float = 1e-13, n_check: int = 257) -> dict:
+                    atol: float = 1e-13) -> dict:
     """Re-verify a periodic solution against the w ODE.
 
     Integrates over b*T plus one extra period and checks the sign relation
@@ -1100,12 +993,12 @@ def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
     quad = betas(params)
     T, b = quad.period_T, sol.denom
     w0 = w_initial(params)
-    t_grid = np.linspace(0.0, T, n_check)
+    t_grid = np.linspace(0.0, T, _N_CHECK)
     run = ode.solve(_w_kernel(params.a, params.m), w0, b * T + T, rtol,
                     atol, stage="verify_periodic",
                     params={"m": params.m, "a": params.a, "A": params.A},
                     t_eval=np.concatenate([t_grid, t_grid + b * T]))
-    w_base, w_shift = run.z_eval[:n_check], run.z_eval[n_check:]
+    w_base, w_shift = run.z_eval[:_N_CHECK], run.z_eval[_N_CHECK:]
     signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
     err = float(np.max(np.abs(w_shift - signs * w_base)))
     return {"max_defect": err, "period_T": T, "denom": b,

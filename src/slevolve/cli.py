@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, centred
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count
 
 # Each command imports the modules only it needs inside its function, so
 # that a cheap command loads (and compiles) no more than it runs.
@@ -30,21 +30,18 @@ def _outpath(path: str) -> str:
     return os.path.join(base, path) if base else path
 
 
-def _write_json(path: str, payload: dict, config: dict) -> None:
+def _emit(path: str, payload: dict, config: dict) -> None:
+    """The payload with the resolved ``config`` and the library version, as
+    one JSON document: written to path, or printed if path is empty."""
     doc = dict(payload)
     doc["config"] = config
     doc["version"] = __version__
-    with open(_outpath(path), "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(path: str, payload: dict, config: dict) -> None:
-    """Write the payload as JSON to path, or print it if path is empty."""
+    text = json.dumps(doc, indent=1, sort_keys=True)
     if path:
-        _write_json(path, payload, config)
+        with open(_outpath(path), "w", newline="\n") as fh:
+            fh.write(text + "\n")
     else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(text)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -54,12 +51,6 @@ def _write_csv(path: str, header: list, rows) -> None:
     lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     with open(_outpath(path), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _check_count(value: int, flag: str, least: int = 1) -> None:
-    """A count option ``flag`` must be at least ``least``."""
-    if value < least:
-        raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
 def _parse_numbers(text: str, flag: str, kind) -> list:
@@ -129,7 +120,7 @@ def cmd_evolve(ns) -> int:
     if ns.out:
         evolver.trajectory_to_csv(traj, _outpath(ns.out))
     if ns.summary:
-        _write_json(ns.summary, {
+        _emit(ns.summary, {
             "initial_membership": {
                 "max_omega_residual": diag.max_omega_residual,
                 "min_singular_ratio": diag.min_singular_ratio},
@@ -252,7 +243,7 @@ def cmd_verify(ns) -> int:
           f"{report.sample_count} samples ({report.skipped} skipped); "
           f"vertices off the family by {report.max_vertex_offset:.3e}")
     if ns.out:
-        _write_json(ns.out, payload, cfg)
+        _emit(ns.out, payload, cfg)
     if report.max_vertex_offset > meshverify.VERTEX_TOL:
         print(f"FAIL: stored vertices are off the rebuilt family by "
               f"{report.max_vertex_offset:.3e} (relative; bound "
@@ -350,18 +341,21 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads a token starting with '-' and then a
     digit, a point, "inf" or "nan" as a value, not as an option name, so
     that ``--t-end -1e1``, ``--t-end -inf`` and ``--w0 -1,1j,1`` parse
-    (argparse alone takes only plain negative decimals).  Subparsers are
-    built from the same class."""
+    (argparse alone takes only plain negative decimals), and that takes
+    option names only in full: argparse alone reads ``--m`` as any one
+    option it prefixes.  Subparsers are built from the same class."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)",
                                                    re.IGNORECASE)
 
 
 def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     """The slevolve parser; ``defaults`` (a config file's values) replace
-    every subcommand's defaults, so explicit flags still override them."""
+    the defaults of each subcommand's own options, so explicit flags still
+    override them.  A key that names none of a subcommand's options is not
+    set there, so its output does not echo it."""
     p = _Parser(
         prog="slevolve",
         description="construct, search and verify evolved-quadric "
@@ -472,7 +466,10 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="JSON config file (flags override)")
-        sp.set_defaults(**(defaults or {}))
+        own = {a.dest for a in sp._actions
+               if a.default is not argparse.SUPPRESS}
+        sp.set_defaults(**{k: v for k, v in (defaults or {}).items()
+                           if k in own})
     return p
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the library and the CLI exit-code map."""
+"""Exception types shared across the library and the CLI exit-code map,
+and the lower-bound check that counts share."""
 
 
 class ValidationError(ValueError):
@@ -18,3 +19,10 @@ class NumericalError(RuntimeError):
 
     Maps to CLI exit code 3.
     """
+
+
+def _check_count(value: int, name: str, least: int = 1) -> None:
+    """A count ``name`` (an option or a parameter) must be at least
+    ``least``."""
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")

@@ -42,7 +42,7 @@ from math import comb
 import numpy as np
 
 from . import ode
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .evodata import EvolutionData
 from .multilinear import (complex_to_real, frame_forms, insertion_table,
                           k_subsets)
@@ -97,11 +97,6 @@ def _checked_map(n: int, m: int, A: np.ndarray, t0: np.ndarray) -> EvolMap:
     phi = object.__new__(EvolMap)
     phi.__dict__.update(n=n, m=m, A=A, t0=t0)
     return phi
-
-
-def _check_count(value: int, name: str, least: int) -> None:
-    if value < least:
-        raise ValidationError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_dims(phi: EvolMap, data: EvolutionData) -> None:

@@ -348,7 +348,7 @@ class AffineFamily(_SweptFamily):
 
     def _motion(self, t) -> tuple:
         w = self.path.w(t)
-        dw, dbeta = affine_mod.rhs_affine((w, None), self.a)
+        dw, dbeta = affine_mod.rhs_affine(w, self.a)
         return w, dw, self.path.beta(t), dbeta
 
 

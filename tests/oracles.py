@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from slevolve import ConstructionError, ValidationError
-from slevolve.centred import CentredParams, WVector
+from slevolve.centred import CentredParams
 from slevolve.elliptic import JacobiTriple
 from slevolve.evodata import _SINGULAR_TOL, QuadricSpec, _line_roots
 from slevolve.multilinear import complex_to_real, k_subsets
@@ -216,11 +216,10 @@ def quadric_sampler_loop(spec: QuadricSpec, c: float):
 
 @dataclass(frozen=True)
 class ReducedState:
-    """(u, theta_1..theta_m) at time t."""
+    """(u, theta_1..theta_m)."""
 
     u: float
     thetas: tuple
-    t: float = 0.0
 
     @property
     def theta(self) -> float:
@@ -232,10 +231,7 @@ def reduce_state(w, params: CentredParams, consistency_tol: float = 1e-8):
 
     The m values of u implied by the moduli must agree to consistency_tol.
     """
-    if isinstance(w, WVector):
-        t, w = w.t, w.array
-    else:
-        t, w = 0.0, np.asarray(w, dtype=complex)
+    w = np.asarray(w, dtype=complex)
     al = params.alpha_array
     u_each = params.signs * (np.abs(w) ** 2 - al)
     scale = max(1.0, float(np.max(np.abs(al))))
@@ -243,7 +239,7 @@ def reduce_state(w, params: CentredParams, consistency_tol: float = 1e-8):
         raise ValidationError("moduli inconsistent with the given alphas")
     u = float(np.mean(u_each))
     thetas = tuple(float(x) for x in np.angle(w))
-    state = ReducedState(u, thetas, t)
+    state = ReducedState(u, thetas)
     A = float(np.sqrt(max(params.Q(u), 0.0)) * np.sin(state.theta))
     return state, A
 

@@ -120,7 +120,7 @@ def test_criterion_05_general_engine_specialization():
             t0 = np.zeros(m, complex)
             t0[m - 1] = complex(rng.normal(), rng.normal())
             der = evolver.rhs_general(evolver.EvolMap(m, m, A, t0), data)
-            dw, dbeta = affine.rhs_affine((w, 0.0), a)
+            dw, dbeta = affine.rhs_affine(w, a)
             worst = max(worst,
                         float(np.abs(np.diag(der.A)[:m - 1] - dw).max()),
                         float(abs(der.t0[m - 1] - dbeta)))

@@ -1,15 +1,15 @@
 """The translated (non-centred) family: right-hand sides, the closed
-translation law, case classification, and quadrature on the half line."""
+translation law, case classification, and the quadrature of the w
+subsystem, which is the centred one over m-1 letters."""
 
 import numpy as np
 import pytest
 
 from slevolve import ValidationError, centred
-from slevolve.affine import (AffineParams, AffineState, affine_initial,
-                             beta_closed, betas_affine, case_span_note,
+from slevolve.affine import (AffineParams, affine_initial, beta_closed,
+                             betas_affine, case_span_note,
                              classify_affine_case, integrate_affine,
                              rhs_affine)
-from slevolve.threefold import Affine3ClosedForm
 
 
 def normalized(m, a):
@@ -19,20 +19,14 @@ def normalized(m, a):
 
 class TestRhs:
     def test_m3_a2_units(self):
-        dw, dbeta = rhs_affine((np.array([1.0, 1.0], complex), 0.0), 2)
+        dw, dbeta = rhs_affine(np.array([1.0, 1.0], complex), 2)
         assert np.allclose(dw, [1.0, 1.0])
         assert dbeta == 1.0
 
     def test_m3_a1_units(self):
-        dw, dbeta = rhs_affine((np.array([1.0, 1.0], complex), 0.0), 1)
+        dw, dbeta = rhs_affine(np.array([1.0, 1.0], complex), 1)
         assert np.allclose(dw, [1.0, -1.0])
         assert dbeta == 1.0
-
-    def test_state_wrapper(self):
-        st = AffineState((1.0, 1j), 0.5 + 0.5j)
-        dw, dbeta = rhs_affine(st, 1)
-        assert np.allclose(dw, centred.rhs_w(st.array, 1))
-        assert dbeta == np.conj(1.0 * 1j)
 
 
 class TestBetaClosed:
@@ -132,8 +126,8 @@ class TestPath:
 
 class TestQuadratureAffine:
     """The w subsystem's quadrature is the centred one over m-1 letters on
-    ``params.reduced()``; a = m-1 runs on an unbounded half line and takes
-    the one-sided substitution of ``quadrature_case_b``."""
+    ``params.reduced()``: the integrands of ``betas`` over a sub-arc in
+    psi, u = gamma + (delta - gamma) sin^2 psi."""
 
     def test_round_trip_case_d(self):
         params = normalized(4, 2)
@@ -145,37 +139,20 @@ class TestQuadratureAffine:
         signs = np.array([1.0, 1.0, -1.0])
         u0 = 0.0
         u1 = float(np.mean(signs * (np.abs(W1) ** 2 - al)))
-        arc = centred.quadrature_solution(params.reduced(), u0, u1)
+        arc = centred._ArcGeometry(params.reduced(), np.array([params.A]))
+        psi = np.arcsin(np.sqrt((np.array([u0, u1]) - arc.gamma) / arc.width))
+        vals, _ = centred.adaptive_gauss(arc, psi[0], psi[1])
         dth = np.angle(W1) - np.angle(W0)
-        assert np.allclose(arc.dthetas, dth, atol=1e-8)
-        assert arc.dt == pytest.approx(t1, abs=1e-9)
+        assert np.allclose(-signs * params.A * vals[0, :3], dth, atol=1e-8)
+        assert vals[0, 3] == pytest.approx(t1, abs=1e-9)
 
     def test_zero_A_freezes_angles(self):
         params = AffineParams(4, 2, centred.symmetric_alphas(3, 2), 1e-9)
-        arc = centred.quadrature_solution(params.reduced(), -0.1, 0.25)
-        assert np.abs(np.asarray(arc.dthetas)).max() <= 1e-8
-
-    def test_against_explicit_m3_solution(self):
-        # hyperbolic pair with a positive conserved value
-        C, D = 1.0 + 0.0j, 0.35 + 0.45j
-        form = Affine3ClosedForm("a2", C, D, 0.0)
-        A = -2.0 * np.imag(C * np.conj(D))
-        assert A > 0
-        w0 = form.w(0.0)
-        alphas = tuple(np.abs(w0) ** 2)   # lambda = 0 gauge
-        params = AffineParams(3, 2, alphas, float(A))
-        t1 = 0.5
-        w1 = form.w(t1)
-        u1 = float(np.abs(w1[0]) ** 2 - alphas[0])
-        arc = centred.quadrature_case_b(params.reduced(), 0.0, u1)
-        dth = np.angle(w1) - np.angle(w0)
-        assert np.allclose(arc.dthetas, dth, atol=1e-8)
-        assert arc.dt == pytest.approx(t1, abs=1e-8)
-
-    def test_outside_domain_rejected(self):
-        params = normalized(4, 2)
-        with pytest.raises(ValidationError):
-            centred.quadrature_solution(params.reduced(), 0.0, 5.0)
+        arc = centred._ArcGeometry(params.reduced(), np.array([params.A]))
+        psi = np.arcsin(np.sqrt((np.array([-0.1, 0.25]) - arc.gamma)
+                                / arc.width))
+        vals, _ = centred.adaptive_gauss(arc, psi[0], psi[1])
+        assert np.abs(params.A * vals[0, :3]).max() <= 1e-8
 
 
 class TestConservedQuantity:

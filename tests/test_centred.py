@@ -7,12 +7,11 @@ import pytest
 from conftest import assert_fused_stage, random_case_d
 from oracles import ReducedState, reduce_state, rhs_reduced
 from slevolve import NumericalError, ValidationError, centred
-from slevolve.centred import (CentredParams, PeriodicSolution, WVector,
-                              beta_limits, betas, betas_ode, classify_case,
+from slevolve.centred import (CentredParams, PeriodicSolution, beta_limits,
+                              betas, betas_ode, classify_case,
                               classify_topology, integrate_w, normalize_lambda,
-                              periodic_search, quadrature_solution, rhs_w,
-                              symmetric_alphas, turning_points,
-                              verify_periodic, w_initial)
+                              periodic_search, rhs_w, symmetric_alphas,
+                              turning_points, verify_periodic, w_initial)
 
 
 def _packed_rhs_loop(signs, y):
@@ -64,14 +63,6 @@ class TestRhsW:
     def test_m2_mixed(self):
         dw = rhs_w(np.array([1j, 1.0]), 1)
         assert np.allclose(dw, [1.0, 1j])
-
-    def test_wvector_wrapper(self):
-        wv = WVector((1.0, 1j, 2.0))
-        assert np.allclose(rhs_w(wv, 2), rhs_w(wv.array, 2))
-
-    def test_zero_w_rejected(self):
-        with pytest.raises(ValidationError):
-            WVector((1.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_packed_rhs_matches_rhs_w(self, m):
@@ -280,12 +271,13 @@ class TestTurningPoints:
     def test_collapse_at_maximal_A(self):
         al = (1.0, 2.0, 2.0)
         A = (1 - 1e-10) * float(np.sqrt(np.prod(al)))
-        g, d = turning_points(CentredParams(3, 1, al, A, c=1.0))
-        assert abs(g) < 2e-5 and abs(d) < 2e-5
+        g, d = turning_points(CentredParams(3, 1, al, A, c=1.0),
+                              np.array([A]))
+        assert abs(g[0]) < 2e-5 and abs(d[0]) < 2e-5
 
     def test_roots_against_dense_scan(self):
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
-        g, d = turning_points(params)
+        (g,), (d,) = turning_points(params, np.array([params.A]))
         assert params.Q(g) == pytest.approx(1.0, abs=1e-12)
         assert params.Q(d) == pytest.approx(1.0, abs=1e-12)
         assert -1 < g < 0 < d < 2
@@ -299,22 +291,36 @@ class TestTurningPoints:
 
     def test_symmetric_case(self):
         params = CentredParams(4, 2, (1.0, 1.0, 1.0, 1.0), 0.5, c=1.0)
-        g, d = turning_points(params)
+        (g,), (d,) = turning_points(params, np.array([params.A]))
         assert g == pytest.approx(-d, abs=1e-12)
 
     def test_A_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            turning_points(CentredParams(3, 1, (1.0, 2.0, 2.0), 2.5, c=1.0))
-        with pytest.raises(ValidationError):
-            turning_points(CentredParams(3, 1, (1.0, 2.0, 2.0), 0.0, c=1.0))
+        # the A of params and every A of the array are checked
+        al = (1.0, 2.0, 2.0)
+        inside = CentredParams(3, 1, al, 1.0, c=1.0)
+        for A in (2.5, 0.0):
+            with pytest.raises(ValidationError, match="got A="):
+                turning_points(CentredParams(3, 1, al, A, c=1.0),
+                               np.array([A]))
+            with pytest.raises(ValidationError, match="for every A"):
+                turning_points(inside, np.array([1.0, A]))
+
+
+def _psi(arc, u):
+    """psi of u on the arc u = gamma + (delta - gamma) sin^2 psi."""
+    return np.arcsin(np.sqrt((u - arc.gamma) / arc.width))
 
 
 class TestQuadratureSolution:
+    """Sub-arcs of the integrands of ``betas``: from psi0 to psi1 the m+1
+    integrals are dtheta_j / (-sign_j A) and dt along the branch where u
+    rises with t."""
+
     def test_small_A_angles_frozen(self):
-        al = (1.0, 2.0, 2.0)
-        arc_small = quadrature_solution(
-            CentredParams(3, 1, al, 1e-6, c=1.0), -0.2, 0.3)
-        assert np.max(np.abs(arc_small.dthetas)) < 1e-5
+        params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1e-6, c=1.0)
+        arc = centred._ArcGeometry(params, np.array([params.A]))
+        vals, _ = centred.adaptive_gauss(arc, _psi(arc, -0.2), _psi(arc, 0.3))
+        assert np.max(np.abs(params.A * vals[0, :3])) < 1e-5
 
     def test_round_trip_against_ode(self):
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
@@ -323,29 +329,20 @@ class TestQuadratureSolution:
         t1 = 0.3
         s0, _ = reduce_state(path.w(0.0), params)
         s1, _ = reduce_state(path.w(t1), params)
-        arc = quadrature_solution(params, s0.u, s1.u)
+        arc = centred._ArcGeometry(params, np.array([params.A]))
+        vals, _ = centred.adaptive_gauss(arc, _psi(arc, s0.u), _psi(arc, s1.u))
         dth_ode = np.asarray(s1.thetas) - np.asarray(s0.thetas)
-        assert np.allclose(arc.dthetas, dth_ode, atol=1e-8)
-        assert arc.dt == pytest.approx(t1, abs=1e-9)
+        assert np.allclose(-params.signs * params.A * vals[0, :3], dth_ode,
+                           atol=1e-8)
+        assert vals[0, 3] == pytest.approx(t1, abs=1e-9)
 
     def test_half_period_time(self):
+        # from gamma to delta: psi from 0 to pi/2
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
-        res = betas(params)
-        arc = quadrature_solution(params, res.gamma, res.delta)
+        arc = centred._ArcGeometry(params, np.array([params.A]))
+        vals, _ = centred.adaptive_gauss(arc, 0.0, np.pi / 2)
         T_ode = betas_ode(params).period_T
-        assert arc.dt == pytest.approx(T_ode / 2, abs=1e-7)
-
-    def test_outside_interval_rejected(self):
-        params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
-        with pytest.raises(ValidationError):
-            quadrature_solution(params, 0.0, 1.9)
-
-    def test_reversed_arc_negates(self):
-        params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
-        fwd = quadrature_solution(params, -0.3, 0.6)
-        back = quadrature_solution(params, 0.6, -0.3)
-        assert np.allclose(fwd.dthetas, -np.asarray(back.dthetas), atol=1e-12)
-        assert fwd.dt == pytest.approx(-back.dt, abs=1e-12)
+        assert vals[0, 3] == pytest.approx(T_ode / 2, abs=1e-7)
 
 
 class TestBetas:
@@ -540,9 +537,16 @@ class TestPeriodicSearch:
         assert any(s.int_angles == (-1, 1) and s.denom == 1 for s in sols)
 
     def test_family_scan_list(self):
+        # one alpha tuple per call: a list of tuples, once searched tuple
+        # by tuple, is refused
         fams = [symmetric_alphas(3, 1)]
-        sols = periodic_search(fams, 1, b_max=7, tol=1e-8, n_grid=48)
-        assert any(s.denom == 7 for s in sols)
+        with pytest.raises(ValidationError, match="one tuple"):
+            periodic_search(fams, 1, b_max=7, tol=1e-8, n_grid=48)
+
+    def test_empty_alphas_rejected(self):
+        # this was a bare StopIteration
+        with pytest.raises(ValidationError):
+            periodic_search((), 1, 7)
 
     @pytest.mark.parametrize("b_max", [0, -2])
     def test_b_max_below_one_rejected(self, b_max):
@@ -600,8 +604,8 @@ class TestParamsValidation:
 
 
 class TestBatchedQuadrature:
-    """One row-batched, vector-valued quadrature serves betas (the one-row
-    case of betas_grid), quadrature_solution and quadrature_case_b."""
+    """One row-batched, vector-valued quadrature, ``adaptive_gauss``,
+    serves betas_grid, and betas is its one-row case."""
 
     @pytest.mark.parametrize("m,a,seed", [(3, 1, None), (6, 2, None),
                                           (5, 2, 7), (4, 3, 8)])
@@ -734,7 +738,7 @@ class TestBatchedQuadrature:
             def f(u):
                 return params.Q(u) - A ** 2
 
-            got = turning_points(params)
+            got = [x[0] for x in turning_points(params, np.array([A]))]
             old = (brentq(f, lo, 0.0, xtol=1e-13, rtol=8.9e-16),
                    brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
             for x, x_old in zip(got, old):
@@ -744,13 +748,17 @@ class TestBatchedQuadrature:
                 assert float(abs(exact - x)) <= bound
 
     def test_quadrature_solution_matches_quad(self):
+        # the integrands of betas over a sub-arc, against scipy in u
         from scipy.integrate import quad
         rng = np.random.default_rng(38)
         for m in (3, 5):
             params = random_case_d(rng, m)
-            g, d = turning_points(params)
+            arc = centred._ArcGeometry(params, np.array([params.A]))
+            g, d = float(arc.gamma[0]), float(arc.delta[0])
             u0, u1 = g + 0.2 * (d - g), g + 0.7 * (d - g)
-            arc = quadrature_solution(params, u0, u1)
+            vals, _ = centred.adaptive_gauss(arc, _psi(arc, u0),
+                                             _psi(arc, u1))
+            dthetas = -params.signs * params.A * vals[0, :m]
 
             def Q_minus(u):
                 return params.Q(u) - params.A ** 2
@@ -760,30 +768,11 @@ class TestBatchedQuadrature:
                 want, _ = quad(lambda u: 1.0 / (2 * (al + s * u)
                                                 * np.sqrt(Q_minus(u))),
                                u0, u1, epsabs=1e-14, epsrel=1e-13)
-                assert arc.dthetas[j] == pytest.approx(-s * params.A * want,
-                                                       abs=1e-11)
+                assert dthetas[j] == pytest.approx(-s * params.A * want,
+                                                   abs=1e-11)
             want_t, _ = quad(lambda u: 0.5 / np.sqrt(Q_minus(u)), u0, u1,
                              epsabs=1e-14, epsrel=1e-13)
-            assert arc.dt == pytest.approx(want_t, abs=1e-11)
-
-    def test_case_b_matches_quad(self):
-        from scipy.integrate import quad
-        from scipy.optimize import brentq
-        params = CentredParams(3, 3, (1.0, 1.5, 2.0), 0.8, c=1.0)
-
-        def Q_minus(u):
-            return params.Q(u) - params.A ** 2
-
-        gamma = brentq(Q_minus, -1.0, 10.0, xtol=1e-15)
-        u0, u1 = gamma + 0.1, gamma + 1.5
-        arc = centred.quadrature_case_b(params, u0, u1)
-        for j, al in enumerate(params.alphas):
-            want, _ = quad(lambda u: 1.0 / (2 * (al + u) * np.sqrt(Q_minus(u))),
-                           u0, u1, epsabs=1e-14, epsrel=1e-13)
-            assert arc.dthetas[j] == pytest.approx(-params.A * want, abs=1e-11)
-        want_t, _ = quad(lambda u: 0.5 / np.sqrt(Q_minus(u)), u0, u1,
-                         epsabs=1e-14, epsrel=1e-13)
-        assert arc.dt == pytest.approx(want_t, abs=1e-11)
+            assert vals[0, m] == pytest.approx(want_t, abs=1e-11)
 
     def test_budget_error_names_stage_and_parameters(self, monkeypatch):
         monkeypatch.setattr(centred, "_PANEL_BUDGET", 2)
@@ -795,14 +784,10 @@ class TestBatchedQuadrature:
         for part in ("betas quadrature", "m=3", "a=1", "A/A_max=0.25",
                      "budget of 2 panels"):
             assert part in msg
-        monkeypatch.setattr(centred, "_PANEL_BUDGET", 0)
-        with pytest.raises(NumericalError, match="quadrature_solution"):
-            quadrature_solution(CentredParams(3, 1, al, 0.25 * A_max, c=0.0),
-                                -0.1, 0.2)
 
     def test_one_quadrature_routine(self, monkeypatch):
-        # every caller sends its m+1 integrands through one adaptive_gauss
-        # call: K = m+1 values per node, one call per quadrature
+        # betas sends its m+1 integrands through one adaptive_gauss call:
+        # K = m+1 values per node
         seen = []                   # per adaptive_gauss call, its K values
         real = centred.adaptive_gauss
 
@@ -821,10 +806,7 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(centred, "adaptive_gauss", spy)
         params = CentredParams(4, 2, symmetric_alphas(4, 2), 0.5, c=1.0)
         betas(params)
-        quadrature_solution(params, -0.1, 0.2)
-        centred.quadrature_case_b(CentredParams(3, 3, (1.0, 1.5, 2.0), 0.8),
-                                  0.0, 0.5)
-        assert seen == [{5}, {5}, {4}]
+        assert seen == [{5}]
 
 
 # periodic_search output recorded before the lockstep root finder: A and the

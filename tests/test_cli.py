@@ -101,6 +101,18 @@ class TestBetasCommand:
             run(["betas", "--m", "3", "--what", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "--mesh", "m.json", "--m", "3"], "--m"),
+        (["betas", "--A", "1", "--alph", "1,2,2"], "--alph"),
+        (["search", "--bm", "3"], "--bm"),
+    ])
+    def test_abbreviated_option_refused(self, argv, flag, capsys):
+        # argparse's prefix matching read --m as --mesh on verify (which
+        # has no --m), so a mistyped option became another one
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 class TestSearchCommand:
     def test_finds_denominator_seven(self, tmp_path, capsys):
@@ -150,6 +162,18 @@ class TestSearchCommand:
 
 
 class TestMeshAndVerify:
+    def test_verify_does_not_take_m_for_mesh(self, tmp_path, capsys):
+        good = tmp_path / "b.json"
+        assert run(["mesh", "--kind", "link", "--alphas", "1.2,2,3",
+                    "--A", "0.4", "--resolution", "8x8",
+                    "--out", str(good)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--mesh", str(tmp_path / "a.json"),
+                 "--m", str(good)])
+        assert exc.value.code == 2
+        assert "max residual" not in capsys.readouterr().out
+
     def test_round_trip_and_threshold(self, tmp_path):
         mesh = tmp_path / "link.json"
         rc = run(["mesh", "--kind", "link", "--alphas", "1.2,2,3",
@@ -397,18 +421,24 @@ class TestConfigAndEnv:
         assert exc.value.code == 2
 
     def test_config_block_has_no_seed(self, tmp_path):
-        # a config file that sets seed still loads
+        # a config file with keys a command has no option for still loads,
+        # but only the commands that have them set and echo them
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alphas": "1,2,2", "seed": 4}))
+        cfg.write_text(json.dumps({"alphas": "1,2,2", "seed": 4, "A": 0.5,
+                                   "bmax": 3}))
         for argv in (["limits"], ["limits", "--config", str(cfg)]):
             out = tmp_path / "lim.json"
             assert run(argv + ["--alphas", "1,2,2", "--out", str(out)]) == 0
             config = json.loads(out.read_text())["config"]
-            assert ("seed" in config) == ("--config" in argv)
+            assert not {"seed", "A", "bmax"} & set(config)
         out = tmp_path / "e.json"
         assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1",
                     "--summary", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 0
+        assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1",
+                    "--config", str(cfg), "--summary", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["seed"] == 4 and "alphas" not in config
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))
@@ -425,6 +455,29 @@ class TestConfigAndEnv:
         assert doc["k"] == 1 and doc["l"] == 2
         assert doc["sum_squares_large_A"] == pytest.approx(
             2 * np.pi ** 2, abs=1e-10)
+
+
+class TestStdoutJson:
+    @pytest.mark.parametrize("argv,flag", [
+        (["betas", "--family", "sym", "--m", "3", "--a", "1", "--A", "0.5"],
+         "--out"),
+        (["limits", "--alphas", "1,2,2"], "--out"),
+        (["crosssection", "--alphas", "1.2,2,3", "--n", "9"], "--summary"),
+        (["affine", "--alphas", "1.5,3", "--A", "0.5", "--n", "9"],
+         "--summary"),
+    ])
+    def test_printed_document_is_the_written_one(self, argv, flag, tmp_path,
+                                                  capsys):
+        # printed JSON carried neither config nor version
+        assert run(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["version"] == cli.__version__
+        assert printed["config"]["command"] == argv[0]
+        out = tmp_path / "doc.json"
+        assert run(argv + [flag, str(out)]) == 0
+        written = json.loads(out.read_text())
+        del written["config"][flag[2:]]
+        assert printed == written
 
 
 class TestOtherCommands:

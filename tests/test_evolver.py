@@ -60,7 +60,7 @@ class TestSpecialization:
             t0 = np.zeros(m, complex)
             t0[m - 1] = beta
             der = rhs_general(EvolMap(m, m, A, t0), data)
-            dw_want, dbeta_want = rhs_affine((w, beta), a)
+            dw_want, dbeta_want = rhs_affine(w, a)
             assert np.abs(np.diag(der.A)[:m - 1] - dw_want).max() <= 1e-12
             assert abs(der.t0[m - 1] - dbeta_want) <= 1e-12
             off = der.A - np.diag(np.diag(der.A))
