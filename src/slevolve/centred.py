@@ -902,16 +902,24 @@ def _reduce_hcf(a_vec: tuple, b: int) -> tuple:
 
 
 _A_FRACTIONS = (0.02, 0.98)  # the A window of periodic_search, over A_max
+SEARCH_QUAD_TOL = 1e-12      # periodic_search's quadrature tolerance
+
+
+def search_grid(A_max: float, n_grid: int) -> np.ndarray:
+    """The A values ``periodic_search`` scans: n_grid points spaced
+    evenly over ``_A_FRACTIONS`` of A_max."""
+    return np.linspace(_A_FRACTIONS[0] * A_max, _A_FRACTIONS[1] * A_max,
+                       n_grid)
 
 
 def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
                     n_grid: int = 96, c: float = 0.0,
-                    quad_tol: float = 1e-12) -> list:
+                    quad_tol: float = SEARCH_QUAD_TOL) -> list:
     """Scan A for parameter points where all beta_j / pi are rational with
     common denominator <= b_max.
 
     ``alphas`` is one normalized alpha tuple.  The scan evaluates beta on
-    an A grid over ``_A_FRACTIONS`` of A_max, brackets integer crossings
+    the A grid of ``search_grid``, brackets integer crossings
     of b * beta_1 / pi for each candidate denominator, solves for A by root
     finding, and keeps solutions whose full angle vector matches its
     rational target within tol.  An empty result is not an error; a NaN,
@@ -944,8 +952,7 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
             known.update(zip(new, (r.betas for r in rows)))
         return np.array([known[x] for x in A.tolist()]).reshape(-1, m)
 
-    A_grid = np.linspace(_A_FRACTIONS[0] * A_max, _A_FRACTIONS[1] * A_max,
-                         n_grid)
+    A_grid = search_grid(A_max, n_grid)
     beta_grid = beta_at(A_grid)
 
     i_of, target = _crossings(beta_grid[:, 0], b_max)

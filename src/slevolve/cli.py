@@ -189,9 +189,12 @@ def cmd_search(ns) -> int:
 
 
 def _write_scan_csv(ns, alphas) -> None:
-    A_grid = np.linspace(0.02, 0.98, ns.grid) * float(np.sqrt(np.prod(alphas)))
+    """The betas on the grid ``periodic_search`` scanned, at its
+    quadrature tolerance: the rows the search bracketed on."""
+    A_grid = centred.search_grid(float(np.sqrt(np.prod(alphas))), ns.grid)
     rows = centred.betas_grid(
-        centred.CentredParams(ns.m, ns.a, alphas, A_grid[0], c=ns.c), A_grid)
+        centred.CentredParams(ns.m, ns.a, alphas, A_grid[0], c=ns.c), A_grid,
+        tol=centred.SEARCH_QUAD_TOL)
     cols = ([f"alpha{j + 1}" for j in range(ns.m)] + ["A"]
             + [f"beta{j + 1}" for j in range(ns.m)] + ["T", "quad_error"])
     _write_csv(ns.scan_csv, cols, (

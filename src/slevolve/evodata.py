@@ -14,7 +14,7 @@ closes under commutators onto span(Im L) and acts locally transitively on P.
 """
 
 from dataclasses import dataclass, field
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 
@@ -80,6 +80,12 @@ class EvolutionData:
     chi(x) = chi[:, :n] @ x + chi[:, n].  The sampler produces points of P
     (seeded, reproducible) and ``normals`` returns the covectors cutting out
     T_p P, from which orthonormal tangent bases are built.
+
+    ``normals`` takes stacked points (..., n) and returns r covectors per
+    point, shape (..., r, n); a point's covectors must not depend on the
+    stack it is in (the library's data build them from matmuls with the
+    same per-point cores, one gemv per point, alone or stacked), so that
+    ``tangent_bases`` and ``tangency_residual`` call it once per stack.
     """
 
     def __init__(self, n, m, chi, sampler, normals, label="", recipe=None):
@@ -126,7 +132,7 @@ class EvolutionData:
         pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
         if len(pts) == 0:
             return np.empty((0, self.m - 1, self.n))
-        N = np.array([np.atleast_2d(self.normals(p)) for p in pts])
+        N = self.normals(pts)
         _, s, vh = np.linalg.svd(N, full_matrices=True)
         tol = np.max(s, axis=-1, initial=0.0) * (
             np.finfo(float).eps * max(N.shape[1], self.n))
@@ -151,7 +157,7 @@ class EvolutionData:
         chi(p) = 0."""
         pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
         chis = self.chi_at(pts)
-        nus = np.array([np.atleast_2d(self.normals(p)) for p in pts])
+        nus = self.normals(pts)
         rank, sign = insertion_table(self.n, self.m - 2)
         resid = np.einsum("ki,pri,pki->prk", sign, nus, chis[:, rank])
         worst = np.max(np.linalg.norm(resid, axis=-1)
@@ -205,31 +211,43 @@ def _top_contraction(X: np.ndarray) -> np.ndarray:
     return insertion_table(X.shape[0], X.shape[0] - 1)[1] @ X
 
 
+def _companion_roots(coeffs: np.ndarray) -> tuple:
+    """The rows (a2, a1, a0) of coeffs whose roots ``np.roots`` takes from
+    the eigenvalues of the companion matrix, and those roots.
+
+    Returns a mask over the rows and their two roots each, shape
+    (mask.sum(), 2), from one stacked ``eigvals``, which equals
+    ``np.roots`` bit for bit.  The rows left out are those where
+    |a2| <= 1e-14 (the linear branch) or where np.roots takes another path:
+    a0 = 0 (stripped into an exact root 0) and non-finite coefficients
+    (its error).
+    """
+    stacked = ((np.abs(coeffs[:, 0]) > 1e-14) & (coeffs[:, 2] != 0.0)
+               & np.isfinite(coeffs[:, 1:]).all(axis=1))
+    a2, a1, a0 = (coeffs if stacked.all() else coeffs[stacked]).T
+    comp = np.zeros((len(a2), 2, 2))
+    comp[:, 0, 0] = -a1 / a2
+    comp[:, 0, 1] = -a0 / a2
+    comp[:, 1, 0] = 1.0
+    return stacked, np.linalg.eigvals(comp)
+
+
 def _line_roots(coeffs: np.ndarray):
     """Roots s of a2 s^2 + a1 s + a0 for each row (a2, a1, a0) of coeffs,
     or -a0/a1 when |a2| <= 1e-14 (none when |a1| is below it too).
 
-    The quadratics are solved by one stacked ``eigvals`` of their companion
-    matrices, which equals ``np.roots`` bit for bit.  Rows where np.roots
-    takes another path keep it: a0 = 0 (stripped into an exact root 0) and
-    non-finite coefficients (its error).  Yields one root array per row, in
-    order.
+    ``_companion_roots`` solves the rows it can in one stack; the others
+    keep ``np.roots``'s own path.  Yields one root array per row, in order.
     """
-    a2, a1, a0 = coeffs.T
-    quad = np.abs(a2) > 1e-14
-    stacked = quad & (a0 != 0.0) & np.isfinite(a1) & np.isfinite(a0)
-    comp = np.zeros((int(stacked.sum()), 2, 2))
-    comp[:, 0, 0] = -a1[stacked] / a2[stacked]
-    comp[:, 0, 1] = -a0[stacked] / a2[stacked]
-    comp[:, 1, 0] = 1.0
-    eig = iter(np.linalg.eigvals(comp))
-    for i in range(len(coeffs)):
+    stacked, eig = _companion_roots(coeffs)
+    eig = iter(eig)
+    for i, (a2, a1, a0) in enumerate(coeffs):
         if stacked[i]:
             yield next(eig)
-        elif quad[i]:
+        elif abs(a2) > 1e-14:
             yield np.roots(coeffs[i])
-        elif abs(a1[i]) > 1e-14:
-            yield [-a0[i] / a1[i]]
+        elif abs(a1) > 1e-14:
+            yield [-a0 / a1]
         else:
             yield []
 
@@ -240,9 +258,13 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
 
     Each round draws a block of lines, one attempt at a time in the order
     the draws were always made, then takes the block's quadratics, hits and
-    gradient norms in stacked calls.  Every product is a matmul with (1, n)
+    gradient norms in stacked calls; the hits are kept in line order up to
+    the count, so a longer block only draws lines no point comes from.  Every product is a matmul with (1, n)
     cores, where numpy runs one gemv or ddot per row, as it does on one line
-    alone, so the points do not depend on the block size.
+    alone, so the points do not depend on the block size.  Where every
+    line's quadratic has its roots from ``_companion_roots``, one mask picks
+    the real ones, in line order; a block with another root path walks
+    ``_line_roots`` line by line.
     """
     n = spec.n
     scale = max(1.0, float(np.abs(spec.S).max()), float(np.abs(spec.b).max()))
@@ -253,25 +275,38 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
         pts = [np.empty((0, n))]
         found, attempts, budget = 0, 0, 250 * count + 500
         while found < count and attempts < budget:
-            # the draws past the last accepted point are never used
-            block = min(count - found, budget - attempts)
+            # one line per point first, then lines for the missing points at
+            # half as many again as the yield so far asks, so that a round
+            # rarely falls short; draws past the last accepted point are
+            # never used
+            block = count - found
+            if attempts:
+                block = ceil(1.5 * block * attempts / max(found, 1))
+            block = min(block, budget - attempts)
             attempts += block
             P0, D = np.empty((block, n)), np.empty((block, n))
             for i in range(block):
                 P0[i] = rng.normal(size=n) * rng.uniform(0.3, 3.0)
                 D[i] = rng.normal(size=n)
             rows, cols = D[:, None, :], D[:, :, None]
-            coeffs = np.column_stack([
-                (rows @ spec.S @ cols)[:, 0, 0],
-                (2.0 * P0[:, None, :] @ spec.S @ cols + rows @ b)[:, 0, 0],
-                spec.value(P0) - c])
-            lines, s = [], []
-            for i, rs in enumerate(_line_roots(coeffs)):
-                for r in rs:
-                    if abs(np.imag(r)) <= 1e-12:
-                        lines.append(i)
-                        s.append(float(np.real(r)))
-            hits = P0[lines] + np.array(s)[:, None] * D[lines]
+            dSd, pSd = np.stack([rows, 2.0 * P0[:, None, :]]) @ spec.S @ cols
+            coeffs = np.column_stack([dSd[:, 0, 0],
+                                      (pSd + rows @ b)[:, 0, 0],
+                                      spec.value(P0) - c])
+            stacked, eig = _companion_roots(coeffs)
+            if stacked.all():
+                # the real roots in line order, each line's in eig's order
+                real = np.abs(np.imag(eig)) <= 1e-12
+                lines, s = np.nonzero(real)[0], np.real(eig)[real]
+            else:
+                lines, s = [], []
+                for i, rs in enumerate(_line_roots(coeffs)):
+                    for r in rs:
+                        if abs(np.imag(r)) <= 1e-12:
+                            lines.append(i)
+                            s.append(float(np.real(r)))
+                s = np.array(s)
+            hits = P0[lines] + s[:, None] * D[lines]
             grad = spec.gradient(hits)[:, None, :]
             norms = np.sqrt((grad @ np.swapaxes(grad, 1, 2))[:, 0, 0])
             good = hits[norms >= _SINGULAR_TOL * scale][:count - found]
@@ -296,8 +331,8 @@ def quadric_data(spec: QuadricSpec, c: float) -> EvolutionData:
     c_eff = c - spec.c0
     sampler = _quadric_sampler(spec, c)
 
-    def normals(p):
-        return spec.gradient(p)[None, :]
+    def normals(P):
+        return spec.gradient(P)[..., None, :]
 
     data = EvolutionData(
         n, n, chi, sampler, normals,
@@ -356,9 +391,10 @@ def extend_product(data: EvolutionData, k: int) -> EvolutionData:
         tail = rng.normal(scale=1.5, size=(count, k))
         return np.column_stack([base, tail])
 
-    def normals(p):
-        base = np.atleast_2d(data.normals(np.asarray(p)[:n]))
-        return np.column_stack([base, np.zeros((base.shape[0], k))])
+    def normals(P):
+        base = data.normals(np.asarray(P)[..., :n])
+        return np.concatenate([base, np.zeros(base.shape[:-1] + (k,))],
+                              axis=-1)
 
     return EvolutionData(
         n2, m2, chi, sampler, normals,
@@ -424,11 +460,13 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
         pts[:, 2:] = rng.normal(scale=1.5, size=(count, m - 2))
         return pts
 
-    def normals(p):
-        V = M @ np.asarray(p)[:2] + v
-        nu = np.zeros(m)
-        nu[0], nu[1] = -V[1], V[0]
-        return nu[None, :]
+    def normals(P):
+        # M on a (2, 1) core per point: the gemv of M @ p
+        P = np.asarray(P, dtype=float)
+        V = (M @ P[..., :2, None])[..., 0] + v
+        nu = np.zeros(P.shape[:-1] + (1, m))
+        nu[..., 0, 0], nu[..., 0, 1] = -V[..., 1], V[..., 0]
+        return nu
 
     return EvolutionData(
         n, m, chi, sampler, normals,

@@ -255,6 +255,24 @@ class CPDiagnostics:
                 and self.min_singular_ratio >= sv_ratio_tol)
 
 
+def _pushed_frames(bases: np.ndarray, As: np.ndarray) -> tuple:
+    """The tangent frames ``bases`` (N, k, n) pushed through each linear
+    part of ``As`` (M, m, n), and their omega residuals.
+
+    Returns the frames Z, shape (M, N, k, m), and ``frame_forms``'s omega
+    of each, shape (M, N).  The bases are folded to (N k, n), and one
+    stacked matmul runs one (N k, n) by (n, m) product per map; since
+    ``frame_forms`` also evaluates every frame on its own, a map's frames
+    and residuals do not depend on the other maps of the stack:
+    ``membership_cp`` of one map equals its checkpoint residual in
+    ``integrate`` bit for bit.
+    """
+    N, k, n = bases.shape
+    flat = bases.reshape(N * k, n).astype(complex)
+    Z = np.matmul(flat, np.swapaxes(As, 1, 2)).reshape(len(As), N, k, -1)
+    return Z, frame_forms(Z)[0]
+
+
 def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
                   seed: int = 0) -> CPDiagnostics:
     """Evaluate the two admissibility conditions on sampled points of P:
@@ -262,11 +280,12 @@ def membership_cp(phi: EvolMap, data: EvolutionData, n_samples: int = 200,
     real (2m, m-1) pushed frames."""
     _check_dims(phi, data)
     _check_count(n_samples, "n_samples", 1)
-    Z = data.tangent_bases(data.sample(n_samples, seed)) @ phi.A.T
+    bases = data.tangent_bases(data.sample(n_samples, seed))
+    (Z,), (omega,) = _pushed_frames(bases, phi.A[None])
     svals = np.linalg.svd(complex_to_real(Z).transpose(0, 2, 1),
                           compute_uv=False)
     ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-    return CPDiagnostics(float(np.max(frame_forms(Z)[0], initial=0.0)),
+    return CPDiagnostics(float(np.max(omega, initial=0.0)),
                          float(np.min(svals[:, -1], initial=np.inf)),
                          float(np.min(ratios, initial=np.inf)),
                          len(Z))
@@ -357,14 +376,13 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     if not np.all(np.isfinite(zs)):
         raise ValidationError("non-finite map entries")
     zs.flags.writeable = False
-    maps = [_checked_map(n, m, z[:m * n].reshape(m, n), z[m * n:])
-            for z in zs]
+    As = zs[:, :m * n].reshape(-1, m, n)
+    maps = [_checked_map(n, m, A, t0) for A, t0 in zip(As, zs[:, m * n:])]
 
     # every checkpoint's map pushes the same frames
     bases = data.tangent_bases(data.sample(membership_samples, seed))
-    As = zs[:, :m * n].reshape(-1, m, n)
-    residuals = np.max(frame_forms(bases @ np.swapaxes(As, 1, 2)[:, None])[0],
-                       axis=1, initial=0.0)
+    _, omega = _pushed_frames(bases, As)
+    residuals = np.max(omega, axis=1, initial=0.0)
     tol_line = 10.0 * residuals[0] + 1e-8
     flagged = [int(i) for i in np.nonzero(residuals > tol_line)[0]]
     return Trajectory(times, maps, residuals, escaped, escape_time,

@@ -67,6 +67,45 @@ def complex_to_real(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# rows whose squared norms all lie in this range are evaluated as they are:
+# no entry exceeds 2^450, so no product overflows, and a product that
+# underflows is below 2^-122 of the rows' norms; other stacks are prescaled
+_SAFE_SQ = (2.0 ** -900, 2.0 ** 900)
+# the prescale's binary exponents stay where 2^-e is a normal double
+_EXP_LIMIT = 1021
+
+
+@lru_cache(maxsize=None)
+def _row_pairs(k: int) -> tuple:
+    """The pairs i < j of k rows in ``np.triu_indices`` order, as a tuple
+    and as read-only index arrays."""
+    iu, ju = np.triu_indices(k, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return tuple(zip(iu.tolist(), ju.tolist())), iu, ju
+
+
+def _component_sum(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the component axis -2 of t (..., m, B) into out (..., B),
+    one slab of frames at a time in component order: every frame's sum is
+    the same sequence of additions, whatever the number of frames B (a
+    reduction over m would sum one frame alone in another order)."""
+    out[...] = t[..., 0, :]
+    for l in range(1, t.shape[-2]):
+        out += t[..., l, :]
+    return out
+
+
+def _squared_norms(R: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of R (k, 2m, B), its squares added one
+    slab of frames at a time in column order, as ``_component_sum`` does,
+    without an array of all the squares."""
+    sq = R[:, 0] * R[:, 0]
+    square = np.empty_like(sq)
+    for l in range(1, R.shape[1]):
+        sq += np.multiply(R[:, l], R[:, l], out=square)
+    return sq
+
+
 def frame_forms(Z) -> tuple:
     """omega and, on square frames, the Gram determinant and Im Omega of
     complex tangent frames Z (..., k, m), one tangent vector per row.
@@ -77,23 +116,56 @@ def frame_forms(Z) -> tuple:
     ``gram`` is the Gram determinant of the unit rows and ``im_Omega`` is
     |Im Omega| on them, Omega = dz_1 ^ ... ^ dz_m being the determinant of
     the matrix with the rows as columns; for k < m both are None.  A zero
-    row gives omega 0 against every row and a zero Gram determinant.
+    row gives omega 0 against every row and a zero Gram determinant; a NaN
+    entry gives NaN.
 
-    One Hermitian product of the rows gives omega (its imaginary part) and
-    the Gram matrix (its real part), so products of entries must neither
-    under- nor overflow: entries between about 1e-150 and 1e150 in size.
+    The pair products are sums over the m components of elementwise
+    products of real and imaginary parts, on a (row, Re/Im and component,
+    frame) layout where each sum adds contiguous slabs of frames in
+    component order (``_component_sum``): no frame is a matrix product of
+    its own, and every frame's values are the same sequence of operations
+    whatever the stack it is in, one frame alone included.  A stack with a
+    row whose squared norm leaves ``_SAFE_SQ`` (a zero row, a NaN, entries
+    beyond about 1e+-135) first scales each row by the power of two that
+    brings its largest entry into [1/2, 1): exact, so it changes no result
+    that was in range, and it keeps every finite frame clear of under- and
+    overflow.
     """
-    Z = np.asarray(Z, dtype=complex)
-    k, m = Z.shape[-2:]
-    norms = np.linalg.norm(Z, axis=-1)
-    herm = np.conj(Z) @ np.swapaxes(Z, -1, -2)
-    iu, ju = np.triu_indices(k, 1)
-    denom = np.maximum(norms[..., iu] * norms[..., ju], 1e-300)
-    omega = np.max(np.abs(herm.imag[..., iu, ju]) / denom, axis=-1,
-                   initial=0.0)
+    Z = np.ascontiguousarray(Z, dtype=complex)
+    lead, (k, m) = Z.shape[:-2], Z.shape[-2:]
+    parts = Z.reshape(-1, k * m).view(float).T.reshape(k, m, 2, -1)
+    R = np.ascontiguousarray(parts.transpose(0, 2, 1, 3)).reshape(k, 2 * m, -1)
+    with np.errstate(over="ignore"):     # an inf here asks for the prescale
+        sq = _squared_norms(R)
+    if sq.size and not _SAFE_SQ[0] <= sq.min() <= sq.max() <= _SAFE_SQ[1]:
+        big = np.maximum(R.max(axis=1), -R.min(axis=1))
+        e = np.clip(np.frexp(big)[1], -_EXP_LIMIT, _EXP_LIMIT)
+        R *= np.ldexp(1.0, -e)[:, None]
+        sq = _squared_norms(R)
+    X, Y = R[:, :m], R[:, m:]
+    norms = np.sqrt(sq)
+    pairs, iu, ju = _row_pairs(k)
+    im = np.empty((len(pairs), R.shape[-1]))
+    for p, (i, j) in enumerate(pairs):
+        t = X[i] * Y[j]
+        t -= Y[i] * X[j]
+        _component_sum(t, im[p])
+    denom = np.maximum(norms[iu] * norms[ju], 1e-300)
+    omega = np.max(np.abs(im) / denom, axis=0, initial=0.0).reshape(lead)[()]
     if k != m:
         return omega, None, None
-    outer = np.maximum(norms[..., :, None] * norms[..., None, :], 1e-300)
-    unit_cols = np.swapaxes(Z / np.maximum(norms, 1e-300)[..., None], -1, -2)
-    return (omega, np.linalg.det(herm.real / outer),
-            np.abs(np.linalg.det(unit_cols).imag))
+    G = np.empty((m, m, R.shape[-1]))
+    for p, (i, j) in enumerate(pairs):
+        t = X[i] * X[j]
+        t += Y[i] * Y[j]
+        # summed into t's first slab, which no later slab overlaps
+        G[i, j] = G[j, i] = _component_sum(t, t[0]) / denom[p]
+    d = np.arange(m)
+    G[d, d] = sq / np.maximum(norms * norms, 1e-300)
+    # the unit rows as the columns of one complex matrix per frame
+    unit = np.empty((R.shape[-1], m, k), dtype=complex)
+    scale = np.maximum(norms, 1e-300)[:, None]
+    unit.real = (X / scale).transpose(2, 1, 0)
+    unit.imag = (Y / scale).transpose(2, 1, 0)
+    return (omega, np.linalg.det(G.transpose(2, 0, 1)).reshape(lead)[()],
+            np.abs(np.linalg.det(unit).imag).reshape(lead)[()])

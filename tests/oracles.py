@@ -9,7 +9,9 @@ expansion, the reference for the coefficient arrays of chi, and
 ``lie_derivative_residual`` checks a symmetry field by finite differences
 of the pushed-forward chi, with ``scipy.linalg.expm`` for the flow.
 ``quadric_sampler_loop`` is the quadric sampler one line at a time, the
-reference for the stacked sampler's points.
+reference for the stacked sampler's points, and ``frame_forms_hermitian``
+evaluates the forms on frames by one Hermitian matrix product each, as the
+library did before its elementwise pair products.
 
 The rest are references no command runs: the reduced (u, theta_j) form of
 the centred system, the derivative relations of the Jacobi functions, the
@@ -21,6 +23,7 @@ from itertools import permutations
 from math import comb
 
 import numpy as np
+import pytest
 
 from slevolve import ConstructionError, ValidationError
 from slevolve.centred import CentredParams
@@ -156,9 +159,10 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
 
     The pullback of chi under the time-s flow of V is
     Lambda^{m-1}(e^{-sV}) chi(e^{sV} x); the derivative at s=0 is estimated
-    by central differences and normalized by |chi(x)|.
+    by central differences and normalized by |chi(x)|.  Skips the calling
+    test where scipy, which supplies the flow, is not installed.
     """
-    from scipy.linalg import expm
+    expm = pytest.importorskip("scipy.linalg").expm
     V = np.asarray(vfield, dtype=float)
     rng = np.random.default_rng(seed)
     fwd = expm(step * V)
@@ -172,6 +176,29 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
         scale = max(np.linalg.norm(data.chi_at(x)), 1e-30)
         worst = max(worst, np.linalg.norm(diff) / scale)
     return worst
+
+
+def frame_forms_hermitian(Z) -> tuple:
+    """``multilinear.frame_forms`` as one Hermitian matrix product per
+    frame: omega from the imaginary part of conj(Z) Z^T over the row norms,
+    the Gram determinant of the unit rows from its real part and Im Omega
+    from the determinant of the unit rows as columns.  It squares the
+    unnormalized entries, so it holds only for entries between about
+    1e-150 and 1e150 in size."""
+    Z = np.asarray(Z, dtype=complex)
+    k, m = Z.shape[-2:]
+    norms = np.linalg.norm(Z, axis=-1)
+    herm = np.conj(Z) @ np.swapaxes(Z, -1, -2)
+    iu, ju = np.triu_indices(k, 1)
+    denom = np.maximum(norms[..., iu] * norms[..., ju], 1e-300)
+    omega = np.max(np.abs(herm.imag[..., iu, ju]) / denom, axis=-1,
+                   initial=0.0)
+    if k != m:
+        return omega, None, None
+    outer = np.maximum(norms[..., :, None] * norms[..., None, :], 1e-300)
+    unit_cols = np.swapaxes(Z / np.maximum(norms, 1e-300)[..., None], -1, -2)
+    return (omega, np.linalg.det(herm.real / outer),
+            np.abs(np.linalg.det(unit_cols).imag))
 
 
 def quadric_sampler_loop(spec: QuadricSpec, c: float):

@@ -12,7 +12,11 @@ were recorded with numpy 2.4 on x86-64 and must be met bit for bit:
   was recorded again when ``integrate`` moved to the generated stage kernel,
   whose minors round differently from ``np.linalg.det``; the step counts
   stayed);
-- ``membership_cp`` diagnostics on quadric, paraboloid and product data;
+- ``membership_cp`` diagnostics on quadric, paraboloid and product data
+  (the omega residuals here and in the evolve section were recorded again
+  when ``frame_forms`` moved from one Hermitian matrix product per frame
+  to elementwise pair products; 40-digit ``mpmath`` evaluations of the
+  same forms check both the old and the new values to 1e-15);
 - ``EvolutionData.sample`` points on the same data and on a hyperplane,
   where every sampler line meets P through the linear branch (a2 = 0).
 
@@ -29,7 +33,7 @@ import numpy as np
 import pytest
 
 from conftest import digest_le
-from oracles import quadric_sampler_loop
+from oracles import frame_forms_hermitian, quadric_sampler_loop
 from slevolve import ConstructionError, ValidationError, evodata, evolver
 from slevolve.multilinear import frame_forms
 
@@ -264,6 +268,72 @@ def test_checkpoint_residuals_equal_membership_residuals():
         for A in As]
 
 
+def _omega_mp(bases, A) -> np.ndarray:
+    """omega of each frame of ``bases`` (N, k, n) pushed through the map
+    A (m, n), from the float entries in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        Am = [[mpmath.mpc(complex(a)) for a in row] for row in A]
+        out = []
+        for B in bases:
+            Z = [[mpmath.fsum(mpmath.mpf(float(b)) * Am_l[q]
+                              for q, b in enumerate(row)) for Am_l in Am]
+                 for row in B]
+            norms = [mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in zi))
+                     for zi in Z]
+            out.append(max(
+                (abs(mpmath.fsum(mpmath.conj(a) * b
+                                 for a, b in zip(Z[i], Z[j])).imag)
+                 / (norms[i] * norms[j])
+                 for i in range(len(Z)) for j in range(i + 1, len(Z))),
+                default=mpmath.mpf(0)))
+        return np.array([float(x) for x in out])
+
+
+@pytest.mark.parametrize("label", ["quadric(3,2,-1)", "quadric(5,3,-1)"])
+def test_checkpoint_residuals_against_mpmath(label):
+    # the recorded residuals, and those of the Hermitian product they
+    # replaced, against omega on the same pushed frames in 40 digits
+    _, data, w0 = next(op for op in evolve_inputs(1) if op[0] == label)
+    traj = evolver.integrate(evolver.EvolMap.diagonal(w0), data, 1.0)
+    bases = data.tangent_bases(data.sample(traj.membership_samples, 0))
+    As = np.array([mp.A for mp in traj.maps])
+    exact = np.array([_omega_mp(bases, A).max() for A in As])
+    before = np.max(frame_forms_hermitian(
+        bases @ np.swapaxes(As, 1, 2)[:, None])[0], axis=1)
+    assert np.max(np.abs(traj.omega_residuals - exact)) <= 1e-15
+    assert np.max(np.abs(before - exact)) <= 1e-15
+
+
+def test_membership_residuals_against_mpmath():
+    data = sample_data()["quadric(4,2,-1)"]
+    rng = np.random.default_rng(17)
+    w0 = rng.normal(size=data.m) + 1j * rng.normal(size=data.m)
+    bases = data.tangent_bases(data.sample(200, 3))
+    # the recorded diagonal case, whose frames are Lagrangian, and a
+    # general map, whose omega is of order one on every frame
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for phi in (evolver.EvolMap.diagonal(w0), evolver.EvolMap.linear(A)):
+        exact = _omega_mp(bases, phi.A)
+        got = evolver.membership_cp(phi, data, seed=3).max_omega_residual
+        before = frame_forms_hermitian(bases @ phi.A.T)[0]
+        assert abs(got - exact.max()) <= 1e-15
+        assert np.max(np.abs(before - exact)) <= 1e-15
+        assert np.max(np.abs(
+            evolver._pushed_frames(bases, phi.A[None])[1][0] - exact)) <= 1e-15
+
+
+def test_integrate_residuals_equal_membership_cp():
+    # a checkpoint's residual is membership_cp of its map on the same
+    # samples, whatever the other maps of the stack
+    _, data, w0 = evolve_inputs(1)[4]
+    traj = evolver.integrate(evolver.EvolMap.diagonal(w0), data, 1.0,
+                             seed=2)
+    assert traj.omega_residuals.tolist() == [
+        evolver.membership_cp(mp, data, traj.membership_samples,
+                              2).max_omega_residual for mp in traj.maps]
+
+
 def test_tangent_dimension_error_names_data_sample_and_point():
     data = evodata.example_quadric(3, 1, 0.0)
     with pytest.raises(ValidationError) as exc:
@@ -281,3 +351,15 @@ def test_tangent_dimension_error_in_a_stack():
     pts[3] = 0.0
     with pytest.raises(ValidationError, match="sample 3"):
         data.tangent_bases(pts)
+
+
+if __name__ == "__main__":
+    # re-record (only when a recorded value is meant to change) with
+    # PYTHONPATH=src python tests/test_admissibility.py; the membership and
+    # sample sections were first written with their keys sorted
+    doc = snapshot()
+    for section in ("membership", "sample"):
+        doc[section] = json.loads(json.dumps(doc[section], sort_keys=True))
+    with open(REFERENCE, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

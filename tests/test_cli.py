@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from slevolve import cli
+from slevolve import centred, cli
 
 
 def run(args):
@@ -152,6 +152,30 @@ class TestSearchCommand:
             diag = sol["verification"]["diagnostics"]
             assert set(diag) == {"nfev", "accepted_steps"}
             assert diag["nfev"] > diag["accepted_steps"] > 0
+
+    def test_scan_csv_rows_are_the_search_grid(self, tmp_path, monkeypatch):
+        # the CSV tabulates the A grid and betas the search bracketed on:
+        # periodic_search's first betas_grid call, at its quad_tol
+        calls = []
+        betas_grid = centred.betas_grid
+
+        def recording(params, A, tol=3e-12):
+            rows = betas_grid(params, A, tol=tol)
+            calls.append((np.array(A), [r.betas for r in rows], tol))
+            return rows
+
+        monkeypatch.setattr(centred, "betas_grid", recording)
+        scan = tmp_path / "scan.csv"
+        assert run(["search", "--m", "5", "--a", "2", "--family", "sym",
+                    "--bmax", "1", "--grid", "96", "--out",
+                    str(tmp_path / "s.json"), "--scan-csv", str(scan)]) == 0
+        A_grid, betas, tol = calls[0]
+        assert calls[-1][2] == tol
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in scan.read_text().splitlines()[1:]])
+        assert table.shape == (96, 13)
+        assert table[:, 5].tobytes() == A_grid.tobytes()
+        assert table[:, 6:11].tobytes() == np.array(betas).tobytes()
 
     def test_data_stream_clean(self, tmp_path, capsys):
         out = tmp_path / "sols.json"

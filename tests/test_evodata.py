@@ -141,7 +141,7 @@ class TestCurveData:
     def test_sampler_matches_matrix_exponential(self, M, v):
         # scipy's expm of the augmented matrix, at the sampler's own draw
         # times, is the oracle for the integrated flow
-        from scipy.linalg import expm
+        expm = pytest.importorskip("scipy.linalg").expm
         M, v = np.array(M), np.array(v)
         data = curve_data(M, v, 3)
         pts = data.sample(40, seed=3)
@@ -173,6 +173,69 @@ class TestCurveData:
     def test_zero_field_rejected(self):
         with pytest.raises(ConstructionError):
             curve_data(np.zeros((2, 2)), np.zeros(2), 2)
+
+
+def plane_data():
+    """Hand-built data: the plane x_3 = x_4 = 0 of R^4 with chi = x_1
+    e_1 ^ e_2, cut out by two constant normals; its ``normals`` takes
+    stacked points as the protocol asks."""
+    chi = np.zeros((comb(4, 2), 5))
+    chi[0, 0] = 1.0
+
+    def sampler(count, seed=0):
+        pts = np.zeros((count, 4))
+        pts[:, :2] = np.random.default_rng(seed).normal(size=(count, 2))
+        return pts
+
+    def normals(P):
+        P = np.asarray(P, dtype=float)
+        return np.broadcast_to(np.eye(4)[2:], P.shape[:-1] + (2, 4)).copy()
+
+    return evodata.EvolutionData(4, 3, chi, sampler, normals, label="plane")
+
+
+class TestNormalsProtocol:
+    CASES = {
+        "quadric(3,1,1)": lambda: example_quadric(3, 1, 1.0),
+        "quadric(5,2,-1)": lambda: example_quadric(5, 2, -1.0),
+        "cone(4,2)": lambda: example_quadric(4, 2, 0.0),
+        "paraboloid(4,2)": lambda: example_paraboloid(4, 2),
+        "product(quadric(2,1,1),R)": lambda: extend_product(
+            example_quadric(2, 1, 1.0), 1),
+        "product(paraboloid(3,1),R^2)": lambda: extend_product(
+            example_paraboloid(3, 1), 2),
+        "curve x R^2": lambda: curve_data(np.array([[0.2, -1.0], [1.0, 0.1]]),
+                                          np.array([0.3, 0.0]), 4),
+        "plane": plane_data,
+    }
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_stack_equals_points(self, label):
+        # normals(P) maps (..., n) to (..., r, n), every point's covectors
+        # byte for byte those of the point alone
+        data = self.CASES[label]()
+        rng = np.random.default_rng(60)
+        pts = np.concatenate([data.sample(24, 4),
+                              rng.normal(size=(6, data.n)) * 1e3])
+        alone = np.array([data.normals(p) for p in pts])
+        r = alone.shape[1]
+        assert alone.shape == (30, r, data.n)
+        assert data.normals(pts).tobytes() == alone.tobytes()
+        grid = data.normals(pts.reshape(5, 6, data.n))
+        assert grid.shape == (5, 6, r, data.n)
+        assert grid.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_frames_and_tangency_per_point(self, label):
+        # tangent_bases and tangency_residual call normals once per stack;
+        # a point's frame is the one it has alone
+        data = self.CASES[label]()
+        pts = data.sample(12, 5)
+        bases = data.tangent_bases(pts)
+        for p, basis_p in zip(pts, bases):
+            assert basis_p.tobytes() == data.tangent_basis(p).tobytes()
+        tangency = data.tangency_residual(pts)
+        assert tangency.shape == (12,) and tangency.max() <= 1e-10
 
 
 class TestSymmetryAlgebra:

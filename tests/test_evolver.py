@@ -3,7 +3,6 @@ admissibility diagnostics, and the adaptive integrator with its guards."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from oracles import eval_omega
 from slevolve import NumericalError, ValidationError, centred
@@ -281,6 +280,7 @@ class TestIntegrate:
             return EvolMap.linear(y[:4].reshape(2, 2)
                                   + 1j * y[4:].reshape(2, 2))
 
+        expm = pytest.importorskip("scipy.linalg").expm
         L = np.zeros((8, 8))
         for i in range(8):
             e = np.zeros(8)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (ComplexPoint, Frame, basis, eval_omega,
-                     eval_omega_complex, gram_volume, perm_expand_contract,
-                     pushforward, real_to_complex)
+                     eval_omega_complex, frame_forms_hermitian, gram_volume,
+                     perm_expand_contract, pushforward, real_to_complex)
 from slevolve import ValidationError
 from slevolve.evodata import EvolutionData, symmetry_algebra
 from slevolve.multilinear import (complex_to_real, frame_forms,
@@ -175,6 +175,75 @@ class TestFrameForms:
         Z[1] = 0.0
         omega, gram, im = frame_forms(Z)
         assert (omega, gram, im) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k,m", [(2, 3), (4, 5), (3, 3), (6, 6), (7, 8)])
+    def test_frame_alone_equals_its_row(self, k, m):
+        # every frame sums its components in one order whatever the stack,
+        # one frame alone included
+        rng = np.random.default_rng(46 + m)
+        Z = rng.normal(size=(40, k, m)) + 1j * rng.normal(size=(40, k, m))
+        stacked = [f for f in frame_forms(Z) if f is not None]
+        for i in range(40):
+            alone = [f for f in frame_forms(Z[i]) if f is not None]
+            assert [f[i] for f in stacked] == alone
+
+    def test_strided_views(self):
+        rng = np.random.default_rng(45)
+        W = rng.normal(size=(10, 3, 6)) + 1j * rng.normal(size=(10, 3, 6))
+        for Z in (W[..., ::2], W[:, :, :3].transpose(0, 2, 1), W[::2, :2]):
+            got = frame_forms(Z)
+            for g, w in zip(got, frame_forms(np.array(Z))):
+                assert (g is None and w is None) or g.tobytes() == w.tobytes()
+
+    def test_empty_stack(self):
+        for shape in ((0, 3, 3), (4, 0, 2, 3)):
+            got = frame_forms(np.zeros(shape, dtype=complex))
+            assert got[0].shape == shape[:-2]
+            assert all(g is None or g.shape == shape[:-2] for g in got)
+
+    def test_nan_entry_gives_nan(self):
+        rng = np.random.default_rng(43)
+        Z = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        Z[2, 1, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = np.column_stack(frame_forms(Z))
+            tangent = frame_forms(Z[:, :2])[0]
+        assert np.isnan(got[2]).all() and np.isnan(tangent[2])
+        assert not np.isnan(got[[0, 1, 3]]).any()
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_hermitian_oracle(self, m):
+        # the elementwise pair products against one Hermitian product per
+        # frame, on stacks of every row count k <= m
+        rng = np.random.default_rng(50 + m)
+        for k in range(1, m + 1):
+            shape = (3, 17, k, m)
+            Z = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+                * 10.0 ** rng.uniform(-3, 3, size=shape[:-1] + (1,))
+            got, want = frame_forms(Z), frame_forms_hermitian(Z)
+            assert [g is None for g in got] == [w is None for w in want]
+            for g, w in zip(got, want):
+                if w is not None:
+                    assert g.shape == shape[:-2]
+                    assert np.max(np.abs(g - w)) <= 1e-15, (k, m)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_any_finite_scale(self, scale):
+        # each row is prescaled by a power of two, so frames far beyond
+        # where their squared entries under- or overflow give the values
+        # of the frame at scale 1 (the Hermitian product gave 0 or NaN)
+        rng = np.random.default_rng(44)
+        Z = rng.normal(size=(30, 3, 3)) + 1j * rng.normal(size=(30, 3, 3))
+        ref = np.column_stack(frame_forms(Z))
+        assert np.max(np.abs(np.column_stack(frame_forms(Z * scale))
+                             - ref)) <= 1e-15
+        # rows of one frame at opposite extremes
+        mixed = Z * np.array([scale, 1.0, 1.0 / scale])[:, None]
+        assert np.max(np.abs(np.column_stack(frame_forms(mixed))
+                             - ref)) <= 1e-15
+        tangent = frame_forms(Z[:, :2])[0]
+        assert np.max(np.abs(frame_forms(Z[:, :2] * scale)[0]
+                             - tangent)) <= 1e-15
 
 
 def contract(chi, n, k):
