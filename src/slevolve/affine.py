@@ -11,10 +11,12 @@ only beta is new.  With A = Q(u)^(1/2) sin(theta) over the m-1 letters,
 
     beta(t) = C + u(t)/2 - i A t,    C = beta(0) - u(0)/2,
 
-and for A > 0 the imaginary part decreases strictly: the translated family
-never closes up.  ``integrate_affine`` accordingly runs on the centred w
-kernel over the m-1 letters, generated with beta as one more component,
-and returns a ``centred.WSolutionPath`` that carries beta.
+and for A > 0 the imaginary part decreases strictly, so the translated
+family never closes up: over a period T of the w subsystem, whose monodromy
+is ``centred.betas(params.reduced())``, beta(t + T) - beta(t) = -i A T.
+``integrate_affine`` runs on the centred w kernel over the m-1 letters,
+generated with beta as one more component, and returns a
+``centred.WSolutionPath`` that carries beta.
 """
 
 from dataclasses import dataclass
@@ -54,10 +56,6 @@ class AffineParams:
         """The centred parameters of the w subsystem (m-1 letters)."""
         return centred.CentredParams(self.m - 1, self.a, self.alphas,
                                      self.A, c=c)
-
-    @property
-    def A_max(self) -> float:
-        return self.reduced().A_max
 
 
 def rhs_affine(w, a: int):
@@ -116,17 +114,7 @@ def integrate_affine(w0, beta0: complex, a: int, t_end: float,
                                  translated=True)
 
 
-def affine_initial(params: AffineParams, u0: float = 0.0,
-                   beta0: complex = None) -> tuple:
-    """(w0, beta0) realizing the given parameters; beta0 defaults to
-    u0/2 + Cconst so that the closed form starts from the stated C."""
-    w0 = centred.w_initial(params.reduced(), u0=u0)
-    if beta0 is None:
-        beta0 = params.Cconst + 0.5 * u0
-    return w0, complex(beta0)
-
-
-def betas_affine(params: AffineParams, tol: float = 3e-12) -> centred.BetaResult:
-    """Monodromy data of the w subsystem (the translation itself never
-    closes: beta(t + T) - beta(t) = -i A T)."""
-    return centred.betas(params.reduced(), tol=tol)
+def affine_initial(params: AffineParams) -> tuple:
+    """(w0, beta0) realizing the given parameters from u(0) = 0, with
+    beta0 = C + u(0)/2 so that the closed form starts from the stated C."""
+    return centred.w_initial(params.reduced()), params.Cconst + 0.0

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ode
 from .errors import NumericalError, ValidationError
-from .roots import brent
+from .roots import brent, companion_roots
 
 _CASE_TOL = 1e-10
 
@@ -189,12 +189,6 @@ class PeriodicSolution:
             "topology": self.topology,
             "residual": self.residual,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PeriodicSolution":
-        params = CentredParams(d["m"], d["a"], tuple(d["alphas"]), d["A"], d["c"])
-        return cls(params, tuple(int(x) for x in d["int_angles"]),
-                   int(d["denom"]), d.get("topology", ""), d.get("residual", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +358,23 @@ def normalize_lambda(w0_sq, a: int) -> tuple:
     return tuple(float(x) for x in alphas), float(lam)
 
 
-def w_initial(params: CentredParams, u0: float = 0.0) -> np.ndarray:
-    """A w(0) realizing the given (alphas, A) with u(0) = u0.
+def w_initial(params: CentredParams) -> np.ndarray:
+    """A w(0) realizing the given (alphas, A) with u(0) = 0, so that
+    |w_j(0)|^2 = alpha_j.
 
-    theta(0) = arcsin(A / sqrt(Q(u0))) in [0, pi/2], split evenly.
+    theta(0) = arcsin(A / sqrt(Q(0))) in [0, pi/2], split evenly.
     """
     al = params.alpha_array
-    radicands = np.where(params.signs > 0, al + u0, al - u0)
-    if np.any(radicands <= 0):
-        raise ValidationError("u0 outside the admissible interval")
-    Q0 = float(np.prod(radicands))
+    if np.any(al <= 0):
+        raise ValidationError("w(0) needs every alpha_j > 0, since "
+                              "|w_j(0)|^2 = alpha_j")
+    Q0 = float(np.prod(al))
     s = params.A / np.sqrt(Q0)
     if s > 1.0 + 1e-12:
-        raise ValidationError("A exceeds sqrt(Q(u0)); no such initial state")
+        raise ValidationError("A exceeds sqrt(Q(0)); no such initial state")
     theta0 = float(np.arcsin(min(s, 1.0)))
     thetas = np.full(params.m, theta0 / params.m)
-    return np.sqrt(radicands) * np.exp(1j * thetas)
+    return np.sqrt(al) * np.exp(1j * thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -570,19 +565,11 @@ class _Deflated:
     """Rows of the factor left of Q - A^2 once its turning points are
     divided out: lead * prod_i (base_i + s) at an offset s >= 0 from the
     turning point gamma, with base_i = gamma - r_i over the remaining roots
-    r_i (one batched companion-matrix ``eigvals``).  The factor is positive
-    on the arc, so its square root is evaluated from moduli in real
-    arithmetic."""
+    r_i (``roots.companion_roots``).  The factor is positive on the arc,
+    so its square root is evaluated from moduli in real arithmetic."""
 
     def __init__(self, lead: np.ndarray, w: np.ndarray, gamma: np.ndarray):
-        k = w.shape[1] - 1
-        if k:
-            comp = np.zeros((w.shape[0], k, k))
-            comp[:, 0, :] = -w[:, 1:] / w[:, :1]
-            comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-            self.base = gamma[:, None] - np.linalg.eigvals(comp)
-        else:
-            self.base = np.zeros((w.shape[0], 0), dtype=complex)
+        self.base = gamma[:, None] - companion_roots(w)
         self.lead = lead
         self.abs_lead = np.abs(lead)[:, None]
         self.re, self.im2 = self.base.real, self.base.imag ** 2
@@ -913,17 +900,17 @@ def search_grid(A_max: float, n_grid: int) -> np.ndarray:
 
 
 def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
-                    n_grid: int = 96, c: float = 0.0,
-                    quad_tol: float = SEARCH_QUAD_TOL) -> list:
+                    n_grid: int = 96, c: float = 0.0) -> list:
     """Scan A for parameter points where all beta_j / pi are rational with
     common denominator <= b_max.
 
-    ``alphas`` is one normalized alpha tuple.  The scan evaluates beta on
-    the A grid of ``search_grid``, brackets integer crossings
-    of b * beta_1 / pi for each candidate denominator, solves for A by root
-    finding, and keeps solutions whose full angle vector matches its
-    rational target within tol.  An empty result is not an error; a NaN,
-    infinite or negative tol raises ValidationError.
+    ``alphas`` is one normalized alpha tuple.  The scan evaluates beta, at
+    quadrature tolerance ``SEARCH_QUAD_TOL``, on the A grid of
+    ``search_grid``, brackets integer crossings of b * beta_1 / pi for each
+    candidate denominator, solves for A by root finding, and keeps
+    solutions whose full angle vector matches its rational target within
+    tol.  An empty result is not an error; a NaN, infinite or negative tol
+    raises ValidationError.
     """
     if b_max < 1:
         raise ValidationError(f"b_max must be at least 1, got {b_max}")
@@ -948,7 +935,7 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
         round of the root finder and the final check alike."""
         new = [x for x in dict.fromkeys(A.tolist()) if x not in known]
         if new:
-            rows = betas_grid(probe, np.array(new), tol=quad_tol)
+            rows = betas_grid(probe, np.array(new), tol=SEARCH_QUAD_TOL)
             known.update(zip(new, (r.betas for r in rows)))
         return np.array([known[x] for x in A.tolist()]).reshape(-1, m)
 

@@ -105,7 +105,10 @@ def cmd_evolve(ns) -> int:
     if ns.data:
         with open(ns.data) as fh:
             data = evodata.evolution_data_from_dict(json.load(fh))
-        ns.m = data.m
+        # the data fixes m, and its recipe replaces a and c
+        ns.m = cfg["m"] = data.m
+        for key in ("a", "c"):
+            cfg.pop(key, None)
     else:
         data = evodata.example_quadric(ns.m, ns.a, ns.c)
     if ns.w0:
@@ -238,6 +241,9 @@ def cmd_mesh(ns) -> int:
 def cmd_verify(ns) -> int:
     from . import meshverify
     cfg = _resolved_config(ns)
+    if ns.threshold is not None and not ns.threshold >= 0.0:
+        raise ValidationError(f"--threshold must be a non-negative number, "
+                              f"got {ns.threshold!r}")
     mesh = meshverify.import_json(_outpath(ns.mesh))
     meshverify.rebuild_family(mesh)
     report = meshverify.mesh_residual_report(mesh)

@@ -6,28 +6,12 @@ backward recurrence on the amplitude.  The argument convention is the
 so every public function documents it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 
 _AGM_TOL = 1e-16
 _AGM_MAX_ITER = 64
-
-
-@dataclass(frozen=True)
-class JacobiTriple:
-    """Values (sn, cn, dn) at argument t with modulus k.
-
-    Satisfies sn^2 + cn^2 = 1 and k^2 sn^2 + dn^2 = 1.
-    """
-
-    sn: float
-    cn: float
-    dn: float
-    t: float
-    k: float
 
 
 def _check_modulus(k: float, allow_one: bool = True) -> float:
@@ -60,13 +44,6 @@ def complete_K(k: float) -> float:
     k = _check_modulus(k, allow_one=False)
     a_list, _ = _agm_scales(k)
     return float(np.pi / (2.0 * a_list[-1]))
-
-
-def jacobi(t: float, k: float) -> JacobiTriple:
-    """Jacobi elliptic triple (sn, cn, dn)(t, k) for modulus k in [0, 1]:
-    the scalar case of ``jacobi_grid``."""
-    sn, cn, dn = jacobi_grid(float(t), k)
-    return JacobiTriple(float(sn), float(cn), float(dn), float(t), float(k))
 
 
 def jacobi_grid(t: np.ndarray, k: float) -> np.ndarray:

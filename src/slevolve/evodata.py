@@ -21,6 +21,7 @@ import numpy as np
 from . import ode
 from .errors import ConstructionError, ValidationError
 from .multilinear import insertion_table, k_subsets
+from .roots import companion_roots
 
 _SINGULAR_TOL = 1e-8
 _RANK_TOL = 1e-10
@@ -114,8 +115,11 @@ class EvolutionData:
         return "affine" if np.any(self.chi[:, -1] != 0.0) else "linear"
 
     def chi_at(self, x) -> np.ndarray:
-        """Coefficients of chi at points x (..., n), shape (..., C(n, m-1))."""
-        return np.asarray(x, dtype=float) @ self.chi[:, :-1].T + self.chi[:, -1]
+        """Coefficients of chi at points x (..., n), shape (..., C(n, m-1)),
+        from a matmul on one (1, n) core per point, so that a point has
+        the same coefficients alone as in a stack."""
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return (x @ self.chi[:, :-1].T)[..., 0, :] + self.chi[:, -1]
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         return self.sampler(count, seed)
@@ -211,45 +215,22 @@ def _top_contraction(X: np.ndarray) -> np.ndarray:
     return insertion_table(X.shape[0], X.shape[0] - 1)[1] @ X
 
 
-def _companion_roots(coeffs: np.ndarray) -> tuple:
-    """The rows (a2, a1, a0) of coeffs whose roots ``np.roots`` takes from
-    the eigenvalues of the companion matrix, and those roots.
-
-    Returns a mask over the rows and their two roots each, shape
-    (mask.sum(), 2), from one stacked ``eigvals``, which equals
-    ``np.roots`` bit for bit.  The rows left out are those where
-    |a2| <= 1e-14 (the linear branch) or where np.roots takes another path:
-    a0 = 0 (stripped into an exact root 0) and non-finite coefficients
-    (its error).
-    """
-    stacked = ((np.abs(coeffs[:, 0]) > 1e-14) & (coeffs[:, 2] != 0.0)
-               & np.isfinite(coeffs[:, 1:]).all(axis=1))
-    a2, a1, a0 = (coeffs if stacked.all() else coeffs[stacked]).T
-    comp = np.zeros((len(a2), 2, 2))
-    comp[:, 0, 0] = -a1 / a2
-    comp[:, 0, 1] = -a0 / a2
-    comp[:, 1, 0] = 1.0
-    return stacked, np.linalg.eigvals(comp)
-
-
-def _line_roots(coeffs: np.ndarray):
+def _root_table(coeffs: np.ndarray) -> np.ndarray:
     """Roots s of a2 s^2 + a1 s + a0 for each row (a2, a1, a0) of coeffs,
-    or -a0/a1 when |a2| <= 1e-14 (none when |a1| is below it too).
-
-    ``_companion_roots`` solves the rows it can in one stack; the others
-    keep ``np.roots``'s own path.  Yields one root array per row, in order.
-    """
-    stacked, eig = _companion_roots(coeffs)
-    eig = iter(eig)
-    for i, (a2, a1, a0) in enumerate(coeffs):
-        if stacked[i]:
-            yield next(eig)
-        elif abs(a2) > 1e-14:
-            yield np.roots(coeffs[i])
-        elif abs(a1) > 1e-14:
-            yield [-a0 / a1]
-        else:
-            yield []
+    as a (rows, 2) complex table padded with NaN + NaN i: ``np.roots``'s
+    where |a2| > 1e-14, else -a0/a1 where |a1| > 1e-14, else none.  The
+    rows ``np.roots`` solves by companion matrix (a0 != 0, finite) take one
+    ``roots.companion_roots``; ``np.roots`` itself serves the others."""
+    table = np.full((len(coeffs), 2), complex(np.nan, np.nan))
+    a2, a1, a0 = coeffs.T
+    quad = np.abs(a2) > 1e-14
+    stacked = quad & (a0 != 0.0) & np.isfinite(coeffs[:, 1:]).all(axis=1)
+    table[stacked] = companion_roots(coeffs[stacked])
+    for i in np.flatnonzero(quad & ~stacked):
+        table[i] = np.roots(coeffs[i])
+    linear = ~quad & (np.abs(a1) > 1e-14)
+    table[linear, 0] = -a0[linear] / a1[linear]
+    return table
 
 
 def _quadric_sampler(spec: QuadricSpec, c: float):
@@ -259,12 +240,12 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
     Each round draws a block of lines, one attempt at a time in the order
     the draws were always made, then takes the block's quadratics, hits and
     gradient norms in stacked calls; the hits are kept in line order up to
-    the count, so a longer block only draws lines no point comes from.  Every product is a matmul with (1, n)
-    cores, where numpy runs one gemv or ddot per row, as it does on one line
-    alone, so the points do not depend on the block size.  Where every
-    line's quadratic has its roots from ``_companion_roots``, one mask picks
-    the real ones, in line order; a block with another root path walks
-    ``_line_roots`` line by line.
+    the count, so a longer block only draws lines no point comes from.
+    Every product is a matmul with (1, n) cores, where numpy runs one gemv
+    or ddot per row, as it does on one line alone, so the points do not
+    depend on the block size.  ``_root_table`` solves the block's
+    quadratics into one root table, and one mask picks the real roots in
+    line order.
     """
     n = spec.n
     scale = max(1.0, float(np.abs(spec.S).max()), float(np.abs(spec.b).max()))
@@ -293,19 +274,10 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
             coeffs = np.column_stack([dSd[:, 0, 0],
                                       (pSd + rows @ b)[:, 0, 0],
                                       spec.value(P0) - c])
-            stacked, eig = _companion_roots(coeffs)
-            if stacked.all():
-                # the real roots in line order, each line's in eig's order
-                real = np.abs(np.imag(eig)) <= 1e-12
-                lines, s = np.nonzero(real)[0], np.real(eig)[real]
-            else:
-                lines, s = [], []
-                for i, rs in enumerate(_line_roots(coeffs)):
-                    for r in rs:
-                        if abs(np.imag(r)) <= 1e-12:
-                            lines.append(i)
-                            s.append(float(np.real(r)))
-                s = np.array(s)
+            roots = _root_table(coeffs)
+            # the real roots in line order; the NaN padding is never real
+            real = np.abs(roots.imag) <= 1e-12
+            lines, s = np.nonzero(real)[0], roots.real[real]
             hits = P0[lines] + s[:, None] * D[lines]
             grad = spec.gradient(hits)[:, None, :]
             norms = np.sqrt((grad @ np.swapaxes(grad, 1, 2))[:, 0, 0])

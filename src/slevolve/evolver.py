@@ -83,13 +83,6 @@ class EvolMap:
         w = np.asarray(w, dtype=complex)
         return cls.linear(np.diag(w))
 
-    def __call__(self, x) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=float) + self.t0
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.linalg.norm(self.A) ** 2
-                             + np.linalg.norm(self.t0) ** 2))
-
 
 def _checked_map(n: int, m: int, A: np.ndarray, t0: np.ndarray) -> EvolMap:
     """An EvolMap of read-only complex A (m, n) and t0 (m,) whose entries
@@ -250,9 +243,11 @@ class CPDiagnostics:
     min_singular_ratio: float
     samples: int
 
-    def passes(self, omega_tol: float = 1e-8, sv_ratio_tol: float = 1e-8) -> bool:
-        return (self.max_omega_residual <= omega_tol
-                and self.min_singular_ratio >= sv_ratio_tol)
+    def passes(self) -> bool:
+        """The omega residual at most 1e-8 and the smallest singular-value
+        ratio at least 1e-8."""
+        return (self.max_omega_residual <= 1e-8
+                and self.min_singular_ratio >= 1e-8)
 
 
 def _pushed_frames(bases: np.ndarray, As: np.ndarray) -> tuple:
@@ -309,9 +304,6 @@ class Trajectory:
     nfev: int = 0
     accepted_steps: int = 0
     membership_samples: int = 0
-
-    def final(self) -> EvolMap:
-        return self.maps[-1]
 
     def diagnostics(self) -> dict:
         """The run's deterministic work counts."""

@@ -17,7 +17,7 @@ so the mesh's points and frames are the family's at the lifted rows.  On
 a quadric the profile lines are the chart's own circles.  Frames are
 normalized to unit vectors and the volume residual divided by the frame's
 Gram volume, making every report scale free.  Central differences of
-``points`` (``tangents="fd"``) are the reference for convergence checks.
+``points`` (``fd_frames``) are the reference for convergence checks.
 """
 
 import json
@@ -202,17 +202,17 @@ class ParaboloidChart(_Chart):
 
 
 class ConeChart(_Chart):
-    """The cone over the link circle: coordinates (s, r) -> r x(s)."""
+    """The cone over the link circle: coordinates (s, r) -> r x(s), sampled
+    over one period in s and r in [0.5, 2]."""
 
-    def __init__(self, section: threefold.CrossSection, r_range=(0.5, 2.0)):
+    def __init__(self, section: threefold.CrossSection):
         self.section = section
-        self.r_range = r_range
 
     def sample_coords(self, count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return np.column_stack([
             rng.uniform(0.0, self.section.period, size=count),
-            rng.uniform(*self.r_range, size=count)])
+            rng.uniform(0.5, 2.0, size=count)])
 
     def point_and_jacobian(self, Q) -> tuple:
         Q = np.asarray(Q, dtype=float)
@@ -248,7 +248,7 @@ class _Family:
     (N, m, m) complex frames whose rows differentiate the points along the
     first m columns (trailing columns carry discrete branch data)."""
 
-    def fd_frames(self, P, probe: float = 1e-5) -> np.ndarray:
+    def fd_frames(self, P, probe: float) -> np.ndarray:
         """Central differences of ``points``: the reference for ``frames``."""
         P = np.asarray(P, dtype=float)
         n, k = P.shape
@@ -365,7 +365,7 @@ class ConeOverLinkFamily(_SweptFamily):
     makes it harmonic.
     """
 
-    def __init__(self, alphas, A: float, r_range=(0.5, 2.0), t_span=None):
+    def __init__(self, alphas, A: float, t_span=None):
         al = np.asarray(alphas, dtype=float)
         self.params = centred.CentredParams(3, 1, tuple(al), float(A), c=0.0)
         if t_span is None:
@@ -373,7 +373,7 @@ class ConeOverLinkFamily(_SweptFamily):
         self.t_span = float(t_span)
         self.path = centred.integrate_w(centred.w_initial(self.params), 1,
                                         self.t_span)
-        self.chart = ConeChart(threefold.cross_section(al), r_range)
+        self.chart = ConeChart(threefold.cross_section(al))
         self.m, self.a = 3, 1
 
 
@@ -442,23 +442,13 @@ def _report(res_omega: np.ndarray, res_imomega: np.ndarray) -> SLReport:
                     int(ok.size - ok.sum()))
 
 
-def sl_residuals(target, n_samples: int = 1000, seed: int = 0,
-                 tangents: str = "analytic", probe: float = 1e-5) -> SLReport:
-    """Evaluate the special Lagrangian conditions on random samples.
-
-    ``target`` is a parametrized family (analytic frames preferred) or a
-    Mesh produced by the builders in this module (which re-evaluates the
-    attached family at the stored vertex parameters).  Degenerate frames
-    (Gram volume below 1e-14) are skipped and counted.
-    """
-    if isinstance(target, Mesh):
-        return mesh_residual_report(target)
-    if tangents not in ("analytic", "fd"):
-        raise ValidationError("tangents must be 'analytic' or 'fd'")
-    P = target.sample_params(n_samples, seed)
-    F = target.frames(P) if tangents == "analytic" else target.fd_frames(
-        P, probe)
-    return _report(*_residuals(F))
+def sl_residuals(family, n_samples: int = 1000, seed: int = 0) -> SLReport:
+    """Evaluate the special Lagrangian conditions on the analytic frames of
+    a parametrized family at random samples.  Degenerate frames (Gram
+    volume below 1e-14) are skipped and counted; a mesh has
+    ``mesh_residual_report``."""
+    P = family.sample_params(n_samples, seed)
+    return _report(*_residuals(family.frames(P)))
 
 
 # ---------------------------------------------------------------------------

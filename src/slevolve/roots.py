@@ -1,4 +1,5 @@
-"""One bracketing root finder for every scalar root in slevolve.
+"""The root finders of slevolve: one bracketing root finder for every
+scalar root, and one companion-matrix solver for polynomial rows.
 
 ``brent`` runs Brent's method (R. P. Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4) on many brackets in lockstep: each round
@@ -6,7 +7,8 @@ calls the function once, on the rows still active.  The recurrence is ported
 from scipy's ``brentq.c`` with the same floating-point operations in the
 same order, so each row takes the same steps, the same number of function
 calls and returns the same root as ``scipy.optimize.brentq`` bit for bit
-(``tests/test_roots.py`` holds scipy as the oracle).
+(``tests/test_roots.py`` holds scipy as the oracle).  ``companion_roots``
+takes the roots of many polynomials at once from one stacked ``eigvals``.
 
 The ported algorithm comes from SciPy, under this notice:
 
@@ -153,3 +155,17 @@ def brent(f, lo, hi, xtol: float, rtol: float = 4 * EPS, maxiter: int = 100,
             f"{where}: root bracket {r} {_bracket(lo, hi, r)} did not "
             f"converge in {maxiter} iterations (last x = {float(xcur[r])!r})")
     return root
+
+
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the row polynomials coeffs (N, d+1), highest power first,
+    leading coefficient nonzero: shape (N, d), from one stacked ``eigvals``
+    of the companion matrices ``np.roots`` builds, so a row with a nonzero
+    last coefficient gets ``np.roots``'s roots bit for bit, in order."""
+    N, d = coeffs.shape[0], coeffs.shape[1] - 1
+    if not d:
+        return np.zeros((N, 0), dtype=complex)
+    comp = np.zeros((N, d, d))
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(comp)

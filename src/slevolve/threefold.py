@@ -33,8 +33,8 @@ def _check_normalized3(alphas) -> np.ndarray:
     al = np.asarray(alphas, dtype=float)
     if al.shape != (3,):
         raise ValidationError("expected three alphas")
-    if np.any(al <= 0):
-        raise ValidationError("alphas must be positive")
+    if not np.all(np.isfinite(al) & (al > 0)):
+        raise ValidationError("alphas must be finite and positive")
     if abs(1.0 / al[0] - 1.0 / al[1] - 1.0 / al[2]) > _NORM_TOL:
         raise ValidationError(
             "alphas must satisfy 1/alpha_1 = 1/alpha_2 + 1/alpha_3")

@@ -27,8 +27,7 @@ import pytest
 
 from slevolve import ConstructionError, ValidationError
 from slevolve.centred import CentredParams
-from slevolve.elliptic import JacobiTriple
-from slevolve.evodata import _SINGULAR_TOL, QuadricSpec, _line_roots
+from slevolve.evodata import _SINGULAR_TOL, QuadricSpec
 from slevolve.multilinear import complex_to_real, k_subsets
 
 
@@ -201,8 +200,16 @@ def frame_forms_hermitian(Z) -> tuple:
             np.abs(np.linalg.det(unit_cols).imag))
 
 
+def line_roots(a2, a1, a0) -> list:
+    """Roots s of a2 s^2 + a1 s + a0 on one line: ``np.roots`` where
+    |a2| > 1e-14, else -a0/a1 where |a1| > 1e-14, else none."""
+    if abs(a2) > 1e-14:
+        return list(np.roots([a2, a1, a0]))
+    return [-a0 / a1] if abs(a1) > 1e-14 else []
+
+
 def quadric_sampler_loop(spec: QuadricSpec, c: float):
-    """The quadric sampler with every line's coefficients, hits and
+    """The quadric sampler with every line's coefficients, roots, hits and
     gradient norms taken one line and one point at a time."""
     n = spec.n
     scale = max(1.0, float(np.abs(spec.S).max()), float(np.abs(spec.b).max()))
@@ -224,7 +231,7 @@ def quadric_sampler_loop(spec: QuadricSpec, c: float):
                 coeffs.append((d @ spec.S @ d,
                                2.0 * p0 @ spec.S @ d + spec.b @ d,
                                spec.value(p0) - c))
-            roots = _line_roots(np.array(coeffs))
+            roots = (line_roots(*abc) for abc in coeffs)
             hits = (p0 + float(np.real(s)) * d
                     for (p0, d), rs in zip(lines, roots)
                     for s in rs if abs(np.imag(s)) <= 1e-12)
@@ -286,10 +293,11 @@ def rhs_reduced(state: ReducedState, params: CentredParams):
     return float(du), dthetas
 
 
-def jacobi_derivatives(triple: JacobiTriple) -> tuple:
-    """(sn', cn', dn') from the defining first-order system."""
-    sn, cn, dn, k = triple.sn, triple.cn, triple.dn, triple.k
-    return (cn * dn, -sn * dn, -(k ** 2) * sn * cn)
+def jacobi_derivatives(snd: np.ndarray, k: float) -> np.ndarray:
+    """(sn', cn', dn') from the defining first-order system, for values
+    (..., 3) of (sn, cn, dn) at modulus k; shape (..., 3)."""
+    sn, cn, dn = np.moveaxis(np.asarray(snd, dtype=float), -1, 0)
+    return np.stack([cn * dn, -sn * dn, -(k ** 2) * sn * cn], axis=-1)
 
 
 class RotatedPlaneFamily:

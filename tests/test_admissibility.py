@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from conftest import digest_le
-from oracles import frame_forms_hermitian, quadric_sampler_loop
+from oracles import frame_forms_hermitian, line_roots, quadric_sampler_loop
 from slevolve import ConstructionError, ValidationError, evodata, evolver
 from slevolve.multilinear import frame_forms
 
@@ -217,12 +217,14 @@ def test_line_roots_equal_np_roots():
     coeffs[50:60, :2] = 0.0                          # no root
     coeffs[60:70, 2] = 0.0                           # np.roots strips a0 = 0
     coeffs[70:75, 1:] = 0.0                          # double root 0
-    for row, got in zip(coeffs, evodata._line_roots(coeffs)):
-        a2, a1, a0 = row
-        want = np.roots([a2, a1, a0]) if abs(a2) > 1e-14 else (
-            [-a0 / a1] if abs(a1) > 1e-14 else [])
-        assert np.array_equal(np.real(got), np.real(want))
-        assert np.array_equal(np.imag(got), np.imag(want))
+    table = evodata._root_table(coeffs)
+    assert table.shape == (len(coeffs), 2)
+    for row, got in zip(coeffs, table):
+        want = line_roots(*row)
+        # the padding is NaN + NaN i, never a real root
+        assert np.isnan(got[len(want):].imag).all()
+        assert np.array_equal(got[:len(want)].real, np.real(want))
+        assert np.array_equal(got[:len(want)].imag, np.imag(want))
 
 
 def _curve():

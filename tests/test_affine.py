@@ -7,9 +7,8 @@ import pytest
 
 from slevolve import ValidationError, centred
 from slevolve.affine import (AffineParams, affine_initial, beta_closed,
-                             betas_affine, case_span_note,
-                             classify_affine_case, integrate_affine,
-                             rhs_affine)
+                             case_span_note, classify_affine_case,
+                             integrate_affine, rhs_affine)
 
 
 def normalized(m, a):
@@ -64,7 +63,7 @@ class TestBetaClosed:
 
     def test_translation_after_one_period(self):
         params = normalized(4, 2)
-        res = betas_affine(params)
+        res = centred.betas(params.reduced())
         T = res.period_T
         w0, b0 = affine_initial(params)
         path = integrate_affine(w0, b0, params.a, 3 * T)

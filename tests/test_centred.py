@@ -1,6 +1,8 @@
 """The centred-quadric system: reduction, conservation, turning points,
 quadrature against direct integration, limits, and the periodicity search."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -567,21 +569,17 @@ class TestPeriodicSearch:
         with pytest.raises(ValidationError, match="tol"):
             periodic_search(symmetric_alphas(3, 1), 1, 8, tol=tol)
 
-    @pytest.mark.parametrize("quad_tol", [np.nan, np.inf, -1.0])
-    def test_bad_quad_tol_rejected(self, quad_tol):
-        with pytest.raises(ValidationError, match="tolerance"):
-            periodic_search(symmetric_alphas(3, 1), 1, 8, quad_tol=quad_tol)
-
     def test_solution_round_trip(self):
+        # the dict holds plain JSON values and reads back unchanged
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.1, c=0.0)
         sol = PeriodicSolution(params, (-8, 4, 4), 7, topology="x",
                                residual=1e-9)
         d = sol.to_dict()
-        back = PeriodicSolution.from_dict(d)
-        assert back.int_angles == sol.int_angles
-        assert back.denom == sol.denom
-        assert back.params.alphas == sol.params.alphas
-        assert d["parities"] == [0, 0, 0]
+        assert json.loads(json.dumps(d)) == d
+        assert d == {"m": 3, "a": 1, "alphas": [1.0, 2.0, 2.0], "A": 1.1,
+                     "c": 0.0, "int_angles": [-8, 4, 4], "denom": 7,
+                     "parities": [0, 0, 0], "topology": "x",
+                     "residual": 1e-9}
 
 
 class TestParamsValidation:
@@ -601,6 +599,14 @@ class TestParamsValidation:
             state, A = reduce_state(w0, params)
             assert A == pytest.approx(params.A, rel=1e-12)
             assert state.u == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alphas,A,match", [
+        ((1.0, -2.0, 2.0), 0.5, "alpha_j > 0"),
+        ((1.0, 0.0, 2.0), 0.0, "alpha_j > 0"),
+        ((1.0, 2.0, 2.0), 2.5, "A exceeds")])
+    def test_w_initial_refusals(self, alphas, A, match):
+        with pytest.raises(ValidationError, match=match):
+            w_initial(CentredParams(3, 1, alphas, A, c=1.0))
 
 
 class TestBatchedQuadrature:

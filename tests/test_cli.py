@@ -217,6 +217,19 @@ class TestMeshAndVerify:
         rc = run(["verify", "--mesh", str(mesh), "--threshold", "1e-30"])
         assert rc == 3
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1e-6"])
+    def test_bad_threshold_is_exit_two(self, tmp_path, capsys, threshold):
+        # a NaN threshold failed no comparison, so verify passed any mesh
+        mesh = tmp_path / "link.json"
+        run(["mesh", "--kind", "link", "--alphas", "1.2,2,3", "--A", "0.4",
+             "--resolution", "8x8", "--out", str(mesh)])
+        capsys.readouterr()
+        assert run(["verify", "--mesh", str(mesh), "--threshold",
+                    threshold]) == 2
+        captured = capsys.readouterr()
+        assert "--threshold" in captured.err
+        assert "max residual" not in captured.out
+
     def test_shifted_vertices_fail_verify(self, tmp_path):
         mesh = tmp_path / "centred.json"
         rc = run(["mesh", "--kind", "centred", "--m", "3", "--a", "1",
@@ -370,6 +383,19 @@ class TestEvolveCommand:
         doc = json.loads(summary.read_text())
         assert doc["max_omega_residual"] <= 1e-8
 
+    def test_data_file_config_echoes_its_m(self, tmp_path):
+        # the config echoed m = 3 and the unused a and c
+        from slevolve import evodata
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps(
+            evodata.example_quadric(4, 2, 1.0).to_json_dict()))
+        summary = tmp_path / "s.json"
+        assert run(["evolve", "--data", str(data_path), "--t-end", "0.2",
+                    "--summary", str(summary)]) == 0
+        config = json.loads(summary.read_text())["config"]
+        assert config["m"] == 4
+        assert "a" not in config and "c" not in config
+
     def test_summary_diagnostics_deterministic(self, tmp_path, monkeypatch):
         # the config echoes the path, so the two runs write the same name
         monkeypatch.delenv("SLEVOLVE_OUTDIR", raising=False)
@@ -514,6 +540,17 @@ class TestOtherCommands:
         assert max(doc["max_constraint_residuals"]) <= 1e-10
         header = (tmp_path / "cs.csv").read_text().splitlines()[0]
         assert header == "s,x1,x2,x3"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alphas", ["nan,2,3", "1,inf,1", "1.2,-2,3"])
+    def test_crosssection_bad_alphas_exit_two(self, tmp_path, capsys,
+                                               alphas):
+        # NaN reached the modulus check, inf warned on the way there
+        assert run(["crosssection", "--alphas", alphas,
+                    "--summary", str(tmp_path / "cs.json")]) == 2
+        assert ("alphas must be finite and positive"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "cs.json").exists()
 
     def test_affine_summary(self, tmp_path):
         rc = run(["affine", "--m", "3", "--a", "2", "--alphas", "1,1.3",

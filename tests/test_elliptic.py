@@ -7,7 +7,7 @@ from scipy.integrate import quad, solve_ivp
 
 from oracles import jacobi_derivatives
 from slevolve import ValidationError
-from slevolve.elliptic import JacobiTriple, complete_K, jacobi, jacobi_grid
+from slevolve.elliptic import complete_K, jacobi_grid
 
 
 def jacobi_ode_oracle(t, k, rtol=1e-12, atol=1e-14):
@@ -26,37 +26,33 @@ def jacobi_ode_oracle(t, k, rtol=1e-12, atol=1e-14):
 class TestJacobi:
     def test_initial_conditions(self):
         for k in (0.0, 0.3, 0.8, 1.0):
-            j = jacobi(0.0, k)
-            assert (j.sn, j.cn, j.dn) == (0.0, 1.0, 1.0)
+            assert jacobi_grid(0.0, k).tolist() == [0.0, 1.0, 1.0]
 
     def test_circular_reduction(self):
         ts = np.linspace(-5, 5, 41)
-        for t in ts:
-            j = jacobi(t, 0.0)
-            assert j.sn == pytest.approx(np.sin(t), abs=1e-12)
-            assert j.cn == pytest.approx(np.cos(t), abs=1e-12)
-            assert j.dn == pytest.approx(1.0, abs=1e-12)
+        sn, cn, dn = jacobi_grid(ts, 0.0).T
+        assert np.abs(sn - np.sin(ts)).max() <= 1e-12
+        assert np.abs(cn - np.cos(ts)).max() <= 1e-12
+        assert np.abs(dn - 1.0).max() <= 1e-12
 
     def test_identities_random(self):
         rng = np.random.default_rng(21)
         t = rng.uniform(-6, 6, size=10_000)
         k = rng.uniform(0, 1, size=10_000)
         for ti, ki in zip(t, k):
-            j = jacobi(ti, ki)
-            assert abs(j.sn ** 2 + j.cn ** 2 - 1) <= 1e-12
-            assert abs((ki * j.sn) ** 2 + j.dn ** 2 - 1) <= 1e-12
+            sn, cn, dn = jacobi_grid(ti, ki)
+            assert abs(sn ** 2 + cn ** 2 - 1) <= 1e-12
+            assert abs((ki * sn) ** 2 + dn ** 2 - 1) <= 1e-12
 
     def test_against_ode_oracle_spot(self):
-        j = jacobi(1.3, 0.7)
         want = jacobi_ode_oracle(1.3, 0.7)
-        assert np.allclose([j.sn, j.cn, j.dn], want, atol=1e-10)
+        assert np.allclose(jacobi_grid(1.3, 0.7), want, atol=1e-10)
 
     def test_against_ode_oracle_grid(self):
         for k in (0.1, 0.5, 0.9, 0.99):
             for t in (-2.5, -0.7, 0.4, 1.9, 3.1):
-                j = jacobi(t, k)
                 want = jacobi_ode_oracle(t, k)
-                assert np.allclose([j.sn, j.cn, j.dn], want, atol=1e-10), (t, k)
+                assert np.allclose(jacobi_grid(t, k), want, atol=1e-10), (t, k)
 
     def test_derivative_relations_fd(self):
         rng = np.random.default_rng(22)
@@ -64,18 +60,15 @@ class TestJacobi:
         for _ in range(60):
             t = rng.uniform(-4, 4)
             k = rng.uniform(0, 0.98)
-            jp = jacobi(t + h, k)
-            jm = jacobi(t - h, k)
-            want = jacobi_derivatives(jacobi(t, k))
-            fd = ((jp.sn - jm.sn) / (2 * h), (jp.cn - jm.cn) / (2 * h),
-                  (jp.dn - jm.dn) / (2 * h))
-            assert np.allclose(fd, want, atol=1e-8)
+            jp, jm, j = jacobi_grid(np.array([t + h, t - h, t]), k)
+            fd = (jp - jm) / (2 * h)
+            assert np.allclose(fd, jacobi_derivatives(j, k), atol=1e-8)
 
     def test_modulus_validation(self):
         with pytest.raises(ValidationError):
-            jacobi(1.0, -0.1)
+            jacobi_grid(1.0, -0.1)
         with pytest.raises(ValidationError):
-            jacobi(1.0, 1.1)
+            jacobi_grid(1.0, 1.1)
 
     def test_grid_shape(self):
         out = jacobi_grid(np.linspace(0, 1, 7), 0.4)
@@ -115,16 +108,11 @@ class TestCompleteK:
     def test_periodicity(self):
         k = 0.9
         K = complete_K(k)
-        for t in np.linspace(-2, 2, 17):
-            assert jacobi(t + 4 * K, k).sn == pytest.approx(
-                jacobi(t, k).sn, abs=1e-9)
+        t = np.linspace(-2, 2, 17)
+        shifted = jacobi_grid(t + 4 * K, k)[:, 0]
+        assert np.abs(shifted - jacobi_grid(t, k)[:, 0]).max() <= 1e-9
 
     def test_k_one_rejected(self):
         with pytest.raises(ValidationError):
             complete_K(1.0)
 
-
-def test_triple_invariants_dataclass():
-    j = jacobi(0.77, 0.6)
-    assert isinstance(j, JacobiTriple)
-    assert j.t == 0.77 and j.k == 0.6

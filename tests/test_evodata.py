@@ -228,14 +228,19 @@ class TestNormalsProtocol:
     @pytest.mark.parametrize("label", list(CASES))
     def test_frames_and_tangency_per_point(self, label):
         # tangent_bases and tangency_residual call normals once per stack;
-        # a point's frame is the one it has alone
+        # a point's frame, chi and tangency residual are the ones it has
+        # alone
         data = self.CASES[label]()
         pts = data.sample(12, 5)
         bases = data.tangent_bases(pts)
-        for p, basis_p in zip(pts, bases):
-            assert basis_p.tobytes() == data.tangent_basis(p).tobytes()
+        chis = data.chi_at(pts)
         tangency = data.tangency_residual(pts)
         assert tangency.shape == (12,) and tangency.max() <= 1e-10
+        for p, basis_p, chi_p, tangency_p in zip(pts, bases, chis, tangency):
+            assert basis_p.tobytes() == data.tangent_basis(p).tobytes()
+            assert chi_p.tobytes() == data.chi_at(p).tobytes()
+            assert (tangency_p.tobytes()
+                    == data.tangency_residual(p[None]).tobytes())
 
 
 class TestSymmetryAlgebra:

@@ -212,8 +212,8 @@ class TestIntegrate:
                          250.0, checkpoints=3, membership_samples=4)
         assert not traj.escaped
         assert traj.times[-1] == 250.0
-        assert abs(traj.final().t0[m - 1]) > 100.0
-        assert np.abs(traj.final().A).max() <= 10.0
+        assert abs(traj.maps[-1].t0[m - 1]) > 100.0
+        assert np.abs(traj.maps[-1].A).max() <= 10.0
 
     @pytest.mark.parametrize("counts", [{"checkpoints": 1},
                                         {"checkpoints": 0},
@@ -306,7 +306,7 @@ class TestIntegrate:
         assert np.allclose(ratios, np.round(ratios), atol=1e-9)
         T = 2 * np.pi / base
         end = integrate(phi0, data, T, checkpoints=3,
-                        membership_samples=10).final()
+                        membership_samples=10).maps[-1]
         assert np.abs(end.A - phi0.A).max() <= 1e-8
 
     def test_checkpoint_pullback_residual(self):
@@ -323,11 +323,11 @@ class TestIntegrate:
         params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
         phi0 = EvolMap.diagonal(centred.w_initial(params))
         ref = integrate(phi0, data, 2.0, rtol=1e-12, atol=1e-14,
-                        checkpoints=3, membership_samples=8).final()
+                        checkpoints=3, membership_samples=8).maps[-1]
         errs = []
         for rtol in (1e-6, 1e-9):
             end = integrate(phi0, data, 2.0, rtol=rtol, atol=rtol * 1e-2,
-                            checkpoints=3, membership_samples=8).final()
+                            checkpoints=3, membership_samples=8).maps[-1]
             errs.append(np.abs(end.A - ref.A).max())
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-8

@@ -14,10 +14,10 @@ from slevolve import ValidationError, affine, centred, meshverify, threefold
 from slevolve.multilinear import complex_to_real
 from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
                                  CentredFamily, ConeOverLinkFamily, Mesh,
-                                 QuadricChart, export, import_json,
-                                 mesh_affine, mesh_centred, mesh_link,
-                                 mesh_residual_report, rebuild_family,
-                                 sl_residuals)
+                                 QuadricChart, _report, _residuals, export,
+                                 import_json, mesh_affine, mesh_centred,
+                                 mesh_link, mesh_residual_report,
+                                 rebuild_family, sl_residuals)
 
 P122 = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
 
@@ -186,8 +186,9 @@ class TestResiduals:
     def test_fd_tangents_second_order(self):
         form = threefold.Affine3ClosedForm("a1", 1.0, 0.4 + 0.2j, 0.0)
         fam = Affine3ClosedFamily(form)
-        r1 = sl_residuals(fam, 60, 9, tangents="fd", probe=2e-4)
-        r2 = sl_residuals(fam, 60, 9, tangents="fd", probe=1e-4)
+        P = fam.sample_params(60, 9)
+        r1, r2 = (_report(*_residuals(fam.fd_frames(P, probe)))
+                  for probe in (2e-4, 1e-4))
         ratio = r1.max_imOmega_residual / r2.max_imOmega_residual
         assert 3.0 < ratio < 5.0
 
@@ -324,7 +325,7 @@ class TestMeshAffine:
     def test_translation_between_periods(self):
         params = affine.AffineParams(4, 2, centred.symmetric_alphas(3, 2),
                                      0.4)
-        res = affine.betas_affine(params)
+        res = centred.betas(params.reduced())
         T = res.period_T
         mesh = mesh_affine(params, (0.0, T), resolution=(7, 10))
         first = mesh.vertices[np.isclose(mesh.params[:, 0], 0.0)]

@@ -1,4 +1,5 @@
-"""The lockstep Brent root finder against ``scipy.optimize.brentq``.
+"""The lockstep Brent root finder against ``scipy.optimize.brentq``, and
+the stacked companion-matrix roots against ``np.roots``.
 
 scipy is the oracle here: every bracket of a batch must give the same root
 and take the same number of function evaluations as a scalar ``brentq``
@@ -10,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from slevolve.errors import NumericalError, ValidationError
-from slevolve.roots import EPS, brent
+from slevolve.roots import EPS, brent, companion_roots
 
 # smooth, steep, flat (triple root) and one-sided-kink functions of x - c
 SHAPES = (
@@ -149,3 +150,23 @@ class TestErrors:
         with pytest.raises(ValidationError, match="rtol >= 4 eps"):
             brent(lambda x, rows: x, [-1.0], [1.0], 1e-12, rtol=EPS,
                   stage="t", params={})
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_companion_roots_equal_np_roots(degree):
+    rng = np.random.default_rng(40 + degree)
+    coeffs = rng.normal(size=(300, degree + 1)) * rng.uniform(
+        1e-3, 1e3, (300, 1))
+    coeffs[:20, 1:-1] = 0.0                 # sparse rows, equal moduli
+    got = companion_roots(coeffs)
+    assert got.shape == (300, degree)
+    for row, roots in zip(coeffs, got):
+        want = np.roots(row)
+        assert np.array_equal(roots.real, want.real)
+        assert np.array_equal(roots.imag, np.imag(want))
+
+
+def test_companion_roots_of_constants():
+    # a degree-0 row, as the deflated quadrature factor at m = 2
+    got = companion_roots(np.array([[2.0], [-1.0]]))
+    assert got.shape == (2, 0) and got.dtype == complex
