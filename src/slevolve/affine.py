@@ -15,15 +15,15 @@ and for A > 0 the imaginary part decreases strictly, so the translated
 family never closes up: over a period T of the w subsystem, whose monodromy
 is ``centred.betas(params.reduced())``, beta(t + T) - beta(t) = -i A T.
 ``integrate_affine`` runs on the centred w kernel over the m-1 letters,
-generated with beta as one more component, and returns a
-``centred.WSolutionPath`` that carries beta.
+generated with beta as one more component, through ``integrate_w``'s
+dense solve, and returns a ``centred.WSolutionPath`` that carries beta.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import centred, ode
+from . import centred
 from .errors import ValidationError
 
 
@@ -52,10 +52,10 @@ class AffineParams:
         object.__setattr__(self, "alphas", al)
         object.__setattr__(self, "Cconst", complex(self.Cconst))
 
-    def reduced(self, c: float = 1.0) -> centred.CentredParams:
-        """The centred parameters of the w subsystem (m-1 letters)."""
+    def reduced(self) -> centred.CentredParams:
+        """The centred parameters of the w subsystem (m-1 letters, c = 1)."""
         return centred.CentredParams(self.m - 1, self.a, self.alphas,
-                                     self.A, c=c)
+                                     self.A, c=1.0)
 
 
 def rhs_affine(w, a: int):
@@ -66,19 +66,18 @@ def rhs_affine(w, a: int):
     return centred.rhs_w(w, a), np.conj(np.prod(w, axis=-1))
 
 
-def beta_closed(u, u0: float, t, A: float, beta0: complex):
-    """beta(t) = C + u(t)/2 - i A t with C = beta(0) - u(0)/2; u and t may
-    be arrays of one shape, evaluated elementwise."""
-    C = complex(beta0) - 0.5 * u0
-    return C + 0.5 * u - 1j * A * t
+def beta_closed(u, t, A: float, C: complex):
+    """beta(t) = C + u(t)/2 - i A t, C = beta(0) - u(0)/2 (beta(0) itself
+    from ``affine_initial``, which starts at u(0) = 0); u and t may be
+    arrays of one shape, evaluated elementwise."""
+    return complex(C) + 0.5 * u - 1j * A * t
 
 
-def classify_affine_case(params: AffineParams,
-                         tol: float = centred._CASE_TOL) -> str:
+def classify_affine_case(params: AffineParams) -> str:
     """The centred case of the w subsystem: 'a' (A=0, planar), 'b'
     (a=m-1), 'c' (A maximal), or 'd' (generic, annotated never-periodic by
     the strictly decreasing Im beta)."""
-    return centred.classify_case(params.reduced(), tol)
+    return centred.classify_case(params.reduced())
 
 
 def case_span_note(params: AffineParams) -> str:
@@ -92,26 +91,13 @@ def case_span_note(params: AffineParams) -> str:
     return ""
 
 
-def integrate_affine(w0, beta0: complex, a: int, t_end: float,
-                     rtol: float = 1e-11, atol: float = 1e-13,
-                     guard: float = 1e8) -> centred.WSolutionPath:
-    """Integrate (w, beta) to t_end on the translated w kernel, with the
-    escape guard of the a = m-1 case (both directions if t_end < 0)."""
-    w0 = np.asarray(w0, dtype=complex)
-    k = w0.size
-
-    def blow_up(t, y):
-        return float(np.linalg.norm(y) - guard)
-
-    z0 = np.append(w0, complex(beta0))
-    sol = ode.solve(centred._w_kernel(a, k, translated=True), z0, t_end,
-                    rtol, atol, stage="integrate_affine",
-                    params={"m": k + 1, "a": a},
-                    events=[ode.Event(blow_up, direction=1.0, terminal=True)])
-    escaped = sol.status == 1
-    esc_t = float(sol.t_events[0][0]) if escaped else None
-    return centred.WSolutionPath(a, sol, (0.0, sol.t[-1]), escaped, esc_t,
-                                 translated=True)
+def integrate_affine(w0, beta0: complex, a: int,
+                     t_end: float) -> centred.WSolutionPath:
+    """Integrate (w, beta) to t_end (backward if t_end < 0) on the
+    translated w kernel, stopping at an escape (the a = m-1 case)."""
+    z0 = np.append(np.asarray(w0, dtype=complex), complex(beta0))
+    return centred._dense_path(a, z0, t_end, 1e-11, 1e-13,
+                               "integrate_affine", translated=True)
 
 
 def affine_initial(params: AffineParams) -> tuple:

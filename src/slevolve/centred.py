@@ -235,15 +235,14 @@ class WSolutionPath:
 
     A path of the translated system (``translated=True``, see ``affine``)
     carries the translation beta as its last component after the letters.
+    ``t_span`` ends where the solve ended, at ``escape_time`` if it escaped.
     """
 
-    def __init__(self, a, sol, t_span, escaped=False, escape_time=None,
-                 translated=False):
-        self.a = a
+    def __init__(self, sol, translated=False):
         self._sol = sol
-        self.t_span = t_span
-        self.escaped = escaped
-        self.escape_time = escape_time
+        self.t_span = (0.0, sol.t[-1])
+        self.escaped = sol.status == 1
+        self.escape_time = float(sol.t[-1]) if self.escaped else None
         self.translated = translated
 
     def w(self, t):
@@ -308,13 +307,26 @@ def _w_kernel(a: int, m: int, translated: bool = False) -> ode.System:
         {"one": 1 + 0j})
 
 
+def _dense_path(a: int, z0: np.ndarray, t_end: float, rtol: float,
+                atol: float, stage: str,
+                translated: bool = False) -> WSolutionPath:
+    """The dense w solve of ``integrate_w`` and ``affine.integrate_affine``
+    from z0 (the letters, then beta if ``translated``), stopped by
+    ``ode.blow_up`` on the letters, m counting beta as the engine does."""
+    size = z0.size
+    letters = size - translated
+    sol = ode.solve(_w_kernel(a, letters, translated), z0, t_end, rtol, atol,
+                    stage=stage, params={"m": size, "a": a},
+                    events=[ode.blow_up(letters, size, size)])
+    return WSolutionPath(sol, translated)
+
+
 def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
                 atol: float = 1e-13) -> WSolutionPath:
-    """Integrate the w system from t=0 to t_end with dense output."""
-    w0 = np.asarray(w0, dtype=complex)
-    sol = ode.solve(_w_kernel(a, w0.size), w0, t_end, rtol, atol,
-                    stage="integrate_w", params={"m": w0.size, "a": a})
-    return WSolutionPath(a, sol, (0.0, sol.t[-1]))
+    """Integrate the w system from t=0 to t_end with dense output, or to
+    its escape (case b), where the general engine stops too."""
+    return _dense_path(a, np.asarray(w0, dtype=complex), t_end, rtol, atol,
+                       "integrate_w")
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +746,15 @@ def beta_limits(alphas, a: int) -> BetaLimits:
 # case classification and topology labels
 # ---------------------------------------------------------------------------
 
-def classify_case(params: CentredParams, tol: float = _CASE_TOL) -> str:
+def classify_case(params: CentredParams) -> str:
     """One of 'a' (A=0), 'b' (a=m), 'c' (A at its maximum), 'd' (generic)."""
-    if abs(params.A) <= tol:
+    if abs(params.A) <= _CASE_TOL:
         return "a"
     if params.a == params.m:
         return "b"
     if np.any(params.alpha_array <= 0):
         raise ValidationError("cases (c)/(d) need positive alphas")
-    if abs(params.A - params.A_max) <= tol * (1.0 + params.A_max):
+    if abs(params.A - params.A_max) <= _CASE_TOL * (1.0 + params.A_max):
         return "c"
     return "d"
 
@@ -816,7 +828,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11,
 
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
-    path = WSolutionPath(params.a, sol, (0.0, sol.t[-1]))
+    path = WSolutionPath(sol)
     th = path.angles(np.linspace(t1, t2, _N_LIFT))
     beta_vals = th[-1] - th[0]
     u_min = _u_of_w(path.w(t1), params)

@@ -99,18 +99,21 @@ def _alphas_for(ns, letters: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_evolve(ns) -> int:
-    from . import evodata, evolver
-    cfg = _resolved_config(ns)
+    from . import evodata, evolver, multilinear
     _check_count(ns.seed, "--seed", 0)
-    if ns.data:
+    quadric = {"m": 3, "a": 1, "c": 1.0}    # the example data's, no --data
+    given = [key for key in quadric if getattr(ns, key) is not None]
+    if ns.data:     # the data fixes m, and its recipe replaces a and c
+        if given:
+            raise ValidationError(f"--{given[0]} does not apply with --data, "
+                                  "whose evolution data fixes m, a and c")
         with open(ns.data) as fh:
             data = evodata.evolution_data_from_dict(json.load(fh))
-        # the data fixes m, and its recipe replaces a and c
-        ns.m = cfg["m"] = data.m
-        for key in ("a", "c"):
-            cfg.pop(key, None)
+        ns.m = data.m
     else:
+        vars(ns).update({k: v for k, v in quadric.items() if k not in given})
         data = evodata.example_quadric(ns.m, ns.a, ns.c)
+    cfg = _resolved_config(ns)
     if ns.w0:
         w0 = np.asarray(_parse_numbers(ns.w0, "--w0", complex))
     else:
@@ -120,8 +123,14 @@ def cmd_evolve(ns) -> int:
     diag = evolver.membership_cp(phi0, data, seed=ns.seed)
     traj = evolver.integrate(phi0, data, ns.t_end, rtol=ns.rtol,
                              atol=ns.atol, seed=ns.seed)
-    if ns.out:
-        evolver.trajectory_to_csv(traj, _outpath(ns.out))
+    if ns.out:      # t, (Re, Im) of A row by row, then of t0; the residual
+        names = [f"A{i}{j}" for i in range(ns.m) for j in range(data.n)]
+        names += [f"t0{i}" for i in range(ns.m)]
+        Z = multilinear.complex_to_real([np.append(mp.A, mp.t0)
+                                         for mp in traj.maps])
+        _write_csv(ns.out, ["t"] + [p + s for s in names for p in ("Re", "Im")]
+                   + ["res_omega"], np.column_stack(
+                       [traj.times, Z, traj.omega_residuals]).tolist())
     if ns.summary:
         _emit(ns.summary, {
             "initial_membership": {
@@ -296,7 +305,7 @@ def cmd_affine(ns) -> int:
     W = path.w(t_grid)
     B = path.beta(t_grid)
     u_t = np.abs(W[:, 0]) ** 2 - alphas[0]
-    closed = affine_mod.beta_closed(u_t, 0.0, t_grid, params.A, beta0)
+    closed = affine_mod.beta_closed(u_t, t_grid, params.A, beta0)
     defect = float(np.abs(B - closed).max())
     if ns.out:
         names = [f"w{j + 1}" for j in range(ns.m - 1)] + ["beta"]
@@ -384,8 +393,9 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("evolve", help="integrate a diagonal start under the "
                         "general engine on quadric data")
     common(sp)
+    sp.set_defaults(m=None, a=None)     # cmd_evolve's, without --data
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--c", type=float)
     sp.add_argument("--data", help="evolution-data JSON (sl-evodata-1)")
     sp.add_argument("--w0", help="comma-separated complex initial diagonal")
     sp.add_argument("--t-end", dest="t_end", type=float, default=5.0)

@@ -47,8 +47,6 @@ from .evodata import EvolutionData
 from .multilinear import (complex_to_real, frame_forms, insertion_table,
                           k_subsets)
 
-BLOWUP_GUARD = 1e8
-
 
 @dataclass(frozen=True)
 class EvolMap:
@@ -320,29 +318,21 @@ def _pack(A: np.ndarray, t0: np.ndarray) -> np.ndarray:
 def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
               rtol: float = 1e-10, atol: float = 1e-12,
               checkpoints: int = 33, membership_samples: int = 40,
-              seed: int = 0, guard: float = BLOWUP_GUARD) -> Trajectory:
+              seed: int = 0) -> Trajectory:
     """Adaptive integration of the evolution equation up to t_end.
 
     ``rtol`` and ``atol`` set the per-step error target.  Stops cleanly at
-    the blow-up guard (escaping families leave every bounded set in
-    finite time); the guard crossing is localized by the solver's root
-    finder.  The guard bounds |A|^(m-2) (|A| for m = 2), A the linear
-    part: (dA, dt0) depend on A alone and are homogeneous of degree m-1 in
-    it, so that power is the inverse time scale, and its crossing lies
-    about 1/guard before the blow-up time for every m (|A| itself reaches
-    1e8 within double spacing of it once m >= 4).  The translation t0 is
-    left out: while A stays bounded it drifts at most linearly and never
-    escapes.  Membership of the admissible set is checked at the checkpoint
-    times, on one set of sample points and tangent frames drawn from
-    ``seed``, and deviations beyond 10x the initial residual plus 1e-8 are
-    flagged.
+    ``ode.blow_up`` on the linear part A (escaping families leave every
+    bounded set in finite time), located by the solver's root finder.
+    Membership of the admissible set is checked at the checkpoint times, on
+    one set of sample points and tangent frames drawn from ``seed``, and
+    deviations beyond 10x the initial residual plus 1e-8 are flagged.
     """
     _check_dims(phi0, data)
     _check_count(checkpoints, "checkpoints", 2)
     _check_count(membership_samples, "membership_samples", 1)
     n, m = phi0.n, phi0.m
     half = m * n + m
-    power = max(m - 2, 1)
     if n == m <= _KERNEL_MAX_M:
         rhs = _stage_kernel(n, m, data.chi.tobytes())
     else:
@@ -352,14 +342,10 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
             A = (y[:m * n] + 1j * y[half:half + m * n]).reshape(m, n)
             return _pack(*_rhs_arrays(A, plan))
 
-    def blow_up(t, y):
-        lin = np.concatenate([y[:m * n], y[half:half + m * n]])
-        return np.linalg.norm(lin) ** power - guard
-
     sol = ode.solve(rhs, np.concatenate([phi0.A.ravel(), phi0.t0]), t_end,
                     rtol, atol, stage="evolver.integrate",
                     params={"m": m, "n": n, "data": data.label},
-                    events=[ode.Event(blow_up, direction=1.0, terminal=True)])
+                    events=[ode.blow_up(m * n, half, m)])
     escaped = sol.status == 1
     escape_time = float(sol.t_events[0][0]) if escaped else None
     t_last = sol.t[-1]
@@ -381,26 +367,3 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
                       flagged, int(sol.nfev), accepted_steps=len(sol.t) - 1,
                       membership_samples=len(bases))
 
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV: t, Re/Im of all entries, omega residual."""
-    n, m = traj.maps[0].n, traj.maps[0].m
-    cols = ["t"]
-    for i in range(m):
-        for j in range(n):
-            cols += [f"ReA{i}{j}", f"ImA{i}{j}"]
-    for i in range(m):
-        cols += [f"Ret0{i}", f"Imt0{i}"]
-    cols.append("res_omega")
-    lines = [",".join(cols)]
-    for t, mp, r in zip(traj.times, traj.maps, traj.omega_residuals):
-        vals = [t]
-        for i in range(m):
-            for j in range(n):
-                vals += [mp.A[i, j].real, mp.A[i, j].imag]
-        for i in range(m):
-            vals += [mp.t0[i].real, mp.t0[i].imag]
-        vals.append(r)
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

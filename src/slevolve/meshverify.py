@@ -33,6 +33,8 @@ from .multilinear import complex_to_real, frame_forms
 
 _DEGENERATE_GRAM = 1e-14
 VERTEX_TOL = 1e-12      # relative vertex offset a verified mesh may carry
+_AFFINE_MESH_RADIUS = 1.5   # _Chart.radius for an affine mesh's family
+_ESCAPE_CUT = 0.98      # a swept mesh ends at this fraction of an escape
 NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
                       "|Im Omega| per unit Gram volume, orientation chosen "
                       "to make Re Omega nonnegative")
@@ -48,6 +50,7 @@ class _Chart:
     row holds the time value in column ``t_col`` and Q in the others."""
 
     t_col = 0
+    radius = 2.0        # sample_coords draws in [-radius, radius]
 
 
 class QuadricChart(_Chart):
@@ -66,12 +69,12 @@ class QuadricChart(_Chart):
     and the other group has at least two.
     """
 
-    def __init__(self, m: int, a: int, c: float, radius: float = 2.0):
+    def __init__(self, m: int, a: int, c: float):
         if not (1 <= a <= m):
             raise ValidationError("need 1 <= a <= m")
         if a == m and c <= 0:
             raise ValidationError("a = m needs c > 0")
-        self.m, self.a, self.c, self.radius = m, a, float(c), radius
+        self.m, self.a, self.c = m, a, float(c)
         x_block = self.c >= 0
         own, rest = (a, m - a) if x_block else (m - a, a)
         if own < 2 <= rest:
@@ -135,8 +138,9 @@ class QuadricChart(_Chart):
         return x, jac
 
 
-def _profile_circle(chart: QuadricChart, n_sheets: int) -> np.ndarray:
-    """Per-sheet values of the coordinates outside the chart's block.
+def _profile_circle(chart: QuadricChart) -> np.ndarray:
+    """Per-sheet values of the coordinates outside the chart's block, for
+    two sheets (one where no coordinate is outside it).
 
     Sheet k is the circle zeta = 0 at o = values[k] (for d = 1, the
     hyperbola branch of sign values[k]).  Where r can vanish, the single
@@ -147,16 +151,14 @@ def _profile_circle(chart: QuadricChart, n_sheets: int) -> np.ndarray:
     if chart.d == 1:
         return np.array([[1.0], [-1.0]])
     if chart.c == 0.0:
-        rho = np.array([1.0, 2.0])[:max(n_sheets, 1), None]
+        rho = np.array([[1.0], [2.0]])
         return np.repeat(rho / np.sqrt(n_out), n_out, axis=1)
-    k = np.arange(1 if n_out == 0 else n_sheets)
+    k = np.arange(1 if n_out == 0 else 2)
     values = np.zeros((len(k), n_out))
     if chart.sign > 0 and chart.c > 0:     # r^2 = c + |o|^2 > 0 everywhere
         values[:, :1] = 0.7 * k[:, None]
     else:       # beyond the zero sqrt(-sign c) of r, if r has one
         values[:, 0] = np.sqrt(max(-chart.sign * chart.c, 0.0)) + 0.8 + 0.6 * k
-    if not len(values):
-        raise ValidationError("no admissible mesh sheet for these parameters")
     return values
 
 
@@ -183,9 +185,8 @@ class ParaboloidChart(_Chart):
     """The paraboloid x_m = -1/2 sum_i s_i x_i^2 with coordinates
     (x_1, ..., x_{m-1}), sampled in [-radius, radius]."""
 
-    def __init__(self, signs, radius: float = 2.0):
+    def __init__(self, signs):
         self.signs = np.asarray(signs, dtype=float)
-        self.radius = radius
 
     def sample_coords(self, count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -228,6 +229,8 @@ class ConeChart(_Chart):
 class CaseCWPath:
     """Closed-form diagonal evolution at the maximal conserved value:
     constant moduli sqrt(alpha_j) and linear phase drift -+ A t / alpha_j."""
+
+    escaped = False     # it holds for every t
 
     def __init__(self, params: centred.CentredParams):
         al = params.alpha_array
@@ -303,16 +306,16 @@ class _SweptFamily(_Family):
 
 
 class CentredFamily(_SweptFamily):
-    """The centred-quadric submanifold as a map of (t, quadric chart).
+    """The centred-quadric submanifold (on the level ``params.c``) as a
+    map of (t, quadric chart).
 
     The path is the case-c closed form, or the trajectory integrated from
-    w0 (default: the standard initial state) over t_span.
+    w0 (default: the standard initial state) over t_span, or to its escape.
     """
 
-    def __init__(self, params: centred.CentredParams, c: float = None,
-                 t_span: float = None, w0=None, radius: float = 2.0):
+    def __init__(self, params: centred.CentredParams, t_span: float = None,
+                 w0=None):
         self.params = params
-        self.c = params.c if c is None else c
         self.m, self.a = params.m, params.a
         case = centred.classify_case(params)
         if t_span is None:
@@ -324,7 +327,8 @@ class CentredFamily(_SweptFamily):
             w0 = centred.w_initial(params) if w0 is None else w0
             self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
                                             self.t_span)
-        self.chart = QuadricChart(self.m, self.a, self.c, radius)
+            self.t_span = float(self.path.t_span[1])    # the end it reached
+        self.chart = QuadricChart(self.m, self.a, params.c)
 
 
 class AffineFamily(_SweptFamily):
@@ -332,7 +336,7 @@ class AffineFamily(_SweptFamily):
     swept by the path integrated from (w0, beta0)."""
 
     def __init__(self, params: affine_mod.AffineParams, t_span: float = 4.0,
-                 radius: float = 2.0, w0=None, beta0=None):
+                 w0=None, beta0=None):
         self.params = params
         self.m, self.a = params.m, params.a
         if w0 is None:
@@ -344,7 +348,7 @@ class AffineFamily(_SweptFamily):
         self.t_span = float(self.path.t_span[1])    # the end it reached
         signs = np.ones(self.m - 1)
         signs[self.a:] = -1.0
-        self.chart = ParaboloidChart(signs, radius)
+        self.chart = ParaboloidChart(signs)
 
     def _motion(self, t) -> tuple:
         w = self.path.w(t)
@@ -380,13 +384,13 @@ class ConeOverLinkFamily(_SweptFamily):
 class Affine3ClosedFamily(_SweptFamily):
     """The explicit m = 3 translated solutions as a map of (t, x_1, x_2)."""
 
-    def __init__(self, form: threefold.Affine3ClosedForm, radius: float = 2.0,
-                 t_span: float = 3.0):
+    t_span = 3.0
+
+    def __init__(self, form: threefold.Affine3ClosedForm):
         self.form = form
-        self.t_span = t_span
         self.m = 3
         self.chart = ParaboloidChart(
-            (1.0, 1.0) if form.variant == "a2" else (1.0, -1.0), radius)
+            (1.0, 1.0) if form.variant == "a2" else (1.0, -1.0))
 
     def _motion(self, t) -> tuple:
         f = self.form
@@ -547,6 +551,12 @@ def _recipe_w0(r: dict):
             if "w0_re" in r else None)
 
 
+def _stop_short(family) -> None:
+    """A swept mesh's family whose path escaped ends at 0.98 of its span."""
+    if family.path.escaped:
+        family.t_span *= _ESCAPE_CUT
+
+
 # One construction per mesh kind, recipe -> (family, row chart, parameter
 # grid, faces), serves the builder and rebuild_family alike; a key missing
 # from a recipe takes the builder's default.
@@ -555,16 +565,15 @@ def _centred_mesh(r: dict) -> tuple:
     params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
                                    r["A"], c=r["c"])
     nt, nq = _grid_size(r["resolution"])
-    radius = r.get("radius", 2.0)
-    family = CentredFamily(params, t_span=r["t_end"], w0=_recipe_w0(r),
-                           radius=radius)
+    family = CentredFamily(params, t_span=r["t_end"], w0=_recipe_w0(r))
+    _stop_short(family)
     quadric, pad = family.chart, max(family.chart.d - 2, 0)
     chart = _LiftedRows(
-        quadric, _profile_circle(quadric, r.get("n_sheets", 2)),
+        quadric, _profile_circle(quadric),
         lambda q, o: np.column_stack([q, np.zeros((len(q), pad)), o]))
     wrap = quadric.d >= 2
     qs = (np.linspace(0.0, 2 * np.pi, nq, endpoint=False) if wrap
-          else np.linspace(-radius, radius, nq))
+          else np.linspace(-quadric.radius, quadric.radius, nq))
     P, faces = _sheet_grid(np.linspace(0.0, family.t_span, nt), qs,
                            chart.n_sheets, wrap)
     return family, chart, P, faces
@@ -575,11 +584,10 @@ def _affine_mesh(r: dict) -> tuple:
                                      r["A"], complex(*r.get("Cconst", (0, 0))))
     nt, nq = _grid_size(r["resolution"])
     beta0 = complex(*r["beta0"]) if "beta0" in r else None
-    family = AffineFamily(params, t_span=r["t_end"],
-                          radius=r.get("radius", 1.5), w0=_recipe_w0(r),
+    family = AffineFamily(params, t_span=r["t_end"], w0=_recipe_w0(r),
                           beta0=beta0)
-    if family.path.escaped:     # the grid stops short of the blow-up
-        family.t_span = 0.98 * family.path.t_span[1]
+    family.chart.radius = _AFFINE_MESH_RADIUS
+    _stop_short(family)
     k = family.chart.signs.size
 
     def circle(q, rad):
@@ -626,35 +634,36 @@ def _mesh(recipe: dict) -> Mesh:
 
 
 def mesh_centred(params: centred.CentredParams, c: float, t_span,
-                 resolution=(33, 64), radius: float = 2.0, w0=None,
-                 n_sheets: int = 2) -> Mesh:
+                 resolution=(33, 64), w0=None) -> Mesh:
     """Mesh of the centred family over a (t, profile angle) grid.
 
-    t_span is (0, t_end); sheets fix the remaining quadric coordinates.
-    For c = 0 the sheet radii come in doubling pairs so ray-scaling of the
-    cone can be checked vertexwise.
+    c must be ``params.c``; t_span is (0, t_end), cut to 0.98 of an escape
+    time (case b); sheets fix the remaining quadric coordinates.  For c = 0
+    the sheet radii come in doubling pairs so ray-scaling of the cone can
+    be checked vertexwise.
     """
+    if c != params.c:
+        raise ValidationError(f"mesh_centred: c = {c!r} differs from the "
+                              f"parameters' c = {params.c!r}")
     return _mesh({
         "kind": "centred", "m": params.m, "a": params.a,
         "alphas": list(params.alphas), "A": params.A, "c": c,
-        "t_end": _t_end(t_span), "resolution": _grid_size(resolution),
-        "radius": radius, "n_sheets": n_sheets} | _initial_state(w0))
+        "t_end": _t_end(t_span), "resolution": _grid_size(resolution)}
+        | _initial_state(w0))
 
 
 def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
-                radius: float = 1.5, profile_radii=(0.75, 1.5), w0=None,
-                beta0=None) -> Mesh:
+                profile_radii=(0.75, 1.5), w0=None, beta0=None) -> Mesh:
     """Mesh of the translated family over a (t, profile angle) grid; the
     first two free coordinates run around circles of the given radii, the
-    rest stay at a fixed offset.  A path that escapes before t_end is
-    meshed up to 0.98 of its escape time."""
+    rest stay at a fixed offset (the family samples x in [-1.5, 1.5]).  A
+    path that escapes before t_end is meshed to 0.98 of its escape time."""
     return _mesh({
         "kind": "affine", "m": params.m, "a": params.a,
         "alphas": list(params.alphas), "A": params.A,
         "Cconst": [params.Cconst.real, params.Cconst.imag],
         "t_end": _t_end(t_span), "profile_radii": list(profile_radii),
-        "resolution": _grid_size(resolution), "radius": radius}
-        | _initial_state(w0, beta0))
+        "resolution": _grid_size(resolution)} | _initial_state(w0, beta0))
 
 
 def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:

@@ -5,6 +5,9 @@ translated system (``affine.integrate_affine``) and the general evolution
 equation (``evolver.integrate``) all run through ``solve``.  It takes a
 complex start, calls the right-hand side on the packed real vector
 (Re z, Im z), and hands back complex values, so no caller packs or unpacks.
+Every integration that can escape in finite time (``integrate_w``,
+``integrate_affine``, ``evolver.integrate``) stops at one terminal event,
+``blow_up``.
 
 The method is DOP853 with its 7th-order dense output (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, Sec. II.5 and II.6),
@@ -384,6 +387,22 @@ class Event:
         self.fun = fun
         self.direction = float(direction)
         self.terminal = bool(terminal)
+
+
+BLOWUP_GUARD = 1e8
+
+
+def blow_up(linear: int, size: int, m: int) -> Event:
+    """The terminal event of an escape in C^m: |L|^max(m-2, 1) reaches
+    ``BLOWUP_GUARD``, L the first ``linear`` of the ``size`` complex state
+    components (w or A; a translation after L stays finite while L does).
+    The right-hand side has degree m-1 in L, so that power, its inverse
+    time scale, crosses the guard about 1/BLOWUP_GUARD before the blow-up
+    for every m (|L| reaches 1e8 within double spacing of it at m >= 4)."""
+    idx = np.r_[0:linear, size:size + linear]
+    power, guard = max(m - 2, 1), BLOWUP_GUARD
+    return Event(lambda t, y: np.linalg.norm(y[idx]) ** power - guard,
+                 direction=1.0, terminal=True)
 
 
 class Solution:

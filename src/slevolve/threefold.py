@@ -204,11 +204,11 @@ class Affine3ClosedForm:
         return np.stack([w[..., 0] * x1, w[..., 1] * x2,
                          x3 + self.beta(t)], axis=-1)
 
-    def is_planar(self, tol: float = 1e-12) -> bool:
+    def is_planar(self) -> bool:
         """True when the family degenerates into one affine plane (A = 0)."""
         if self.variant == "a2":
-            return abs(np.imag(self.C * np.conj(self.D))) <= tol
-        return abs(abs(self.C) - abs(self.D)) <= tol
+            return abs(np.imag(self.C * np.conj(self.D))) <= 1e-12
+        return abs(abs(self.C) - abs(self.D)) <= 1e-12
 
 
 def affine3_closed(variant: str, C: complex, D: complex, E: complex,

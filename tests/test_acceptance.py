@@ -133,9 +133,9 @@ def test_criterion_06_sl_residuals():
     al = (1.0, 2.0, 2.0)
     families = {
         "case-c closed form": meshverify.CentredFamily(
-            centred.CentredParams(3, 1, al, 2.0, c=1.0), c=1.0),
+            centred.CentredParams(3, 1, al, 2.0, c=1.0)),
         "case-d trajectory": meshverify.CentredFamily(
-            centred.CentredParams(3, 1, al, 1.0, c=1.0), c=1.0),
+            centred.CentredParams(3, 1, al, 1.0, c=1.0)),
         "explicit hyperbolic": meshverify.Affine3ClosedFamily(
             threefold.Affine3ClosedForm("a2", 1.0, 0.35 + 0.45j, 0.2)),
         "explicit trigonometric": meshverify.Affine3ClosedFamily(
@@ -265,8 +265,8 @@ def test_criterion_12_affine_translation_law():
     grid = np.linspace(0.0, 5 * T, 900)
     W = path.w(grid)
     u = np.abs(W[:, 0]) ** 2 - params.alphas[0]
-    closed = np.array([affine.beta_closed(float(u[i]), 0.0, float(t),
-                                          params.A, b0)
+    closed = np.array([affine.beta_closed(float(u[i]), float(t), params.A,
+                                          b0)
                        for i, t in enumerate(grid)])
     worst_closed = float(np.abs(path.beta(grid) - closed).max())
     tgrid = np.linspace(0.0, T, 160)

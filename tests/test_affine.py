@@ -30,7 +30,8 @@ class TestRhs:
 
 class TestBetaClosed:
     def test_t_zero(self):
-        assert beta_closed(0.4, 0.4, 0.0, 1.0, 0.7 + 0.2j) == 0.7 + 0.2j
+        # C = beta(0) - u(0)/2 with u(0) = 0.4
+        assert beta_closed(0.4, 0.0, 1.0, 0.7 + 0.2j - 0.2) == 0.7 + 0.2j
 
     def test_matches_integration(self):
         params = normalized(4, 2)
@@ -39,7 +40,7 @@ class TestBetaClosed:
         ts = np.linspace(0, 10, 300)
         W = path.w(ts)
         u = np.abs(W[:, 0]) ** 2 - params.alphas[0]
-        closed = np.array([beta_closed(u[i], 0.0, ts[i], params.A, b0)
+        closed = np.array([beta_closed(u[i], ts[i], params.A, b0)
                            for i in range(ts.size)])
         assert np.abs(path.beta(ts) - closed).max() <= 1e-8
 
@@ -48,8 +49,8 @@ class TestBetaClosed:
         rng = np.random.default_rng(71)
         u, t = rng.normal(size=(2, 64)) * 10.0 ** rng.uniform(-3, 3,
                                                               size=(2, 64))
-        grid = beta_closed(u, 0.3, t, 0.7, 0.2 - 0.4j)
-        pointwise = np.array([beta_closed(u[i], 0.3, t[i], 0.7, 0.2 - 0.4j)
+        grid = beta_closed(u, t, 0.7, 0.2 - 0.4j - 0.15)
+        pointwise = np.array([beta_closed(u[i], t[i], 0.7, 0.2 - 0.4j - 0.15)
                               for i in range(u.size)])
         assert grid.tobytes() == pointwise.tobytes()
 

@@ -266,6 +266,20 @@ class TestMeshAndVerify:
         assert run(["verify", "--mesh", str(mesh), "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["max_vertex_offset"] == 0.0
 
+    def test_escaping_centred_mesh_stops_short(self, tmp_path):
+        # centred case (b) escapes at t = 1.0067 < 2: the integration raised
+        # and the command exited 3; now the mesh ends at 0.98 of the escape
+        mesh, rep = tmp_path / "m.json", tmp_path / "rep.json"
+        assert run(["mesh", "--m", "3", "--a", "3", "--alphas", "1,1,1",
+                    "--A", "0.3", "--c", "1", "--out", str(mesh)]) == 0
+        t = np.asarray(json.loads(mesh.read_text())["params"])[:, 0]
+        path = centred.integrate_w(centred.w_initial(centred.CentredParams(
+            3, 3, (1.0, 1.0, 1.0), 0.3, c=1.0)), 3, 2.0)
+        assert path.escaped and 1.0 < path.escape_time < 1.01
+        assert t.max() == 0.98 * path.escape_time
+        assert run(["verify", "--mesh", str(mesh), "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["max_vertex_offset"] == 0.0
+
     def test_link_honours_t_end(self, tmp_path):
         mesh = tmp_path / "link.json"
         assert run(["mesh", "--kind", "link", "--alphas", "1.2,2,3",
@@ -395,6 +409,58 @@ class TestEvolveCommand:
         config = json.loads(summary.read_text())["config"]
         assert config["m"] == 4
         assert "a" not in config and "c" not in config
+
+    @pytest.mark.parametrize("flag,value", [("--m", "5"), ("--a", "3"),
+                                            ("--c", "7")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_data_file_refuses_quadric_flags(self, tmp_path, capsys, flag,
+                                             value, source):
+        # they were ignored without a word: the run evolved the file's data
+        from slevolve import evodata
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps(
+            evodata.example_quadric(4, 2, 1.0).to_json_dict()))
+        summary = tmp_path / "s.json"
+        argv = ["evolve", "--data", str(data_path), "--t-end", "0.2",
+                "--summary", str(summary)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: float(value)}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not summary.exists()
+
+    def test_quadric_defaults_echoed_without_data(self, tmp_path):
+        summary = tmp_path / "s.json"
+        assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1",
+                    "--summary", str(summary)]) == 0
+        config = json.loads(summary.read_text())["config"]
+        assert (config["m"], config["a"], config["c"]) == (3, 1, 1.0)
+
+    def test_csv_bytes(self, tmp_path):
+        # the trajectory's t, (Re, Im) of A row by row then of t0, and the
+        # omega residual, each with 17 significant digits
+        from slevolve import evodata, evolver
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--m", "2", "--a", "1", "--w0", "1,1+0.3j",
+                    "--t-end", "1", "--out", str(out)]) == 0
+        traj = evolver.integrate(
+            evolver.EvolMap.diagonal(np.array([1.0, 1.0 + 0.3j])),
+            evodata.example_quadric(2, 1, 1.0), 1.0)
+        cols = ["t"] + [f"{p}A{i}{j}" for i in range(2) for j in range(2)
+                        for p in ("Re", "Im")]
+        cols += [f"{p}t0{i}" for i in range(2) for p in ("Re", "Im")]
+        lines = [",".join(cols + ["res_omega"])]
+        for t, mp, r in zip(traj.times, traj.maps, traj.omega_residuals):
+            vals = [t]
+            for z in list(mp.A.ravel()) + list(mp.t0):
+                vals += [z.real, z.imag]
+            lines.append(",".join(f"{v:.17g}" for v in vals + [r]))
+        assert len(lines) == 34
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_summary_diagnostics_deterministic(self, tmp_path, monkeypatch):
         # the config echoes the path, so the two runs write the same name
@@ -560,6 +626,17 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["case"] == "b"
         assert doc["beta_closed_form_defect"] <= 1e-7
+
+    def test_affine_steep_escape_reported(self, tmp_path):
+        # a = m-1 at m = 7 escapes at t = 0.2554; the guard on |(w, beta)|
+        # lay within double spacing of the blow-up, and the run exited 3
+        rc = run(["affine", "--m", "7", "--a", "6", "--alphas",
+                  "1,1,1,1,1,1", "--A", "0.4", "--t-end", "8",
+                  "--summary", str(tmp_path / "s.json")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert doc["escaped"] is True
+        assert 0.2553 < doc["escape_time"] < 0.2554
 
     def test_affine_symmetric_family(self, tmp_path):
         # the affine family has m-1 letters, so --family sym means

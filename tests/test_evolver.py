@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from oracles import eval_omega
-from slevolve import NumericalError, ValidationError, centred
-from slevolve.affine import AffineParams, affine_initial, rhs_affine
+from slevolve import NumericalError, ValidationError, centred, ode
+from slevolve.affine import (AffineParams, affine_initial, integrate_affine,
+                             rhs_affine)
 from slevolve.evodata import (QuadricSpec, curve_data, example_paraboloid,
                               example_quadric, extend_product, quadric_data)
-from slevolve.evolver import (EvolMap, integrate, membership_cp, rhs_general,
-                              trajectory_to_csv)
+from slevolve.evolver import EvolMap, integrate, membership_cp, rhs_general
 from slevolve.multilinear import complex_to_real, k_subsets
 
 
@@ -197,6 +197,38 @@ class TestIntegrate:
         assert traj.escaped
         assert abs(traj.escape_time - T) <= 1e-6 * T
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_w_path_escapes_where_the_engine_does(self, m):
+        # centred case (b) on the ellipsoid: integrate_w and the engine
+        # stop at the one blow-up event, the w system's m being the
+        # engine's
+        params = centred.CentredParams(m, m, (1.0,) * m, 0.2, c=1.0)
+        w0 = centred.w_initial(params)
+        path = centred.integrate_w(w0, m, 5.0)
+        traj = integrate(EvolMap.diagonal(w0), example_quadric(m, m, 1.0),
+                         5.0, checkpoints=2, membership_samples=1)
+        assert path.escaped and traj.escaped
+        assert path.t_span == (0.0, path.escape_time)
+        assert abs(path.escape_time - traj.escape_time) <= (
+            1e-7 * traj.escape_time)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_affine_path_escapes_where_the_engine_does(self, m):
+        # a = m-1 on the paraboloid: the translated w path counts beta's
+        # slot in m, as the engine's map diag(w, 1) does, and leaves beta
+        # out of the norm, as the engine leaves out t0
+        params = AffineParams(m, m - 1, (1.0,) * (m - 1), 0.4)
+        w0, beta0 = affine_initial(params)
+        path = integrate_affine(w0, beta0, m - 1, 8.0)
+        t0 = np.zeros(m, complex)
+        t0[m - 1] = beta0
+        traj = integrate(EvolMap(m, m, np.diag(np.append(w0, 1.0)), t0),
+                         example_paraboloid(m, m - 1), 8.0, checkpoints=2,
+                         membership_samples=1)
+        assert path.escaped and traj.escaped
+        assert abs(path.escape_time - traj.escape_time) <= (
+            1e-7 * traj.escape_time)
+
     @pytest.mark.parametrize("m,a", [(6, 3), (7, 4)])
     def test_translating_family_does_not_escape(self, m, a):
         # a case-d start on the paraboloid: w stays bounded while beta
@@ -245,23 +277,25 @@ class TestIntegrate:
             diag = membership_cp(mp, data, 12, 7)
             assert traj.omega_residuals[k] == diag.max_omega_residual
 
-    def test_failure_names_stage_and_budget(self):
+    def test_failure_names_stage_and_budget(self, monkeypatch):
         # with no guard the ellipsoid's blow-up at t = 1 drives the step
         # below the spacing of doubles; the error says where and why
+        monkeypatch.setattr(ode, "BLOWUP_GUARD", np.inf)
         data = example_quadric(3, 3, 1.0)
         phi0 = EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
         with pytest.raises(NumericalError) as exc:
-            integrate(phi0, data, 2.0, guard=np.inf)
+            integrate(phi0, data, 2.0)
         msg = str(exc.value)
         for part in ("evolver.integrate", "m=3", "n=3", "reached t = 1.0",
                      "of t_end = 2.0", "last step size", "rtol = 1e-10",
                      "atol = 1e-12"):
             assert part in msg, (part, msg)
 
-    def test_ellipsoid_escapes(self):
+    def test_ellipsoid_escapes(self, monkeypatch):
+        monkeypatch.setattr(ode, "BLOWUP_GUARD", 1e6)
         data = example_quadric(3, 3, 1.0)
         phi0 = EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
-        traj = integrate(phi0, data, 50.0, guard=1e6)
+        traj = integrate(phi0, data, 50.0)
         assert traj.escaped
         assert traj.escape_time is not None and traj.escape_time < 50.0
 
@@ -331,19 +365,6 @@ class TestIntegrate:
             errs.append(np.abs(end.A - ref.A).max())
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-8
-
-    def test_csv_export(self, tmp_path):
-        data = example_quadric(2, 1, 1.0)
-        phi0 = EvolMap.diagonal(np.array([1.0, 1.0 + 0.3j]))
-        traj = integrate(phi0, data, 1.0, checkpoints=5,
-                         membership_samples=10)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "t" and header[-1] == "res_omega"
-        assert len(lines) == 6
-        assert len(lines[1].split(",")) == len(header)
 
 
 class TestEvolMapValidation:

@@ -109,13 +109,13 @@ class TestResiduals:
             np.sin(np.pi / 4), abs=1e-10)
 
     def test_centred_case_d(self):
-        rep = sl_residuals(CentredFamily(P122, c=1.0), 1000, 3)
+        rep = sl_residuals(CentredFamily(P122), 1000, 3)
         assert rep.max_residual() <= 1e-6
         assert rep.skipped == 0
 
     def test_case_c_closed_form(self):
         params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 2.0, c=1.0)
-        rep = sl_residuals(CentredFamily(params, c=1.0), 500, 4)
+        rep = sl_residuals(CentredFamily(params), 500, 4)
         assert rep.max_residual() <= 1e-6
 
     def test_affine_family(self):
@@ -162,14 +162,14 @@ class TestResiduals:
         A3 = float(np.sqrt(np.prod(al3)))
         families = [
             CentredFamily(centred.CentredParams(3, 1, al, 0.0, c=1.0),
-                          c=1.0, t_span=1.0),                      # case a
+                          t_span=1.0),                             # case a
             CentredFamily(centred.CentredParams(3, 3, (1.0, 1.0, 1.0),
                                                 0.3, c=1.0),
-                          c=1.0, t_span=0.6),                      # case b
-            CentredFamily(centred.CentredParams(3, 1, al, 2.0, c=-1.0),
-                          c=-1.0),                                 # case c
-            CentredFamily(centred.CentredParams(3, 1, al, 1.0, c=0.0),
-                          c=0.0),                                  # case d cone
+                          t_span=0.6),                             # case b
+            CentredFamily(centred.CentredParams(3, 1, al, 2.0,
+                                                c=-1.0)),          # case c
+            CentredFamily(centred.CentredParams(3, 1, al, 1.0,
+                                                c=0.0)),           # case d cone
             AffineFamily(affine.AffineParams(4, 2, al3, 0.0),
                          t_span=1.0),                              # affine a
             AffineFamily(affine.AffineParams(4, 3, (1.0, 1.0, 1.0), 0.4),
@@ -296,6 +296,11 @@ class TestMeshCentred:
         mesh = mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(3, 6))
         with pytest.raises(AttributeError):
             mesh.frame_fn = None
+
+    def test_c_other_than_the_parameters_refused(self):
+        # the family is the level params.c; a different c silently won
+        with pytest.raises(ValidationError, match="differs"):
+            mesh_centred(P122, 0.0, (0.0, 1.0), resolution=(3, 6))
 
 
 class TestMeshAffine:
@@ -482,8 +487,7 @@ def parent_recipe(mesh):
     old |= {"t_end": mesh.family.t_span, "w0_re": start.real.tolist(),
             "w0_im": start.imag.tolist()}
     if r["kind"] == "centred":
-        old |= {"c": r["c"], "radius": r["radius"],
-                "n_sheets": mesh.chart.n_sheets}
+        old |= {"c": r["c"], "radius": 2.0, "n_sheets": mesh.chart.n_sheets}
     else:
         b = complex(path.beta(0.0))
         old |= {"profile_radii": r["profile_radii"], "beta0": [b.real, b.imag]}

@@ -142,10 +142,11 @@ class TestAgainstScipy:
         assert ref.status == 1 and path.escaped
         assert path.escape_time == ref.t_events[0][0] == ref.t[-1]
 
-    def test_evolver_terminal_event(self, calls):
+    def test_evolver_terminal_event(self, calls, monkeypatch):
+        monkeypatch.setattr(ode, "BLOWUP_GUARD", 1e6)
         data = evodata.example_quadric(3, 3, 1.0)
         phi0 = evolver.EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
-        traj = evolver.integrate(phi0, data, 50.0, guard=1e6, checkpoints=5,
+        traj = evolver.integrate(phi0, data, 50.0, checkpoints=5,
                                  membership_samples=4)
         (entry,) = calls
         ref = assert_matches_scipy(entry)
@@ -167,11 +168,12 @@ class TestAgainstScipy:
             assert np.array_equal(mp.A, z[:9].reshape(3, 3))
             assert np.array_equal(mp.t0, z[9:])
 
-    def test_failed_run_same_status(self, calls):
+    def test_failed_run_same_status(self, calls, monkeypatch):
+        monkeypatch.setattr(ode, "BLOWUP_GUARD", np.inf)
         data = evodata.example_quadric(3, 3, 1.0)
         phi0 = evolver.EvolMap.diagonal(np.array([1.0, 1.0, 1.0], complex))
         with pytest.raises(NumericalError):
-            evolver.integrate(phi0, data, 2.0, guard=np.inf)
+            evolver.integrate(phi0, data, 2.0)
         (entry,) = calls
         ref = assert_matches_scipy(entry)
         assert ref.status == -1 and ref.message == entry["sol"].message
