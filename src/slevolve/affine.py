@@ -15,8 +15,9 @@ and for A > 0 the imaginary part decreases strictly, so the translated
 family never closes up: over a period T of the w subsystem, whose monodromy
 is ``centred.betas(params.reduced())``, beta(t + T) - beta(t) = -i A T.
 ``integrate_affine`` runs on the centred w kernel over the m-1 letters,
-generated with beta as one more component, through ``integrate_w``'s
-dense solve, and returns a ``centred.WSolutionPath`` that carries beta.
+generated with beta as one more component, through the dense solve it
+shares with ``centred.integrate_w`` (one tolerance pair, one escape
+stop), and returns a ``centred.WSolutionPath`` that carries beta.
 """
 
 from dataclasses import dataclass
@@ -96,8 +97,8 @@ def integrate_affine(w0, beta0: complex, a: int,
     """Integrate (w, beta) to t_end (backward if t_end < 0) on the
     translated w kernel, stopping at an escape (the a = m-1 case)."""
     z0 = np.append(np.asarray(w0, dtype=complex), complex(beta0))
-    return centred._dense_path(a, z0, t_end, 1e-11, 1e-13,
-                               "integrate_affine", translated=True)
+    return centred._dense_path(a, z0, t_end, "integrate_affine",
+                               translated=True)
 
 
 def affine_initial(params: AffineParams) -> tuple:

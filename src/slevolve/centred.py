@@ -33,6 +33,7 @@ from .errors import NumericalError, ValidationError
 from .roots import brent, companion_roots
 
 _CASE_TOL = 1e-10
+_W_RTOL, _W_ATOL = 1e-11, 1e-13     # every solve of the w system
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def rhs_w(w, a: int) -> np.ndarray:
 
 
 class WSolutionPath:
-    """Dense solution of the w system with continuous angle bookkeeping.
+    """Dense solution of the w system.
 
     A path of the translated system (``translated=True``, see ``affine``)
     carries the translation beta as its last component after the letters.
@@ -255,11 +256,6 @@ class WSolutionPath:
         if not self.translated:
             raise ValidationError("a path of the centred system has no beta")
         return self._sol(t)[..., -1]
-
-    def angles(self, t_grid) -> np.ndarray:
-        """Continuously lifted arg w_j over an (ordered, dense) t grid."""
-        W = self.w(np.asarray(t_grid))
-        return np.unwrap(np.angle(W), axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -307,25 +303,34 @@ def _w_kernel(a: int, m: int, translated: bool = False) -> ode.System:
         {"one": 1 + 0j})
 
 
-def _dense_path(a: int, z0: np.ndarray, t_end: float, rtol: float,
-                atol: float, stage: str,
+def _dense_path(a: int, z0: np.ndarray, t_end: float, stage: str,
                 translated: bool = False) -> WSolutionPath:
     """The dense w solve of ``integrate_w`` and ``affine.integrate_affine``
     from z0 (the letters, then beta if ``translated``), stopped by
     ``ode.blow_up`` on the letters, m counting beta as the engine does."""
     size = z0.size
     letters = size - translated
-    sol = ode.solve(_w_kernel(a, letters, translated), z0, t_end, rtol, atol,
-                    stage=stage, params={"m": size, "a": a},
+    sol = ode.solve(_w_kernel(a, letters, translated), z0, t_end, _W_RTOL,
+                    _W_ATOL, stage=stage, params={"m": size, "a": a},
                     events=[ode.blow_up(letters, size, size)])
     return WSolutionPath(sol, translated)
 
 
-def integrate_w(w0, a: int, t_end: float, rtol: float = 1e-11,
-                atol: float = 1e-13) -> WSolutionPath:
+def _case_d_run(params: CentredParams, t_end: float, stage: str,
+                **kw) -> ode.Solution:
+    """The bounded solve of ``betas_ode`` and ``verify_periodic``: from
+    ``w_initial(params)`` to t_end with no blow-up event, since case (d)
+    never escapes; ``kw`` carries the caller's event or ``t_eval``."""
+    return ode.solve(_w_kernel(params.a, params.m), w_initial(params), t_end,
+                     _W_RTOL, _W_ATOL, stage=stage,
+                     params={"m": params.m, "a": params.a, "A": params.A},
+                     **kw)
+
+
+def integrate_w(w0, a: int, t_end: float) -> WSolutionPath:
     """Integrate the w system from t=0 to t_end with dense output, or to
     its escape (case b), where the general engine stops too."""
-    return _dense_path(a, np.asarray(w0, dtype=complex), t_end, rtol, atol,
+    return _dense_path(a, np.asarray(w0, dtype=complex), t_end,
                        "integrate_w")
 
 
@@ -794,8 +799,7 @@ def classify_topology(sol: PeriodicSolution, c: float) -> str:
 _N_LIFT = 4096              # samples of one period for the angle lift
 
 
-def betas_ode(params: CentredParams, rtol: float = 1e-11,
-              atol: float = 1e-13) -> BetaResult:
+def betas_ode(params: CentredParams) -> BetaResult:
     """Period and monodromy angles measured from direct w integration.
 
     The period is located from successive minima of u (ascending zeros of
@@ -804,9 +808,7 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11,
     the quadrature route.
     """
     params.require_case_d()
-    w0 = w_initial(params)
     m = params.m
-    rhs = _w_kernel(params.a, m)
 
     def du_event(t, y):
         w = y[:m] + 1j * y[m:]
@@ -817,9 +819,8 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11,
     times = np.array([])
     sol = None
     for horizon in (8 * t_guess, 64 * t_guess, 512 * t_guess):
-        sol = ode.solve(rhs, w0, horizon, rtol, atol, stage="betas_ode",
-                        params={"m": m, "a": params.a, "A": params.A},
-                        events=[ode.Event(du_event, direction=1.0)])
+        sol = _case_d_run(params, horizon, "betas_ode",
+                          events=[ode.Event(du_event, direction=1.0)])
         times = sol.t_events[0]
         if times.size >= 3:
             break
@@ -828,11 +829,10 @@ def betas_ode(params: CentredParams, rtol: float = 1e-11,
 
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
-    path = WSolutionPath(sol)
-    th = path.angles(np.linspace(t1, t2, _N_LIFT))
+    th = np.unwrap(np.angle(sol(np.linspace(t1, t2, _N_LIFT))), axis=0)
     beta_vals = th[-1] - th[0]
-    u_min = _u_of_w(path.w(t1), params)
-    u_max = _u_of_w(path.w(t1 + 0.5 * T), params)
+    u_min = _u_of_w(sol(t1), params)
+    u_max = _u_of_w(sol(t1 + 0.5 * T), params)
     return BetaResult(tuple(float(b) for b in beta_vals), float(T),
                       float(u_min), float(u_max), float("nan"))
 
@@ -985,8 +985,7 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
 _N_CHECK = 257              # check times per period in verify_periodic
 
 
-def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
-                    atol: float = 1e-13) -> dict:
+def verify_periodic(sol: PeriodicSolution) -> dict:
     """Re-verify a periodic solution against the w ODE.
 
     Integrates over b*T plus one extra period and checks the sign relation
@@ -998,12 +997,9 @@ def verify_periodic(sol: PeriodicSolution, rtol: float = 1e-11,
     params = sol.params
     quad = betas(params)
     T, b = quad.period_T, sol.denom
-    w0 = w_initial(params)
     t_grid = np.linspace(0.0, T, _N_CHECK)
-    run = ode.solve(_w_kernel(params.a, params.m), w0, b * T + T, rtol,
-                    atol, stage="verify_periodic",
-                    params={"m": params.m, "a": params.a, "A": params.A},
-                    t_eval=np.concatenate([t_grid, t_grid + b * T]))
+    run = _case_d_run(params, b * T + T, "verify_periodic",
+                      t_eval=np.concatenate([t_grid, t_grid + b * T]))
     w_base, w_shift = run.z_eval[:_N_CHECK], run.z_eval[_N_CHECK:]
     signs = np.asarray([(-1.0) ** aj for aj in sol.int_angles])
     err = float(np.max(np.abs(w_shift - signs * w_base)))

@@ -33,7 +33,6 @@ from .multilinear import complex_to_real, frame_forms
 
 _DEGENERATE_GRAM = 1e-14
 VERTEX_TOL = 1e-12      # relative vertex offset a verified mesh may carry
-_AFFINE_MESH_RADIUS = 1.5   # _Chart.radius for an affine mesh's family
 _ESCAPE_CUT = 0.98      # a swept mesh ends at this fraction of an escape
 NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
                       "|Im Omega| per unit Gram volume, orientation chosen "
@@ -586,7 +585,6 @@ def _affine_mesh(r: dict) -> tuple:
     beta0 = complex(*r["beta0"]) if "beta0" in r else None
     family = AffineFamily(params, t_span=r["t_end"], w0=_recipe_w0(r),
                           beta0=beta0)
-    family.chart.radius = _AFFINE_MESH_RADIUS
     _stop_short(family)
     k = family.chart.signs.size
 
@@ -656,8 +654,8 @@ def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
                 profile_radii=(0.75, 1.5), w0=None, beta0=None) -> Mesh:
     """Mesh of the translated family over a (t, profile angle) grid; the
     first two free coordinates run around circles of the given radii, the
-    rest stay at a fixed offset (the family samples x in [-1.5, 1.5]).  A
-    path that escapes before t_end is meshed to 0.98 of its escape time."""
+    rest stay at a fixed offset.  A path that escapes before t_end is meshed
+    to 0.98 of its escape time."""
     return _mesh({
         "kind": "affine", "m": params.m, "a": params.a,
         "alphas": list(params.alphas), "A": params.A,

@@ -1,10 +1,12 @@
 """One Dormand-Prince 8(5,3) driver for every ODE in slevolve.
 
-The w system (``centred.integrate_w``, ``centred.betas_ode``), the
-translated system (``affine.integrate_affine``) and the general evolution
-equation (``evolver.integrate``) all run through ``solve``.  It takes a
-complex start, calls the right-hand side on the packed real vector
-(Re z, Im z), and hands back complex values, so no caller packs or unpacks.
+The w system (``centred.integrate_w``, ``centred.betas_ode``,
+``centred.verify_periodic``), the translated system
+(``affine.integrate_affine``) and the general evolution equation
+(``evolver.integrate``) all run through ``solve``, the w system and its
+translation at ``centred``'s one tolerance pair.  It takes a complex
+start, calls the right-hand side on the packed real vector (Re z, Im z),
+and hands back complex values, so no caller packs or unpacks.
 Every integration that can escape in finite time (``integrate_w``,
 ``integrate_affine``, ``evolver.integrate``) stops at one terminal event,
 ``blow_up``.

@@ -18,10 +18,10 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _conservation_drift(params, n_periods=5, rtol=1e-11, atol=1e-13):
+def _conservation_drift(params, n_periods=5):
     T = centred.betas(params).period_T
     path = centred.integrate_w(centred.w_initial(params), params.a,
-                               n_periods * T, rtol=rtol, atol=atol)
+                               n_periods * T)
     grid = np.linspace(0.0, n_periods * T, 1200)
     W = path.w(grid)
     al = params.alpha_array

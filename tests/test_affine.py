@@ -107,7 +107,7 @@ class TestCases:
 class TestPath:
     def test_translated_w_path(self):
         # one path class for the w system and the translated system: the
-        # letters come from w (and its angles), the translation from beta
+        # letters come from w, the translation from beta
         params = normalized(4, 2)
         w0, b0 = affine_initial(params)
         path = integrate_affine(w0, b0, params.a, 2.0)
@@ -115,7 +115,6 @@ class TestPath:
         ts = np.linspace(0.0, 2.0, 9)
         assert path.w(ts).shape == (9, 3) and path.beta(ts).shape == (9,)
         assert path.w(0.0).tobytes() == w0.tobytes() and path.beta(0.0) == b0
-        assert path.angles(ts).shape == (9, 3)
 
     def test_centred_path_has_no_beta(self):
         path = centred.integrate_w(np.ones(3, complex), 1, 0.5)

@@ -466,7 +466,7 @@ class TestCaseClassification:
         # the ellipsoid family leaves every bounded set in finite time
         params = CentredParams(3, 3, (1.0, 1.2, 0.9), 0.0, c=1.0)
         w0 = np.sqrt(np.asarray(params.alphas)).astype(complex)
-        from scipy.integrate import solve_ivp
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
         def rhs(t, y):
             w = y[:3] + 1j * y[3:]
@@ -755,7 +755,7 @@ class TestBatchedQuadrature:
 
     def test_quadrature_solution_matches_quad(self):
         # the integrands of betas over a sub-arc, against scipy in u
-        from scipy.integrate import quad
+        quad = pytest.importorskip("scipy.integrate").quad
         rng = np.random.default_rng(38)
         for m in (3, 5):
             params = random_case_d(rng, m)

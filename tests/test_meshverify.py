@@ -349,6 +349,17 @@ class TestMeshAffine:
         mesh = mesh_affine(params, (0.0, 2.0), resolution=(6, 9))
         assert mesh_residual_report(mesh).max_residual() <= 1e-6
 
+    def test_family_samples_as_a_bare_family(self):
+        # a mesh's family is the family itself: sl_residuals draws the same
+        # samples from both, over the one chart radius
+        params = affine.AffineParams(4, 2, (0.8, 1.1, 1.3), 0.5)
+        mesh = mesh_affine(params, (0.0, 2.0), resolution=(6, 9))
+        bare = AffineFamily(params, t_span=2.0)
+        assert mesh.family.chart.radius == bare.chart.radius
+        got = sl_residuals(mesh.family, 1000)
+        assert got.to_dict() == sl_residuals(bare, 1000).to_dict()
+        assert got.max_residual() <= 1e-12
+
 
 def edge_consistency(faces):
     """Every shared edge must be traversed in opposite directions."""
