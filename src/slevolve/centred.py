@@ -114,14 +114,22 @@ class CentredParams:
     def require_case_d(self):
         if self.a == self.m:
             raise ValidationError("case (d) requires a < m")
-        if np.any(self.alpha_array <= 0):
-            raise ValidationError("case (d) requires all alpha_j > 0")
-        if abs(self.normalization_residual()) > 1e-9 * np.max(1.0 / self.alpha_array):
-            raise ValidationError(
-                "alphas are not in the normalized gauge; run normalize_lambda")
+        _check_gauge(self.alpha_array, self.a)
         if not (0.0 < self.A < self.A_max):
             raise ValidationError(
                 f"case (d) requires 0 < A < {self.A_max:.6g}, got A={self.A}")
+
+
+def _check_gauge(al: np.ndarray, a: int) -> None:
+    """Finite positive alphas in the normalized gauge: sum_{j<=a} 1/alpha_j
+    and sum_{j>a} 1/alpha_j agree to 1e-9 of the largest 1/alpha_j."""
+    if not np.all((al > 0) & (al < np.inf)):
+        raise ValidationError("alphas must be finite and positive")
+    inv = 1.0 / al
+    if abs(np.sum(inv[:a]) - np.sum(inv[a:])) > 1e-9 * np.max(inv):
+        raise ValidationError(
+            "alphas are not in the normalized gauge sum_{j<=a} 1/alpha_j = "
+            "sum_{j>a} 1/alpha_j; run normalize_lambda")
 
 
 @lru_cache(maxsize=256)
@@ -165,7 +173,6 @@ class PeriodicSolution:
     params: CentredParams
     int_angles: tuple
     denom: int
-    topology: str = ""
     residual: float = 0.0
 
     def __post_init__(self):
@@ -176,6 +183,11 @@ class PeriodicSolution:
             g = gcd(g, abs(aj))
         if g != 1:
             raise ValidationError("integer data not in lowest terms")
+
+    @property
+    def topology(self) -> str:
+        """``classify_topology`` of this solution at its level params.c."""
+        return classify_topology(self)
 
     def to_dict(self) -> dict:
         return {
@@ -723,11 +735,7 @@ def beta_limits(alphas, a: int) -> BetaLimits:
     m = al.size
     if not (1 <= a <= m - 1):
         raise ValidationError("limits need 1 <= a <= m-1")
-    if not np.all((al > 0) & (al < np.inf)):
-        raise ValidationError("alphas must be finite and positive")
-    res = np.sum(1.0 / al[:a]) - np.sum(1.0 / al[a:])
-    if abs(res) > 1e-9 * np.max(1.0 / al):
-        raise ValidationError("alphas must be normalized first")
+    _check_gauge(al, a)
 
     lo1 = np.min(al[:a])
     lo2 = np.min(al[a:])
@@ -764,14 +772,14 @@ def classify_case(params: CentredParams) -> str:
     return "d"
 
 
-def classify_topology(sol: PeriodicSolution, c: float) -> str:
-    """Diffeomorphism label of the closed submanifold for the level c.
+def classify_topology(sol: PeriodicSolution) -> str:
+    """Diffeomorphism label of the closed submanifold at level params.c.
 
     For m = 3, a = 1 the parity of the first integer angle decides between
     the two-piece and the quotient pictures; for general m only the
     possible free Z2 quotient is reported.
     """
-    m, a = sol.params.m, sol.params.a
+    m, a, c = sol.params.m, sol.params.a, sol.params.c
     if m == 3 and a == 1:
         a1_even = sol.int_angles[0] % 2 == 0
         if a1_even:
@@ -803,9 +811,9 @@ def betas_ode(params: CentredParams) -> BetaResult:
     """Period and monodromy angles measured from direct w integration.
 
     The period is located from successive minima of u (ascending zeros of
-    du/dt, an event on Re(prod w_j)); the angles come from the continuous
-    lift of arg w_j over one period.  Serves as the independent oracle for
-    the quadrature route.
+    du/dt, an event on Re(prod w_j)), and the run stops at the third of
+    them; the angles come from the continuous lift of arg w_j over one
+    period.  Serves as the independent oracle for the quadrature route.
     """
     params.require_case_d()
     m = params.m
@@ -814,18 +822,16 @@ def betas_ode(params: CentredParams) -> BetaResult:
         w = y[:m] + 1j * y[m:]
         return float(np.real(np.prod(w)))
 
-    # T grows like log(1/A) near the endpoints, so retry with longer horizons
-    t_guess = _period_scale(params)
-    times = np.array([])
-    sol = None
-    for horizon in (8 * t_guess, 64 * t_guess, 512 * t_guess):
-        sol = _case_d_run(params, horizon, "betas_ode",
-                          events=[ode.Event(du_event, direction=1.0)])
-        times = sol.t_events[0]
-        if times.size >= 3:
-            break
+    horizon = 512 * _period_scale(params)
+    sol = _case_d_run(params, horizon, "betas_ode",
+                      events=[ode.Event(du_event, direction=1.0, terminal=3)])
+    times = sol.t_events[0]
     if times.size < 3:
-        raise NumericalError("failed to bracket one period of u")
+        raise NumericalError(
+            f"betas_ode failed to bracket one period of u (m={m}, "
+            f"a={params.a}, A/A_max={params.A / params.A_max:.6g}): "
+            f"{times.size} upward du crossings by t = {horizon:.6g}, "
+            f"3 needed")
 
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
@@ -975,10 +981,7 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
         if key in found and found[key].residual <= residual:
             continue
         params = CentredParams(m, a, tuple(al), A_star, c=c)
-        sol = PeriodicSolution(params, a_vec, denom, residual=residual)
-        found[key] = PeriodicSolution(params, a_vec, denom,
-                                      topology=classify_topology(sol, c),
-                                      residual=residual)
+        found[key] = PeriodicSolution(params, a_vec, denom, residual=residual)
     return sorted(found.values(), key=lambda s: (s.denom, s.int_angles))
 
 

@@ -9,7 +9,7 @@ start, calls the right-hand side on the packed real vector (Re z, Im z),
 and hands back complex values, so no caller packs or unpacks.
 Every integration that can escape in finite time (``integrate_w``,
 ``integrate_affine``, ``evolver.integrate``) stops at one terminal event,
-``blow_up``.
+``blow_up``; ``betas_ode`` stops at its third upward du crossing.
 
 The method is DOP853 with its 7th-order dense output (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, Sec. II.5 and II.6),
@@ -382,13 +382,16 @@ def generated_system(name: str, body: list, outputs: list,
 class Event:
     """A scalar event g(t, y) on the packed state: its zeros are located on
     the dense output.  ``direction`` > 0 (< 0) keeps only upward (downward)
-    crossings; a ``terminal`` event stops the integration at its first
-    crossing."""
+    crossings; an event with ``terminal`` = n > 0 stops the integration at
+    its n-th crossing (scipy's integer ``terminal``; 0 never stops)."""
 
-    def __init__(self, fun, direction: float = 0.0, terminal: bool = False):
+    def __init__(self, fun, direction: float = 0.0, terminal: int = 0):
+        if not (0 <= terminal < math.inf and terminal == int(terminal)):
+            raise ValidationError(f"an event's terminal count must be a "
+                                  f"non-negative integer, got {terminal!r}")
         self.fun = fun
         self.direction = float(direction)
-        self.terminal = bool(terminal)
+        self.terminal = int(terminal)
 
 
 BLOWUP_GUARD = 1e8
@@ -404,7 +407,7 @@ def blow_up(linear: int, size: int, m: int) -> Event:
     idx = np.r_[0:linear, size:size + linear]
     power, guard = max(m - 2, 1), BLOWUP_GUARD
     return Event(lambda t, y: np.linalg.norm(y[idx]) ** power - guard,
-                 direction=1.0, terminal=True)
+                 direction=1.0, terminal=1)
 
 
 class Solution:
@@ -572,7 +575,7 @@ def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
         t_eval_i = 0 if direction > 0 else t_eval.size
         eval_segs = np.empty(t_eval.size, dtype=int)
     directions = np.array([ev.direction for ev in events])
-    max_events = np.array([1.0 if ev.terminal else np.inf for ev in events])
+    max_events = np.array([ev.terminal or np.inf for ev in events], float)
     event_count = np.zeros(len(events))
     g = [ev.fun(t0, y0) for ev in events]
     t_events = [[] for _ in events]

@@ -24,21 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
+from .centred import _check_gauge
 from .errors import ValidationError
-
-_NORM_TOL = 1e-9
-
-
-def _check_normalized3(alphas) -> np.ndarray:
-    al = np.asarray(alphas, dtype=float)
-    if al.shape != (3,):
-        raise ValidationError("expected three alphas")
-    if not np.all(np.isfinite(al) & (al > 0)):
-        raise ValidationError("alphas must be finite and positive")
-    if abs(1.0 / al[0] - 1.0 / al[1] - 1.0 / al[2]) > _NORM_TOL:
-        raise ValidationError(
-            "alphas must satisfy 1/alpha_1 = 1/alpha_2 + 1/alpha_3")
-    return al
 
 
 @dataclass(frozen=True)
@@ -106,7 +93,10 @@ class CrossSection:
 
 def cross_section(alphas) -> CrossSection:
     """Closed-form cross-section circle for normalized positive alphas."""
-    al = _check_normalized3(alphas)
+    al = np.asarray(alphas, dtype=float)
+    if al.shape != (3,):
+        raise ValidationError("expected three alphas")
+    _check_gauge(al, 1)
     a1, a2, a3 = al
     if a2 <= a3:
         mu = np.sqrt(a1 + a3)

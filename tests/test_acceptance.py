@@ -5,12 +5,14 @@ line with the measured figure.  Run with ``pytest tests/test_acceptance.py
 import time
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import pytest
 
 from conftest import random_case_d
 from oracles import link_conformality
 from slevolve import affine, centred, elliptic, evolver, meshverify, threefold
 from slevolve.evodata import example_paraboloid, example_quadric
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 
 def _report(num, ok, detail):

@@ -14,6 +14,7 @@ from slevolve.centred import (CentredParams, PeriodicSolution, beta_limits,
                               classify_topology, integrate_w, normalize_lambda,
                               periodic_search, rhs_w, symmetric_alphas,
                               turning_points, verify_periodic, w_initial)
+from slevolve.threefold import cross_section
 
 
 def _packed_rhs_loop(signs, y):
@@ -413,6 +414,18 @@ class TestBetas:
         with pytest.raises(ValidationError):
             betas(CentredParams(3, 3, (1.0, 1.0, 1.0), 0.5, c=1.0))
 
+    def test_ode_failure_names_its_run(self):
+        # sym(5,1) near A = 0: two upward du crossings within the whole
+        # horizon, 512 times the harmonic period estimate
+        al = symmetric_alphas(5, 1)
+        params = CentredParams(5, 1, al, 1e-6 * np.sqrt(np.prod(al)))
+        with pytest.raises(NumericalError) as info:
+            betas_ode(params)
+        assert str(info.value) == (
+            "betas_ode failed to bracket one period of u (m=5, a=1, "
+            "A/A_max=1e-06): 2 upward du crossings by t = 639.163, "
+            "3 needed")
+
     def test_serialization(self):
         res = betas(CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0))
         d = res.to_dict()
@@ -496,18 +509,21 @@ class TestTopologyLabels:
         return PeriodicSolution(params, a_vec, b)
 
     def test_m3_labels(self):
-        assert classify_topology(self._sol((-8, 4, 4), 7, 0.0), 0.0) \
+        assert classify_topology(self._sol((-8, 4, 4), 7, 0.0)) \
             == "two T²-cones, N_− = −N_+"
-        assert classify_topology(self._sol((-7, 4, 3), 6, -1.0), -1.0) \
+        sol = self._sol((-7, 4, 3), 6, -1.0)
+        assert classify_topology(sol) == sol.topology \
             == "Klein-bottle line bundle, one end T²×(0,∞)"
 
     def test_general_label(self):
-        params = CentredParams(4, 2, symmetric_alphas(4, 2), 0.5, c=1.0)
-        sol = PeriodicSolution(params, (-2, -2, 2, 2), 3)
-        assert classify_topology(sol, 1.0) == "S^1×R^2×S^1 (possibly /Z₂)"
-        assert classify_topology(sol, -1.0) == "R^2×S^1×S^1 (possibly /Z₂)"
-        assert classify_topology(sol, 0.0) \
-            == "cone on S^1×S^1×S^1 (possibly /Z₂)"
+        # the label reads the level c of the solution's own parameters
+        labels = {}
+        for c in (1.0, -1.0, 0.0):
+            params = CentredParams(4, 2, symmetric_alphas(4, 2), 0.5, c=c)
+            labels[c] = PeriodicSolution(params, (-2, -2, 2, 2), 3).topology
+        assert labels == {1.0: "S^1×R^2×S^1 (possibly /Z₂)",
+                          -1.0: "R^2×S^1×S^1 (possibly /Z₂)",
+                          0.0: "cone on S^1×S^1×S^1 (possibly /Z₂)"}
 
     def test_integer_data_invariants(self):
         with pytest.raises(ValidationError):
@@ -572,13 +588,13 @@ class TestPeriodicSearch:
     def test_solution_round_trip(self):
         # the dict holds plain JSON values and reads back unchanged
         params = CentredParams(3, 1, (1.0, 2.0, 2.0), 1.1, c=0.0)
-        sol = PeriodicSolution(params, (-8, 4, 4), 7, topology="x",
-                               residual=1e-9)
+        sol = PeriodicSolution(params, (-8, 4, 4), 7, residual=1e-9)
         d = sol.to_dict()
         assert json.loads(json.dumps(d)) == d
         assert d == {"m": 3, "a": 1, "alphas": [1.0, 2.0, 2.0], "A": 1.1,
                      "c": 0.0, "int_angles": [-8, 4, 4], "denom": 7,
-                     "parities": [0, 0, 0], "topology": "x",
+                     "parities": [0, 0, 0],
+                     "topology": "two T²-cones, N_− = −N_+",
                      "residual": 1e-9}
 
 
@@ -590,6 +606,22 @@ class TestParamsValidation:
     def test_unnormalized_case_d_rejected(self):
         with pytest.raises(ValidationError):
             CentredParams(3, 1, (1.0, 1.5, 2.0), 0.5, c=1.0).require_case_d()
+
+    def test_one_gauge_rule(self):
+        # off the gauge by 1e-8 of 1/alpha_1, far under an absolute 1e-9:
+        # the three entry points refuse it alike, with one message
+        al = (1200 * (1 + 1.2e-8), 2000.0, 3000.0)
+        calls = (lambda: cross_section(al), lambda: beta_limits(al, 1),
+                 lambda: betas(CentredParams(3, 1, al, 100.0)))
+        for call in calls:
+            with pytest.raises(ValidationError,
+                               match="not in the normalized gauge"):
+                call()
+        # the gauge itself passes all three
+        al = (1200.0, 2000.0, 3000.0)
+        cross_section(al)
+        beta_limits(al, 1)
+        CentredParams(3, 1, al, 100.0).require_case_d()
 
     def test_w_initial_matches_params(self):
         rng = np.random.default_rng(35)

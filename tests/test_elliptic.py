@@ -3,11 +3,13 @@ high-accuracy ODE integration of the first-order system."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
 
 from oracles import jacobi_derivatives
 from slevolve import ValidationError
 from slevolve.elliptic import complete_K, jacobi_grid
+
+_integrate = pytest.importorskip("scipy.integrate")
+quad, solve_ivp = _integrate.quad, _integrate.solve_ivp
 
 
 def jacobi_ode_oracle(t, k, rtol=1e-12, atol=1e-14):

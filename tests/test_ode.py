@@ -17,11 +17,12 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from slevolve import centred, evodata, evolver, meshverify, ode
 from slevolve.affine import AffineParams, affine_initial, integrate_affine
-from slevolve.errors import NumericalError
+from slevolve.errors import NumericalError, ValidationError
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 
 @pytest.fixture
@@ -115,15 +116,35 @@ class TestAgainstScipy:
         assert path.t_span == (0.0, ref.t[-1])
 
     def test_betas_ode_upward_event(self, calls):
+        # one run, stopped by its du event at the third upward crossing
         params = centred.CentredParams(4, 2, centred.symmetric_alphas(4, 2),
                                        0.4, c=0.0)
         centred.betas_ode(params)
-        assert calls
-        for entry in calls:
-            (ev,) = entry["kw"]["events"]
-            assert ev.direction > 0 and not ev.terminal
-            assert_matches_scipy(entry)
-        assert calls[-1]["sol"].t_events[0].size >= 3
+        (entry,) = calls
+        (ev,) = entry["kw"]["events"]
+        assert ev.direction > 0 and ev.terminal == 3
+        ref = assert_matches_scipy(entry)
+        assert ref.status == 1 and entry["sol"].t_events[0].size == 3
+        assert ref.t[-1] == ref.t_events[0][2]
+
+    def test_betas_ode_one_run_near_small_A(self, calls):
+        # sym(3,1) at A = 1e-6 A_max: one run, stopped at the third upward
+        # crossing (t = 28.8, beyond 8 times the period estimate), and the
+        # result pinned to its bits
+        al = centred.symmetric_alphas(3, 1)
+        got = centred.betas_ode(centred.CentredParams(
+            3, 1, al, 1e-6 * np.sqrt(np.prod(al))))
+        (entry,) = calls
+        assert entry["sol"].nfev == 3398
+        assert_matches_scipy(entry)
+        assert [float(b).hex() for b in got.betas] == [
+            "-0x1.921fe4d22e8fcp+1", "0x1.921fe5368cc8bp+0",
+            "0x1.921fe5368cc8bp+0"]
+        assert [float(v).hex() for v in (got.period_T, got.gamma,
+                                         got.delta)] == [
+            "0x1.374d59f74278ap+3", "-0x1.ffffffffda097p-1",
+            "0x1.ffffeca095efcp+0"]
+        assert np.isnan(got.quadrature_error)
 
     def test_integrate_affine_backward(self, calls):
         params = AffineParams(4, 2, centred.symmetric_alphas(3, 2), 0.4)
@@ -243,6 +264,41 @@ class TestAgainstScipy:
 
 
 class TestDriver:
+    def test_counted_terminal_event(self):
+        # dz/dt = i z: Re z = cos t crosses zero upward at 3pi/2, 7pi/2, ...
+        def rhs(t, y):
+            return np.array([-y[1], y[0]])
+
+        def g(t, y):
+            return y[0]
+
+        def run(terminal):
+            return ode.solve(rhs, [1.0 + 0j], 40.0, 1e-11, 1e-13,
+                             stage="test", params={}, events=[
+                                 ode.Event(g, direction=1.0,
+                                           terminal=terminal)])
+
+        sol = run(2)
+        g.direction, g.terminal = 1.0, 2
+        ref = solve_ivp(rhs, (0.0, 40.0), [1.0, 0.0], method="DOP853",
+                        rtol=1e-11, atol=1e-13, dense_output=True, events=g)
+        assert sol.status == ref.status == 1
+        assert sol.nfev == ref.nfev
+        assert np.array_equal(sol.t, ref.t)
+        assert np.array_equal(sol.t_events[0], ref.t_events[0])
+        assert sol.t[-1] == sol.t_events[0][1]
+        assert abs(sol.t_events[0][1] - 3.5 * np.pi) < 1e-9
+        # True counts one: the first crossing still stops the run
+        first = run(True)
+        assert first.status == 1 and first.t_events[0].size == 1
+        assert first.t[-1] == sol.t_events[0][0]
+        # 0 never stops: every crossing up to t_end is recorded
+        never = run(0)
+        assert never.status == 0 and never.t_events[0].size == 6
+        for bad in (-1, 2.5, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="terminal count"):
+                ode.Event(g, terminal=bad)
+
     def test_t_eval_backward(self):
         # dz/dt = i z on packed values; t_eval sorted along the direction
         def rhs(t, y):

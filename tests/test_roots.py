@@ -8,10 +8,11 @@ call, bit for bit.
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from slevolve.errors import NumericalError, ValidationError
 from slevolve.roots import EPS, brent, companion_roots
+
+brentq = pytest.importorskip("scipy.optimize").brentq
 
 # smooth, steep, flat (triple root) and one-sided-kink functions of x - c
 SHAPES = (
