@@ -324,7 +324,7 @@ def _dense_path(a: int, z0: np.ndarray, t_end: float, stage: str,
     letters = size - translated
     sol = ode.solve(_w_kernel(a, letters, translated), z0, t_end, _W_RTOL,
                     _W_ATOL, stage=stage, params={"m": size, "a": a},
-                    events=[ode.blow_up(letters, size, size)])
+                    event=ode.blow_up(letters, size, size))
     return WSolutionPath(sol, translated)
 
 
@@ -824,8 +824,8 @@ def betas_ode(params: CentredParams) -> BetaResult:
 
     horizon = 512 * _period_scale(params)
     sol = _case_d_run(params, horizon, "betas_ode",
-                      events=[ode.Event(du_event, direction=1.0, terminal=3)])
-    times = sol.t_events[0]
+                      event=ode.Event(du_event, terminal=3))
+    times = sol.t_event
     if times.size < 3:
         raise NumericalError(
             f"betas_ode failed to bracket one period of u (m={m}, "

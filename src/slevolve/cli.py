@@ -74,8 +74,29 @@ def _load_config(path: str) -> dict:
     """A JSON config file's values, less the keys that dispatch the command."""
     with open(path) as fh:
         file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
     return {k: v for k, v in file_cfg.items()
             if k not in ("func", "config", "command")}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file's ``value`` for the option ``action``, refused unless
+    it is what the flag parses to or a string the flag's own parse takes:
+    argparse converts only string defaults, so any other value would reach
+    the command unparsed."""
+    if action.nargs == 0:       # a switch: JSON true or false
+        want, ok = "true or false", isinstance(value, bool)
+    else:
+        want, kinds = {int: ("an integer", (str, int)),
+                       float: ("a number", (str, int, float))}.get(
+                           action.type, ("a string", str))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok:
+        raise ValidationError(
+            f"config key {action.dest!r} ({action.option_strings[0]}) must "
+            f"be {want}, got {value!r}")
+    return value
 
 
 def _resolved_config(ns: argparse.Namespace) -> dict:
@@ -485,10 +506,9 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="JSON config file (flags override)")
-        own = {a.dest for a in sp._actions
-               if a.default is not argparse.SUPPRESS}
-        sp.set_defaults(**{k: v for k, v in (defaults or {}).items()
-                           if k in own})
+        sp.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
+                           for a in sp._actions if a.dest in (defaults or {})
+                           and a.default is not argparse.SUPPRESS})
     return p
 
 

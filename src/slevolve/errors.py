@@ -1,5 +1,6 @@
 """Exception types shared across the library and the CLI exit-code map,
-and the lower-bound check that counts share."""
+the lower-bound check that counts share, and the recipe view that turns a
+missing key of a file's document into bad input."""
 
 
 class ValidationError(ValueError):
@@ -7,6 +8,18 @@ class ValidationError(ValueError):
 
     Maps to CLI exit code 2.
     """
+
+
+class ImportedRecipe(dict):
+    """A recipe read back from a file, named ``what`` in messages: a key it
+    lacks is bad input."""
+
+    def __init__(self, doc: dict, what: str):
+        super().__init__(doc)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValidationError(f"{self.what} lacks the key {key!r}")
 
 
 class ConstructionError(ValidationError):

@@ -19,7 +19,7 @@ from math import ceil, comb
 import numpy as np
 
 from . import ode
-from .errors import ConstructionError, ValidationError
+from .errors import ConstructionError, ImportedRecipe, ValidationError
 from .multilinear import insertion_table, k_subsets
 from .roots import companion_roots
 
@@ -450,21 +450,30 @@ def evolution_data_from_dict(doc: dict) -> EvolutionData:
     """Rebuild evolution data from its versioned JSON document.
 
     Quadric and curve recipes reconstruct their samplers; other documents
-    are rejected (a sampler cannot be recovered from coefficients alone).
+    are rejected (a sampler cannot be recovered from coefficients alone),
+    and so is a recipe that lacks a key or holds a value of the wrong type.
     """
-    if doc.get("schema") != "sl-evodata-1":
+    if not isinstance(doc, dict) or doc.get("schema") != "sl-evodata-1":
         raise ValidationError("not an sl-evodata-1 document")
     recipe = doc.get("recipe")
-    if recipe == "quadric":
-        S = np.asarray(doc["S"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
-        return quadric_data(QuadricSpec(S.shape[0], S, b), float(doc["c"]))
-    if recipe == "curve":
-        return curve_data(np.asarray(doc["M"], float),
-                          np.asarray(doc["v"], float), int(doc["m"]))
-    if recipe == "product":
-        return extend_product(evolution_data_from_dict(doc["base"]),
-                              int(doc["k"]))
+    doc = ImportedRecipe(doc, f"{recipe} evolution data")
+    try:
+        if recipe == "quadric":
+            S = np.asarray(doc["S"], dtype=float)
+            b = np.asarray(doc["b"], dtype=float)
+            return quadric_data(QuadricSpec(len(S), S, b),
+                                float(doc["c"]))
+        if recipe == "curve":
+            return curve_data(np.asarray(doc["M"], float),
+                              np.asarray(doc["v"], float), int(doc["m"]))
+        if recipe == "product":
+            return extend_product(evolution_data_from_dict(doc["base"]),
+                                  int(doc["k"]))
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{recipe} evolution data holds a value of "
+                              f"the wrong type: {exc}") from None
     raise ValidationError(f"cannot rebuild evolution data from {recipe!r}")
 
 

@@ -345,10 +345,10 @@ def integrate(phi0: EvolMap, data: EvolutionData, t_end: float,
     sol = ode.solve(rhs, np.concatenate([phi0.A.ravel(), phi0.t0]), t_end,
                     rtol, atol, stage="evolver.integrate",
                     params={"m": m, "n": n, "data": data.label},
-                    events=[ode.blow_up(m * n, half, m)])
+                    event=ode.blow_up(m * n, half, m))
     escaped = sol.status == 1
-    escape_time = float(sol.t_events[0][0]) if escaped else None
     t_last = sol.t[-1]
+    escape_time = float(t_last) if escaped else None
     times = np.linspace(0.0, t_last, checkpoints)
     zs = sol(times)
     if not np.all(np.isfinite(zs)):

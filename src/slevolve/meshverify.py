@@ -28,7 +28,7 @@ import numpy as np
 
 from . import affine as affine_mod
 from . import centred, threefold
-from .errors import ValidationError
+from .errors import ImportedRecipe, ValidationError
 from .multilinear import complex_to_real, frame_forms
 
 _DEGENERATE_GRAM = 1e-14
@@ -495,6 +495,14 @@ class Mesh:
                 f"= {(len(V), len(self.param_names))}; got {P.shape}")
         if not np.all(np.isfinite(P)):
             raise ValidationError("non-finite vertex parameter")
+        for name in ("res_omega", "res_imomega"):   # NaN: degenerate frame
+            res = getattr(self, name)
+            if res is not None:
+                res = np.asarray(res, dtype=float)
+                if res.shape != (len(V),):
+                    raise ValidationError(f"{name} must be (N vertices,) = "
+                                          f"{(len(V),)}; got {res.shape}")
+                setattr(self, name, res)
         self.vertices = V
         self.faces = F.reshape(-1, 4) if F.size else np.zeros((0, 4), int)
         self.params = P
@@ -673,14 +681,6 @@ def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:
                  | ({} if t_span is None else {"t_end": float(t_span)}))
 
 
-class _ImportedRecipe(dict):
-    """A recipe read back from a file: a key it lacks is bad input."""
-
-    def __missing__(self, key):
-        raise ValidationError(
-            f"{self.get('kind')} mesh recipe lacks the key {key!r}")
-
-
 def rebuild_family(mesh: Mesh):
     """Reconstruct the generating family and row chart of an imported mesh
     through the construction that built it, from its recipe, so residuals
@@ -690,7 +690,8 @@ def rebuild_family(mesh: Mesh):
     if construct is None:
         raise ValidationError("mesh recipe does not name a rebuildable family")
     try:
-        family, chart = construct(_ImportedRecipe(mesh.recipe))[:2]
+        family, chart = construct(
+            ImportedRecipe(mesh.recipe, f"{kind} mesh recipe"))[:2]
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:

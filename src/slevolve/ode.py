@@ -7,9 +7,11 @@ The w system (``centred.integrate_w``, ``centred.betas_ode``,
 translation at ``centred``'s one tolerance pair.  It takes a complex
 start, calls the right-hand side on the packed real vector (Re z, Im z),
 and hands back complex values, so no caller packs or unpacks.
-Every integration that can escape in finite time (``integrate_w``,
-``integrate_affine``, ``evolver.integrate``) stops at one terminal event,
-``blow_up``; ``betas_ode`` stops at its third upward du crossing.
+A run carries at most one ``Event``: an upward crossing with a stop count,
+on dense runs only.  Every integration that can escape in finite time
+(``integrate_w``, ``integrate_affine``, ``evolver.integrate``) stops at the
+first crossing of ``blow_up``; ``betas_ode`` stops at its third upward du
+crossing.
 
 The method is DOP853 with its 7th-order dense output (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, Sec. II.5 and II.6),
@@ -380,17 +382,17 @@ def generated_system(name: str, body: list, outputs: list,
 
 
 class Event:
-    """A scalar event g(t, y) on the packed state: its zeros are located on
-    the dense output.  ``direction`` > 0 (< 0) keeps only upward (downward)
-    crossings; an event with ``terminal`` = n > 0 stops the integration at
-    its n-th crossing (scipy's integer ``terminal``; 0 never stops)."""
+    """A scalar event g(t, y) on the packed state.  It fires on a step over
+    which g goes from <= 0 to >= 0 in the direction of integration (scipy's
+    ``direction`` = 1, backward runs included), and its crossing is located
+    on the step's interpolant.  ``terminal`` = n > 0 stops the integration
+    at the n-th crossing (scipy's integer ``terminal``; 0 never stops)."""
 
-    def __init__(self, fun, direction: float = 0.0, terminal: int = 0):
+    def __init__(self, fun, terminal: int = 0):
         if not (0 <= terminal < math.inf and terminal == int(terminal)):
             raise ValidationError(f"an event's terminal count must be a "
                                   f"non-negative integer, got {terminal!r}")
         self.fun = fun
-        self.direction = float(direction)
         self.terminal = int(terminal)
 
 
@@ -398,40 +400,41 @@ BLOWUP_GUARD = 1e8
 
 
 def blow_up(linear: int, size: int, m: int) -> Event:
-    """The terminal event of an escape in C^m: |L|^max(m-2, 1) reaches
-    ``BLOWUP_GUARD``, L the first ``linear`` of the ``size`` complex state
-    components (w or A; a translation after L stays finite while L does).
+    """The event of an escape in C^m, stopping the run at its first
+    crossing: |L|^max(m-2, 1) reaches ``BLOWUP_GUARD``, L the first
+    ``linear`` of the ``size`` complex state components (w or A; a
+    translation after L stays finite while L does).
     The right-hand side has degree m-1 in L, so that power, its inverse
     time scale, crosses the guard about 1/BLOWUP_GUARD before the blow-up
     for every m (|L| reaches 1e8 within double spacing of it at m >= 4)."""
     idx = np.r_[0:linear, size:size + linear]
     power, guard = max(m - 2, 1), BLOWUP_GUARD
     return Event(lambda t, y: np.linalg.norm(y[idx]) ** power - guard,
-                 direction=1.0, terminal=1)
+                 terminal=1)
 
 
 class Solution:
     """What one ``solve`` run produced.
 
-    ``t`` holds the step times (ending at the terminal event time, if one
-    fired), ``nfev`` the right-hand-side evaluations, ``status`` 0 (reached
-    t_end), 1 (terminal event) or -1 (failed; only seen on the
-    ``IntegrationError``), ``t_events`` one array of crossing times per
-    event and ``h_abs`` the last step size the controller tried.  With
-    dense output, calling the solution gives complex values of shape
-    ``t.shape + (n,)``; with ``t_eval`` the values at those times are in
-    ``z_eval``.  Each stored step keeps its own start time and length, so
-    the interpolant of a step cut short by a terminal event is still the
-    full step's.
+    ``t`` holds the step times (ending at the stopping crossing, if the
+    event stopped the run), ``nfev`` the right-hand-side evaluations,
+    ``status`` 0 (reached t_end), 1 (stopped by the event) or -1 (failed;
+    only seen on the ``IntegrationError``), ``t_event`` the array of the
+    event's crossing times (empty without an event) and ``h_abs`` the last
+    step size the controller tried.  With dense output, calling the
+    solution gives complex values of shape ``t.shape + (n,)``; with
+    ``t_eval`` the values at those times are in ``z_eval``.  Each stored step keeps its own start time and length, so
+    the interpolant of a step cut short by the event is still the full
+    step's.
     """
 
-    def __init__(self, t, nfev, status, message, t_events, h_abs, steps,
+    def __init__(self, t, nfev, status, message, t_event, h_abs, steps,
                  z_eval=None):
         self.t = t
         self.nfev = nfev
         self.status = status
         self.message = message
-        self.t_events = t_events
+        self.t_event = t_event
         self.h_abs = h_abs
         self.z_eval = z_eval
         self._steps = steps
@@ -529,17 +532,20 @@ def _error_norm(KT, h, scale):
     return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _find_active_events(g, g_new, direction):
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    either = up | down
-    mask = (up & (direction > 0) | down & (direction < 0)
-            | either & (direction == 0))
-    return np.nonzero(mask)[0]
+def _crossing(fun, t_old, h, y_old, F, t, where):
+    """The event's crossing on one step from t_old to t = t_old + h (scipy's
+    ``handle_events``), located by ``brent`` on the step's interpolant;
+    ``where`` is (stage, params)."""
+    def g(s, rows):
+        return np.array([fun(x, _interpolate(F, y_old, (x - t_old) / h))
+                         for x in s.tolist()])
+
+    stage, params = where
+    return brent(g, [t_old], [t], xtol=4 * EPS, rtol=4 * EPS,
+                 stage=f"{stage} event", params=params)[0]
 
 
-def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
+def _dop853(system, t_end, y0, rtol, atol, event, t_eval, where):
     """The scipy DOP853 solver and the ``solve_ivp`` loop around it, on a
     real state, started at t = 0, every stage one ``system.stage`` call;
     ``where`` (stage, params) names the run in root-finding errors."""
@@ -574,11 +580,9 @@ def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
         t_eval_list = t_eval.tolist()
         t_eval_i = 0 if direction > 0 else t_eval.size
         eval_segs = np.empty(t_eval.size, dtype=int)
-    directions = np.array([ev.direction for ev in events])
-    max_events = np.array([ev.terminal or np.inf for ev in events], float)
-    event_count = np.zeros(len(events))
-    g = [ev.fun(t0, y0) for ev in events]
-    t_events = [[] for _ in events]
+    t_event = []
+    if event is not None:
+        g = event.fun(t0, y0)
 
     def dense_output(t_old, t, y_old, ys_old, y, f, h):
         """Store the step's interpolant (three extra stages); return its
@@ -659,30 +663,20 @@ def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
         if direction * (t - tf) >= 0:
             status = 0
 
-        # dense output, events and t_eval (the solve_ivp loop)
-        seg = None
+        # dense output and the event, or t_eval (the solve_ivp loop)
         if dense:
             seg = dense_output(t_old, t, y_old, ys, y, f, h)
             nfev += 3
-        if events:
-            g_new = [ev.fun(t, y) for ev in events]
-            active = _find_active_events(g, g_new, directions)
-            if active.size > 0:
-                if seg is None:
-                    seg = dense_output(t_old, t, y_old, ys, y, f, h)
-                    nfev += 3
-                event_count[active] += 1
-                active, roots, terminate = _event_roots(
-                    events, active, event_count, max_events, t_old, t,
-                    _step_interpolant(seg_t_old[seg], seg_h[seg],
-                                      seg_y_old[seg], seg_F[seg]), where)
-                for e, te in zip(active, roots):
-                    t_events[e].append(te)
-                if terminate:
-                    status = 1
-                    t = roots[-1]
-            g = g_new
-        if dense:
+            if event is not None:
+                g_new = event.fun(t, y)
+                if g <= 0 <= g_new:
+                    t_event.append(_crossing(event.fun, t_old, seg_h[seg],
+                                             seg_y_old[seg], seg_F[seg], t,
+                                             where))
+                    if len(t_event) == event.terminal:
+                        status = 1
+                        t = t_event[-1]
+                g = g_new
             if len(ts) > 1 and ts[-1] == t:
                 seg_t_old.pop()
                 seg_h.pop()
@@ -699,10 +693,8 @@ def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
                 t_eval_i_new = bisect_left(t_eval_list, t)
                 lo, hi = t_eval_i_new, t_eval_i
             if hi > lo:
-                if seg is None:
-                    seg = dense_output(t_old, t, y_old, ys, y, f, h)
-                    nfev += 3
-                eval_segs[lo:hi] = seg
+                eval_segs[lo:hi] = dense_output(t_old, t, y_old, ys, y, f, h)
+                nfev += 3
                 t_eval_i = t_eval_i_new
 
     steps = (np.array(seg_t_old, dtype=float), np.array(seg_h, dtype=float),
@@ -716,55 +708,28 @@ def _dop853(system, t_end, y0, rtol, atol, events, t_eval, where):
         if direction < 0:
             z_eval = z_eval[::-1]
     return Solution(np.array(ts, dtype=float), nfev, status, message,
-                    [np.asarray(te, dtype=float) for te in t_events], h_abs,
-                    steps, z_eval)
-
-
-def _step_interpolant(t_old, h, y_old, F):
-    def sol(t):
-        return _interpolate(F, y_old, (t - t_old) / h)
-    return sol
-
-
-def _event_roots(events, active, event_count, max_events, t_old, t, sol,
-                 where):
-    """Roots of the active events on one step (scipy's ``handle_events``),
-    all located by one lockstep ``brent``; ``where`` is (stage, params)."""
-    def g(s, rows):
-        return np.array([events[active[r]].fun(x, sol(x))
-                         for x, r in zip(s.tolist(), rows.tolist())])
-
-    stage, params = where
-    roots = brent(g, np.full(active.size, t_old), np.full(active.size, t),
-                  xtol=4 * EPS, rtol=4 * EPS, stage=f"{stage} event",
-                  params=params)
-    if np.any(event_count[active] >= max_events[active]):
-        order = np.argsort(roots) if t > t_old else np.argsort(-roots)
-        active = active[order]
-        roots = roots[order]
-        first = np.nonzero(event_count[active] >= max_events[active])[0][0]
-        return active[:first + 1], roots[:first + 1], True
-    return active, roots, False
+                    np.array(t_event, dtype=float), h_abs, steps, z_eval)
 
 
 def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
-          params: dict, events=(), t_eval=None) -> Solution:
+          params: dict, event: Event = None, t_eval=None) -> Solution:
     """Integrate dz/dt from z(0) = z0 to t = t_end (either sign) by DOP853.
 
-    ``rhs(t, y)`` and each event's ``fun(t, y)`` act on the packed real
+    ``rhs(t, y)`` and the ``event``'s ``fun(t, y)`` act on the packed real
     vector y = (Re z, Im z) and ``rhs`` returns a float array of that
     shape; a ``System`` brings its own stage call, any other callable is
     stepped through the numpy adapter.  Without ``t_eval`` the solution
-    carries its dense output; with ``t_eval`` (sorted along the direction
-    of integration, inside the interval) only the values there are kept,
-    and only steps containing one of those times pay for an interpolant.
-    A NaN or infinite t_end, which no step can reach, raises
-    ``ValidationError``, and so does a NaN or infinite tolerance, on which
-    no step size is ever too small, or a negative atol, which scipy refuses
-    too (an rtol below 100 eps is raised to it, as scipy does).  A run that
-    cannot reach t_end raises ``IntegrationError``, naming ``stage``,
-    ``params``, the time reached, the last step size tried and the
-    tolerances.
+    carries its dense output, and the one upward ``Event``, if given, is
+    located on it; with ``t_eval`` (sorted along the direction of
+    integration, inside the interval) only the values there are kept, and
+    only steps containing one of those times pay for an interpolant.  An
+    event given with ``t_eval`` raises ``ValidationError``, and so do a NaN
+    or infinite t_end, which no step can reach, a NaN or infinite
+    tolerance, on which no step size is ever too small, and a negative
+    atol, which scipy refuses too (an rtol below 100 eps is raised to it,
+    as scipy does).  A run that cannot reach t_end raises
+    ``IntegrationError``, naming ``stage``, ``params``, the time reached,
+    the last step size tried and the tolerances.
     """
     where = ", ".join(f"{k}={v}" for k, v in params.items())
     if not math.isfinite(t_end):
@@ -774,11 +739,14 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
         raise ValidationError(f"{stage} needs a finite rtol and a finite, "
                               f"non-negative atol ({where}): got rtol = "
                               f"{float(rtol)!r}, atol = {float(atol)!r}")
+    if event is not None and t_eval is not None:
+        raise ValidationError(f"{stage} takes an event or t_eval, not both "
+                              f"({where})")
     if not isinstance(rhs, System):
         rhs = _numpy_system(rhs)
     z0 = np.asarray(z0, dtype=complex)
     sol = _dop853(rhs, t_end, np.concatenate([z0.real, z0.imag]), rtol, atol,
-                  events, t_eval, (stage, params))
+                  event, t_eval, (stage, params))
     if sol.status < 0:
         raise IntegrationError(
             f"{stage} failed ({where}): reached t = {float(sol.t[-1])!r} of "

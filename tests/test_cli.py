@@ -433,6 +433,21 @@ class TestEvolveCommand:
         assert flag in capsys.readouterr().err
         assert not summary.exists()
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"schema": "sl-evodata-1", "recipe": "quadric"}, "'S'"),
+        ([1, 2], "not an sl-evodata-1 document"),
+        ({"schema": "sl-evodata-1", "recipe": "quadric", "S": [["x"]],
+          "b": [0.0], "c": 1.0}, "wrong type"),
+        ({"schema": "sl-evodata-1", "recipe": "product", "k": 1}, "'base'"),
+    ])
+    def test_malformed_data_file_exits_2(self, tmp_path, capsys, doc, named):
+        # each was a Python traceback and exit 1
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps(doc))
+        assert run(["evolve", "--data", str(data_path), "--t-end",
+                    "0.2"]) == 2
+        assert named in capsys.readouterr().err
+
     def test_quadric_defaults_echoed_without_data(self, tmp_path):
         summary = tmp_path / "s.json"
         assert run(["evolve", "--w0", "1,1j,1", "--t-end", "0.1",
@@ -535,6 +550,27 @@ class TestConfigAndEnv:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cfg,argv,named", [
+        ([1, 2], ["betas", "--A", "0.5"], "JSON object"),
+        ({"alphas": [1, 2, 2]}, ["betas", "--A", "0.5"], "'alphas'"),
+        ({"w0": [1, 1, 1]}, ["evolve", "--t-end", "0.1"], "'w0'"),
+        ({"resolution": [9, 16]}, ["mesh", "--kind", "link", "--alphas",
+                                   "1.2,2,3", "--A", "0.4", "--out",
+                                   "o.json"], "'resolution'"),
+        ({"m": 3.5}, ["betas", "--alphas", "1,2,2", "--A", "0.5"], "'m'"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                monkeypatch, cfg, argv,
+                                                named):
+        # argparse converts only string defaults: each value reached the
+        # command unparsed (exit 1 with a traceback, or m = 3.5)
+        monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(argv + ["--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_config_block_has_no_seed(self, tmp_path):
         # a config file with keys a command has no option for still loads,

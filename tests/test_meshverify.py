@@ -481,6 +481,25 @@ class TestExport:
         with pytest.raises(ValidationError):
             export(mesh, "stl", tmp_path / "m.stl")
 
+    @pytest.mark.parametrize("key", ["res_omega", "res_imomega"])
+    def test_stored_residuals_match_vertices(self, tmp_path, key):
+        # 3 residuals for 16 vertices, or a (16, 2) array, were imported and
+        # verified, and the csv export then failed inside numpy
+        mesh = meshverify.attach_residuals(
+            mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(4, 4)))
+        export(mesh, "json", tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        res = doc[key]
+        for bad in (res[:3], [[r, r] for r in res]):
+            doc[key] = bad
+            (tmp_path / "bad.json").write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match=key):
+                import_json(tmp_path / "bad.json")
+        # NaN, the mark of a degenerate frame, still imports
+        doc[key] = [float("nan")] + res[1:]
+        (tmp_path / "nan.json").write_text(json.dumps(doc))
+        assert np.isnan(getattr(import_json(tmp_path / "nan.json"), key)[0])
+
 
 T_LINK = centred.betas(centred.CentredParams(3, 1, (1.2, 2.0, 3.0), 0.4,
                                              c=0.0)).period_T

@@ -5,7 +5,7 @@ runs one of the driver's callers (the dense w paths ``integrate_w`` and
 ``integrate_affine``, the case-(d) runs of ``betas_ode`` and, with
 ``t_eval``, ``verify_periodic``, and ``evolver.integrate``), records each
 ``ode.solve`` call it makes, and replays the same right-hand side and
-events through ``solve_ivp``.  Step times, right-hand-side counts, status,
+event through ``solve_ivp``.  Step times, right-hand-side counts, status,
 event times and dense values must agree bit for bit; the four w callers
 pass one tolerance pair.
 """
@@ -47,15 +47,16 @@ def calls(monkeypatch):
     return record
 
 
-def _scipy_events(events):
-    out = []
-    for ev in events:
-        def g(t, y, fun=ev.fun):
-            return fun(t, y)
-        g.direction = ev.direction
-        g.terminal = ev.terminal
-        out.append(g)
-    return out or None
+def _scipy_event(event):
+    """scipy's form of the driver's one upward ``Event`` (or None)."""
+    if event is None:
+        return None
+
+    def g(t, y):
+        return event.fun(t, y)
+    g.direction = 1
+    g.terminal = event.terminal
+    return g
 
 
 def _complex(y, n):
@@ -67,17 +68,17 @@ def assert_matches_scipy(entry):
     z0 = entry["z0"]
     n = z0.size
     t_eval = entry["kw"].get("t_eval")
-    events = entry["kw"].get("events", ())
+    event = entry["kw"].get("event")
     ref = solve_ivp(entry["rhs"], (0.0, entry["t_end"]),
                     np.concatenate([z0.real, z0.imag]), method="DOP853",
                     rtol=entry["rtol"], atol=entry["atol"],
                     dense_output=t_eval is None, t_eval=t_eval,
-                    events=_scipy_events(events))
+                    events=_scipy_event(event))
     sol = entry["sol"]
     assert sol.status == ref.status
     assert sol.nfev == ref.nfev
-    for got, want in zip(sol.t_events, ref.t_events or []):
-        assert np.array_equal(got, want)
+    if event is not None:
+        assert np.array_equal(sol.t_event, ref.t_events[0])
     if t_eval is not None:
         assert np.array_equal(sol.z_eval, _complex(ref.y, n))
         return ref
@@ -121,10 +122,9 @@ class TestAgainstScipy:
                                        0.4, c=0.0)
         centred.betas_ode(params)
         (entry,) = calls
-        (ev,) = entry["kw"]["events"]
-        assert ev.direction > 0 and ev.terminal == 3
+        assert entry["kw"]["event"].terminal == 3
         ref = assert_matches_scipy(entry)
-        assert ref.status == 1 and entry["sol"].t_events[0].size == 3
+        assert ref.status == 1 and entry["sol"].t_event.size == 3
         assert ref.t[-1] == ref.t_events[0][2]
 
     def test_betas_ode_one_run_near_small_A(self, calls):
@@ -174,6 +174,26 @@ class TestAgainstScipy:
         ref = assert_matches_scipy(entry)
         assert ref.status == 1 and traj.escaped
         assert traj.nfev == ref.nfev and traj.accepted_steps == ref.t.size - 1
+
+    @pytest.mark.parametrize("m,t_esc", [(3, -3.15003), (4, -2.42952),
+                                         (5, -2.05758)])
+    def test_backward_escape(self, calls, m, t_esc):
+        # case (b) run backward: the upward blow-up crossing on a step with
+        # h < 0, through the w kernel and through the general engine
+        params = centred.CentredParams(m, m, (1.0,) * m, 0.2, c=1.0)
+        w0 = centred.w_initial(params)
+        path = centred.integrate_w(w0, m, -5.0)
+        traj = evolver.integrate(evolver.EvolMap.diagonal(w0),
+                                 evodata.example_quadric(m, m, 1.0), -5.0,
+                                 checkpoints=5, membership_samples=4)
+        assert len(calls) == 2
+        for entry in calls:
+            ref = assert_matches_scipy(entry)
+            assert ref.status == 1 and ref.t[-1] == ref.t_events[0][0]
+            assert np.all(np.diff(ref.t) < 0)
+        assert path.escaped and traj.escaped
+        assert abs(path.escape_time - t_esc) < 1e-5
+        assert abs(traj.escape_time - path.escape_time) < 1e-9
 
     def test_evolver_general_start(self, calls):
         data = evodata.example_quadric(3, 1, 1.0)
@@ -274,9 +294,8 @@ class TestDriver:
 
         def run(terminal):
             return ode.solve(rhs, [1.0 + 0j], 40.0, 1e-11, 1e-13,
-                             stage="test", params={}, events=[
-                                 ode.Event(g, direction=1.0,
-                                           terminal=terminal)])
+                             stage="test", params={},
+                             event=ode.Event(g, terminal=terminal))
 
         sol = run(2)
         g.direction, g.terminal = 1.0, 2
@@ -285,19 +304,26 @@ class TestDriver:
         assert sol.status == ref.status == 1
         assert sol.nfev == ref.nfev
         assert np.array_equal(sol.t, ref.t)
-        assert np.array_equal(sol.t_events[0], ref.t_events[0])
-        assert sol.t[-1] == sol.t_events[0][1]
-        assert abs(sol.t_events[0][1] - 3.5 * np.pi) < 1e-9
+        assert np.array_equal(sol.t_event, ref.t_events[0])
+        assert sol.t[-1] == sol.t_event[1]
+        assert abs(sol.t_event[1] - 3.5 * np.pi) < 1e-9
         # True counts one: the first crossing still stops the run
         first = run(True)
-        assert first.status == 1 and first.t_events[0].size == 1
-        assert first.t[-1] == sol.t_events[0][0]
+        assert first.status == 1 and first.t_event.size == 1
+        assert first.t[-1] == sol.t_event[0]
         # 0 never stops: every crossing up to t_end is recorded
         never = run(0)
-        assert never.status == 0 and never.t_events[0].size == 6
+        assert never.status == 0 and never.t_event.size == 6
         for bad in (-1, 2.5, np.nan, np.inf):
             with pytest.raises(ValidationError, match="terminal count"):
                 ode.Event(g, terminal=bad)
+
+    def test_event_with_t_eval_refused(self):
+        # an event is located on the dense output, which t_eval does not keep
+        with pytest.raises(ValidationError, match="an event or t_eval"):
+            ode.solve(lambda t, y: -y, [1.0 + 0j], 1.0, 1e-10, 1e-12,
+                      stage="test", params={}, event=ode.Event(
+                          lambda t, y: y[0]), t_eval=[0.5])
 
     def test_t_eval_backward(self):
         # dz/dt = i z on packed values; t_eval sorted along the direction
