@@ -506,17 +506,28 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="JSON config file (flags override)")
+        given = [a for a in sp._actions if a.dest in (defaults or {})
+                 and a.default is not argparse.SUPPRESS]
         sp.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
-                           for a in sp._actions if a.dest in (defaults or {})
-                           and a.default is not argparse.SUPPRESS})
+                           for a in given})
+        for a in given:     # an option the file sets is no longer required
+            a.required = False
     return p
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    # --config is read before the one parse, so that the file's values are
+    # the defaults the required-option check sees; a malformed --config is
+    # left for that parse to report
+    pre = _Parser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        if ns.config:
-            ns = build_parser(_load_config(ns.config)).parse_args(argv)
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        config = None
+    try:
+        ns = build_parser(_load_config(config) if config else None
+                          ).parse_args(argv)
         return ns.func(ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

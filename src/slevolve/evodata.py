@@ -218,18 +218,24 @@ def _top_contraction(X: np.ndarray) -> np.ndarray:
 def _root_table(coeffs: np.ndarray) -> np.ndarray:
     """Roots s of a2 s^2 + a1 s + a0 for each row (a2, a1, a0) of coeffs,
     as a (rows, 2) complex table padded with NaN + NaN i: ``np.roots``'s
-    where |a2| > 1e-14, else -a0/a1 where |a1| > 1e-14, else none.  The
-    rows ``np.roots`` solves by companion matrix (a0 != 0, finite) take one
-    ``roots.companion_roots``; ``np.roots`` itself serves the others."""
+    where |a2| > 1e-14, else -a0/a1 where |a1| > 1e-14, else none.  A
+    quadratic row's roots come from its companion row -(a1, a0)/a2: one
+    ``roots.companion_roots`` where a0 != 0, and (-a1/a2, 0), ``np.roots``'s
+    roots bit for bit, where a0 = 0.  A line whose companion row or
+    linear root is not finite (a coefficient out of reach) has no roots."""
     table = np.full((len(coeffs), 2), complex(np.nan, np.nan))
     a2, a1, a0 = coeffs.T
     quad = np.abs(a2) > 1e-14
-    stacked = quad & (a0 != 0.0) & np.isfinite(coeffs[:, 1:]).all(axis=1)
+    with np.errstate(all="ignore"):     # only finite rows below are read
+        comp = -coeffs[:, 1:] / coeffs[:, :1]
+        lin = -a0 / a1
+    ok = quad & np.isfinite(comp).all(axis=1)
+    stacked = ok & (a0 != 0.0)
     table[stacked] = companion_roots(coeffs[stacked])
-    for i in np.flatnonzero(quad & ~stacked):
-        table[i] = np.roots(coeffs[i])
-    linear = ~quad & (np.abs(a1) > 1e-14)
-    table[linear, 0] = -a0[linear] / a1[linear]
+    pure = ok & (a0 == 0.0)     # np.roots's (-a1/a2, 0), a zero as +0.0
+    table[pure] = comp[pure] + 0.0
+    linear = ~quad & (np.abs(a1) > 1e-14) & np.isfinite(lin)
+    table[linear, 0] = lin[linear]
     return table
 
 
@@ -280,8 +286,10 @@ def _quadric_sampler(spec: QuadricSpec, c: float):
             lines, s = np.nonzero(real)[0], roots.real[real]
             hits = P0[lines] + s[:, None] * D[lines]
             grad = spec.gradient(hits)[:, None, :]
-            norms = np.sqrt((grad @ np.swapaxes(grad, 1, 2))[:, 0, 0])
-            good = hits[norms >= _SINGULAR_TOL * scale][:count - found]
+            with np.errstate(over="ignore"):    # out of reach: the norm is inf
+                norms = np.sqrt((grad @ np.swapaxes(grad, 1, 2))[:, 0, 0])
+            good = hits[(norms >= _SINGULAR_TOL * scale)
+                        & (norms < np.inf)][:count - found]
             pts.append(good)
             found += len(good)
         if found < count:
@@ -298,6 +306,8 @@ def quadric_data(spec: QuadricSpec, c: float) -> EvolutionData:
     chi(x) = dQ(x) . (e_1 ^ ... ^ e_n); linear kind exactly when Q is
     homogeneous (b = 0).
     """
+    if not np.isfinite(c):
+        raise ValidationError(f"the quadric level c must be finite, got {c!r}")
     n = spec.n
     chi = _top_contraction(np.column_stack([2.0 * spec.S, spec.b]))
     c_eff = c - spec.c0

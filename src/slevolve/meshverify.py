@@ -216,9 +216,9 @@ class ConeChart(_Chart):
 
     def point_and_jacobian(self, Q) -> tuple:
         Q = np.asarray(Q, dtype=float)
-        s, r = Q[..., 0], Q[..., 1:2]
-        x = self.section.x(s)
-        return r * x, np.stack([r * self.section.dx_ds(s), x], axis=-2)
+        x, dx = self.section.curve(Q[..., 0])
+        r = Q[..., 1:2]
+        return r * x, np.stack([r * dx, x], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +244,10 @@ class CaseCWPath:
         return self.moduli * np.exp(1j * phase)
 
 
-class _Family:
-    """The batched family protocol: ``sample_params(n, seed)`` gives (N, k)
-    parameter rows, ``points(P)`` (N, m) complex points and ``frames(P)``
-    (N, m, m) complex frames whose rows differentiate the points along the
-    first m columns (trailing columns carry discrete branch data)."""
-
-    def fd_frames(self, P, probe: float) -> np.ndarray:
-        """Central differences of ``points``: the reference for ``frames``."""
-        P = np.asarray(P, dtype=float)
-        n, k = P.shape
-        steps = probe * np.eye(k)[:self.m]
-        up = self.points((P[:, None, :] + steps).reshape(-1, k))
-        dn = self.points((P[:, None, :] - steps).reshape(-1, k))
-        return (up - dn).reshape(n, self.m, self.m) / (2 * probe)
-
-
-class _SweptFamily(_Family):
-    """Points w(t) x(q) + beta(t) e_m of a time value t and a chart point.
+class _SweptFamily:
+    """Points w(t) x(q) + beta(t) e_m of a time value t and a chart point,
+    in the batched protocol of the module docstring; frame rows
+    differentiate the points along the first m parameter columns.
 
     Subclasses set m, t_span and chart.  ``_motion(t)`` gives (w, dw, beta,
     dbeta); here the centred evolution along ``path``, while a translating
@@ -302,6 +288,15 @@ class _SweptFamily(_Family):
         if beta is not None:
             F[:, 0, -1] += dbeta
         return F
+
+    def fd_frames(self, P, probe: float) -> np.ndarray:
+        """Central differences of ``points``: the reference for ``frames``."""
+        P = np.asarray(P, dtype=float)
+        n, k = P.shape
+        steps = probe * np.eye(k)[:self.m]
+        up = self.points((P[:, None, :] + steps).reshape(-1, k))
+        dn = self.points((P[:, None, :] - steps).reshape(-1, k))
+        return (up - dn).reshape(n, self.m, self.m) / (2 * probe)
 
 
 class CentredFamily(_SweptFamily):
@@ -355,9 +350,10 @@ class AffineFamily(_SweptFamily):
         return w, dw, self.path.beta(t), dbeta
 
 
-class ConeOverLinkFamily(_SweptFamily):
+class ConeOverLinkFamily(CentredFamily):
     """The three-dimensional cone r * Phi(s, t) over the link surface as a
-    map of (t, s, r).
+    map of (t, s, r): the c = 0 centred family of (m, a) = (3, 1) on the
+    cone chart, by default over one period.
 
     Phi(s, t) = (x_1(s) w_1(t), x_2(s) w_2(t), x_3(s) w_3(t)) sweeps the
     unit-speed link circle x(s) of ``threefold.cross_section`` by the
@@ -369,15 +365,11 @@ class ConeOverLinkFamily(_SweptFamily):
     """
 
     def __init__(self, alphas, A: float, t_span=None):
-        al = np.asarray(alphas, dtype=float)
-        self.params = centred.CentredParams(3, 1, tuple(al), float(A), c=0.0)
+        params = centred.CentredParams(3, 1, alphas, float(A), c=0.0)
         if t_span is None:
-            t_span = centred.betas(self.params).period_T
-        self.t_span = float(t_span)
-        self.path = centred.integrate_w(centred.w_initial(self.params), 1,
-                                        self.t_span)
-        self.chart = ConeChart(threefold.cross_section(al))
-        self.m, self.a = 3, 1
+            t_span = centred.betas(params).period_T
+        super().__init__(params, t_span)
+        self.chart = ConeChart(threefold.cross_section(params.alphas))
 
 
 class Affine3ClosedFamily(_SweptFamily):

@@ -46,41 +46,32 @@ class CrossSection:
         """s-period of the circle, 4K(nu)/mu."""
         return 4.0 * elliptic.complete_K(self.nu) / self.mu
 
-    def _scales(self) -> tuple:
-        a1, a2, a3 = self.alphas
-        s12 = 1.0 / np.sqrt(a1 + a2)
-        s13 = 1.0 / np.sqrt(a1 + a3)
-        return s12, s13
+    def curve(self, s) -> tuple:
+        """(x, dx/ds) at s, each of shape (..., 3), from one Jacobi
+        evaluation: x = (p dn, p cn, q sn) with p = 1/sqrt(alpha_1 + alpha_2)
+        and q = 1/sqrt(alpha_1 + alpha_3).
 
-    def x(self, s) -> np.ndarray:
-        """(x_1, x_2, x_3)(s); vectorized, shape (..., 3).
-
-        The swapped variant runs the circle with s reversed (sn -> -sn) so
+        The swapped variant is the same formula for (alpha_1, alpha_3,
+        alpha_2) with x_2 and x_3 traded and s run backward (sn -> -sn), so
         that the speed equations hold with conformal factor +1 in both
         variants, not -1 in one of them.
         """
         s = np.asarray(s, dtype=float)
         j = elliptic.jacobi_grid(self.mu * s, self.nu)
         sn, cn, dn = j[..., 0], j[..., 1], j[..., 2]
-        s12, s13 = self._scales()
-        if not self.swapped:
-            return np.stack([s12 * dn, s12 * cn, s13 * sn], axis=-1)
-        return np.stack([s13 * dn, -s12 * sn, s13 * cn], axis=-1)
+        a1, a2, a3 = self.alphas
+        p, q = 1.0 / np.sqrt(a1 + a2), 1.0 / np.sqrt(a1 + a3)
+        speed, order = self.mu, [0, 1, 2]
+        if self.swapped:
+            p, q, sn, speed, order = q, p, -sn, -self.mu, [0, 2, 1]
+        x = np.stack([p * dn, p * cn, q * sn], axis=-1)
+        dx = speed * np.stack([p * (-self.nu ** 2 * sn * cn), p * (-sn * dn),
+                               q * (cn * dn)], axis=-1)
+        return x[..., order], dx[..., order]
 
-    def dx_ds(self, s) -> np.ndarray:
-        """d x_j / d s from the elliptic derivative relations."""
-        s = np.asarray(s, dtype=float)
-        j = elliptic.jacobi_grid(self.mu * s, self.nu)
-        sn, cn, dn = j[..., 0], j[..., 1], j[..., 2]
-        nu2 = self.nu ** 2
-        s12, s13 = self._scales()
-        if not self.swapped:
-            return self.mu * np.stack([
-                s12 * (-nu2 * sn * cn), s12 * (-sn * dn), s13 * (cn * dn)],
-                axis=-1)
-        return self.mu * np.stack([
-            s13 * (-nu2 * sn * cn), -s12 * (cn * dn), s13 * (-sn * dn)],
-            axis=-1)
+    def x(self, s) -> np.ndarray:
+        """(x_1, x_2, x_3)(s); vectorized, shape (..., 3)."""
+        return self.curve(s)[0]
 
     def constraint_residuals(self, s) -> tuple:
         """Residuals of the two defining constraints along the circle."""
@@ -98,14 +89,11 @@ def cross_section(alphas) -> CrossSection:
         raise ValidationError("expected three alphas")
     _check_gauge(al, 1)
     a1, a2, a3 = al
-    if a2 <= a3:
-        mu = np.sqrt(a1 + a3)
-        nu = np.sqrt((a3 - a2) / (a1 + a3))
-        swapped = False
-    else:
-        mu = np.sqrt(a1 + a2)
-        nu = np.sqrt((a2 - a3) / (a1 + a2))
-        swapped = True
+    swapped = bool(a2 > a3)     # the formula for (alpha_1, alpha_3, alpha_2)
+    if swapped:
+        a2, a3 = a3, a2
+    mu = np.sqrt(a1 + a3)
+    nu = np.sqrt((a3 - a2) / (a1 + a3))
     return CrossSection(tuple(map(float, al)), float(mu), float(nu), swapped)
 
 
@@ -157,29 +145,38 @@ class Affine3ClosedForm:
                    - np.conj(C) * np.exp(-1j * t))
         return np.stack([dw1, dw2], axis=-1)
 
+    def _beta_terms(self) -> tuple:
+        """(lam, P, M, drift) with
+        beta = P e^(2 lam t) + M e^(-2 lam t) + drift t + E."""
+        C, D = self.C, self.D
+        if self.variant == "a2":
+            return (1, 0.5 * abs(C) ** 2, 0.5 * abs(D) ** 2,
+                    2j * np.imag(C * np.conj(D)))
+        return (1j, 0.5 * C * np.conj(D), 0.5 * np.conj(C) * D,
+                1j * (abs(C) ** 2 - abs(D) ** 2))
+
     def beta(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        C, D, E = self.C, self.D, self.E
-        if self.variant == "a2":
-            return (0.5 * abs(C) ** 2 * np.exp(2 * t)
-                    + 0.5 * abs(D) ** 2 * np.exp(-2 * t)
-                    + 2j * np.imag(C * np.conj(D)) * t + E)
-        return (0.5 * C * np.conj(D) * np.exp(2j * t)
-                + 0.5 * np.conj(C) * D * np.exp(-2j * t)
-                + 1j * (abs(C) ** 2 - abs(D) ** 2) * t + E)
+        lam, P, M, drift = self._beta_terms()
+        return (P * np.exp(2 * lam * t) + M * np.exp(-2 * lam * t)
+                + drift * t + self.E)
 
     def dbeta(self, t) -> np.ndarray:
-        w = self.w(t)
-        return np.conj(w[..., 0] * w[..., 1])
+        """d(beta)/dt of the closed form (the system asks conj(w_1 w_2))."""
+        t = np.asarray(t, dtype=float)
+        lam, P, M, drift = self._beta_terms()
+        return (2 * lam * (P * np.exp(2 * lam * t) - M * np.exp(-2 * lam * t))
+                + drift)
 
     def ode_residual(self, t) -> float:
-        """Max defect of the closed form against its defining system."""
-        w = self.w(t)
-        dw = self.dw(t)
+        """Max defect of the closed form against its defining system,
+        the translation law d(beta)/dt = conj(w_1 w_2) included."""
+        w, dw = self.w(t), self.dw(t)
         sign = 1.0 if self.variant == "a2" else -1.0
-        r1 = np.abs(dw[..., 0] - np.conj(w[..., 1]))
-        r2 = np.abs(dw[..., 1] - sign * np.conj(w[..., 0]))
-        return float(max(r1.max(), r2.max()))
+        defects = (dw[..., 0] - np.conj(w[..., 1]),
+                   dw[..., 1] - sign * np.conj(w[..., 0]),
+                   self.dbeta(t) - np.conj(w[..., 0] * w[..., 1]))
+        return float(max(np.abs(d).max() for d in defects))
 
     def point(self, x1, x2, t) -> np.ndarray:
         """Points of the swept three-fold; the third quadric coordinate is
@@ -199,18 +196,3 @@ class Affine3ClosedForm:
         if self.variant == "a2":
             return abs(np.imag(self.C * np.conj(self.D))) <= 1e-12
         return abs(abs(self.C) - abs(self.D)) <= 1e-12
-
-
-def affine3_closed(variant: str, C: complex, D: complex, E: complex,
-                   x1_grid, x2_grid, t_grid) -> np.ndarray:
-    """Point set of the explicit non-centred three-fold over a parameter
-    grid; shape (len(t), len(x1), len(x2), 3) complex."""
-    form = Affine3ClosedForm(variant, complex(C), complex(D), complex(E))
-    x1 = np.asarray(x1_grid, dtype=float)
-    x2 = np.asarray(x2_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    out = np.empty((t.size, x1.size, x2.size, 3), dtype=complex)
-    for i, ti in enumerate(t):
-        out[i] = form.point(X1, X2, float(ti))
-    return out

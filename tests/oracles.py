@@ -13,14 +13,18 @@ reference for the stacked sampler's points, and ``frame_forms_hermitian``
 evaluates the forms on frames by one Hermitian matrix product each, as the
 library did before its elementwise pair products.
 
+``sym_closed_solutions`` counts the closed solutions of a symmetric tuple
+with ``fractions.Fraction`` alone, the reference for ``periodic_search``.
+
 The rest are references no command runs: the reduced (u, theta_j) form of
 the centred system, the derivative relations of the Jacobi functions, the
 rotated planes and the conformality residuals of the cone-over-link sweep.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -198,6 +202,30 @@ def frame_forms_hermitian(Z) -> tuple:
     unit_cols = np.swapaxes(Z / np.maximum(norms, 1e-300)[..., None], -1, -2)
     return (omega, np.linalg.det(herm.real / outer),
             np.abs(np.linalg.det(unit_cols).imag))
+
+
+def sym_closed_solutions(m: int, a: int, b_max: int) -> set:
+    """The closed solutions of ``sym(m, a)`` with denominator <= b_max,
+    as {(int_angles, denom)}, in exact arithmetic (ROADMAP item 8).
+
+    The last m - a letters share beta_- and a beta_+ + (m - a) beta_- = 0.
+    If beta_-/pi runs monotonically between its limits 1/(m - a) (A -> 0)
+    and sqrt(2a / (m (m - a))) (A -> A_max), each r = k/b strictly between
+    them with a dividing (m - a) k closes: the angles ((-(m - a) k / a)^a,
+    k^(m - a)) over b, reduced by their gcd.  The irrational limit is
+    compared by squares, so no float decides a fraction at a limit.
+    """
+    lo2, hi2 = sorted((Fraction(1, (m - a) ** 2),
+                       Fraction(2 * a, m * (m - a))))
+    out = set()
+    for b in range(1, b_max + 1):
+        for k in range(1, 2 * b + 1):       # both limits lie below sqrt(2)
+            if (m - a) * k % a or not lo2 < Fraction(k, b) ** 2 < hi2:
+                continue
+            plus = -(m - a) * k // a
+            g = gcd(gcd(b, k), plus)
+            out.add(((plus // g,) * a + (k // g,) * (m - a), b // g))
+    return out
 
 
 def line_roots(a2, a1, a0) -> list:

@@ -288,3 +288,13 @@ def test_criterion_12_affine_translation_law():
     _report(12, ok, f"closed translation law {worst_closed:.2e} over five "
                     f"periods, one-period translation {worst_trans:.2e}, "
                     f"explicit-form defects {worst_forms:.2e}")
+
+
+def test_criterion_12_sees_a_perturbed_translation(monkeypatch):
+    # dbeta was conj(w1 w2) itself, so the criterion's dbeta term read 0.0
+    # whatever the beta formula said
+    terms = threefold.Affine3ClosedForm._beta_terms
+    monkeypatch.setattr(threefold.Affine3ClosedForm, "_beta_terms",
+                        lambda self: (*terms(self)[:3], terms(self)[3] + 1e-6))
+    with pytest.raises(AssertionError, match="explicit-form defects 1"):
+        test_criterion_12_affine_translation_law()

@@ -28,6 +28,7 @@ is a test-only oracle: the batched frames are checked against
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_line_roots_equal_np_roots():
         assert np.isnan(got[len(want):].imag).all()
         assert np.array_equal(got[:len(want)].real, np.real(want))
         assert np.array_equal(got[:len(want)].imag, np.imag(want))
+
+
+def test_root_table_zero_constant_and_out_of_reach_rows():
+    # an a0 = 0 row takes (-a1/a2, 0), np.roots's roots bit for bit; a
+    # non-finite or overflowing companion row made the whole block raise
+    # LinAlgError (np.roots on the row, eigvals on the stack)
+    coeffs = np.array([[1.5, -2.0, 0.0], [-0.3, 0.7, -0.0],   # a0 = 0
+                       [0.4, 0.0, 0.0], [-0.4, -0.0, 0.0],
+                       [2.0, 1.0, -3.0], [1.0, 0.5, 2.0],     # companion
+                       [1e-3, 0.0, -1e306],       # -a0/a2 overflows
+                       [1.0, 0.0, np.inf], [1.0, np.nan, 1.0],
+                       [1e-15, 1e-13, 1e306]])    # -a0/a1 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = evodata._root_table(coeffs)
+    for row in range(6):
+        want = np.roots(coeffs[row]).astype(complex)
+        assert table[row].tobytes() == want.tobytes(), row
+    assert np.isnan(table[6:].real).all() and np.isnan(table[6:].imag).all()
 
 
 def _curve():

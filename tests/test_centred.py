@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_fused_stage, random_case_d
-from oracles import ReducedState, reduce_state, rhs_reduced
+from oracles import (ReducedState, reduce_state, rhs_reduced,
+                     sym_closed_solutions)
 from slevolve import NumericalError, ValidationError, centred
 from slevolve.centred import (CentredParams, PeriodicSolution, beta_limits,
                               betas, betas_ode, classify_case,
@@ -532,6 +533,11 @@ class TestTopologyLabels:
             self._sol((-8, 4, 4), 8, 0.0)  # common factor with b
 
 
+# each misses r = k/b = 3/11, 4/11, 2/11, 3/11 and 6/11, near beta_-'s A -> 0
+# limit, outside the fixed search window (0.02, 0.98) of A_max
+_A_WINDOW_MISSES = {(7, 3), (7, 4), (8, 2), (8, 4), (8, 6)}
+
+
 class TestPeriodicSearch:
     def test_symmetric_family_m3(self):
         sols = periodic_search(symmetric_alphas(3, 1), 1, b_max=8, tol=1e-8)
@@ -584,6 +590,17 @@ class TestPeriodicSearch:
         # NaN and -1 met no residual and returned [] silently, inf met all
         with pytest.raises(ValidationError, match="tol"):
             periodic_search(symmetric_alphas(3, 1), 1, 8, tol=tol)
+
+    @pytest.mark.parametrize("m,a", [
+        pytest.param(m, a, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 8: A window"))
+        if (m, a) in _A_WINDOW_MISSES else (m, a)
+        for m in range(3, 9) for a in range(1, m)])
+    def test_exact_count(self, m, a):
+        # every closed solution with b <= 12, and nothing else
+        sols = periodic_search(symmetric_alphas(m, a), a, 12)
+        found = {(s.int_angles, s.denom) for s in sols}
+        assert found == sym_closed_solutions(m, a, 12)
 
     def test_solution_round_trip(self):
         # the dict holds plain JSON values and reads back unchanged

@@ -439,6 +439,9 @@ class TestEvolveCommand:
         ({"schema": "sl-evodata-1", "recipe": "quadric", "S": [["x"]],
           "b": [0.0], "c": 1.0}, "wrong type"),
         ({"schema": "sl-evodata-1", "recipe": "product", "k": 1}, "'base'"),
+        ({"schema": "sl-evodata-1", "recipe": "quadric", "S": [[1.0, 0.0],
+          [0.0, -1.0]], "b": [0.0, 0.0], "c": float("nan")},
+         "level c must be finite"),
     ])
     def test_malformed_data_file_exits_2(self, tmp_path, capsys, doc, named):
         # each was a Python traceback and exit 1
@@ -447,6 +450,20 @@ class TestEvolveCommand:
         assert run(["evolve", "--data", str(data_path), "--t-end",
                     "0.2"]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["inf", "nan", "-inf", "1e306", "-1e308"])
+    def test_level_out_of_reach_exits_cleanly(self, tmp_path, capsys, c):
+        # each was exit 1 with a traceback: numpy.linalg.LinAlgError, "Array
+        # must not contain infs or NaNs"
+        rc = run(["evolve", "--t-end", "0.1", "--c", c,
+                  "--summary", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        if c == "1e306":    # the sampler reaches it
+            assert rc in (0, 2, 3)
+        else:
+            assert rc == 2
+        if not np.isfinite(float(c)):
+            assert "level c must be finite" in err
 
     def test_quadric_defaults_echoed_without_data(self, tmp_path):
         summary = tmp_path / "s.json"
@@ -571,6 +588,38 @@ class TestConfigAndEnv:
         assert run(argv + ["--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command,key,value,argv", [
+        ("betas", "A", 0.5, ["--alphas", "1,2,2"]),
+        ("affine", "A", 0.5, ["--alphas", "1.5,3", "--n", "9"]),
+        ("report", "A", 1.0, ["--family", "sym"]),
+        ("mesh", "out", "m.json", ["--kind", "link", "--alphas", "1.2,2,3",
+                                   "--A", "0.4", "--resolution", "6x6"]),
+        ("verify", "mesh", "m.json", []),
+    ])
+    def test_config_supplies_required_option(self, tmp_path, monkeypatch,
+                                             command, key, value, argv):
+        # argparse checked required=True before the file was read, so each
+        # exited 2 with "the following arguments are required"
+        monkeypatch.setenv("SLEVOLVE_OUTDIR", str(tmp_path))
+        if command == "verify":
+            assert run(["mesh", "--kind", "link", "--alphas", "1.2,2,3",
+                        "--A", "0.4", "--resolution", "6x6",
+                        "--out", "m.json"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, *argv, "--config", str(cfg)]) == 0
+        assert (tmp_path / "m.json").exists() == (command in ("mesh",
+                                                              "verify"))
+
+    def test_config_without_required_option_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "1,2,2", "out": "b.json"}))
+        with pytest.raises(SystemExit) as exc:
+            run(["betas", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --A" in (
+            capsys.readouterr().err)
 
     def test_config_block_has_no_seed(self, tmp_path):
         # a config file with keys a command has no option for still loads,

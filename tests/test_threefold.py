@@ -8,7 +8,7 @@ import pytest
 from oracles import link_conformality, link_grid
 from slevolve import ValidationError, centred, elliptic
 from slevolve.meshverify import ConeOverLinkFamily
-from slevolve.threefold import Affine3ClosedForm, affine3_closed, cross_section
+from slevolve.threefold import Affine3ClosedForm, cross_section
 
 SYM = (2 / 3, 4 / 3, 4 / 3)
 ASYM = (1.2, 2.0, 3.0)       # 1/1.2 = 1/2 + 1/3
@@ -71,7 +71,7 @@ class TestCrossSection:
                            (a1 + a2) * cs.x(s)[:, 0] * cs.x(s)[:, 1]], axis=-1)
         assert np.abs(fd - target).max() <= 1e-9
         # and exactly with the analytic derivatives
-        assert np.abs(cs.dx_ds(s) - target).max() <= 1e-12
+        assert np.abs(cs.curve(s)[1] - target).max() <= 1e-12
 
     def test_v_closed_form(self):
         cs = cross_section(ASYM)
@@ -124,6 +124,12 @@ class TestConformalMap:
         assert norm.max() <= 1e-6
 
 
+def _dbeta_defect(form, t) -> float:
+    """Largest gap between d(beta)/dt and the system's conj(w_1 w_2)."""
+    w = form.w(t)
+    return float(np.abs(form.dbeta(t) - np.conj(w[..., 0] * w[..., 1])).max())
+
+
 class TestAffine3Closed:
     def test_ode_residuals_analytic(self):
         rng = np.random.default_rng(62)
@@ -131,10 +137,27 @@ class TestAffine3Closed:
         for variant in ("a1", "a2"):
             form = Affine3ClosedForm(variant, 1.2 - 0.3j, 0.4 + 0.9j, 0.1)
             assert form.ode_residual(t) <= 1e-13
-            # the translation derivative matches conj(w1 w2) exactly
-            w = form.w(t)
-            assert np.abs(form.dbeta(t)
-                          - np.conj(w[..., 0] * w[..., 1])).max() <= 1e-13
+            # the translation derivative matches conj(w1 w2)
+            assert _dbeta_defect(form, t) <= 1e-13
+
+    @pytest.mark.parametrize("variant", ["a1", "a2"])
+    def test_dbeta_differentiates_beta(self, variant):
+        form = Affine3ClosedForm(variant, 1.2 - 0.3j, 0.4 + 0.9j, 0.1)
+        t, h = np.linspace(-2, 2, 33), 1e-5
+        fd = (form.beta(t + h) - form.beta(t - h)) / (2 * h)
+        assert np.abs(form.dbeta(t) - fd).max() <= 1e-7
+
+    @pytest.mark.parametrize("variant", ["a1", "a2"])
+    def test_perturbed_linear_term_detected(self, variant, monkeypatch):
+        # dbeta was conj(w1 w2) itself, so its check read 0.0 whatever the
+        # beta formula said
+        terms = Affine3ClosedForm._beta_terms
+        monkeypatch.setattr(Affine3ClosedForm, "_beta_terms", lambda self: (
+            *terms(self)[:3], terms(self)[3] + 1e-6j))
+        form = Affine3ClosedForm(variant, 1.2 - 0.3j, 0.4 + 0.9j, 0.1)
+        t = np.linspace(-2, 2, 33)
+        assert _dbeta_defect(form, t) > 1e-7
+        assert form.ode_residual(t) > 1e-7
 
     def test_planar_degenerations(self):
         # hyperbolic variant: planar iff Im(C conj D) = 0
@@ -147,8 +170,9 @@ class TestAffine3Closed:
 
     def test_planar_points_affinely_flat(self):
         f = Affine3ClosedForm("a2", 1.0 + 0.5j, 2.0 + 1.0j, 0.3)
-        pts = affine3_closed("a2", f.C, f.D, f.E, np.linspace(-1, 1, 5),
-                             np.linspace(-1, 1, 5), np.linspace(0, 1, 6))
+        X1, X2, T = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
+                                np.linspace(0, 1, 6), indexing="ij")
+        pts = f.point(X1, X2, T)
         flat = pts.reshape(-1, 3)
         real = np.column_stack([flat.real, flat.imag])
         real -= real.mean(axis=0)
@@ -172,10 +196,11 @@ class TestAffine3Closed:
             Affine3ClosedForm("zz", 1.0, 0.0, 0.0)
 
     def test_point_set_shape_and_quadric_elimination(self):
-        pts = affine3_closed("a1", 1.0, 0.5, 0.0, [0.5, 1.0], [0.25, 0.75],
-                             [0.0, 0.4, 0.9])
-        assert pts.shape == (3, 2, 2, 3)
         form = Affine3ClosedForm("a1", 1.0, 0.5, 0.0)
+        T, X1, X2 = np.meshgrid([0.0, 0.4, 0.9], [0.5, 1.0], [0.25, 0.75],
+                                indexing="ij")
+        pts = form.point(X1, X2, T)
+        assert pts.shape == (3, 2, 2, 3)
         # third coordinate carries (x2^2 - x1^2)/2 + beta(t)
         want = 0.5 * (0.75 ** 2 - 0.5 ** 2) + form.beta(0.4)
         assert pts[1, 0, 1, 2] == pytest.approx(want, abs=1e-14)
