@@ -804,7 +804,8 @@ def classify_topology(sol: PeriodicSolution) -> str:
 # measuring period and monodromy from the ODE (the independent route)
 # ---------------------------------------------------------------------------
 
-_N_LIFT = 4096              # samples of one period for the angle lift
+_T_LIMIT = 1e300            # betas_ode's t_end: its event ends the run
+_SUM_TOL = 1e-5             # largest |sum beta_j| betas_ode returns
 
 
 def betas_ode(params: CentredParams) -> BetaResult:
@@ -812,41 +813,43 @@ def betas_ode(params: CentredParams) -> BetaResult:
 
     The period is located from successive minima of u (ascending zeros of
     du/dt, an event on Re(prod w_j)), and the run stops at the third of
-    them; the angles come from the continuous lift of arg w_j over one
-    period.  Serves as the independent oracle for the quadrature route.
+    them, with no horizon: near a k-fold tie T grows like (A_max/A)^(1-2/k).
+    Each phase turns one way, dtheta_j/dt = -s_j A/(alpha_j + s_j u), so
+    beta_j is arg(w_j(t2)/w_j(t1)) placed on the side of -s_j.  The angles
+    sum to zero (theta stays in (0, pi)); a run that loses that as A -> 0
+    by more than ``_SUM_TOL`` raises ``NumericalError``.  Serves as the
+    independent oracle for the quadrature route.
     """
     params.require_case_d()
-    m = params.m
+    m, a, frac = params.m, params.a, params.A / params.A_max
 
     def du_event(t, y):
         w = y[:m] + 1j * y[m:]
         return float(np.real(np.prod(w)))
 
-    horizon = 512 * _period_scale(params)
-    sol = _case_d_run(params, horizon, "betas_ode",
+    sol = _case_d_run(params, _T_LIMIT, "betas_ode",
                       event=ode.Event(du_event, terminal=3))
     times = sol.t_event
     if times.size < 3:
         raise NumericalError(
-            f"betas_ode failed to bracket one period of u (m={m}, "
-            f"a={params.a}, A/A_max={params.A / params.A_max:.6g}): "
-            f"{times.size} upward du crossings by t = {horizon:.6g}, "
-            f"3 needed")
+            f"betas_ode failed to bracket one period of u (m={m}, a={a}, "
+            f"A/A_max={frac:.6g}): {times.size} upward du crossings by "
+            f"t = {float(sol.t[-1]):.6g}, 3 needed")
 
     t1, t2 = float(times[1]), float(times[2])
     T = t2 - t1
-    th = np.unwrap(np.angle(sol(np.linspace(t1, t2, _N_LIFT))), axis=0)
-    beta_vals = th[-1] - th[0]
-    u_min = _u_of_w(sol(t1), params)
-    u_max = _u_of_w(sol(t1 + 0.5 * T), params)
+    w1, w2, w_half = sol([t1, t2, t1 + 0.5 * T])
+    turn, s = np.angle(w2 / w1), params.signs
+    beta_vals = np.where(s * turn > 0, turn - 2 * np.pi * s, turn)
+    total = float(np.sum(beta_vals))
+    if not abs(total) <= _SUM_TOL:      # a NaN sum is refused too
+        raise NumericalError(
+            f"betas_ode lost the angle sum rule (m={m}, a={a}, "
+            f"A/A_max={frac:.6g}): sum of beta_j = {total:.3g}, "
+            f"bound {_SUM_TOL:g}")
     return BetaResult(tuple(float(b) for b in beta_vals), float(T),
-                      float(u_min), float(u_max), float("nan"))
-
-
-def _period_scale(params: CentredParams) -> float:
-    # harmonic estimate near A = A_max; adequate as an integration horizon
-    al = params.alpha_array
-    return float(2 * np.pi / np.sqrt(2 * np.prod(al) * np.sum(al ** -2)) + 1.0)
+                      _u_of_w(w1, params), _u_of_w(w_half, params),
+                      float("nan"))
 
 
 def _u_of_w(w, params: CentredParams) -> float:

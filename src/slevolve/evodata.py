@@ -427,18 +427,15 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
         rng = np.random.default_rng(seed + 104729)
         ts = rng.uniform(-t_max, t_max, size=count)
         pts = np.empty((count, m))
-        # one run each side of t = 0, to +-t_max whatever the draws, so a
-        # point depends on its time alone
-        order = np.argsort(ts)
-        ahead = ts[order] >= 0.0
-        for idx, t_end in ((order[ahead], t_max),
-                           (order[~ahead][::-1], -t_max)):
-            if idx.size:
+        # one dense run each side of t = 0, to +-t_max whatever the draws,
+        # so a point depends on its time alone
+        ahead = ts >= 0.0
+        for side, t_end in ((ahead, t_max), (~ahead, -t_max)):
+            if side.any():
                 sol = ode.solve(flow, [p0[0], p0[1], 1.0], t_end, 1e-13, 1e-15,
                                 stage="evodata.curve_data",
-                                params={"M": M.tolist(), "v": v.tolist()},
-                                t_eval=ts[idx])
-                pts[idx, :2] = sol.z_eval[:, :2].real
+                                params={"M": M.tolist(), "v": v.tolist()})
+                pts[side, :2] = sol(ts[side])[:, :2].real
         pts[:, 2:] = rng.normal(scale=1.5, size=(count, m - 2))
         return pts
 

@@ -20,10 +20,10 @@ point operations in the same order: step times, right-hand-side counts,
 dense values and event times equal scipy's bit for bit
 (``tests/test_ode.py`` holds scipy as the oracle).  What differs is the
 bookkeeping: the dense output is one set of arrays evaluated for all query
-times at once, and with ``t_eval`` the interpolant is built only on steps
-that contain a requested time.  Event times come from ``roots.brent``,
-which equals scipy's ``brentq`` bit for bit, so the driver imports no scipy
-module.
+times at once, and with ``t_eval`` (forward runs: ``verify_periodic``'s
+windows) the interpolant is built only on steps that contain a requested
+time.  Event times come from ``roots.brent``, which equals scipy's
+``brentq`` bit for bit, so the driver imports no scipy module.
 
 Bitwise equality fixes which operations stay in numpy.  Every product whose
 rounding belongs to BLAS is the numpy call scipy makes: the gemv of each
@@ -48,9 +48,8 @@ roots of the error norm and the step factor.  Each of these is one
 IEEE-754 double operation (+, -, *, /, sqrt, or ``pow`` from the same C
 library), which rounds the same on a Python float as on a numpy float64
 scalar, at a fraction of the numpy scalar's cost.  The ``t_eval`` window of
-each step comes from ``bisect`` on a list, which returns
-``np.searchsorted``'s index on a sorted array, ties included
-(``bisect_right`` is side="right", ``bisect_left`` side="left").
+each step comes from ``bisect_right`` on a list, which returns
+``np.searchsorted``'s side="right" index on a sorted array, ties included.
 
 The tableau and the ported algorithm come from SciPy, under this notice:
 
@@ -88,7 +87,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 import math
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
@@ -573,12 +572,10 @@ def _dop853(system, t_end, y0, rtol, atol, event, t_eval, where):
     ts = [t0]
     seg_t_old, seg_h, seg_y_old, seg_F = [], [], [], []
     if not dense:
+        # ascending (forward runs); bisect on the list is searchsorted's answer
         t_eval = np.asarray(t_eval, dtype=float)
-        if direction < 0:
-            t_eval = t_eval[::-1]
-        # ascending either way; bisect on the list is searchsorted's answer
         t_eval_list = t_eval.tolist()
-        t_eval_i = 0 if direction > 0 else t_eval.size
+        t_eval_i = 0
         eval_segs = np.empty(t_eval.size, dtype=int)
     t_event = []
     if event is not None:
@@ -686,14 +683,10 @@ def _dop853(system, t_end, y0, rtol, atol, event, t_eval, where):
                 ts.append(t)
         else:
             ts.append(t)
-            if direction > 0:
-                t_eval_i_new = bisect_right(t_eval_list, t)
-                lo, hi = t_eval_i, t_eval_i_new
-            else:
-                t_eval_i_new = bisect_left(t_eval_list, t)
-                lo, hi = t_eval_i_new, t_eval_i
-            if hi > lo:
-                eval_segs[lo:hi] = dense_output(t_old, t, y_old, ys, y, f, h)
+            t_eval_i_new = bisect_right(t_eval_list, t)
+            if t_eval_i_new > t_eval_i:
+                eval_segs[t_eval_i:t_eval_i_new] = dense_output(
+                    t_old, t, y_old, ys, y, f, h)
                 nfev += 3
                 t_eval_i = t_eval_i_new
 
@@ -703,10 +696,8 @@ def _dop853(system, t_end, y0, rtol, atol, event, t_eval, where):
     z_eval = None
     if not dense:
         # points past the last step (a failed run) stay unevaluated
-        done = slice(0, t_eval_i) if direction > 0 else slice(t_eval_i, None)
-        z_eval = _complex(_evaluate(*steps, eval_segs[done], t_eval[done]))
-        if direction < 0:
-            z_eval = z_eval[::-1]
+        z_eval = _complex(_evaluate(*steps, eval_segs[:t_eval_i],
+                                    t_eval[:t_eval_i]))
     return Solution(np.array(ts, dtype=float), nfev, status, message,
                     np.array(t_event, dtype=float), h_abs, steps, z_eval)
 
@@ -720,16 +711,16 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     shape; a ``System`` brings its own stage call, any other callable is
     stepped through the numpy adapter.  Without ``t_eval`` the solution
     carries its dense output, and the one upward ``Event``, if given, is
-    located on it; with ``t_eval`` (sorted along the direction of
-    integration, inside the interval) only the values there are kept, and
-    only steps containing one of those times pay for an interpolant.  An
-    event given with ``t_eval`` raises ``ValidationError``, and so do a NaN
-    or infinite t_end, which no step can reach, a NaN or infinite
-    tolerance, on which no step size is ever too small, and a negative
-    atol, which scipy refuses too (an rtol below 100 eps is raised to it,
-    as scipy does).  A run that cannot reach t_end raises
-    ``IntegrationError``, naming ``stage``, ``params``, the time reached,
-    the last step size tried and the tolerances.
+    located on it; with ``t_eval`` (ascending times inside the interval of
+    a forward run) only the values there are kept, and only steps
+    containing one of those times pay for an interpolant.  An event given
+    with ``t_eval``, or ``t_eval`` with t_end < 0, raises
+    ``ValidationError``, and so do a NaN or infinite t_end, which no step
+    can reach, a NaN or infinite tolerance, on which no step size is ever
+    too small, and a negative atol, which scipy refuses too (an rtol below
+    100 eps is raised to it, as scipy does).  A run that cannot reach t_end
+    raises ``IntegrationError``, naming ``stage``, ``params``, the time
+    reached, the last step size tried and the tolerances.
     """
     where = ", ".join(f"{k}={v}" for k, v in params.items())
     if not math.isfinite(t_end):
@@ -742,6 +733,9 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     if event is not None and t_eval is not None:
         raise ValidationError(f"{stage} takes an event or t_eval, not both "
                               f"({where})")
+    if t_eval is not None and t_end < 0:
+        raise ValidationError(f"{stage} takes t_eval on forward runs only "
+                              f"({where}): got t_end = {float(t_end)!r}")
     if not isinstance(rhs, System):
         rhs = _numpy_system(rhs)
     z0 = np.asarray(z0, dtype=complex)

@@ -18,7 +18,8 @@ were recorded with numpy 2.4 on x86-64 and must be met bit for bit:
   to elementwise pair products; 40-digit ``mpmath`` evaluations of the
   same forms check both the old and the new values to 1e-15);
 - ``EvolutionData.sample`` points on the same data and on a hyperplane,
-  where every sampler line meets P through the linear branch (a2 = 0).
+  where every sampler line meets P through the linear branch (a2 = 0),
+  and on curve data, whose sampler integrates the planar flow.
 
 The stacked quadric sampler is also checked against the one-line-at-a-time
 loop of ``oracles.quadric_sampler_loop`` on every example quadric.  scipy
@@ -88,6 +89,21 @@ def sample_data() -> dict:
     }
 
 
+def curve_sample_cases() -> dict:
+    """``evodata.curve_data`` on a spiral, a field with M = 0 and a sink,
+    each with the (count, seed) pairs it is sampled at: one and seven
+    points as well as 40 and 200."""
+    spiral = np.array([[0.2, -1.0], [1.0, 0.1]]), np.array([0.3, 0.0])
+    constant = np.zeros((2, 2)), np.array([0.5, -1.0])
+    sink = np.array([[-1.0, -2.0], [-0.5, 0.0]]), np.array([-1.0, 0.0])
+    return {
+        "curve(spiral,3)": (evodata.curve_data(*spiral, 3),
+                            ((1, 0), (40, 2), (200, 7))),
+        "curve(M=0,2)": (evodata.curve_data(*constant, 2), ((7, 1), (40, 4))),
+        "curve(sink,4)": (evodata.curve_data(*sink, 4), ((7, 3), (200, 5))),
+    }
+
+
 MEMBERSHIP_CASES = ("quadric(3,1,1)", "quadric(4,2,-1)", "cone(3,1)",
                     "paraboloid(3,1)", "paraboloid(4,2)",
                     "product(quadric(2,1,1),R)")
@@ -120,6 +136,10 @@ def snapshot() -> dict:
     for label, data in datas.items():
         out["sample"][f"{label}/12/seed=5"] = _hex(data.sample(12, 5))
         out["sample"][f"{label}/200/seed=0"] = digest_le(data.sample(200, 0))
+    for label, (data, draws) in curve_sample_cases().items():
+        for count, seed in draws:
+            out["sample"][f"{label}/{count}/seed={seed}"] = digest_le(
+                data.sample(count, seed))
     return out
 
 

@@ -58,7 +58,10 @@ def test_reference_covers_every_family(reference):
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("m,a", FAMILIES)
 def test_betas_grid_bitwise(m, a, tol, reference):
-    assert digest_le(_table(m, a, tol)) == reference[_key(m, a, tol)]
+    table = _table(m, a, tol)
+    assert digest_le(table) == reference[_key(m, a, tol)]
+    # the angle sum rule: theta = sum theta_j stays in (0, pi)
+    assert np.max(np.abs(np.sum(table[:, :m], axis=1))) <= 1e-11
 
 
 if __name__ == "__main__":

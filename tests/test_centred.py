@@ -415,9 +415,10 @@ class TestBetas:
         with pytest.raises(ValidationError):
             betas(CentredParams(3, 3, (1.0, 1.0, 1.0), 0.5, c=1.0))
 
-    def test_ode_failure_names_its_run(self):
-        # sym(5,1) near A = 0: two upward du crossings within the whole
-        # horizon, 512 times the harmonic period estimate
+    def test_ode_failure_names_its_run(self, monkeypatch):
+        # sym(5,1) near A = 0, its run cut at t = 639.163: two upward du
+        # crossings by then (the third comes at t = 658.5)
+        monkeypatch.setattr(centred, "_T_LIMIT", 639.163)
         al = symmetric_alphas(5, 1)
         params = CentredParams(5, 1, al, 1e-6 * np.sqrt(np.prod(al)))
         with pytest.raises(NumericalError) as info:
@@ -426,6 +427,41 @@ class TestBetas:
             "betas_ode failed to bracket one period of u (m=5, a=1, "
             "A/A_max=1e-06): 2 upward du crossings by t = 639.163, "
             "3 needed")
+
+    @pytest.mark.parametrize("m,a", [(5, 1), (5, 4), (6, 1), (6, 2), (6, 4),
+                                     (6, 5)])
+    def test_ode_reaches_small_A(self, m, a):
+        # near a k-fold tie T grows like (A_max/A)^(1-2/k), so at 1e-6 these
+        # runs are far longer than a period estimated near A_max
+        al = symmetric_alphas(m, a)
+        o = betas_ode(CentredParams(m, a, al, 1e-6 * np.sqrt(np.prod(al))))
+        assert abs(sum(o.betas)) <= 1e-5
+        small = beta_limits(al, a).small_A
+        assert np.max(np.abs(np.subtract(o.betas, small))) <= 3e-3
+
+    @pytest.mark.parametrize("alphas,a,frac", [
+        (symmetric_alphas(6, 1), 1, 1e-8),
+        (normalize_lambda((1.0, 1.4, 2.5), 1)[0], 1, 1e-12)])
+    def test_ode_refuses_a_broken_sum_rule(self, alphas, a, frac):
+        # the w run loses sum beta_j = 0 as A -> 0; past 1e-5 it raises
+        m = len(alphas)
+        params = CentredParams(m, a, alphas,
+                               frac * np.sqrt(np.prod(alphas)))
+        with pytest.raises(NumericalError, match=(
+                rf"lost the angle sum rule \(m={m}, a={a}, "
+                rf"A/A_max={frac:.6g}\): sum of beta_j = ")):
+            betas_ode(params)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: betas is "
+                       "silently wrong at small A")
+    def test_sum_rule_near_small_A(self):
+        # betas returns these angles with a quadrature error estimate of
+        # 3e-14 to 1.5e-12, and breaks sum beta_j = 0 by 7.8e-5 to 4.5e-4
+        for m, a in ((3, 2), (4, 3), (5, 4), (6, 1), (6, 5)):
+            al = symmetric_alphas(m, a)
+            res = betas(CentredParams(m, a, al,
+                                      1e-6 * np.sqrt(np.prod(al))))
+            assert abs(sum(res.betas)) <= 1e-9, (m, a)
 
     def test_serialization(self):
         res = betas(CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0))

@@ -129,8 +129,7 @@ class TestAgainstScipy:
 
     def test_betas_ode_one_run_near_small_A(self, calls):
         # sym(3,1) at A = 1e-6 A_max: one run, stopped at the third upward
-        # crossing (t = 28.8, beyond 8 times the period estimate), and the
-        # result pinned to its bits
+        # crossing (t = 28.8), and the result pinned to its bits
         al = centred.symmetric_alphas(3, 1)
         got = centred.betas_ode(centred.CentredParams(
             3, 1, al, 1e-6 * np.sqrt(np.prod(al))))
@@ -138,7 +137,7 @@ class TestAgainstScipy:
         assert entry["sol"].nfev == 3398
         assert_matches_scipy(entry)
         assert [float(b).hex() for b in got.betas] == [
-            "-0x1.921fe4d22e8fcp+1", "0x1.921fe5368cc8bp+0",
+            "-0x1.921fe4d22e8fbp+1", "0x1.921fe5368cc8bp+0",
             "0x1.921fe5368cc8bp+0"]
         assert [float(v).hex() for v in (got.period_T, got.gamma,
                                          got.delta)] == [
@@ -326,36 +325,25 @@ class TestDriver:
                           lambda t, y: y[0]), t_eval=[0.5])
 
     def test_t_eval_backward(self):
-        # dz/dt = i z on packed values; t_eval sorted along the direction
-        def rhs(t, y):
-            return np.array([-y[1], y[0]])
+        # t_eval serves forward runs only: a backward run with it is refused
+        with pytest.raises(ValidationError, match="forward runs only"):
+            ode.solve(lambda t, y: -y, [1.0 + 0j], -5.0, 1e-11, 1e-13,
+                      stage="test", params={},
+                      t_eval=np.linspace(0.0, -5.0, 41))
 
-        te = np.linspace(0.0, -5.0, 41)
-        sol = ode.solve(rhs, [1.0 + 0j], -5.0, 1e-11, 1e-13, stage="test",
-                        params={}, t_eval=te)
-        ref = solve_ivp(rhs, (0.0, -5.0), [1.0, 0.0], method="DOP853",
-                        rtol=1e-11, atol=1e-13, t_eval=te)
-        assert np.array_equal(sol.z_eval, _complex(ref.y, 1))
-        assert sol.nfev == ref.nfev
-        assert np.max(np.abs(sol.z_eval[:, 0] - np.exp(1j * te))) < 1e-10
-
-    @pytest.mark.parametrize("t_end", [-3.0, 3.0])
-    def test_t_eval_at_step_times(self, t_end):
+    def test_t_eval_at_step_times(self):
         # t_eval holding the exact step times of the same run: at each tie
-        # the bisect window must be searchsorted's (side="right" forward,
-        # side="left" backward), or a point moves to the neighbouring step
+        # the bisect window must be searchsorted's (side="right"), or a
+        # point moves to the neighbouring step
         rhs = centred._w_kernel(2, 4)
         w0 = np.array([1.1, 0.9j, 1.2 * np.exp(0.4j), 0.8 + 0.3j])
-        steps = ode.solve(rhs, w0, t_end, 1e-11, 1e-13, stage="test",
+        steps = ode.solve(rhs, w0, 3.0, 1e-11, 1e-13, stage="test",
                           params={}).t
-        te = np.unique(np.concatenate([steps, np.linspace(0.0, t_end, 31)]))
-        if t_end < 0:
-            te = te[::-1]
-        sol = ode.solve(rhs, w0, t_end, 1e-11, 1e-13, stage="test",
+        te = np.unique(np.concatenate([steps, np.linspace(0.0, 3.0, 31)]))
+        sol = ode.solve(rhs, w0, 3.0, 1e-11, 1e-13, stage="test",
                         params={}, t_eval=te)
-        ref = solve_ivp(rhs, (0.0, t_end),
-                        np.concatenate([w0.real, w0.imag]), method="DOP853",
-                        rtol=1e-11, atol=1e-13, t_eval=te)
+        ref = solve_ivp(rhs, (0.0, 3.0), np.concatenate([w0.real, w0.imag]),
+                        method="DOP853", rtol=1e-11, atol=1e-13, t_eval=te)
         assert np.isin(steps, te).all() and steps.size > 5
         assert np.array_equal(sol.t, steps)
         assert np.array_equal(sol.z_eval, _complex(ref.y, 4))
