@@ -9,13 +9,13 @@ Layers, bottom up:
   C^m = R^{2m}.
 - ``elliptic``: Jacobi elliptic functions by the arithmetic-geometric mean.
 - ``evodata``: evolution data (P, chi), chi one coefficient array --
-  quadrics, products, planar curves -- with validation, symmetry algebras
-  and the n = m classifier.
+  quadrics, products, planar curves -- with their samplers and tangent
+  frames.
 - ``evolver``: the general engine for linear/affine maps R^n -> C^m.
 - ``centred``: the diagonal (centred-quadric) reduction: conserved
   quantity, turning points, monodromy-angle quadrature, periodicity search.
 - ``affine``: the translated (paraboloid) family and its closed beta law.
-- ``threefold``: the m = 3 cone link circle and explicit translated solutions.
+- ``threefold``: the m = 3 cone link circle in closed elliptic form.
 - ``meshverify``: the swept families (the conformal cone-over-link sweep
   among them), meshes, analytic-frame residual verification, exporters.
 - ``cli``: the ``slevolve`` command-line front end.

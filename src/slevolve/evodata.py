@@ -7,10 +7,6 @@ level sets {x: x'Sx + b'x = c} in R^m supply the main family, with
 
     chi(x) = dQ(x) . (e_1 ^ ... ^ e_m)
            = sum_j (-1)^(j-1) dQ/dx_j  e_1 ^ ... e_j-hat ... ^ e_m.
-
-Every set of evolution data carries a symmetry Lie algebra spanned by the
-contractions L(alpha) = chi . alpha over (m-2)-forms alpha; the algebra
-closes under commutators onto span(Im L) and acts locally transitively on P.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +20,6 @@ from .multilinear import insertion_table, k_subsets
 from .roots import companion_roots
 
 _SINGULAR_TOL = 1e-8
-_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class QuadricSpec:
 
 
 class EvolutionData:
-    """A pair (P, chi) with samplers and normal data for validation.
+    """A pair (P, chi) with a sampler of P and its normal covectors.
 
     chi is one array of shape (C(n, m-1), n+1), a row per (m-1)-subset of
     ``k_subsets`` and a column per coordinate x_q, then the constant column:
@@ -86,7 +81,7 @@ class EvolutionData:
     point, shape (..., r, n); a point's covectors must not depend on the
     stack it is in (the library's data build them from matmuls with the
     same per-point cores, one gemv per point, alone or stacked), so that
-    ``tangent_bases`` and ``tangency_residual`` call it once per stack.
+    ``tangent_bases`` calls it once per stack.
     """
 
     def __init__(self, n, m, chi, sampler, normals, label="", recipe=None):
@@ -113,13 +108,6 @@ class EvolutionData:
     def kind(self) -> str:
         """'affine' exactly when chi has a nonzero constant column."""
         return "affine" if np.any(self.chi[:, -1] != 0.0) else "linear"
-
-    def chi_at(self, x) -> np.ndarray:
-        """Coefficients of chi at points x (..., n), shape (..., C(n, m-1)),
-        from a matmul on one (1, n) core per point, so that a point has
-        the same coefficients alone as in a stack."""
-        x = np.asarray(x, dtype=float)[..., None, :]
-        return (x @ self.chi[:, :-1].T)[..., 0, :] + self.chi[:, -1]
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         return self.sampler(count, seed)
@@ -153,41 +141,6 @@ class EvolutionData:
     def tangent_basis(self, p) -> np.ndarray:
         """Orthonormal basis of T_p P as rows, from the normal covectors."""
         return self.tangent_bases(np.asarray(p, dtype=float)[None])[0]
-
-    def tangency_residual(self, pts) -> np.ndarray:
-        """Size of the component of chi(p) transverse to T_p P at stacked
-        points, shape (N,): the interior product with each defining normal
-        must vanish for a multivector of Lambda^{m-1} T_p P.  Inf where
-        chi(p) = 0."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.n)
-        chis = self.chi_at(pts)
-        nus = self.normals(pts)
-        rank, sign = insertion_table(self.n, self.m - 2)
-        resid = np.einsum("ki,pri,pki->prk", sign, nus, chis[:, rank])
-        worst = np.max(np.linalg.norm(resid, axis=-1)
-                       / np.linalg.norm(nus, axis=-1), axis=-1)
-        nchi = np.linalg.norm(chis, axis=-1)
-        return np.divide(worst, nchi, out=np.full_like(worst, np.inf),
-                         where=nchi != 0.0)
-
-    def validate(self, n_samples: int = 200, seed: int = 0) -> dict:
-        """Numerical check of the defining conditions on sampled points."""
-        pts = self.sample(n_samples, seed)
-        tang = self.tangency_residual(pts)
-        chinorm = np.linalg.norm(self.chi_at(pts), axis=-1)
-        span_pts = self.sample(2 * self.n, seed + 1)
-        if self.kind == "affine":
-            span_pts = np.column_stack([span_pts, np.ones(len(span_pts))])
-        rank = np.linalg.matrix_rank(span_pts, tol=_RANK_TOL * max(
-            1.0, np.abs(span_pts).max()) * max(span_pts.shape))
-        full = self.n + (1 if self.kind == "affine" else 0)
-        return {
-            "max_tangency_residual": float(np.max(tang)),
-            "min_chi_norm": float(np.min(chinorm)),
-            "spans_ambient": bool(rank == full),
-            "span_rank": int(rank),
-            "samples": len(pts),
-        }
 
     def to_json_dict(self) -> dict:
         d = {
@@ -423,19 +376,20 @@ def curve_data(M: np.ndarray, v: np.ndarray, m: int) -> EvolutionData:
         # packed (Re y, Im y); the imaginary half starts and stays zero
         return (y.reshape(2, 3) @ aug.T).ravel()
 
+    # one dense run each side of t = 0, to +-t_max whatever the draws, so a
+    # point depends on its time alone; every sample call reads the same two
+    runs = [ode.solve(flow, [p0[0], p0[1], 1.0], t_end, 1e-13, 1e-15,
+                      stage="evodata.curve_data",
+                      params={"M": M.tolist(), "v": v.tolist()})
+            for t_end in (t_max, -t_max)]
+
     def sampler(count, seed=0):
         rng = np.random.default_rng(seed + 104729)
         ts = rng.uniform(-t_max, t_max, size=count)
         pts = np.empty((count, m))
-        # one dense run each side of t = 0, to +-t_max whatever the draws,
-        # so a point depends on its time alone
         ahead = ts >= 0.0
-        for side, t_end in ((ahead, t_max), (~ahead, -t_max)):
-            if side.any():
-                sol = ode.solve(flow, [p0[0], p0[1], 1.0], t_end, 1e-13, 1e-15,
-                                stage="evodata.curve_data",
-                                params={"M": M.tolist(), "v": v.tolist()})
-                pts[side, :2] = sol(ts[side])[:, :2].real
+        for side, sol in zip((ahead, ~ahead), runs):
+            pts[side, :2] = sol(ts[side])[:, :2].real
         pts[:, 2:] = rng.normal(scale=1.5, size=(count, m - 2))
         return pts
 
@@ -482,163 +436,3 @@ def evolution_data_from_dict(doc: dict) -> EvolutionData:
         raise ValidationError(f"{recipe} evolution data holds a value of "
                               f"the wrong type: {exc}") from None
     raise ValidationError(f"cannot rebuild evolution data from {recipe!r}")
-
-
-# ---------------------------------------------------------------------------
-# symmetry Lie algebra
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SymmetryAlgebra:
-    """Lie algebra generated by the contractions L(alpha) = chi . alpha.
-
-    ``basis`` is an orthonormal (Frobenius) basis of the algebra; the image
-    generators are the raw L(alpha) over the standard basis of
-    Lambda^{m-2}(R^n)*.  ker_dim records dim ker L for the case-split
-    diagnostics; grew_in_closure is False when span(Im L) was already closed
-    (surjectivity of L onto the algebra).
-    """
-
-    n: int
-    basis: list
-    image_generators: list
-    ker_dim: int
-    grew_in_closure: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def bracket_residual(self) -> float:
-        """Max component of any commutator of basis elements outside the span."""
-        if not self.basis:
-            return 0.0
-        flat = np.array([B.ravel() for B in self.basis])
-        proj = flat.T @ flat  # orthonormal rows: projector onto the span
-        worst = 0.0
-        for X in self.basis:
-            for Y in self.basis:
-                br = (X @ Y - Y @ X).ravel()
-                out = br - proj @ br
-                scale = np.linalg.norm(X) * np.linalg.norm(Y)
-                worst = max(worst, np.linalg.norm(out) / max(scale, 1e-30))
-        return worst
-
-
-def _orthonormal_rows(mats, tol=_RANK_TOL):
-    flat = np.array([np.asarray(M, dtype=float).ravel() for M in mats])
-    u, s, vt = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, flat.shape[1])), 0
-    rank = int(np.sum(s > tol * s[0]))
-    return vt[:rank], rank
-
-
-def symmetry_algebra(data: EvolutionData, tol: float = _RANK_TOL) -> SymmetryAlgebra:
-    """Generate the symmetry algebra of a set of evolution data.
-
-    Affine data is first linearized over R^{n+1} (P embedded at height 1).
-    Iterates commutators until the span stabilizes and reports whether any
-    iteration enlarged it (it should not: the image of L is already an ideal).
-    """
-    n, m = data.n, data.m
-    if data.kind == "affine":
-        # the constant column becomes the coefficient of x_{n+1}
-        subs = k_subsets(n + 1, m - 1)
-        cols = np.zeros((len(subs), n + 1))
-        cols[[subs.index(I) for I in k_subsets(n, m - 1)]] = data.chi
-        n += 1
-    else:
-        cols = data.chi[:, :n]
-
-    # L(dx_J)_i = e_{J+i} . dx_J: the form fills the leading m-2 slots, so
-    # the sign is (-1)^(m-2) times that of inserting i into J; the added
-    # 0.0 leaves no zero signed
-    rank, sign = insertion_table(n, m - 2)
-    generators = list(0.0 + ((-1.0) ** m * sign)[:, :, None] * cols[rank])
-
-    basis_flat, rank0 = _orthonormal_rows(generators, tol)
-    ker_dim = len(generators) - rank0
-
-    grew = False
-    current = basis_flat
-    for _ in range(n * n + 1):
-        mats = [row.reshape(n, n) for row in current]
-        brackets = [X @ Y - Y @ X for i, X in enumerate(mats)
-                    for Y in mats[i + 1:]]
-        stacked = list(current) + [b.ravel() for b in brackets]
-        new_flat, new_rank = _orthonormal_rows(stacked, tol)
-        if new_rank == current.shape[0]:
-            break
-        grew = True
-        current = new_flat
-    basis = [row.reshape(n, n) for row in current]
-    return SymmetryAlgebra(n, basis, generators, ker_dim, grew)
-
-
-# ---------------------------------------------------------------------------
-# classification for n = m
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SquareClassification:
-    """Outcome of the n = m classification via the 1-form beta = vol . chi."""
-
-    label: str  # 'quadric' | 'curve_times_plane' | 'indeterminate'
-    S: np.ndarray = None
-    b: np.ndarray = None
-    c: float = None
-    dbeta_singular_values: tuple = ()
-
-
-def classify_square(data: EvolutionData, tol: float = 1e-9,
-                    n_samples: int = 40, seed: int = 0) -> SquareClassification:
-    """Classify n = m evolution data by the constant 2-form d(beta).
-
-    beta(x)(w) = vol(chi(x) ^ w) is linear/affine; d(beta) = 0 recovers a
-    quadric with beta = dQ, and d(beta) of rank 2 with beta valued in its
-    row plane is the integral-curve-times-plane construction.  Rank
-    ambiguity at the tolerance is reported, not guessed.
-    """
-    n, m = data.n, data.m
-    if n != m:
-        raise ValidationError("classification applies to n = m data")
-
-    # beta_i = vol(chi ^ e_i), and e_K ^ e_i = (-1)^(n-1) e_i ^ e_K
-    W = (-1.0) ** (n - 1) * insertion_table(n, n - 1)[1].T
-    B = W @ data.chi[:, :n]
-    beta0 = W @ data.chi[:, n]
-    D = B - B.T
-    scale = max(np.abs(B).max(), np.abs(beta0).max(), 1e-300)
-    svals = np.linalg.svd(D, compute_uv=False)
-
-    if svals[0] <= tol * scale:
-        # beta = dQ with Q = x'Sx + b'x; S from the symmetric part
-        S = 0.25 * (B + B.T)
-        b = beta0
-        pts = data.sample(n_samples, seed)
-        cvals = np.einsum("pi,ij,pj->p", pts, S, pts) + pts @ b
-        c = float(np.mean(cvals))
-        return SquareClassification("quadric", S=S, b=b, c=c,
-                                    dbeta_singular_values=tuple(svals))
-
-    third = svals[2] if svals.size >= 3 else 0.0
-    if third <= tol * svals[0]:
-        # d(beta) = gamma ^ delta; beta must lie in the row plane on P
-        u, s, vt = np.linalg.svd(D)
-        plane = vt[:2]
-        pts = data.sample(n_samples, seed)
-        worst = 0.0
-        for p in pts:
-            bp = B @ p + beta0
-            out = bp - plane.T @ (plane @ bp)
-            worst = max(worst, np.linalg.norm(out) /
-                        max(np.linalg.norm(bp), 1e-30))
-        if worst <= 1e-6:
-            return SquareClassification("curve_times_plane",
-                                        dbeta_singular_values=tuple(svals))
-        return SquareClassification("indeterminate",
-                                    dbeta_singular_values=tuple(svals))
-
-    return SquareClassification("indeterminate",
-                                dbeta_singular_values=tuple(svals))

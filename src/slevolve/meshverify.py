@@ -372,22 +372,6 @@ class ConeOverLinkFamily(CentredFamily):
         self.chart = ConeChart(threefold.cross_section(params.alphas))
 
 
-class Affine3ClosedFamily(_SweptFamily):
-    """The explicit m = 3 translated solutions as a map of (t, x_1, x_2)."""
-
-    t_span = 3.0
-
-    def __init__(self, form: threefold.Affine3ClosedForm):
-        self.form = form
-        self.m = 3
-        self.chart = ParaboloidChart(
-            (1.0, 1.0) if form.variant == "a2" else (1.0, -1.0))
-
-    def _motion(self, t) -> tuple:
-        f = self.form
-        return f.w(t), f.dw(t), f.beta(t), f.dbeta(t)
-
-
 # ---------------------------------------------------------------------------
 # special Lagrangian residuals
 # ---------------------------------------------------------------------------

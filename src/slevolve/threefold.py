@@ -1,5 +1,4 @@
-"""The three-dimensional family: the cone link circle in closed form and the
-fully explicit translated solutions.
+"""The three-dimensional family: the cone link circle in closed form.
 
 For m = 3, a = 1 the diagonal system is
 
@@ -95,104 +94,3 @@ def cross_section(alphas) -> CrossSection:
     mu = np.sqrt(a1 + a3)
     nu = np.sqrt((a3 - a2) / (a1 + a3))
     return CrossSection(tuple(map(float, al)), float(mu), float(nu), swapped)
-
-
-# ---------------------------------------------------------------------------
-# closed-form non-centred three-folds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Affine3ClosedForm:
-    """Fully explicit solutions of the m = 3 non-centred system.
-
-    variant 'a2' is the hyperbolic pair (dw_1 = conj w_2, dw_2 = conj w_1),
-    variant 'a1' the trigonometric pair (dw_1 = conj w_2, dw_2 = -conj w_1);
-    both drive the translation by d(beta)/dt = conj(w_1 w_2).
-    """
-
-    variant: str
-    C: complex
-    D: complex
-    E: complex
-
-    def __post_init__(self):
-        if self.variant not in ("a1", "a2"):
-            raise ValidationError("variant must be 'a1' or 'a2'")
-        if self.C == 0 and self.D == 0:
-            raise ValidationError("(C, D) must not both vanish")
-
-    def w(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        C, D = self.C, self.D
-        if self.variant == "a2":
-            w1 = C * np.exp(t) + D * np.exp(-t)
-            w2 = np.conj(C) * np.exp(t) - np.conj(D) * np.exp(-t)
-        else:
-            w1 = C * np.exp(1j * t) + D * np.exp(-1j * t)
-            w2 = (1j * np.conj(D) * np.exp(1j * t)
-                  - 1j * np.conj(C) * np.exp(-1j * t))
-        return np.stack([w1, w2], axis=-1)
-
-    def dw(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        C, D = self.C, self.D
-        if self.variant == "a2":
-            dw1 = C * np.exp(t) - D * np.exp(-t)
-            dw2 = np.conj(C) * np.exp(t) + np.conj(D) * np.exp(-t)
-        else:
-            dw1 = 1j * C * np.exp(1j * t) - 1j * D * np.exp(-1j * t)
-            dw2 = (-np.conj(D) * np.exp(1j * t)
-                   - np.conj(C) * np.exp(-1j * t))
-        return np.stack([dw1, dw2], axis=-1)
-
-    def _beta_terms(self) -> tuple:
-        """(lam, P, M, drift) with
-        beta = P e^(2 lam t) + M e^(-2 lam t) + drift t + E."""
-        C, D = self.C, self.D
-        if self.variant == "a2":
-            return (1, 0.5 * abs(C) ** 2, 0.5 * abs(D) ** 2,
-                    2j * np.imag(C * np.conj(D)))
-        return (1j, 0.5 * C * np.conj(D), 0.5 * np.conj(C) * D,
-                1j * (abs(C) ** 2 - abs(D) ** 2))
-
-    def beta(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        lam, P, M, drift = self._beta_terms()
-        return (P * np.exp(2 * lam * t) + M * np.exp(-2 * lam * t)
-                + drift * t + self.E)
-
-    def dbeta(self, t) -> np.ndarray:
-        """d(beta)/dt of the closed form (the system asks conj(w_1 w_2))."""
-        t = np.asarray(t, dtype=float)
-        lam, P, M, drift = self._beta_terms()
-        return (2 * lam * (P * np.exp(2 * lam * t) - M * np.exp(-2 * lam * t))
-                + drift)
-
-    def ode_residual(self, t) -> float:
-        """Max defect of the closed form against its defining system,
-        the translation law d(beta)/dt = conj(w_1 w_2) included."""
-        w, dw = self.w(t), self.dw(t)
-        sign = 1.0 if self.variant == "a2" else -1.0
-        defects = (dw[..., 0] - np.conj(w[..., 1]),
-                   dw[..., 1] - sign * np.conj(w[..., 0]),
-                   self.dbeta(t) - np.conj(w[..., 0] * w[..., 1]))
-        return float(max(np.abs(d).max() for d in defects))
-
-    def point(self, x1, x2, t) -> np.ndarray:
-        """Points of the swept three-fold; the third quadric coordinate is
-        eliminated through the defining paraboloid equation."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        w = self.w(t)
-        if self.variant == "a2":
-            x3 = -0.5 * (x1 ** 2 + x2 ** 2)
-        else:
-            x3 = 0.5 * (x2 ** 2 - x1 ** 2)
-        return np.stack([w[..., 0] * x1, w[..., 1] * x2,
-                         x3 + self.beta(t)], axis=-1)
-
-    def is_planar(self) -> bool:
-        """True when the family degenerates into one affine plane (A = 0)."""
-        if self.variant == "a2":
-            return abs(np.imag(self.C * np.conj(self.D))) <= 1e-12
-        return abs(abs(self.C) - abs(self.D)) <= 1e-12

@@ -16,9 +16,14 @@ library did before its elementwise pair products.
 ``sym_closed_solutions`` counts the closed solutions of a symmetric tuple
 with ``fractions.Fraction`` alone, the reference for ``periodic_search``.
 
-The rest are references no command runs: the reduced (u, theta_j) form of
-the centred system, the derivative relations of the Jacobi functions, the
-rotated planes and the conformality residuals of the cone-over-link sweep.
+The rest are references no command runs: the tangency check of evolution
+data (``chi_at``, ``tangency_residual``), the paper's symmetry Lie algebra
+of evolution data (``symmetry_algebra``) and its n = m classifier
+(``classify_square``), the fully explicit m = 3 translated solutions
+(``Affine3ClosedForm``, swept by ``Affine3ClosedFamily``), the reduced
+(u, theta_j) form of the centred system, the derivative relations of the
+Jacobi functions, the rotated planes and the conformality residuals of the
+cone-over-link sweep.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +37,8 @@ import pytest
 from slevolve import ConstructionError, ValidationError
 from slevolve.centred import CentredParams
 from slevolve.evodata import _SINGULAR_TOL, QuadricSpec
-from slevolve.multilinear import complex_to_real, k_subsets
+from slevolve.meshverify import ParaboloidChart, _SweptFamily
+from slevolve.multilinear import complex_to_real, insertion_table, k_subsets
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,36 @@ def pushforward(coeffs, B: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def chi_at(data, x) -> np.ndarray:
+    """Coefficients of chi at points x (..., n), shape (..., C(n, m-1))."""
+    x = np.asarray(x, dtype=float)
+    return x @ data.chi[:, :-1].T + data.chi[:, -1]
+
+
+def tangency_residual(data, pts) -> np.ndarray:
+    """Size of the component of chi(p) transverse to T_p P at stacked
+    points, shape (N,): the interior product with each defining normal
+    must vanish for a multivector of Lambda^{m-1} T_p P.  Inf where
+    chi(p) = 0."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, data.n)
+    chis = chi_at(data, pts)
+    nus = data.normals(pts)
+    rank, sign = insertion_table(data.n, data.m - 2)
+    resid = np.einsum("ki,pri,pki->prk", sign, nus, chis[:, rank])
+    worst = np.max(np.linalg.norm(resid, axis=-1)
+                   / np.linalg.norm(nus, axis=-1), axis=-1)
+    nchi = np.linalg.norm(chis, axis=-1)
+    return np.divide(worst, nchi, out=np.full_like(worst, np.inf),
+                     where=nchi != 0.0)
+
+
+def max_tangency_residual(data, count: int, seed: int) -> float:
+    """The largest ``tangency_residual`` over ``data.sample(count, seed)``:
+    at most round-off exactly when chi(p) lies in Lambda^{m-1} T_p P, and
+    nonzero, at every sampled point."""
+    return float(np.max(tangency_residual(data, data.sample(count, seed))))
+
+
 def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
                             n_probe: int = 12, seed: int = 0) -> float:
     """Finite-difference size of L_v chi for a linear field v (matrix V).
@@ -173,10 +209,10 @@ def lie_derivative_residual(data, vfield: np.ndarray, step: float = 1e-5,
     worst = 0.0
     for _ in range(n_probe):
         x = rng.normal(size=data.n)
-        chi_plus = pushforward(data.chi_at(fwd @ x), bwd, data.m - 1)
-        chi_minus = pushforward(data.chi_at(bwd @ x), fwd, data.m - 1)
+        chi_plus = pushforward(chi_at(data, fwd @ x), bwd, data.m - 1)
+        chi_minus = pushforward(chi_at(data, bwd @ x), fwd, data.m - 1)
         diff = (chi_plus - chi_minus) * (0.5 / step)
-        scale = max(np.linalg.norm(data.chi_at(x)), 1e-30)
+        scale = max(np.linalg.norm(chi_at(data, x)), 1e-30)
         worst = max(worst, np.linalg.norm(diff) / scale)
     return worst
 
@@ -386,3 +422,260 @@ def link_conformality(family, ns: int, nt: int) -> dict:
         "max_norm_vs_closed": float(max(np.abs(ns2 - closed).max(),
                                         np.abs(nt2 - closed).max())),
     }
+
+
+# ---------------------------------------------------------------------------
+# the symmetry Lie algebra of evolution data and the n = m classifier
+# ---------------------------------------------------------------------------
+
+_RANK_TOL = 1e-10
+
+
+@dataclass
+class SymmetryAlgebra:
+    """Lie algebra generated by the contractions L(alpha) = chi . alpha.
+
+    ``basis`` is an orthonormal (Frobenius) basis of the algebra; the image
+    generators are the raw L(alpha) over the standard basis of
+    Lambda^{m-2}(R^n)*.  ker_dim records dim ker L; grew_in_closure is
+    False when span(Im L) was already closed (surjectivity of L onto the
+    algebra).
+    """
+
+    n: int
+    basis: list
+    image_generators: list
+    ker_dim: int
+    grew_in_closure: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def bracket_residual(self) -> float:
+        """Max component of any commutator of basis elements outside the span."""
+        if not self.basis:
+            return 0.0
+        flat = np.array([B.ravel() for B in self.basis])
+        proj = flat.T @ flat  # orthonormal rows: projector onto the span
+        worst = 0.0
+        for X in self.basis:
+            for Y in self.basis:
+                br = (X @ Y - Y @ X).ravel()
+                out = br - proj @ br
+                scale = np.linalg.norm(X) * np.linalg.norm(Y)
+                worst = max(worst, np.linalg.norm(out) / max(scale, 1e-30))
+        return worst
+
+
+def _orthonormal_rows(mats):
+    flat = np.array([np.asarray(M, dtype=float).ravel() for M in mats])
+    u, s, vt = np.linalg.svd(flat, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, flat.shape[1])), 0
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
+    return vt[:rank], rank
+
+
+def symmetry_algebra(data) -> SymmetryAlgebra:
+    """Generate the symmetry algebra of a set of evolution data.
+
+    Every set of evolution data carries a symmetry Lie algebra spanned by
+    the contractions L(alpha) = chi . alpha over (m-2)-forms alpha; the
+    algebra closes under commutators onto span(Im L) and acts locally
+    transitively on P.  Affine data is first linearized over R^{n+1} (P
+    embedded at height 1).  Iterates commutators until the span stabilizes
+    and reports whether any iteration enlarged it (it should not: the image
+    of L is already an ideal).
+    """
+    n, m = data.n, data.m
+    if data.kind == "affine":
+        # the constant column becomes the coefficient of x_{n+1}
+        subs = k_subsets(n + 1, m - 1)
+        cols = np.zeros((len(subs), n + 1))
+        cols[[subs.index(I) for I in k_subsets(n, m - 1)]] = data.chi
+        n += 1
+    else:
+        cols = data.chi[:, :n]
+
+    # L(dx_J)_i = e_{J+i} . dx_J: the form fills the leading m-2 slots, so
+    # the sign is (-1)^(m-2) times that of inserting i into J; the added
+    # 0.0 leaves no zero signed
+    rank, sign = insertion_table(n, m - 2)
+    generators = list(0.0 + ((-1.0) ** m * sign)[:, :, None] * cols[rank])
+
+    basis_flat, rank0 = _orthonormal_rows(generators)
+    ker_dim = len(generators) - rank0
+
+    grew = False
+    current = basis_flat
+    for _ in range(n * n + 1):
+        mats = [row.reshape(n, n) for row in current]
+        brackets = [X @ Y - Y @ X for i, X in enumerate(mats)
+                    for Y in mats[i + 1:]]
+        stacked = list(current) + [b.ravel() for b in brackets]
+        new_flat, new_rank = _orthonormal_rows(stacked)
+        if new_rank == current.shape[0]:
+            break
+        grew = True
+        current = new_flat
+    basis = [row.reshape(n, n) for row in current]
+    return SymmetryAlgebra(n, basis, generators, ker_dim, grew)
+
+
+@dataclass(frozen=True)
+class SquareClassification:
+    """Outcome of the n = m classification via the 1-form beta = vol . chi;
+    S and c are set for a quadric."""
+
+    label: str  # 'quadric' | 'curve_times_plane' | 'indeterminate'
+    S: np.ndarray = None
+    c: float = None
+
+
+def classify_square(data, n_samples: int = 40) -> SquareClassification:
+    """Classify n = m evolution data by the constant 2-form d(beta).
+
+    beta(x)(w) = vol(chi(x) ^ w) is linear/affine; d(beta) = 0 recovers a
+    quadric with beta = dQ, and d(beta) of rank 2 with beta valued in its
+    row plane is the integral-curve-times-plane construction.  Rank
+    ambiguity at the tolerance 1e-9 is reported, not guessed.
+    """
+    n, m = data.n, data.m
+    if n != m:
+        raise ValidationError("classification applies to n = m data")
+    tol = 1e-9
+
+    # beta_i = vol(chi ^ e_i), and e_K ^ e_i = (-1)^(n-1) e_i ^ e_K
+    W = (-1.0) ** (n - 1) * insertion_table(n, n - 1)[1].T
+    B = W @ data.chi[:, :n]
+    beta0 = W @ data.chi[:, n]
+    D = B - B.T
+    scale = max(np.abs(B).max(), np.abs(beta0).max(), 1e-300)
+    svals = np.linalg.svd(D, compute_uv=False)
+    pts = data.sample(n_samples, 0)
+
+    if svals[0] <= tol * scale:
+        # beta = dQ with Q = x'Sx + b'x; S from the symmetric part
+        S = 0.25 * (B + B.T)
+        cvals = np.einsum("pi,ij,pj->p", pts, S, pts) + pts @ beta0
+        return SquareClassification("quadric", S=S, c=float(np.mean(cvals)))
+
+    third = svals[2] if svals.size >= 3 else 0.0
+    if third <= tol * svals[0]:
+        # d(beta) = gamma ^ delta; beta must lie in the row plane on P
+        plane = np.linalg.svd(D)[2][:2]
+        bp = pts @ B.T + beta0
+        out = bp - (bp @ plane.T) @ plane
+        worst = np.max(np.linalg.norm(out, axis=1)
+                       / np.maximum(np.linalg.norm(bp, axis=1), 1e-30))
+        if worst <= 1e-6:
+            return SquareClassification("curve_times_plane")
+    return SquareClassification("indeterminate")
+
+
+# ---------------------------------------------------------------------------
+# the fully explicit m = 3 translated solutions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Affine3ClosedForm:
+    """Fully explicit solutions of the m = 3 non-centred system.
+
+    variant 'a2' is the hyperbolic pair (dw_1 = conj w_2, dw_2 = conj w_1),
+    variant 'a1' the trigonometric pair (dw_1 = conj w_2, dw_2 = -conj w_1);
+    both drive the translation by d(beta)/dt = conj(w_1 w_2).  (C, D) must
+    not both vanish.
+    """
+
+    variant: str
+    C: complex
+    D: complex
+    E: complex
+
+    def w(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        C, D = self.C, self.D
+        if self.variant == "a2":
+            w1 = C * np.exp(t) + D * np.exp(-t)
+            w2 = np.conj(C) * np.exp(t) - np.conj(D) * np.exp(-t)
+        else:
+            w1 = C * np.exp(1j * t) + D * np.exp(-1j * t)
+            w2 = (1j * np.conj(D) * np.exp(1j * t)
+                  - 1j * np.conj(C) * np.exp(-1j * t))
+        return np.stack([w1, w2], axis=-1)
+
+    def dw(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        C, D = self.C, self.D
+        if self.variant == "a2":
+            dw1 = C * np.exp(t) - D * np.exp(-t)
+            dw2 = np.conj(C) * np.exp(t) + np.conj(D) * np.exp(-t)
+        else:
+            dw1 = 1j * C * np.exp(1j * t) - 1j * D * np.exp(-1j * t)
+            dw2 = (-np.conj(D) * np.exp(1j * t)
+                   - np.conj(C) * np.exp(-1j * t))
+        return np.stack([dw1, dw2], axis=-1)
+
+    def _beta_terms(self) -> tuple:
+        """(lam, P, M, drift) with
+        beta = P e^(2 lam t) + M e^(-2 lam t) + drift t + E."""
+        C, D = self.C, self.D
+        if self.variant == "a2":
+            return (1, 0.5 * abs(C) ** 2, 0.5 * abs(D) ** 2,
+                    2j * np.imag(C * np.conj(D)))
+        return (1j, 0.5 * C * np.conj(D), 0.5 * np.conj(C) * D,
+                1j * (abs(C) ** 2 - abs(D) ** 2))
+
+    def beta(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        lam, P, M, drift = self._beta_terms()
+        return (P * np.exp(2 * lam * t) + M * np.exp(-2 * lam * t)
+                + drift * t + self.E)
+
+    def dbeta(self, t) -> np.ndarray:
+        """d(beta)/dt of the closed form (the system asks conj(w_1 w_2))."""
+        t = np.asarray(t, dtype=float)
+        lam, P, M, drift = self._beta_terms()
+        return (2 * lam * (P * np.exp(2 * lam * t) - M * np.exp(-2 * lam * t))
+                + drift)
+
+    def ode_residual(self, t) -> float:
+        """Max defect of the closed form against its defining system,
+        the translation law d(beta)/dt = conj(w_1 w_2) included."""
+        w, dw = self.w(t), self.dw(t)
+        sign = 1.0 if self.variant == "a2" else -1.0
+        defects = (dw[..., 0] - np.conj(w[..., 1]),
+                   dw[..., 1] - sign * np.conj(w[..., 0]),
+                   self.dbeta(t) - np.conj(w[..., 0] * w[..., 1]))
+        return float(max(np.abs(d).max() for d in defects))
+
+    def point(self, x1, x2, t) -> np.ndarray:
+        """Points of the swept three-fold; the third quadric coordinate is
+        eliminated through the defining paraboloid equation."""
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        w = self.w(t)
+        if self.variant == "a2":
+            x3 = -0.5 * (x1 ** 2 + x2 ** 2)
+        else:
+            x3 = 0.5 * (x2 ** 2 - x1 ** 2)
+        return np.stack([w[..., 0] * x1, w[..., 1] * x2,
+                         x3 + self.beta(t)], axis=-1)
+
+
+class Affine3ClosedFamily(_SweptFamily):
+    """The explicit m = 3 translated solutions as a map of (t, x_1, x_2), in
+    the batched family protocol of ``meshverify``."""
+
+    t_span = 3.0
+
+    def __init__(self, form: Affine3ClosedForm):
+        self.form = form
+        self.m = 3
+        self.chart = ParaboloidChart(
+            (1.0, 1.0) if form.variant == "a2" else (1.0, -1.0))
+
+    def _motion(self, t) -> tuple:
+        f = self.form
+        return f.w(t), f.dw(t), f.beta(t), f.dbeta(t)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import random_case_d
-from oracles import link_conformality
-from slevolve import affine, centred, elliptic, evolver, meshverify, threefold
+from oracles import (Affine3ClosedFamily, Affine3ClosedForm,
+                     link_conformality, symmetry_algebra)
+from slevolve import affine, centred, elliptic, evolver, meshverify
 from slevolve.evodata import example_paraboloid, example_quadric
 
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
@@ -138,10 +139,10 @@ def test_criterion_06_sl_residuals():
             centred.CentredParams(3, 1, al, 2.0, c=1.0)),
         "case-d trajectory": meshverify.CentredFamily(
             centred.CentredParams(3, 1, al, 1.0, c=1.0)),
-        "explicit hyperbolic": meshverify.Affine3ClosedFamily(
-            threefold.Affine3ClosedForm("a2", 1.0, 0.35 + 0.45j, 0.2)),
-        "explicit trigonometric": meshverify.Affine3ClosedFamily(
-            threefold.Affine3ClosedForm("a1", 1.0, 0.4 - 0.2j, 0.1)),
+        "explicit hyperbolic": Affine3ClosedFamily(
+            Affine3ClosedForm("a2", 1.0, 0.35 + 0.45j, 0.2)),
+        "explicit trigonometric": Affine3ClosedFamily(
+            Affine3ClosedForm("a1", 1.0, 0.4 - 0.2j, 0.1)),
         "torus cone": meshverify.ConeOverLinkFamily((1.2, 2.0, 3.0), 0.4),
     }
     worst = 0.0
@@ -233,7 +234,6 @@ def test_criterion_10_scaling_invariance():
 
 
 def test_criterion_11_symmetry_algebra():
-    from slevolve.evodata import symmetry_algebra
     worst_br = worst_eta = worst_tan = 0.0
     for a, b in ((1, 2), (2, 2), (3, 1)):
         m = a + b
@@ -277,8 +277,7 @@ def test_criterion_12_affine_translation_law():
     worst_forms = 0.0
     t_check = np.linspace(-2.0, 2.0, 64)
     for variant in ("a1", "a2"):
-        form = threefold.Affine3ClosedForm(variant, 1.1 - 0.4j, 0.3 + 0.8j,
-                                           0.05)
+        form = Affine3ClosedForm(variant, 1.1 - 0.4j, 0.3 + 0.8j, 0.05)
         worst_forms = max(worst_forms, form.ode_residual(t_check))
         w = form.w(t_check)
         worst_forms = max(worst_forms, float(np.abs(
@@ -293,8 +292,8 @@ def test_criterion_12_affine_translation_law():
 def test_criterion_12_sees_a_perturbed_translation(monkeypatch):
     # dbeta was conj(w1 w2) itself, so the criterion's dbeta term read 0.0
     # whatever the beta formula said
-    terms = threefold.Affine3ClosedForm._beta_terms
-    monkeypatch.setattr(threefold.Affine3ClosedForm, "_beta_terms",
+    terms = Affine3ClosedForm._beta_terms
+    monkeypatch.setattr(Affine3ClosedForm, "_beta_terms",
                         lambda self: (*terms(self)[:3], terms(self)[3] + 1e-6))
     with pytest.raises(AssertionError, match="explicit-form defects 1"):
         test_criterion_12_affine_translation_law()

@@ -1,16 +1,18 @@
-"""Evolution-data constructions: quadrics, products, planar curves, the
-symmetry algebra, and the square-case classification."""
+"""Evolution-data constructions: quadrics, products and planar curves,
+checked by the oracle tangency residual, symmetry algebra and square-case
+classifier."""
 
 from math import comb
 
 import numpy as np
 import pytest
 
-from oracles import basis, lie_derivative_residual, perm_expand_contract
-from slevolve import ConstructionError, ValidationError, evodata
-from slevolve.evodata import (QuadricSpec, classify_square, curve_data,
-                              example_paraboloid, example_quadric,
-                              extend_product, quadric_data, symmetry_algebra)
+from oracles import (basis, chi_at, classify_square, lie_derivative_residual,
+                     max_tangency_residual, perm_expand_contract,
+                     symmetry_algebra, tangency_residual)
+from slevolve import ConstructionError, ValidationError, evodata, ode
+from slevolve.evodata import (QuadricSpec, curve_data, example_paraboloid,
+                              example_quadric, extend_product, quadric_data)
 
 
 def hatted(n, j, coeff):
@@ -53,7 +55,7 @@ class TestQuadricData:
             data = example_quadric(m, a, 1.0)
             rng = np.random.default_rng(41)
             x = rng.normal(size=m)
-            got = data.chi_at(x)
+            got = chi_at(data, x)
             want = np.zeros(m)
             for j in range(m):
                 sgn = 2.0 if j < a else -2.0
@@ -70,17 +72,21 @@ class TestQuadricData:
     def test_tangency_residual(self):
         for data in (example_quadric(3, 1, 1.0), example_quadric(4, 2, -1.0),
                      example_paraboloid(3, 2), example_paraboloid(4, 2)):
-            diag = data.validate(200, seed=1)
-            assert diag["max_tangency_residual"] <= 1e-10
-            assert diag["min_chi_norm"] > 0
-            assert diag["spans_ambient"]
+            # the residual is inf where chi vanishes, so chi(p) != 0 too
+            assert max_tangency_residual(data, 200, seed=1) <= 1e-10
+            # the samples span R^n, or R^(n+1) at height 1 for affine data
+            span = data.sample(2 * data.n, seed=2)
+            if data.kind == "affine":
+                span = np.column_stack([span, np.ones(len(span))])
+            tol = 1e-10 * max(1.0, np.abs(span).max()) * max(span.shape)
+            assert np.linalg.matrix_rank(span, tol=tol) == span.shape[1]
 
     def test_cone_excludes_vertex(self):
         data = example_quadric(3, 2, 0.0)
         pts = data.sample(200, seed=2)
         grads = np.array([np.linalg.norm(data.normals(p)[0]) for p in pts])
         assert grads.min() >= 1e-8
-        assert data.validate(100, seed=3)["max_tangency_residual"] <= 1e-10
+        assert max_tangency_residual(data, 100, seed=3) <= 1e-10
 
     def test_empty_level_set_rejected(self):
         spec = QuadricSpec(3, np.eye(3), np.zeros(3))
@@ -106,7 +112,7 @@ class TestExtendProduct:
         base = example_quadric(2, 1, 1.0)
         data = extend_product(base, 1)
         assert (data.n, data.m) == (3, 3)
-        assert data.validate(150, seed=4)["max_tangency_residual"] <= 1e-10
+        assert max_tangency_residual(data, 150, seed=4) <= 1e-10
 
     def test_k_zero_identity(self):
         base = example_quadric(2, 1, 1.0)
@@ -117,15 +123,14 @@ class TestExtendProduct:
         data = extend_product(base, 2)
         p = data.sample(5, seed=5)[0]
         assert data.m - 1 == 3
-        assert data.chi_at(p).shape == (comb(data.n, 3),)
+        assert chi_at(data, p).shape == (comb(data.n, 3),)
 
 
 class TestCurveData:
     def test_rotation_circle(self):
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
         data = curve_data(M, np.zeros(2), 2)
-        diag = data.validate(150, seed=6)
-        assert diag["max_tangency_residual"] <= 1e-10
+        assert max_tangency_residual(data, 150, seed=6) <= 1e-10
         pts = data.sample(100, seed=7)
         radii = np.linalg.norm(pts, axis=1)
         assert radii.max() - radii.min() <= 1e-9  # integral curves are circles
@@ -159,10 +164,26 @@ class TestCurveData:
         # a point depends on its draw time alone: repeat draws repeat bits
         assert np.array_equal(data.sample(40, seed=3), pts)
 
+    def test_flow_integrated_once_per_data(self, monkeypatch):
+        # the two runs, to +t_max and to -t_max, depend on (M, v) alone:
+        # every sample call reads them, whatever its count and seed
+        runs = []
+        real = ode.solve
+
+        def spy(*args, **kw):
+            runs.append(real(*args, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(ode, "solve", spy)
+        data = curve_data(*SPIRAL, 3)
+        for count, seed in ((1, 0), (40, 2), (200, 7)):
+            assert data.sample(count, seed).shape == (count, 3)
+        assert len(runs) == 2
+
     def test_identity_field_formula(self):
         data = curve_data(np.eye(2), np.zeros(2), 3)
         x = np.array([0.7, -1.1, 0.4])
-        got = data.chi_at(x)
+        got = chi_at(data, x)
         want = x[0] * basis(3, (0, 2)) + x[1] * basis(3, (1, 2))
         assert np.allclose(got, want, atol=1e-15)
 
@@ -227,20 +248,15 @@ class TestNormalsProtocol:
 
     @pytest.mark.parametrize("label", list(CASES))
     def test_frames_and_tangency_per_point(self, label):
-        # tangent_bases and tangency_residual call normals once per stack;
-        # a point's frame, chi and tangency residual are the ones it has
-        # alone
+        # tangent_bases calls normals once per stack; a point's frame is the
+        # one it has alone, and chi is tangent at every point
         data = self.CASES[label]()
         pts = data.sample(12, 5)
         bases = data.tangent_bases(pts)
-        chis = data.chi_at(pts)
-        tangency = data.tangency_residual(pts)
+        tangency = tangency_residual(data, pts)
         assert tangency.shape == (12,) and tangency.max() <= 1e-10
-        for p, basis_p, chi_p, tangency_p in zip(pts, bases, chis, tangency):
+        for p, basis_p in zip(pts, bases):
             assert basis_p.tobytes() == data.tangent_basis(p).tobytes()
-            assert chi_p.tobytes() == data.chi_at(p).tobytes()
-            assert (tangency_p.tobytes()
-                    == data.tangency_residual(p[None]).tobytes())
 
 
 class TestSymmetryAlgebra:
@@ -355,8 +371,8 @@ class TestClassifySquare:
                      extend_product(example_quadric(2, 1, 1.0), 1)):
             back = evodata.evolution_data_from_dict(data.to_json_dict())
             x = rng.normal(size=data.n)
-            assert np.allclose(back.chi_at(x), data.chi_at(x), atol=1e-14)
-            assert back.validate(40, 0)["max_tangency_residual"] <= 1e-10
+            assert np.allclose(chi_at(back, x), chi_at(data, x), atol=1e-14)
+            assert max_tangency_residual(back, 40, 0) <= 1e-10
 
     def test_bad_document_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ admissibility diagnostics, and the adaptive integrator with its guards."""
 import numpy as np
 import pytest
 
-from oracles import eval_omega
+from oracles import Affine3ClosedForm, eval_omega
 from slevolve import NumericalError, ValidationError, centred, ode
 from slevolve.affine import (AffineParams, affine_initial, integrate_affine,
                              rhs_affine)
@@ -65,6 +65,25 @@ class TestSpecialization:
             off = der.A - np.diag(np.diag(der.A))
             assert np.abs(off).max() <= 1e-12
             assert abs(der.A[m - 1, m - 1]) <= 1e-12
+
+    @pytest.mark.parametrize("variant,a", [("a2", 2), ("a1", 1)])
+    def test_paraboloid_follows_the_explicit_m3_solution(self, variant, a):
+        # the engine itself, not its right-hand side, against the explicit
+        # translated solution: A(t) = diag(w_1, w_2, 1), t0(t) = beta(t) e_3;
+        # without chi's constant column t0 is off by more than 1
+        form = Affine3ClosedForm(variant, 1.2 - 0.3j, 0.4 + 0.9j, 0.1)
+        w1, w2 = form.w(0.0)
+        phi0 = EvolMap(3, 3, np.diag([w1, w2, 1.0]),
+                       [0.0, 0.0, form.beta(0.0)])
+        traj = integrate(phi0, example_paraboloid(3, a), 1.0, checkpoints=33)
+        assert not traj.escaped and traj.times[-1] == 1.0
+        w = form.w(traj.times)
+        want_A = np.zeros((33, 3, 3), complex)
+        want_A[:, [0, 1, 2], [0, 1, 2]] = np.column_stack([w, np.ones(33)])
+        want_t0 = np.zeros((33, 3), complex)
+        want_t0[:, 2] = form.beta(traj.times)
+        assert np.abs([p.A for p in traj.maps] - want_A).max() <= 1e-8
+        assert np.abs([p.t0 for p in traj.maps] - want_t0).max() <= 1e-8
 
     def test_real_maps_stay_real(self):
         data = example_quadric(3, 1, 1.0)

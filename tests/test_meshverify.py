@@ -8,16 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (Frame, RotatedPlaneFamily, eval_omega,
-                     eval_omega_complex, gram_volume)
-from slevolve import ValidationError, affine, centred, meshverify, threefold
+from oracles import (Affine3ClosedFamily, Affine3ClosedForm, Frame,
+                     RotatedPlaneFamily, eval_omega, eval_omega_complex,
+                     gram_volume)
+from slevolve import ValidationError, affine, centred, meshverify
 from slevolve.multilinear import complex_to_real
-from slevolve.meshverify import (Affine3ClosedFamily, AffineFamily,
-                                 CentredFamily, ConeOverLinkFamily, Mesh,
-                                 QuadricChart, _report, _residuals, export,
-                                 import_json, mesh_affine, mesh_centred,
-                                 mesh_link, mesh_residual_report,
-                                 rebuild_family, sl_residuals)
+from slevolve.meshverify import (AffineFamily, CentredFamily,
+                                 ConeOverLinkFamily, Mesh, QuadricChart,
+                                 _report, _residuals, export, import_json,
+                                 mesh_affine, mesh_centred, mesh_link,
+                                 mesh_residual_report, rebuild_family,
+                                 sl_residuals)
 
 P122 = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
 
@@ -152,7 +153,7 @@ class TestResiduals:
 
     def test_closed_affine_forms(self):
         for variant in ("a1", "a2"):
-            form = threefold.Affine3ClosedForm(variant, 1.0, 0.4 + 0.2j, 0.0)
+            form = Affine3ClosedForm(variant, 1.0, 0.4 + 0.2j, 0.0)
             rep = sl_residuals(Affine3ClosedFamily(form), 500, 8)
             assert rep.max_residual() <= 1e-8
 
@@ -184,7 +185,7 @@ class TestResiduals:
             assert rep.max_residual() <= 1e-6
 
     def test_fd_tangents_second_order(self):
-        form = threefold.Affine3ClosedForm("a1", 1.0, 0.4 + 0.2j, 0.0)
+        form = Affine3ClosedForm("a1", 1.0, 0.4 + 0.2j, 0.0)
         fam = Affine3ClosedFamily(form)
         P = fam.sample_params(60, 9)
         r1, r2 = (_report(*_residuals(fam.fd_frames(P, probe)))
@@ -311,7 +312,7 @@ class TestMeshAffine:
         C = 0.5 * (w0[0] + np.conj(w0[1]))
         D = 0.5 * (w0[0] - np.conj(w0[1]))
         E = b0 - 0.5 * abs(C) ** 2 - 0.5 * abs(D) ** 2
-        form = threefold.Affine3ClosedForm("a2", C, D, E)
+        form = Affine3ClosedForm("a2", C, D, E)
         mesh = mesh_affine(params, (0.0, 1.2), resolution=(6, 10),
                            profile_radii=(0.75,))
         Z = mesh.vertices[:, 0::2] + 1j * mesh.vertices[:, 1::2]

@@ -9,9 +9,10 @@ import pytest
 
 from oracles import (ComplexPoint, Frame, basis, eval_omega,
                      eval_omega_complex, frame_forms_hermitian, gram_volume,
-                     perm_expand_contract, pushforward, real_to_complex)
+                     perm_expand_contract, pushforward, real_to_complex,
+                     symmetry_algebra)
 from slevolve import ValidationError
-from slevolve.evodata import EvolutionData, symmetry_algebra
+from slevolve.evodata import EvolutionData
 from slevolve.multilinear import (complex_to_real, frame_forms,
                                   insertion_table, k_subsets)
 

@@ -1,14 +1,14 @@
 """Three-dimensional specializations: the cone link circle, the conformal
-sweep of the cone-over-link family, and the fully explicit translated
-solutions."""
+sweep of the cone-over-link family, and the oracle's fully explicit
+translated solutions against their defining system."""
 
 import numpy as np
 import pytest
 
-from oracles import link_conformality, link_grid
+from oracles import Affine3ClosedForm, link_conformality, link_grid
 from slevolve import ValidationError, centred, elliptic
 from slevolve.meshverify import ConeOverLinkFamily
-from slevolve.threefold import Affine3ClosedForm, cross_section
+from slevolve.threefold import cross_section
 
 SYM = (2 / 3, 4 / 3, 4 / 3)
 ASYM = (1.2, 2.0, 3.0)       # 1/1.2 = 1/2 + 1/3
@@ -159,16 +159,8 @@ class TestAffine3Closed:
         assert _dbeta_defect(form, t) > 1e-7
         assert form.ode_residual(t) > 1e-7
 
-    def test_planar_degenerations(self):
-        # hyperbolic variant: planar iff Im(C conj D) = 0
-        f = Affine3ClosedForm("a2", 1.0 + 0.5j, 2.0 + 1.0j, 0.3)
-        assert f.is_planar()
-        # trigonometric variant: planar iff |C| = |D|
-        g = Affine3ClosedForm("a1", 1.0 + 0.0j, 0.6 + 0.8j, 0.0)
-        assert g.is_planar()
-        assert not Affine3ClosedForm("a1", 1.0, 0.4, 0.0).is_planar()
-
     def test_planar_points_affinely_flat(self):
+        # hyperbolic variant with Im(C conj D) = 0: one affine 3-plane
         f = Affine3ClosedForm("a2", 1.0 + 0.5j, 2.0 + 1.0j, 0.3)
         X1, X2, T = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
                                 np.linspace(0, 1, 6), indexing="ij")
@@ -188,12 +180,6 @@ class TestAffine3Closed:
         assert np.abs(form.w(t)[..., 1]
                       + 1j * np.conj(C) * np.exp(-1j * t)).max() <= 1e-14
         assert form.ode_residual(t) <= 1e-14
-
-    def test_zero_coefficients_rejected(self):
-        with pytest.raises(ValidationError):
-            Affine3ClosedForm("a1", 0.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            Affine3ClosedForm("zz", 1.0, 0.0, 0.0)
 
     def test_point_set_shape_and_quadric_elimination(self):
         form = Affine3ClosedForm("a1", 1.0, 0.5, 0.0)

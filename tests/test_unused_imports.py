@@ -1,7 +1,8 @@
 """Every module of the package, the test suite and the benchmark reads each
-name it imports, or marks the import ``# noqa: F401``, and the package reads
-each module-level private name it defines: static scans with ``ast``, so no
-linter is needed."""
+name it imports, or marks the import ``# noqa: F401``, the package reads
+each module-level private name it defines, and the package or the benchmark
+reads each module-level public function and class of the package: static
+scans with ``ast``, so no linter is needed."""
 
 import ast
 import os
@@ -9,6 +10,13 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src/slevolve", "tests", "bench")
 PACKAGE = "src/slevolve"
+
+# public names of the package that only tests run, each kept on purpose
+TEST_ONLY = {
+    "rhs_general": "the engine's one-map right-hand side: the generated "
+                   "kernel's test reference and a benchmark metric name",
+    "example_paraboloid": "the paraboloid sibling of example_quadric",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -55,11 +63,12 @@ def private_names(source: str) -> list:
             if name.startswith("_") and not name.startswith("__")]
 
 
-def names_read(source: str) -> set:
-    """Every name a module reads: as a name, as an attribute, or through
-    ``from ... import``."""
+def names_read(source) -> set:
+    """Every name a module, or a parsed node, reads: as a name, as an
+    attribute, or through ``from ... import``."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         load = isinstance(getattr(node, "ctx", None), ast.Load)
         if isinstance(node, ast.Name) and load:
             read.add(node.id)
@@ -116,3 +125,41 @@ def test_no_orphaned_private_names():
     found = [f"{path}:{line}: {name}" for path, source in sources.items()
              for line, name in private_names(source) if name not in read]
     assert not found, "defined and never read: " + ", ".join(found)
+
+
+def unread_public_names(package: dict, readers: dict) -> list:
+    """(path, line, name) of each public module-level function and class of
+    the ``package`` sources that no top-level statement of the ``package``
+    or ``readers`` sources reads, its own definition excluded."""
+    trees = {path: ast.parse(source)
+             for path, source in {**package, **readers}.items()}
+    reads = [(node, names_read(node)) for tree in trees.values()
+             for node in tree.body]
+    return [(path, node.lineno, node.name) for path in package
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names
+                        for other, names in reads if other is not node)]
+
+
+def test_scan_finds_unread_public_names():
+    package = {"a.py": "def run():\n    return run\n"
+                       "def used():\n    pass\nclass Kept:\n    pass\n"
+                       "class Alone:\n    pass\n_X = used\n",
+               "b.py": "from .a import Kept\n"}
+    readers = {"bench.py": "import a\na.helper(a.Alone)\n"}
+    assert unread_public_names(package, readers) == [("a.py", 1, "run")]
+    assert unread_public_names(package, {}) == [("a.py", 1, "run"),
+                                                 ("a.py", 7, "Alone")]
+
+
+def test_public_names_are_run():
+    # a public function or class of the package is run by the package or
+    # the benchmark, not by tests alone, unless it is kept on purpose
+    unread = unread_public_names(_sources(PACKAGE), _sources("bench"))
+    found = [f"{path}:{line}: {name}" for path, line, name in unread
+             if name not in TEST_ONLY]
+    assert not found, "read only by tests: " + ", ".join(found)
+    # an entry whose name the package or the benchmark now runs goes
+    assert set(TEST_ONLY) <= {name for _, _, name in unread}
