@@ -3,6 +3,8 @@ Lagrangian submanifolds of C^m swept out by evolving quadrics.
 
 Layers, bottom up:
 
+- ``errors``: the exception types and the input checks layers share (counts,
+  the normalized gauge of the alphas).
 - ``multilinear``: k-subset indexing of k-vectors over R^n with its one
   primitive, the insertion table (the signs and ranks of e_i ^ e_K), and
   the one kernel that evaluates omega and Omega on tangent frames in

@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ode
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, _check_count,
+                     _check_gauge)
 from .roots import brent, companion_roots
 
 _CASE_TOL = 1e-10
@@ -120,18 +121,6 @@ class CentredParams:
                 f"case (d) requires 0 < A < {self.A_max:.6g}, got A={self.A}")
 
 
-def _check_gauge(al: np.ndarray, a: int) -> None:
-    """Finite positive alphas in the normalized gauge: sum_{j<=a} 1/alpha_j
-    and sum_{j>a} 1/alpha_j agree to 1e-9 of the largest 1/alpha_j."""
-    if not np.all((al > 0) & (al < np.inf)):
-        raise ValidationError("alphas must be finite and positive")
-    inv = 1.0 / al
-    if abs(np.sum(inv[:a]) - np.sum(inv[a:])) > 1e-9 * np.max(inv):
-        raise ValidationError(
-            "alphas are not in the normalized gauge sum_{j<=a} 1/alpha_j = "
-            "sum_{j>a} 1/alpha_j; run normalize_lambda")
-
-
 @lru_cache(maxsize=256)
 def _q_coefficients(alphas: tuple, a: int) -> np.ndarray:
     al = np.asarray(alphas)
@@ -185,10 +174,8 @@ class PeriodicSolution:
     def __post_init__(self):
         if sum(self.int_angles) != 0:
             raise ValidationError("integer angles must sum to zero")
-        g = self.denom
-        for aj in self.int_angles:
-            g = gcd(g, abs(aj))
-        if g != 1:
+        _check_count(self.denom, "the denominator")
+        if _reduce_hcf(self.int_angles, self.denom)[1] != self.denom:
             raise ValidationError("integer data not in lowest terms")
 
     @property
@@ -490,10 +477,53 @@ def turning_points(params: CentredParams, A: np.ndarray) -> tuple:
     return roots[:n], roots[n:]
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(npts: int) -> tuple:
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
+# The 16- and 32-point Gauss-Legendre rules on [-1, 1], each the (node,
+# weight) pairs of its positive half, as numpy.polynomial.legendre.leggauss
+# gives them (repr round-trips a double).  The rules are symmetric, so
+# exact negation gives the other half: the bits of leggauss, ascending.
+_GL16_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_GL32_HALF = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+)
+
+
+def _symmetric_rule(half: tuple) -> np.ndarray:
+    """A symmetric rule's ascending nodes and weights, (2, n), from the
+    pairs of its positive half."""
+    x, w = np.array(half).T
+    return np.array([np.concatenate([-x[::-1], x]),
+                     np.concatenate([w[::-1], w])])
+
+
+# one set of panel nodes: the 16-point rule, then the 32-point rule
+_GL_RULES = np.hstack([_symmetric_rule(_GL16_HALF),
+                       _symmetric_rule(_GL32_HALF)])
+_GL_RULES.flags.writeable = False
+_GL_NODES, _GL_WEIGHTS = _GL_RULES
 
 
 class Nodes(NamedTuple):
@@ -530,8 +560,6 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, describe=None) -> tuple:
     budget; ``describe(r)`` names row r in the message.  A NaN, infinite or
     negative tol raises ValidationError (tol = 0 leaves the rounding floor).
     """
-    (x16, w16), (x32, w32) = _gl_rule(16), _gl_rule(32)
-    nodes, weights = np.concatenate([x16, x32]), np.concatenate([w16, w32])
     a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))
     n_rows = a.size
     describe = describe or (lambda r: f"quadrature row {r}")
@@ -541,7 +569,7 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, describe=None) -> tuple:
     total = b - a
     # a panel's share of tol per unit of its half width
     share = 2.0 * tol / np.where(total == 0, 1.0, total)
-    call_panels = max(1, _CALL_NODES // nodes.size)
+    call_panels = max(1, _CALL_NODES // _GL_NODES.size)
     floor = 64.0 * np.finfo(float).eps
     stack = np.column_stack([np.arange(n_rows), a, b, np.zeros(n_rows)])
     panels = np.zeros(n_rows, dtype=np.intp)
@@ -555,9 +583,9 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, describe=None) -> tuple:
                 f"{describe(int(np.argmax(panels)))}: quadrature panel "
                 f"budget of {_PANEL_BUDGET} panels exhausted")
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = f(Nodes(mid[:, None] + half[:, None] * nodes, rows))
-        vals *= weights
-        sums = np.add.reduceat(vals, (0, x16.size), axis=-1)
+        vals = f(Nodes(mid[:, None] + half[:, None] * _GL_NODES, rows))
+        vals *= _GL_WEIGHTS
+        sums = np.add.reduceat(vals, (0, 16), axis=-1)   # each rule's sum
         sums *= half[:, None, None]
         i32 = sums[..., 1]                                    # (P, K)
         err = np.abs(i32 - sums[..., 0])

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, centred
+from . import __version__
 from .errors import NumericalError, ValidationError, _check_count
 
 # Each command imports the modules only it needs inside its function, so
@@ -109,6 +109,7 @@ def _alphas_for(ns, letters: int) -> tuple:
     """The alphas of --alphas, or of --family sym over ``letters`` letters
     (m for the centred families, m-1 for the affine one)."""
     if getattr(ns, "family", None) == "sym":
+        from . import centred
         return centred.symmetric_alphas(letters, ns.a)
     if ns.alphas is None:
         raise ValidationError("--alphas is required (or --family sym)")
@@ -170,6 +171,7 @@ def cmd_evolve(ns) -> int:
 
 
 def cmd_betas(ns) -> int:
+    from . import centred
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
@@ -181,6 +183,7 @@ def cmd_betas(ns) -> int:
 
 
 def cmd_limits(ns) -> int:
+    from . import centred
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     lim = centred.beta_limits(alphas, ns.a)
@@ -195,6 +198,7 @@ def cmd_limits(ns) -> int:
 
 
 def cmd_search(ns) -> int:
+    from . import centred
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     _check_count(ns.bmax, "--bmax")
@@ -224,6 +228,7 @@ def cmd_search(ns) -> int:
 def _write_scan_csv(ns, alphas) -> None:
     """The betas on the grid ``periodic_search`` scanned, at its
     quadrature tolerance: the rows the search bracketed on."""
+    from . import centred
     A_grid = centred.search_grid(float(np.sqrt(np.prod(alphas))), ns.grid)
     rows = centred.betas_grid(
         centred.CentredParams(ns.m, ns.a, alphas, A_grid[0], c=ns.c), A_grid,
@@ -238,7 +243,7 @@ def _write_scan_csv(ns, alphas) -> None:
 
 def cmd_mesh(ns) -> int:
     from . import affine as affine_mod
-    from . import meshverify
+    from . import centred, meshverify
     resolution = ns.resolution.split("x")
     t_end = 2.0 if ns.t_end is None else ns.t_end
     if ns.kind == "centred":
@@ -343,6 +348,7 @@ def cmd_affine(ns) -> int:
 
 
 def cmd_report(ns) -> int:
+    from . import centred
     cfg = _resolved_config(ns)
     alphas = _alphas_for(ns, ns.m)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)

@@ -1,6 +1,9 @@
 """Exception types shared across the library and the CLI exit-code map,
-the lower-bound check that counts share, and the recipe view that turns a
-missing key of a file's document into bad input."""
+the lower-bound check that counts share, the normalized-gauge check that
+the centred and three-dimensional alphas share, and the recipe view that
+turns a missing key of a file's document into bad input."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -39,3 +42,15 @@ def _check_count(value: int, name: str, least: int = 1) -> None:
     ``least``."""
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_gauge(al: np.ndarray, a: int) -> None:
+    """Finite positive alphas in the normalized gauge: sum_{j<=a} 1/alpha_j
+    and sum_{j>a} 1/alpha_j agree to 1e-9 of the largest 1/alpha_j."""
+    if not np.all((al > 0) & (al < np.inf)):
+        raise ValidationError("alphas must be finite and positive")
+    inv = 1.0 / al
+    if abs(np.sum(inv[:a]) - np.sum(inv[a:])) > 1e-9 * np.max(inv):
+        raise ValidationError(
+            "alphas are not in the normalized gauge sum_{j<=a} 1/alpha_j = "
+            "sum_{j>a} 1/alpha_j; run normalize_lambda")

@@ -573,7 +573,6 @@ def _dop853(system, t_end, y0, rtol, atol, event, t_eval, where):
     seg_t_old, seg_h, seg_y_old, seg_F = [], [], [], []
     if not dense:
         # ascending (forward runs); bisect on the list is searchsorted's answer
-        t_eval = np.asarray(t_eval, dtype=float)
         t_eval_list = t_eval.tolist()
         t_eval_i = 0
         eval_segs = np.empty(t_eval.size, dtype=int)
@@ -711,14 +710,16 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     shape; a ``System`` brings its own stage call, any other callable is
     stepped through the numpy adapter.  Without ``t_eval`` the solution
     carries its dense output, and the one upward ``Event``, if given, is
-    located on it; with ``t_eval`` (ascending times inside the interval of
+    located on it; with ``t_eval`` (non-decreasing times in [0, t_end] of
     a forward run) only the values there are kept, and only steps
     containing one of those times pay for an interpolant.  An event given
-    with ``t_eval``, or ``t_eval`` with t_end < 0, raises
-    ``ValidationError``, and so do a NaN or infinite t_end, which no step
-    can reach, a NaN or infinite tolerance, on which no step size is ever
-    too small, and a negative atol, which scipy refuses too (an rtol below
-    100 eps is raised to it, as scipy does).  A run that cannot reach t_end
+    with ``t_eval``, ``t_eval`` with t_end < 0, and a ``t_eval`` that is
+    not 1-D, finite, non-decreasing and inside [0, t_end] (it would be read
+    off the wrong step or beyond the run) raise ``ValidationError``, and so
+    do a NaN or infinite t_end, which no step can reach, a NaN or infinite
+    tolerance, on which no step size is ever too small, and a negative
+    atol, which scipy refuses too (an rtol below 100 eps is raised to it,
+    as scipy does).  A run that cannot reach t_end
     raises ``IntegrationError``, naming ``stage``, ``params``, the time
     reached, the last step size tried and the tolerances.
     """
@@ -733,9 +734,18 @@ def solve(rhs, z0, t_end: float, rtol: float, atol: float, *, stage: str,
     if event is not None and t_eval is not None:
         raise ValidationError(f"{stage} takes an event or t_eval, not both "
                               f"({where})")
-    if t_eval is not None and t_end < 0:
-        raise ValidationError(f"{stage} takes t_eval on forward runs only "
-                              f"({where}): got t_end = {float(t_end)!r}")
+    if t_eval is not None:
+        if t_end < 0:
+            raise ValidationError(f"{stage} takes t_eval on forward runs "
+                                  f"only ({where}): got t_end = "
+                                  f"{float(t_end)!r}")
+        t_eval = np.asarray(t_eval, dtype=float)
+        # a NaN or infinite time fails the bounds
+        if not (t_eval.ndim == 1 and np.all(np.diff(t_eval) >= 0)
+                and np.all((0.0 <= t_eval) & (t_eval <= t_end))):
+            raise ValidationError(
+                f"{stage} needs t_eval as finite, non-decreasing times in "
+                f"[0, t_end = {float(t_end)!r}] ({where})")
     if not isinstance(rhs, System):
         rhs = _numpy_system(rhs)
     z0 = np.asarray(z0, dtype=complex)

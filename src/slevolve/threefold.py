@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .centred import _check_gauge
-from .errors import ValidationError
+from .errors import ValidationError, _check_gauge
 
 
 @dataclass(frozen=True)

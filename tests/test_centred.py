@@ -2,6 +2,7 @@
 quadrature against direct integration, limits, and the periodicity search."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -567,6 +568,12 @@ class TestTopologyLabels:
             self._sol((-8, 4, 5), 7, 0.0)  # does not sum to zero
         with pytest.raises(ValidationError):
             self._sol((-8, 4, 4), 8, 0.0)  # common factor with b
+        # no period is b T with b below 1: both constructed, and the second
+        # failed only later, in verify_periodic
+        with pytest.raises(ValidationError, match="denominator"):
+            self._sol((2, -1, -1), 0, 0.0)
+        with pytest.raises(ValidationError, match="denominator"):
+            self._sol((-8, 4, 4), -7, 0.0)
 
 
 # each misses r = k/b = 3/11, 4/11, 2/11, 3/11 and 6/11, near beta_-'s A -> 0
@@ -591,6 +598,20 @@ class TestPeriodicSearch:
         sol = next(s for s in sols if s.denom == 7)
         check = verify_periodic(sol)
         assert check["max_defect"] <= 1e-6
+
+    def test_verification_rejects_what_is_not_closed(self):
+        # the defect measures the construction: the true solution closes,
+        # while wrong angles or a slightly wrong A stay open above the
+        # README's verify threshold of 1e-6
+        sol = next(s for s in periodic_search(symmetric_alphas(3, 1), 1, 8)
+                   if s.int_angles == (-8, 4, 4))
+        params = sol.params
+        assert verify_periodic(sol)["max_defect"] <= 1e-9
+        wrong = [PeriodicSolution(params, (-6, 3, 3), 7)]
+        wrong += [PeriodicSolution(replace(params, A=params.A * (1 + e)),
+                                   (-8, 4, 4), 7) for e in (1e-4, 1e-6)]
+        for open_sol in wrong:
+            assert verify_periodic(open_sol)["max_defect"] > 1e-6
 
     def test_m2_everything_periodic(self):
         sols = periodic_search((1.3, 1.3), 1, b_max=4, tol=1e-8, n_grid=12)
@@ -764,6 +785,27 @@ class TestBatchedQuadrature:
         # panels each row takes when run alone
         assert (sum(n for _, n in grid_calls)
                 == self._nodes_alone(calls, params, A))
+
+    def test_rules_are_leggauss_bitwise(self):
+        # the constant rules hold numpy's bits, weights included: the
+        # reference files pin quadratures on them
+        leggauss = np.polynomial.legendre.leggauss
+        for got, n in ((slice(0, 16), 16), (slice(16, 48), 32)):
+            x, w = leggauss(n)
+            assert centred._GL_NODES[got].tobytes() == x.tobytes()
+            assert centred._GL_WEIGHTS[got].tobytes() == w.tobytes()
+        assert not centred._GL_NODES.flags.writeable
+        assert not centred._GL_WEIGHTS.flags.writeable
+
+    def test_rule_nodes_are_legendre_roots(self):
+        # each node within 2 ulp of a 50-digit root of P_16 or P_32
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for got, n in ((slice(0, 16), 16), (slice(16, 48), 32)):
+                for x in centred._GL_NODES[got]:
+                    root = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                           mpmath.mpf(x))
+                    assert abs(mpmath.mpf(x) - root) <= 2 * np.spacing(abs(x))
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_bad_tol_rejected(self, tol):

@@ -331,6 +331,21 @@ class TestDriver:
                       stage="test", params={},
                       t_eval=np.linspace(0.0, -5.0, 41))
 
+    @pytest.mark.parametrize("t_eval", [
+        [1.5, 0.5],         # descending: one step's interpolant past its step
+        [0.5, 3.0],         # past t_end: one value for two times
+        [-0.5, 1.0],        # before the start: extrapolated
+        [0.5, np.nan],
+        [[0.5, 1.0]],       # not 1-D
+    ])
+    def test_bad_t_eval_refused(self, t_eval):
+        # on dz/dt = -z to t = 2 each was read off the wrong step, beyond
+        # the run, or not at all, without an error
+        with pytest.raises(ValidationError,
+                           match=r"decay needs t_eval .* \(k=1\)"):
+            ode.solve(lambda t, y: -y, [1.0 + 0j], 2.0, 1e-10, 1e-12,
+                      stage="decay", params={"k": 1}, t_eval=t_eval)
+
     def test_t_eval_at_step_times(self):
         # t_eval holding the exact step times of the same run: at each tie
         # the bisect window must be searchsorted's (side="right"), or a
@@ -462,13 +477,16 @@ print(json.dumps([slevolve.cli.main(json.loads(sys.argv[1]))]))
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
+# the scipy and slevolve modules a command leaves loaded, and
+# numpy.polynomial, which no quadrature needs
 _PROBE = """
 import json, sys
 import slevolve.cli
 argv = json.loads(sys.argv[1])
 rc = slevolve.cli.main(argv) if argv else 0
 print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m.split(".")[0] == "scipy")]))
+                             if m.split(".")[0] in ("scipy", "slevolve")
+                             or m == "numpy.polynomial")]))
 """
 
 
@@ -501,10 +519,14 @@ def _run_probe(probe, argv, cwd, timeout=60):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _scipy_modules_after(argv, cwd, probe=_PROBE):
+def _modules_after(argv, cwd, probe=_PROBE):
     rc, mods = _run_probe(probe, argv, cwd, timeout=120)
     assert rc == 0
     return mods
+
+
+def _scipy(mods):
+    return [m for m in mods if m.split(".")[0] == "scipy"]
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
@@ -544,10 +566,28 @@ def test_cli_commands_load_no_scipy(tmp_path):
          "--resolution", "9x16", "--with-residuals", "--out", "m.json"],
     ]
     for argv in argvs:
-        assert _scipy_modules_after(argv, tmp_path) == [], argv
+        mods = _modules_after(argv, tmp_path)
+        assert _scipy(mods) == [], argv
+        # the quadrature rules are constants
+        assert "numpy.polynomial" not in mods, argv
+
+
+def test_commands_load_only_their_layers(tmp_path):
+    # the front end alone loads no layer; crosssection runs the closed form
+    # only, and evolve the general engine without the centred quadrature
+    quadrature = {"slevolve.centred", "slevolve.ode", "slevolve.roots"}
+    assert _modules_after([], tmp_path) == [
+        "slevolve", "slevolve.cli", "slevolve.errors"]
+    mods = _modules_after(["crosssection", "--alphas", "1.2,2,3",
+                           "--summary", "c.json"], tmp_path)
+    assert quadrature.isdisjoint(mods)
+    assert {"slevolve.threefold", "slevolve.elliptic"} <= set(mods)
+    mods = _modules_after(["evolve", "--m", "3", "--a", "1", "--t-end", "1",
+                           "--summary", "s.json"], tmp_path)
+    assert "slevolve.centred" not in mods and "slevolve.evolver" in mods
 
 
 def test_root_finding_loads_no_scipy(tmp_path):
     # normalize_lambda, periodic_search, verify_periodic and betas_ode with
     # its firing period event all find roots with roots.brent
-    assert _scipy_modules_after([], tmp_path, _LIBRARY_PROBE) == []
+    assert _scipy(_modules_after([], tmp_path, _LIBRARY_PROBE)) == []
