@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ode
 from .errors import (NumericalError, ValidationError, _check_count,
-                     _check_gauge)
+                     _check_gauge, _check_tolerance)
 from .roots import brent, companion_roots
 
 _CASE_TOL = 1e-10
@@ -371,7 +371,7 @@ def normalize_lambda(w0_sq, a: int) -> tuple:
             raise NumericalError("normalization bracketing failed")
     lam = float(brent(lambda x, rows: np.array([f(v) for v in x.tolist()]),
                       lo + eps, hi - eps, xtol=1e-15 * max(1.0, span),
-                      rtol=8.9e-16, stage="normalize_lambda",
+                      stage="normalize_lambda",
                       params={"m": m, "a": a})[0])
     # two Newton steps to push the residual to rounding level
     for _ in range(2):
@@ -563,9 +563,7 @@ def adaptive_gauss(f, a, b, tol: float = 1e-12, describe=None) -> tuple:
     a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))
     n_rows = a.size
     describe = describe or (lambda r: f"quadrature row {r}")
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"{describe(0)}: the tolerance must be finite "
-                              f"and non-negative")
+    _check_tolerance(tol, f"{describe(0)}: the tolerance")
     total = b - a
     # a panel's share of tol per unit of its half width
     share = 2.0 * tol / np.where(total == 0, 1.0, total)
@@ -969,13 +967,9 @@ def periodic_search(alphas, a: int, b_max: int, tol: float = 1e-8,
     tol.  An empty result is not an error; a NaN, infinite or negative tol
     raises ValidationError.
     """
-    if b_max < 1:
-        raise ValidationError(f"b_max must be at least 1, got {b_max}")
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and non-negative, "
-                              f"got {tol!r}")
-    if n_grid < 2:
-        raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
+    _check_count(b_max, "b_max")
+    _check_tolerance(tol, "tol")
+    _check_count(n_grid, "n_grid", 2)
     al = np.asarray(alphas, dtype=float)
     if al.ndim != 1:
         raise ValidationError("alphas must be one tuple of numbers")

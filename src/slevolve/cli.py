@@ -105,15 +105,20 @@ def _resolved_config(ns: argparse.Namespace) -> dict:
             if k not in ("func", "config") and v is not None}
 
 
-def _alphas_for(ns, letters: int) -> tuple:
-    """The alphas of --alphas, or of --family sym over ``letters`` letters
-    (m for the centred families, m-1 for the affine one)."""
+def _alphas_for(ns, letters: int, a: int) -> tuple:
+    """The alphas of --alphas, which must number ``letters`` (m for the
+    centred families, m-1 for the affine one, 3 for the link circle), or
+    --family sym's ``symmetric_alphas(letters, a)``."""
     if getattr(ns, "family", None) == "sym":
         from . import centred
-        return centred.symmetric_alphas(letters, ns.a)
+        return centred.symmetric_alphas(letters, a)
     if ns.alphas is None:
         raise ValidationError("--alphas is required (or --family sym)")
-    return tuple(_parse_numbers(ns.alphas, "--alphas", float))
+    alphas = tuple(_parse_numbers(ns.alphas, "--alphas", float))
+    if len(alphas) != letters:
+        raise ValidationError(f"--alphas: this command takes {letters} "
+                              f"values, got {len(alphas)}")
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,9 @@ def cmd_evolve(ns) -> int:
 def cmd_betas(ns) -> int:
     from . import centred
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m)
-    params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
+    alphas = _alphas_for(ns, ns.m, ns.a)
+    # the angles do not depend on the level c, which keeps its default
+    params = centred.CentredParams(ns.m, ns.a, alphas, ns.A)
     result = centred.betas(params, tol=ns.quad_tol)
     payload = result.to_dict()
     payload["case"] = centred.classify_case(params)
@@ -185,7 +191,7 @@ def cmd_betas(ns) -> int:
 def cmd_limits(ns) -> int:
     from . import centred
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m)
+    alphas = _alphas_for(ns, ns.m, ns.a)
     lim = centred.beta_limits(alphas, ns.a)
     payload = {
         "k": lim.k, "l": lim.l,
@@ -200,7 +206,7 @@ def cmd_limits(ns) -> int:
 def cmd_search(ns) -> int:
     from . import centred
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m)
+    alphas = _alphas_for(ns, ns.m, ns.a)
     _check_count(ns.bmax, "--bmax")
     _check_count(ns.grid, "--grid", 2)
     _progress(f"searching alphas={alphas} with b_max={ns.bmax}")
@@ -246,18 +252,25 @@ def cmd_mesh(ns) -> int:
     from . import centred, meshverify
     resolution = ns.resolution.split("x")
     t_end = 2.0 if ns.t_end is None else ns.t_end
+    if ns.kind != "centred" and ns.c is not None:
+        raise ValidationError(f"--c applies to --kind centred only, not to "
+                              f"--kind {ns.kind}")
+    if ns.kind == "link" and (ns.m, ns.a) != (3, 1):
+        raise ValidationError(f"--kind link is the cone of (m, a) = (3, 1); "
+                              f"got --m {ns.m} --a {ns.a}")
     if ns.kind == "centred":
-        alphas = _alphas_for(ns, ns.m)
-        params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
-        mesh = meshverify.mesh_centred(params, ns.c, (0.0, t_end),
+        c = 0.0 if ns.c is None else ns.c
+        alphas = _alphas_for(ns, ns.m, ns.a)
+        params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=c)
+        mesh = meshverify.mesh_centred(params, c, (0.0, t_end),
                                        resolution=resolution)
     elif ns.kind == "affine":
-        alphas = _alphas_for(ns, ns.m - 1)
+        alphas = _alphas_for(ns, ns.m - 1, ns.a)
         params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
         mesh = meshverify.mesh_affine(params, (0.0, t_end),
                                       resolution=resolution)
     elif ns.kind == "link":
-        alphas = _alphas_for(ns, ns.m)
+        alphas = _alphas_for(ns, 3, 1)
         mesh = meshverify.mesh_link(alphas, ns.A, resolution=resolution,
                                     t_span=ns.t_end)
     else:
@@ -303,7 +316,7 @@ def cmd_verify(ns) -> int:
 def cmd_crosssection(ns) -> int:
     from . import threefold
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m)
+    alphas = _alphas_for(ns, 3, 1)
     _check_count(ns.n, "--n")
     section = threefold.cross_section(alphas)
     s = np.linspace(0.0, section.period, ns.n)
@@ -322,7 +335,7 @@ def cmd_crosssection(ns) -> int:
 def cmd_affine(ns) -> int:
     from . import affine as affine_mod
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m - 1)
+    alphas = _alphas_for(ns, ns.m - 1, ns.a)
     _check_count(ns.n, "--n")
     params = affine_mod.AffineParams(ns.m, ns.a, alphas, ns.A)
     w0, beta0 = affine_mod.affine_initial(params)
@@ -350,7 +363,7 @@ def cmd_affine(ns) -> int:
 def cmd_report(ns) -> int:
     from . import centred
     cfg = _resolved_config(ns)
-    alphas = _alphas_for(ns, ns.m)
+    alphas = _alphas_for(ns, ns.m, ns.a)
     params = centred.CentredParams(ns.m, ns.a, alphas, ns.A, c=ns.c)
     case = centred.classify_case(params)
     payload = {"case": case, "A_max": params.A_max,
@@ -436,7 +449,6 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
                         parents=[alphas])
     common(sp)
     sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--quad-tol", dest="quad_tol", type=float, default=3e-12)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_betas)
@@ -465,7 +477,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["centred", "affine", "link"],
                     default="centred")
     sp.add_argument("--A", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=0.0)
+    sp.add_argument("--c", type=float,
+                    help="default 0.0; --kind centred only")
     sp.add_argument("--t-end", dest="t_end", type=float,
                     help="default 2.0; one period for --kind link")
     sp.add_argument("--resolution", default="33x64")
@@ -485,8 +498,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("crosssection", parents=[alphas],
-                        help="cone link circle in closed form")
-    common(sp)
+                        help="cone link circle in closed form, (m, a) = "
+                        "(3, 1)")
     sp.add_argument("--n", type=int, default=257)
     sp.add_argument("--out", help="CSV path")
     sp.add_argument("--summary", help="JSON path")

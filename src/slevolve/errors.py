@@ -1,7 +1,8 @@
 """Exception types shared across the library and the CLI exit-code map,
-the lower-bound check that counts share, the normalized-gauge check that
-the centred and three-dimensional alphas share, and the recipe view that
-turns a missing key of a file's document into bad input."""
+the lower-bound check that counts share, the range check that tolerances
+share, the normalized-gauge check that the centred and three-dimensional
+alphas share, and the recipe view that turns a missing key of a file's
+document into bad input."""
 
 import numpy as np
 
@@ -42,6 +43,13 @@ def _check_count(value: int, name: str, least: int = 1) -> None:
     ``least``."""
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_tolerance(value: float, name: str) -> None:
+    """A tolerance ``name`` must be finite and non-negative (not NaN)."""
+    if not 0.0 <= value < np.inf:
+        raise ValidationError(f"{name} must be finite and non-negative, "
+                              f"got {value!r}")
 
 
 def _check_gauge(al: np.ndarray, a: int) -> None:

@@ -7,8 +7,10 @@ Every family speaks one batched protocol: ``sample_params(n, seed)`` draws
 ``frames(P)`` to (N, m, m) complex tangent frames, one tangent vector per
 row.  A swept family builds both from a time value t and a chart point
 x(q): the point is w(t) x(q), plus a translation beta(t) in the last
-coordinate for the paraboloid families; the t row of the frame comes from
-the evolution right-hand side and the other rows from the chart's analytic
+coordinate for the paraboloid families.  w(t) is an integrated path; a
+centred family's starts by default at ``centred.w_initial``, in every case
+(a) to (d), A = A_max included.  The t row of the frame comes from the
+evolution right-hand side and the other rows from the chart's analytic
 Jacobian, so residuals measure the construction itself rather than
 integration error.  A mesh is a family, a parameter grid and faces: a
 grid row (t, q, sheet) lifts to a point of the family's own chart, q
@@ -34,6 +36,7 @@ from .multilinear import complex_to_real, frame_forms
 _DEGENERATE_GRAM = 1e-14
 VERTEX_TOL = 1e-12      # relative vertex offset a verified mesh may carry
 _ESCAPE_CUT = 0.98      # a swept mesh ends at this fraction of an escape
+_PROFILE_RADII = (0.75, 1.5)     # an affine mesh's profile circles
 NORMALIZATION_NOTE = ("unit tangent vectors; omega over all pairs, "
                       "|Im Omega| per unit Gram volume, orientation chosen "
                       "to make Re Omega nonnegative")
@@ -225,25 +228,6 @@ class ConeChart(_Chart):
 # parametrized families with analytic frames
 # ---------------------------------------------------------------------------
 
-class CaseCWPath:
-    """Closed-form diagonal evolution at the maximal conserved value:
-    constant moduli sqrt(alpha_j) and linear phase drift -+ A t / alpha_j."""
-
-    escaped = False     # it holds for every t
-
-    def __init__(self, params: centred.CentredParams):
-        al = params.alpha_array
-        self.moduli = np.sqrt(al)
-        theta0 = np.pi / 2 / params.m
-        self.theta0 = np.full(params.m, theta0)
-        self.rates = -params.signs * params.A / al
-
-    def w(self, t):
-        t = np.asarray(t, dtype=float)
-        phase = self.theta0 + np.multiply.outer(t, self.rates)
-        return self.moduli * np.exp(1j * phase)
-
-
 class _SweptFamily:
     """Points w(t) x(q) + beta(t) e_m of a time value t and a chart point,
     in the batched protocol of the module docstring; frame rows
@@ -303,8 +287,10 @@ class CentredFamily(_SweptFamily):
     """The centred-quadric submanifold (on the level ``params.c``) as a
     map of (t, quadric chart).
 
-    The path is the case-c closed form, or the trajectory integrated from
-    w0 (default: the standard initial state) over t_span, or to its escape.
+    The path is the trajectory integrated from w0 over t_span, or to its
+    escape; w0 defaults to ``centred.w_initial(params)``, which refuses an A
+    above A_max.  The default span is two periods in case (d) and 2.0
+    otherwise.
     """
 
     def __init__(self, params: centred.CentredParams, t_span: float = None,
@@ -314,14 +300,10 @@ class CentredFamily(_SweptFamily):
         case = centred.classify_case(params)
         if t_span is None:
             t_span = 2.0 * centred.betas(params).period_T if case == "d" else 2.0
-        self.t_span = float(t_span)
-        if w0 is None and case == "c":
-            self.path = CaseCWPath(params)
-        else:
-            w0 = centred.w_initial(params) if w0 is None else w0
-            self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
-                                            self.t_span)
-            self.t_span = float(self.path.t_span[1])    # the end it reached
+        w0 = centred.w_initial(params) if w0 is None else w0
+        self.path = centred.integrate_w(np.asarray(w0, complex), self.a,
+                                        float(t_span))
+        self.t_span = float(self.path.t_span[1])    # the end it reached
         self.chart = QuadricChart(self.m, self.a, params.c)
 
 
@@ -518,18 +500,9 @@ def _grid_size(resolution) -> list:
     return sizes
 
 
-def _initial_state(w0, beta0=None) -> dict:
-    """Recipe entries of the initial state a caller passed."""
-    state = {}
-    if w0 is not None:
-        w0 = np.asarray(w0, complex)
-        state |= {"w0_re": w0.real.tolist(), "w0_im": w0.imag.tolist()}
-    if beta0 is not None:
-        state["beta0"] = [complex(beta0).real, complex(beta0).imag]
-    return state
-
-
 def _recipe_w0(r: dict):
+    """The start a recipe stored, or None: the builders store none, but
+    their earlier versions always did, and such recipes still rebuild."""
     return (np.asarray(r["w0_re"]) + 1j * np.asarray(r["w0_im"])
             if "w0_re" in r else None)
 
@@ -542,7 +515,8 @@ def _stop_short(family) -> None:
 
 # One construction per mesh kind, recipe -> (family, row chart, parameter
 # grid, faces), serves the builder and rebuild_family alike; a key missing
-# from a recipe takes the builder's default.
+# from a recipe takes the builder's default, and a stored start (w0, and
+# beta0 for affine) replaces the family's own.
 
 def _centred_mesh(r: dict) -> tuple:
     params = centred.CentredParams(r["m"], r["a"], tuple(r["alphas"]),
@@ -616,8 +590,9 @@ def _mesh(recipe: dict) -> Mesh:
 
 
 def mesh_centred(params: centred.CentredParams, c: float, t_span,
-                 resolution=(33, 64), w0=None) -> Mesh:
-    """Mesh of the centred family over a (t, profile angle) grid.
+                 resolution=(33, 64)) -> Mesh:
+    """Mesh of the centred family over a (t, profile angle) grid, swept
+    from ``centred.w_initial(params)``.
 
     c must be ``params.c``; t_span is (0, t_end), cut to 0.98 of an escape
     time (case b); sheets fix the remaining quadric coordinates.  For c = 0
@@ -630,22 +605,22 @@ def mesh_centred(params: centred.CentredParams, c: float, t_span,
     return _mesh({
         "kind": "centred", "m": params.m, "a": params.a,
         "alphas": list(params.alphas), "A": params.A, "c": c,
-        "t_end": _t_end(t_span), "resolution": _grid_size(resolution)}
-        | _initial_state(w0))
+        "t_end": _t_end(t_span), "resolution": _grid_size(resolution)})
 
 
-def mesh_affine(params: affine_mod.AffineParams, t_span, resolution=(33, 64),
-                profile_radii=(0.75, 1.5), w0=None, beta0=None) -> Mesh:
-    """Mesh of the translated family over a (t, profile angle) grid; the
-    first two free coordinates run around circles of the given radii, the
-    rest stay at a fixed offset.  A path that escapes before t_end is meshed
-    to 0.98 of its escape time."""
+def mesh_affine(params: affine_mod.AffineParams, t_span,
+                resolution=(33, 64)) -> Mesh:
+    """Mesh of the translated family over a (t, profile angle) grid, swept
+    from ``affine.affine_initial(params)``; the first two free coordinates
+    run around circles of radii 0.75 and 1.5, one sheet each, the rest stay
+    at a fixed offset.  A path that escapes before t_end is meshed to 0.98
+    of its escape time."""
     return _mesh({
         "kind": "affine", "m": params.m, "a": params.a,
         "alphas": list(params.alphas), "A": params.A,
         "Cconst": [params.Cconst.real, params.Cconst.imag],
-        "t_end": _t_end(t_span), "profile_radii": list(profile_radii),
-        "resolution": _grid_size(resolution)} | _initial_state(w0, beta0))
+        "t_end": _t_end(t_span), "profile_radii": list(_PROFILE_RADII),
+        "resolution": _grid_size(resolution)})
 
 
 def mesh_link(alphas, A: float, resolution=(64, 64), t_span=None) -> Mesh:

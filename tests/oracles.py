@@ -21,9 +21,9 @@ data (``chi_at``, ``tangency_residual``), the paper's symmetry Lie algebra
 of evolution data (``symmetry_algebra``) and its n = m classifier
 (``classify_square``), the fully explicit m = 3 translated solutions
 (``Affine3ClosedForm``, swept by ``Affine3ClosedFamily``), the reduced
-(u, theta_j) form of the centred system, the derivative relations of the
-Jacobi functions, the rotated planes and the conformality residuals of the
-cone-over-link sweep.
+(u, theta_j) form of the centred system and its case-(c) closed form
+(``case_c_w``), the derivative relations of the Jacobi functions, the
+rotated planes and the conformality residuals of the cone-over-link sweep.
 """
 
 from dataclasses import dataclass, field
@@ -355,6 +355,17 @@ def rhs_reduced(state: ReducedState, params: CentredParams):
     du = 2.0 * sqrtQ * np.cos(theta)
     dthetas = -params.signs * sqrtQ * np.sin(theta) / radicands
     return float(du), dthetas
+
+
+def case_c_w(params: CentredParams, t) -> np.ndarray:
+    """The closed-form diagonal evolution at A = A_max (case c) from
+    ``w_initial``: constant moduli sqrt(alpha_j) and phases
+    pi / (2m) - s_j A t / alpha_j; shape (..., m) for t of shape (...)."""
+    al = params.alpha_array
+    rates = -params.signs * params.A / al
+    phase = np.pi / 2 / params.m + np.multiply.outer(np.asarray(t, float),
+                                                     rates)
+    return np.sqrt(al) * np.exp(1j * phase)
 
 
 def jacobi_derivatives(snd: np.ndarray, k: float) -> np.ndarray:

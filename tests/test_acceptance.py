@@ -135,7 +135,7 @@ def test_criterion_05_general_engine_specialization():
 def test_criterion_06_sl_residuals():
     al = (1.0, 2.0, 2.0)
     families = {
-        "case-c closed form": meshverify.CentredFamily(
+        "case-c family": meshverify.CentredFamily(
             centred.CentredParams(3, 1, al, 2.0, c=1.0)),
         "case-d trajectory": meshverify.CentredFamily(
             centred.CentredParams(3, 1, al, 1.0, c=1.0)),

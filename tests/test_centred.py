@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_fused_stage, random_case_d
-from oracles import (ReducedState, reduce_state, rhs_reduced,
+from oracles import (ReducedState, case_c_w, reduce_state, rhs_reduced,
                      sym_closed_solutions)
 from slevolve import NumericalError, ValidationError, centred
 from slevolve.centred import (CentredParams, PeriodicSolution, beta_limits,
@@ -505,13 +505,11 @@ class TestCaseClassification:
         assert classify_case(CentredParams(3, 1, al, 0.7 * A_max, c=1.0)) == "d"
 
     def test_case_c_closed_form_vs_ode(self):
-        from slevolve.meshverify import CaseCWPath
         al = (1.0, 2.0, 2.0)
         params = CentredParams(3, 1, al, float(np.sqrt(np.prod(al))), c=1.0)
-        closed = CaseCWPath(params)
-        path = integrate_w(closed.w(0.0), 1, 10.0)
+        path = integrate_w(case_c_w(params, 0.0), 1, 10.0)
         grid = np.linspace(0.0, 10.0, 400)
-        assert np.abs(path.w(grid) - closed.w(grid)).max() <= 1e-9
+        assert np.abs(path.w(grid) - case_c_w(params, grid)).max() <= 1e-9
 
     def test_case_b_escape(self):
         # the ellipsoid family leaves every bounded set in finite time

@@ -252,7 +252,7 @@ class TestMeshAndVerify:
         assert rep["max_vertex_offset"] > 0.1
 
     @pytest.mark.parametrize("argv", [
-        # case c, A = A_max: the closed-form path, not an integration
+        # case c, A = A_max: integrated from w_initial like every case
         ["--kind", "centred", "--m", "3", "--a", "1", "--alphas", "1,2,2",
          "--A", "2", "--c", "1"],
         # a path that escapes before t = 50
@@ -778,3 +778,66 @@ class TestNegativeValues:
             cli.build_parser().parse_args(["affine", "--A", "0.5",
                                            "--t-end", "--n", "3"])
         assert exc.value.code == 2
+
+
+class TestOptionsThatRun:
+    """A command runs every option value it takes or echoes; one it would
+    not run is refused with exit 2, the flag named."""
+
+    @pytest.mark.parametrize("argv", [
+        # exited 0 with the 3-letter limits and "m": 5 in its config
+        ["limits", "--m", "5", "--a", "1", "--alphas", "1,2,2"],
+        # exited 0 and echoed "m": 7
+        ["search", "--m", "7", "--a", "1", "--alphas", "1,2,2", "--bmax",
+         "3"],
+    ])
+    def test_alphas_count_must_match_the_letters(self, tmp_path, capsys,
+                                                 argv):
+        out = tmp_path / "x.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "--alphas" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        # wrote the (3, 1), c = 0 link
+        (["--kind", "link", "--a", "2", "--c", "1"], "--c"),
+        (["--kind", "link", "--a", "2"], "--a"),
+        # the paraboloid has no level: --c 5 was ignored
+        (["--kind", "affine", "--m", "4", "--a", "2", "--alphas", "1,1",
+          "--c", "5"], "--c"),
+    ], ids=["link-c", "link-a", "affine-c"])
+    def test_mesh_refuses_what_its_kind_ignores(self, tmp_path, capsys,
+                                                argv, flag):
+        if argv[1] == "link":
+            argv = argv + ["--alphas", "1.2,2,3", "--A", "0.4"]
+        out = tmp_path / "m.json"
+        assert run(["mesh", *argv, "--resolution", "5x8",
+                    "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # echoed --m 7 --a 4 while drawing the (3, 1) link circle
+        ["crosssection", "--alphas", "1.2,2,3", "--m", "7"],
+        ["crosssection", "--alphas", "1.2,2,3", "--a", "4"],
+        # returned the same angles for every --c
+        ["betas", "--alphas", "1,2,2", "--A", "1", "--c", "5"],
+    ])
+    def test_options_without_effect_removed(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_crosssection_family_sym_is_three_one(self, tmp_path):
+        out = tmp_path / "cs.json"
+        assert run(["crosssection", "--family", "sym", "--n", "9",
+                    "--summary", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["family"] == "sym"
+        assert not {"m", "a"} & set(doc["config"])
+        assert max(doc["max_constraint_residuals"]) <= 1e-10
+
+    def test_betas_with_a_equal_to_m_names_case_d(self, capsys):
+        assert run(["betas", "--m", "3", "--a", "3", "--alphas", "1,2,2",
+                    "--A", "1"]) == 2
+        assert "case (d) requires a < m" in capsys.readouterr().err

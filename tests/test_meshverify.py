@@ -23,6 +23,37 @@ from slevolve.meshverify import (AffineFamily, CentredFamily,
 P122 = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 1.0, c=1.0)
 
 
+def stored_start_mesh(kind, params, t_end, resolution, w0, beta0=None,
+                      profile_radii=None):
+    """A mesh built from a recipe that stores its start, as the builders'
+    earlier versions wrote: w0, and for affine beta0 and profile_radii."""
+    w0 = np.asarray(w0, complex)
+    recipe = {"kind": kind, "m": params.m, "a": params.a,
+              "alphas": list(params.alphas), "A": params.A, "t_end": t_end,
+              "resolution": list(resolution), "w0_re": w0.real.tolist(),
+              "w0_im": w0.imag.tolist()}
+    if kind == "centred":
+        recipe["c"] = params.c
+    else:
+        recipe |= {"beta0": [beta0.real, beta0.imag],
+                   "profile_radii": list(profile_radii)}
+    return meshverify._mesh(recipe)
+
+
+def assert_rebuilds_as(mesh, family, tmp_path):
+    """The mesh's vertices are ``family``'s points, and its JSON rebuilds
+    to them exactly and verifies."""
+    assert np.array_equal(
+        complex_to_real(family.points(mesh.params, mesh.chart)),
+        mesh.vertices)
+    export(mesh, "json", tmp_path / "m.json")
+    back = import_json(tmp_path / "m.json")
+    rebuild_family(back)
+    report = mesh_residual_report(back)
+    assert report.max_residual() <= 1e-6
+    assert report.max_vertex_offset == 0.0
+
+
 class TestChart:
     @pytest.mark.parametrize("m,a,c", [
         (3, 1, 1.0), (3, 1, -1.0), (3, 1, 0.0), (3, 2, 1.0),
@@ -119,6 +150,26 @@ class TestResiduals:
         rep = sl_residuals(CentredFamily(params), 500, 4)
         assert rep.max_residual() <= 1e-6
 
+    def test_case_c_follows_its_own_A(self):
+        # within the case-(c) band A_max(1 -+ 1e-10) the family swept the
+        # closed form of A = A_max, 1.0e-5 away from this A's solution
+        A_max = 2.0
+        params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0),
+                                       A_max * (1 - 5e-11), c=1.0)
+        assert centred.classify_case(params) == "c"
+        fam = CentredFamily(params)
+        path = centred.integrate_w(centred.w_initial(params), 1, fam.t_span)
+        grid = np.linspace(0.0, fam.t_span, 401)
+        assert np.abs(fam.path.w(grid) - path.w(grid)).max() <= 1e-9
+
+    def test_case_c_above_A_max_refused(self):
+        # no w(0) has A above A_max: the family was built all the same
+        params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0),
+                                       2.0 * (1 + 5e-11), c=1.0)
+        assert centred.classify_case(params) == "c"
+        with pytest.raises(ValidationError, match="exceeds"):
+            CentredFamily(params)
+
     def test_affine_family(self):
         params = affine.AffineParams(4, 2, centred.symmetric_alphas(3, 2),
                                      0.4)
@@ -212,10 +263,9 @@ class TestMeshCentred:
         thetas = np.array([0.8, 1.2, np.pi - 2.0])
         w0 = np.sqrt([1.2, 1.8, 1.8]) * np.exp(1j * thetas)
         params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 0.0, c=1.0)
-        mesh = mesh_centred(params, 1.0, (0.0, 0.4), resolution=(7, 12),
-                            w0=w0)
-        Z = mesh.vertices[:, 0::2] + 1j * mesh.vertices[:, 1::2]
-        # all vertices in the rotated real plane
+        fam = CentredFamily(params, 0.4, w0)
+        Z = fam.points(fam.sample_params(84, 12))
+        # all points in the rotated real plane
         assert np.abs((Z * np.exp(-1j * thetas)).imag).max() <= 1e-10
 
     def test_cone_ray_scaling(self):
@@ -313,12 +363,12 @@ class TestMeshAffine:
         D = 0.5 * (w0[0] - np.conj(w0[1]))
         E = b0 - 0.5 * abs(C) ** 2 - 0.5 * abs(D) ** 2
         form = Affine3ClosedForm("a2", C, D, E)
-        mesh = mesh_affine(params, (0.0, 1.2), resolution=(6, 10),
-                           profile_radii=(0.75,))
+        mesh = mesh_affine(params, (0.0, 1.2), resolution=(6, 10))
         Z = mesh.vertices[:, 0::2] + 1j * mesh.vertices[:, 1::2]
         for i in range(len(Z)):
-            t, q, _ = mesh.params[i]
-            x1, x2 = 0.75 * np.cos(q), 0.75 * np.sin(q)
+            t, q, sheet = mesh.params[i]
+            rad = (0.75, 1.5)[int(sheet)]
+            x1, x2 = rad * np.cos(q), rad * np.sin(q)
             want = form.point(x1, x2, t)
             assert np.abs(Z[i] - want).max() <= 1e-8
 
@@ -464,18 +514,17 @@ class TestExport:
         thetas = np.array([0.4, 0.3, 0.8])
         w0 = np.sqrt([1.3, 1.7, 1.9]) * np.exp(1j * thetas)
         params = centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 0.0, c=1.0)
-        mesh = mesh_centred(params, 1.0, (0.0, 1.2), resolution=(5, 8),
-                            w0=w0)
-        export(mesh, "json", tmp_path / "m.json")
-        back = import_json(tmp_path / "m.json")
-        rebuild_family(back)
-        assert mesh_residual_report(back).max_residual() <= 1e-6
-        r = back.recipe
-        again = mesh_centred(params, 1.0, (0.0, r["t_end"]),
-                             resolution=tuple(r["resolution"]),
-                             w0=np.asarray(r["w0_re"])
-                             + 1j * np.asarray(r["w0_im"]))
-        assert np.allclose(again.vertices, mesh.vertices, atol=1e-12)
+        mesh = stored_start_mesh("centred", params, 1.2, (5, 8), w0)
+        assert_rebuilds_as(mesh, CentredFamily(params, 1.2, w0), tmp_path)
+
+    def test_rebuild_keeps_stored_affine_start(self, tmp_path):
+        # the affine start is (w0, beta0), and the profile radii come from
+        # the recipe too
+        w0, beta0 = np.array([1.1, 0.9j, 1.0 + 0.2j]), 0.3 - 0.1j
+        mesh = stored_start_mesh("affine", AFF4, 1.5, (5, 8), w0, beta0,
+                                 (0.5, 1.0, 1.25))
+        assert mesh.chart.n_sheets == 3
+        assert_rebuilds_as(mesh, AffineFamily(AFF4, 1.5, w0, beta0), tmp_path)
 
     def test_unknown_format_rejected(self, tmp_path):
         mesh = mesh_centred(P122, 1.0, (0.0, 1.0), resolution=(3, 6))
@@ -527,7 +576,7 @@ def parent_recipe(mesh):
 
 class TestRecipe:
     @pytest.mark.parametrize("build", [
-        # case c, A = A_max: the closed-form path, not an integration
+        # case c, A = A_max: integrated from w_initial like every case
         lambda: mesh_centred(centred.CentredParams(3, 1, (1.0, 2.0, 2.0), 2.0,
                                                    c=1.0), 1.0, (0.0, 2.0),
                              resolution=(9, 16)),
